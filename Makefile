@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-json-timing bench-json-mlp bench-json-prefetch nopanic crash-sweep probe-smoke persist-matrix mlp-smoke prefetch-smoke grid-smoke telemetry-smoke verify
+.PHONY: all build vet test race bench bench-json perfbench-test nopanic crash-sweep probe-smoke persist-matrix mlp-smoke prefetch-smoke grid-smoke telemetry-smoke verify
 
 all: verify
 
@@ -72,60 +72,40 @@ mlp-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# bench-json captures the crypto/metadata hot-path benchmarks as a committed
-# JSON baseline: the ReadLine/WriteLine micro-benchmarks (with allocation
-# counts) at a fixed benchtime, plus every Fig9 quick cell at two
-# iterations (each iteration is one full deterministic simulation, so two
-# are enough for a stable ns/op). BENCH_seed.json holds the
-# pre-optimization baseline; regenerate BENCH_hotpath.json after touching
-# the hot path and compare.
+# bench-json captures the hot-path and end-to-end benchmarks as a JSON
+# baseline: the ReadLine/WriteLine micro-benchmarks (with allocation counts)
+# at a fixed benchtime, plus every Fig9 quick cell and the PagePhyc,
+# OverflowSweep, RecoveryScrub and ChainHeavy cells at two iterations (each
+# iteration is one full deterministic simulation, so two are enough for a
+# stable ns/op). KNOBS is the machine in sim.Knobs's text form, read by
+# bench_test.go from LELANTUS_KNOBS; OUT is the file written. Benchmark
+# names do not depend on KNOBS, so `go run ./cmd/benchjson -compare A B`
+# lines any two files up cell by cell. The committed files regenerate with:
+#
+#   make bench-json                                                           # BENCH_hotpath.json
+#   make bench-json KNOBS=fidelity=timing OUT=BENCH_timing.json
+#   make bench-json KNOBS=fidelity=timing,mlp=on OUT=BENCH_mlp.json
+#   make bench-json KNOBS=fidelity=timing,mlp=on,prefetch=both OUT=BENCH_prefetch.json
+#
+# -compare of hotpath vs timing prints the host speedup of the fidelity
+# knob; `-compare -metric sim-ns` of timing vs mlp the simulated speedup
+# the MLP model charges, and of mlp vs prefetch (with -filter ChainHeavy)
+# the prefetch delta on the cells that overflow the counter cache.
+# BENCH_seed.json holds the pre-optimization baseline.
+KNOBS ?=
+OUT ?= BENCH_hotpath.json
 bench-json:
-	{ $(GO) test -run '^$$' -bench '^(BenchmarkReadLine|BenchmarkWriteLine)$$' \
-	      -benchmem -benchtime 0.2s . ; \
-	  $(GO) test -run '^$$' -bench '^(BenchmarkFig9|BenchmarkPagePhyc|BenchmarkOverflowSweep|BenchmarkRecoveryScrub)$$' -benchtime 2x . ; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_hotpath.json
-
-# bench-json-timing runs the same benchmarks with the crypto data plane
-# elided (timing fidelity) into BENCH_timing.json; the benchmark names
-# match bench-json's, so `go run ./cmd/benchjson -compare BENCH_hotpath.json
-# BENCH_timing.json` prints the per-cell speedup of the fidelity knob.
-bench-json-timing:
-	{ LELANTUS_FIDELITY=timing $(GO) test -run '^$$' \
+	{ LELANTUS_KNOBS='$(KNOBS)' $(GO) test -run '^$$' \
 	      -bench '^(BenchmarkReadLine|BenchmarkWriteLine)$$' \
 	      -benchmem -benchtime 0.2s . ; \
-	  LELANTUS_FIDELITY=timing $(GO) test -run '^$$' \
-	      -bench '^(BenchmarkFig9|BenchmarkPagePhyc|BenchmarkOverflowSweep|BenchmarkRecoveryScrub)$$' -benchtime 2x . ; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_timing.json
-
-# bench-json-mlp reruns the timing-fidelity benchmarks with the
-# MSHR-overlapped engine on into BENCH_mlp.json; the names match
-# bench-json-timing's, so `go run ./cmd/benchjson -compare -metric sim-ns
-# BENCH_timing.json BENCH_mlp.json` prints the simulated-wall-clock
-# speedup the MLP model charges per cell — the deliverable; MLP moves
-# simulated timestamps, not host work (plain ns/op only shows the pool
-# on multi-core hosts at full fidelity, and host noise elsewhere).
-bench-json-mlp:
-	{ LELANTUS_MLP=on LELANTUS_FIDELITY=timing $(GO) test -run '^$$' \
-	      -bench '^(BenchmarkReadLine|BenchmarkWriteLine)$$' \
-	      -benchmem -benchtime 0.2s . ; \
-	  LELANTUS_MLP=on LELANTUS_FIDELITY=timing $(GO) test -run '^$$' \
+	  LELANTUS_KNOBS='$(KNOBS)' $(GO) test -run '^$$' \
 	      -bench '^(BenchmarkFig9|BenchmarkPagePhyc|BenchmarkOverflowSweep|BenchmarkRecoveryScrub|BenchmarkChainHeavy)$$' -benchtime 2x . ; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_mlp.json
+	  | $(GO) run ./cmd/benchjson > $(OUT)
 
-# bench-json-prefetch reruns the mlp benchmarks with the metadata prefetch
-# engine on (-prefetch=both) into BENCH_prefetch.json; the names match
-# bench-json-mlp's, so `go run ./cmd/benchjson -compare -metric sim-ns
-# -filter ChainHeavy BENCH_mlp.json BENCH_prefetch.json` quotes the
-# simulated-time delta on the redirect-chain-heavy cells (the quick Fig9
-# cells fit the counter cache whole, so prefetch is inert there and the
-# unfiltered table doubles as the within-1.02x no-regression check).
-bench-json-prefetch:
-	{ LELANTUS_PREFETCH=both LELANTUS_MLP=on LELANTUS_FIDELITY=timing $(GO) test -run '^$$' \
-	      -bench '^(BenchmarkReadLine|BenchmarkWriteLine)$$' \
-	      -benchmem -benchtime 0.2s . ; \
-	  LELANTUS_PREFETCH=both LELANTUS_MLP=on LELANTUS_FIDELITY=timing $(GO) test -run '^$$' \
-	      -bench '^(BenchmarkFig9|BenchmarkPagePhyc|BenchmarkOverflowSweep|BenchmarkRecoveryScrub|BenchmarkChainHeavy)$$' -benchtime 2x . ; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_prefetch.json
+# perfbench-test runs the end-to-end benchmark's own unit tests (it is a
+# separate module, so `go test ./...` at the root does not reach it).
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # Prefetch smoke: the -prefetch=off byte-identity and knob-inertness pins,
 # the per-mode fidelity-equivalence properties (prefetch moves time and
@@ -161,6 +141,9 @@ grid-smoke:
 # scraped mid-run with curl and the scrape is validated with the built-in
 # exposition checker (`lelantus-grid promcheck`); the final heartbeat
 # must have marked telemetry.json finished, and `status` must render it.
+# The grid (eight full-size forkbench cells, a few seconds) must outlast
+# the announce-poll-scrape sequence; the four-cell quick preset finishes
+# in about 0.1 s and closes the endpoint before curl connects.
 telemetry-smoke:
 	$(GO) test -count=1 ./internal/metrics
 	$(GO) test -count=1 ./internal/grid -run 'Telemetry|Tail|Profile|PromCheck'
@@ -168,7 +151,7 @@ telemetry-smoke:
 	$(GO) build -o /tmp/lelantus-telemetry-smoke-bin ./cmd/lelantus-grid
 	@set -e; \
 	/tmp/lelantus-telemetry-smoke-bin run -dir /tmp/lelantus-telemetry-smoke \
-	    -spec quick -region-kb 1024 -tail -telemetry-addr 127.0.0.1:0 \
+	    -workloads forkbench -seeds 1,2 -tail -telemetry-addr 127.0.0.1:0 \
 	    -heartbeat 250ms -strict -quiet 2> /tmp/lelantus-telemetry-smoke.err & \
 	pid=$$!; url=; \
 	for i in $$(seq 1 100); do \
@@ -186,4 +169,4 @@ telemetry-smoke:
 	@rm -rf /tmp/lelantus-telemetry-smoke /tmp/lelantus-telemetry-smoke.err \
 	    /tmp/lelantus-telemetry-smoke.prom /tmp/lelantus-telemetry-smoke-bin
 
-verify: build vet nopanic test race crash-sweep persist-matrix probe-smoke mlp-smoke prefetch-smoke grid-smoke telemetry-smoke
+verify: build vet nopanic test perfbench-test race crash-sweep persist-matrix probe-smoke mlp-smoke prefetch-smoke grid-smoke telemetry-smoke

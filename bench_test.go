@@ -17,48 +17,31 @@ import (
 	"lelantus/internal/workload"
 )
 
-// benchFidelity selects the machine fidelity for every benchmark from the
-// LELANTUS_FIDELITY environment variable ("timing" elides the crypto data
-// plane; anything else is the full path). `make bench-json-timing` sets it
-// so BENCH_timing.json carries the same benchmark names as the full-path
-// BENCH_hotpath.json and `benchjson -compare` lines them up.
-func benchFidelity() core.Fidelity {
-	if os.Getenv("LELANTUS_FIDELITY") == "timing" {
-		return core.FidelityTiming
+// benchKnobs is the machine every benchmark runs on: memBytes of NVM under
+// the knobs in the LELANTUS_KNOBS environment variable, in sim.Knobs's
+// canonical text form (e.g. "fidelity=timing,mlp=on,prefetch=both"; unset
+// is the default machine). `make bench-json KNOBS=...` sets it, so every
+// BENCH_*.json file carries the same benchmark names and `benchjson
+// -compare` lines the files up cell by cell.
+func benchKnobs(memBytes uint64) sim.Knobs {
+	k := sim.Knobs{MemBytes: memBytes}
+	if err := k.Parse(os.Getenv("LELANTUS_KNOBS")); err != nil {
+		panic("LELANTUS_KNOBS: " + err.Error())
 	}
-	return core.FidelityFull
+	return k
 }
 
-// benchMLP selects the memory-level-parallelism model for every benchmark
-// from the LELANTUS_MLP environment variable ("on" enables the
-// MSHR-overlapped engine). `make bench-json-mlp` sets it so BENCH_mlp.json
-// carries the same benchmark names as BENCH_timing.json and `benchjson
-// -compare` lines up the speedup per cell.
-func benchMLP() core.MLPConfig {
-	return core.MLPConfig{Enabled: os.Getenv("LELANTUS_MLP") == "on"}
-}
-
-// benchPrefetch selects the metadata-prefetch configuration for every
-// benchmark from the LELANTUS_PREFETCH environment variable (a -prefetch
-// mode name: off, delta, chain, both; empty is off). `make
-// bench-json-prefetch` sets it so BENCH_prefetch.json carries the same
-// benchmark names as BENCH_mlp.json and `benchjson -compare -metric sim-ns`
-// lines up the prefetch delta per cell.
-func benchPrefetch() core.PrefetchConfig {
-	m, err := core.ParsePrefetchMode(os.Getenv("LELANTUS_PREFETCH"))
-	if err != nil {
-		panic(err)
-	}
-	return core.PrefetchConfig{Mode: m}
+// benchConfig is a scheme's default machine with benchKnobs applied.
+func benchConfig(s core.Scheme, memBytes uint64) sim.Config {
+	cfg := sim.DefaultConfig(s)
+	benchKnobs(memBytes).Apply(&cfg)
+	return cfg
 }
 
 func quickOpts() experiments.Options {
 	o := experiments.DefaultOptions()
 	o.Quick = true
-	o.MemBytes = 256 << 20
-	o.Fidelity = benchFidelity()
-	o.MLP = benchMLP()
-	o.Prefetch = benchPrefetch()
+	o.Knobs = benchKnobs(256 << 20)
 	return o
 }
 
@@ -101,10 +84,7 @@ func BenchmarkFig9(b *testing.B) {
 					var last sim.Result
 					for i := 0; i < b.N; i++ {
 						cfg := sim.DefaultConfig(s)
-						cfg.Mem.MemBytes = o.MemBytes
-						cfg.Mem.Core.Fidelity = o.Fidelity
-						cfg.Mem.Core.MLP = o.MLP
-						cfg.Mem.Core.Prefetch = o.Prefetch
+						o.Apply(&cfg)
 						res, err := sim.RunWith(cfg, script)
 						if err != nil {
 							b.Fatal(err)
@@ -160,10 +140,7 @@ func BenchmarkGridRun(b *testing.B) {
 		}
 		for _, s := range core.Schemes() {
 			cfg := sim.DefaultConfig(s)
-			cfg.Mem.MemBytes = o.MemBytes
-			cfg.Mem.Core.Fidelity = o.Fidelity
-			cfg.Mem.Core.MLP = o.MLP
-			cfg.Mem.Core.Prefetch = o.Prefetch
+			o.Apply(&cfg)
 			jobs = append(jobs, sim.GridJob{
 				Tag:    spec.Name + "/" + s.String(),
 				Config: cfg,
@@ -188,11 +165,7 @@ func BenchmarkGridRun(b *testing.B) {
 // allocation budget is defined over (see DESIGN.md "Performance model").
 func benchEngine(b *testing.B, s core.Scheme) (*core.Engine, []uint64) {
 	b.Helper()
-	cfg := sim.DefaultConfig(s)
-	cfg.Mem.MemBytes = 64 << 20
-	cfg.Mem.Core.Fidelity = benchFidelity()
-	cfg.Mem.Core.MLP = benchMLP()
-	cfg.Mem.Core.Prefetch = benchPrefetch()
+	cfg := benchConfig(s, 64<<20)
 	m, err := sim.NewMachine(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -257,11 +230,7 @@ func BenchmarkWriteLine(b *testing.B) {
 // full 64-line copy — the microarchitectural heart of the paper.
 func BenchmarkPageCopyCommand(b *testing.B) {
 	b.Run("page_copy", func(b *testing.B) {
-		cfg := sim.DefaultConfig(core.Lelantus)
-		cfg.Mem.MemBytes = 64 << 20
-		cfg.Mem.Core.Fidelity = benchFidelity()
-		cfg.Mem.Core.MLP = benchMLP()
-		cfg.Mem.Core.Prefetch = benchPrefetch()
+		cfg := benchConfig(core.Lelantus, 64<<20)
 		m, err := sim.NewMachine(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -278,11 +247,7 @@ func BenchmarkPageCopyCommand(b *testing.B) {
 		}
 	})
 	b.Run("full_copy", func(b *testing.B) {
-		cfg := sim.DefaultConfig(core.Baseline)
-		cfg.Mem.MemBytes = 64 << 20
-		cfg.Mem.Core.Fidelity = benchFidelity()
-		cfg.Mem.Core.MLP = benchMLP()
-		cfg.Mem.Core.Prefetch = benchPrefetch()
+		cfg := benchConfig(core.Baseline, 64<<20)
 		m, err := sim.NewMachine(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -308,11 +273,7 @@ func BenchmarkPageCopyCommand(b *testing.B) {
 func BenchmarkPagePhyc(b *testing.B) {
 	for _, s := range []core.Scheme{core.Lelantus, core.LelantusCoW} {
 		b.Run(s.String(), func(b *testing.B) {
-			cfg := sim.DefaultConfig(s)
-			cfg.Mem.MemBytes = 64 << 20
-			cfg.Mem.Core.Fidelity = benchFidelity()
-			cfg.Mem.Core.MLP = benchMLP()
-			cfg.Mem.Core.Prefetch = benchPrefetch()
+			cfg := benchConfig(s, 64<<20)
 			m, err := sim.NewMachine(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -368,11 +329,7 @@ func BenchmarkChainHeavy(b *testing.B) {
 			b.Run(c.name+"/"+s.String(), func(b *testing.B) {
 				var last sim.Result
 				for i := 0; i < b.N; i++ {
-					cfg := sim.DefaultConfig(s)
-					cfg.Mem.MemBytes = 256 << 20
-					cfg.Mem.Core.Fidelity = benchFidelity()
-					cfg.Mem.Core.MLP = benchMLP()
-					cfg.Mem.Core.Prefetch = benchPrefetch()
+					cfg := benchConfig(s, 256<<20)
 					res, err := sim.RunWith(cfg, c.script)
 					if err != nil {
 						b.Fatal(err)
@@ -399,11 +356,7 @@ func BenchmarkTailLatency(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			var pl *probe.Plane
 			for i := 0; i < b.N; i++ {
-				cfg := sim.DefaultConfig(s)
-				cfg.Mem.MemBytes = 256 << 20
-				cfg.Mem.Core.Fidelity = benchFidelity()
-				cfg.Mem.Core.MLP = benchMLP()
-				cfg.Mem.Core.Prefetch = benchPrefetch()
+				cfg := benchConfig(s, 256<<20)
 				pl = probe.New(probe.Config{RingCap: 1})
 				cfg.Mem.Probe = pl
 				if _, err := sim.RunWith(cfg, script); err != nil {
@@ -456,11 +409,7 @@ func BenchmarkOverflowSweep(b *testing.B) {
 func BenchmarkRecoveryScrub(b *testing.B) {
 	for _, s := range []core.Scheme{core.Lelantus, core.LelantusCoW} {
 		b.Run(s.String(), func(b *testing.B) {
-			cfg := sim.DefaultConfig(s)
-			cfg.Mem.MemBytes = 64 << 20
-			cfg.Mem.Core.Fidelity = benchFidelity()
-			cfg.Mem.Core.MLP = benchMLP()
-			cfg.Mem.Core.Prefetch = benchPrefetch()
+			cfg := benchConfig(s, 64<<20)
 			m, err := sim.NewMachine(cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -15,8 +15,9 @@
 // default) picks timing for the full "-exp all" grid and full otherwise.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 flag/usage errors — an
-// invalid -fidelity/-persist/-mlp/-prefetch/-exp value is a one-line
-// diagnosis, not a partial run.
+// invalid -exp value, machine-knob spelling or negative knob count is a
+// one-line diagnosis, not a partial run. The machine knobs are DESIGN.md
+// §18's.
 package main
 
 import (
@@ -25,13 +26,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
-	"lelantus"
+	"lelantus/internal/core"
 	"lelantus/internal/experiments"
+	"lelantus/internal/hostprof"
 )
 
 func main() {
@@ -52,19 +52,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	exp := fs.String("exp", "all", "experiment id (see -list) or 'all'")
 	quick := fs.Bool("quick", false, "use reduced workload sizes")
 	seed := fs.Int64("seed", 1, "workload generator seed")
-	memMB := fs.Uint64("mem", 512, "simulated NVM capacity in MiB")
 	parallel := fs.Int("parallel", 0, "worker pool for independent simulation runs (0 = all CPUs); reports are byte-identical at any setting")
 	fidelity := fs.String("fidelity", "auto", "full | timing | auto (timing for '-exp all', full otherwise); reports are byte-identical either way")
-	persistName := fs.String("persist", "strict", "metadata persistence strategy: strict | phoenix | triad:N (persist-matrix overrides per cell)")
-	mlpName := fs.String("mlp", "off", "memory-level parallelism: off (serial engine) | on (MSHR-overlapped metadata path; mlp-matrix overrides per cell)")
-	mshrs := fs.Int("mshrs", 0, "MSHR registers for -mlp=on (0 = default 8)")
-	mlpWorkers := fs.Int("mlp-workers", 0, "goroutine pool for the batched page engines under -mlp=on (0 = all CPUs); reports are identical at any setting")
-	prefetchName := fs.String("prefetch", "off", "metadata prefetch: off | delta | chain | both (prefetch-matrix overrides per cell)")
-	prefetchDepth := fs.Int("prefetch-depth", 0, "pages per confirmed delta prediction for -prefetch=delta/both (0 = default 4)")
-	ranks := fs.Int("ranks", 0, "NVM ranks (0 = default 2)")
-	banks := fs.Int("banks", 0, "NVM banks per rank (0 = default 8)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	o := experiments.DefaultOptions()
+	checkKnobs := o.RegisterFlags(fs, "fidelity")
+	prof := hostprof.Register(fs)
 	list := fs.Bool("list", false, "list experiment identifiers and exit")
 	markdown := fs.Bool("markdown", false, "emit markdown tables (EXPERIMENTS.md form)")
 	asJSON := fs.Bool("json", false, "emit reports as a JSON array")
@@ -82,70 +74,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	o := experiments.DefaultOptions()
 	o.Quick = *quick
 	o.Seed = *seed
-	o.MemBytes = *memMB << 20
 	o.Parallel = *parallel
-	switch *fidelity {
-	case "auto":
+	switch {
+	case *fidelity != "auto":
+		if err := o.Set("fidelity", *fidelity); err != nil {
+			return badFlag(err)
+		}
+	case *exp == "all":
 		// The full grid is a bulk statistics run where the elided crypto
 		// cannot change a byte of output; single experiments stay on the
 		// full data plane by default.
-		if *exp == "all" {
-			o.Fidelity = lelantus.FidelityTiming
-		}
-	default:
-		f, err := lelantus.ParseFidelity(*fidelity)
-		if err != nil {
-			return badFlag(err)
-		}
-		o.Fidelity = f
+		o.Fidelity = core.FidelityTiming
 	}
-	persist, err := lelantus.ParsePersist(*persistName)
-	if err != nil {
+	if err := checkKnobs(); err != nil {
 		return badFlag(err)
 	}
-	o.Persist = persist
-	mlpOn, err := lelantus.ParseMLP(*mlpName)
-	if err != nil {
-		return badFlag(err)
-	}
-	o.MLP = lelantus.MLPConfig{Enabled: mlpOn, MSHRs: *mshrs, Workers: *mlpWorkers}
-	prefetchMode, err := lelantus.ParsePrefetchMode(*prefetchName)
-	if err != nil {
-		return badFlag(err)
-	}
-	o.Prefetch = lelantus.PrefetchConfig{Mode: prefetchMode, Depth: *prefetchDepth}
-	o.Ranks = *ranks
-	o.BanksPerRank = *banks
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(stderr, "lelantus-bench: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "lelantus-bench: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stopProf, err := prof.Start(stderr, "lelantus-bench")
+	if err != nil {
+		fmt.Fprintf(stderr, "lelantus-bench: %v\n", err)
+		return 1
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(stderr, "lelantus-bench: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "lelantus-bench: %v\n", err)
-			}
-		}()
-	}
+	defer stopProf()
 
 	start := time.Now()
 	var reports []*experiments.Report

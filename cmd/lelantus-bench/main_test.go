@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -62,5 +63,56 @@ func TestListExitsZero(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "persist-matrix") {
 		t.Fatalf("-list output %q does not mention persist-matrix", stdout.String())
+	}
+}
+
+// TestNegativeKnobsExitTwo pins the range half of the knob contract: a
+// negative count is a one-line usage error naming the flag, not a value
+// the harness silently replaces with its default.
+func TestNegativeKnobsExitTwo(t *testing.T) {
+	for _, flag := range []string{"-mshrs", "-mlp-workers", "-prefetch-depth", "-ranks", "-banks"} {
+		t.Run(flag, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-exp", "fig2", flag, "-3"}, &stdout, &stderr); code != 2 {
+				t.Fatalf("exit %d, want 2 (stderr: %s)", code, stderr.String())
+			}
+			msg := strings.TrimRight(stderr.String(), "\n")
+			if strings.Contains(msg, "\n") || !strings.HasPrefix(msg, "lelantus-bench: "+flag+" ") {
+				t.Fatalf("diagnosis %q is not one line naming %s", msg, flag)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("bad flag value produced stdout output: %q", stdout.String())
+			}
+		})
+	}
+}
+
+// TestMemZeroIsDefault pins that -mem 0 selects the 512 MiB default
+// machine: persist-matrix reports the tree-persist count, which depends on
+// the capacity.
+func TestMemZeroIsDefault(t *testing.T) {
+	out := func(mem string) string {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-exp", "persist-matrix", "-quick", "-json", "-mem", mem}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-mem %s: exit %d, stderr: %s", mem, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	if out("0") != out("512") {
+		t.Fatal("-mem 0 and -mem 512 report different runs")
+	}
+}
+
+// TestUnwritableMemProfileFailsBeforeRun pins that a -memprofile path that
+// cannot be written fails up front, not after the experiments it was meant
+// to profile.
+func TestUnwritableMemProfileFailsBeforeRun(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	bad := filepath.Join(t.TempDir(), "no-such-dir", "mem.out")
+	if code := run([]string{"-exp", "fig2", "-quick", "-memprofile", bad}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "memprofile") || stdout.Len() != 0 {
+		t.Fatalf("stdout %q stderr %q: want no run and a memprofile diagnosis", stdout.String(), stderr.String())
 	}
 }

@@ -16,9 +16,9 @@
 //	lelantus-sim -list
 //
 // Exit codes: 0 success, 1 runtime failure (or recovery violations under
-// -crashpoint), 2 flag/usage errors — an invalid -scheme/-fidelity/
-// -persist/-mlp/-prefetch/-probe-format value is a one-line diagnosis, not
-// a partial run.
+// -crashpoint), 2 flag/usage errors — an invalid -scheme/-probe-format
+// value, machine-knob spelling or negative knob count is a one-line
+// diagnosis, not a partial run. The machine knobs are DESIGN.md §18's.
 package main
 
 import (
@@ -27,10 +27,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"lelantus"
+	"lelantus/internal/hostprof"
 	"lelantus/internal/probe"
 	"lelantus/internal/trace"
 	"lelantus/internal/workload"
@@ -61,16 +60,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	schemeName := fs.String("scheme", "lelantus", "baseline | silent-shredder | lelantus | lelantus-cow")
 	huge := fs.Bool("huge", false, "use 2MB huge pages")
 	seed := fs.Int64("seed", 1, "workload generator seed")
-	memMB := fs.Uint64("mem", 512, "simulated NVM capacity in MiB")
-	fidelityName := fs.String("fidelity", "full", "full | timing (timing elides the crypto data plane; measurements are identical)")
-	persistName := fs.String("persist", "strict", "metadata persistence strategy: strict | phoenix | triad:N")
-	mlpName := fs.String("mlp", "off", "memory-level parallelism: off (serial engine) | on (MSHR-overlapped metadata path); measurements change, traffic does not")
-	mshrs := fs.Int("mshrs", 0, "MSHR registers for -mlp=on (0 = default 8)")
-	mlpWorkers := fs.Int("mlp-workers", 0, "goroutine pool for the batched page engines under -mlp=on (0 = all CPUs); output is identical at any setting")
-	prefetchName := fs.String("prefetch", "off", "metadata prefetch: off | delta (counter-stride) | chain (redirect-chain walker) | both; timing and metadata traffic change, functional state does not")
-	prefetchDepth := fs.Int("prefetch-depth", 0, "pages per confirmed delta prediction for -prefetch=delta/both (0 = default 4)")
-	ranks := fs.Int("ranks", 0, "NVM ranks (0 = default 2)")
-	banks := fs.Int("banks", 0, "NVM banks per rank (0 = default 8)")
+	var knobs lelantus.Knobs
+	checkKnobs := knobs.RegisterFlags(fs)
 	compare := fs.Bool("compare", false, "also run the baseline and report speedup")
 	all := fs.Bool("all", false, "run the workload under every scheme and compare")
 	parallel := fs.Int("parallel", 0, "worker pool for -all (0 = all CPUs); output is identical at any setting")
@@ -87,36 +78,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	probeFormat := fs.String("probe-format", "summary", "summary | perfetto (deterministic JSON summary, or a Chrome trace-event file for ui.perfetto.dev)")
 	probeSampleNs := fs.Uint64("probe-sample-ns", 1_000_000, "simulated-time interval between probe counter samples (0 = no time series)")
 	probeCheck := fs.String("probe-check", "", "validate a Perfetto trace file emitted with -probe-format=perfetto and exit")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	prof := hostprof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	// Every enum flag is validated up front, before any run, file write or
+	// Every flag value is validated up front, before any run, file write or
 	// profile starts: a typo diagnoses in one line and touches nothing.
 	scheme, err := lelantus.ParseScheme(*schemeName)
 	if err != nil {
 		return badFlag(err)
 	}
-	fidelity, err := lelantus.ParseFidelity(*fidelityName)
-	if err != nil {
+	if err := checkKnobs(); err != nil {
 		return badFlag(err)
 	}
-	persist, err := lelantus.ParsePersist(*persistName)
-	if err != nil {
-		return badFlag(err)
-	}
-	mlpOn, err := lelantus.ParseMLP(*mlpName)
-	if err != nil {
-		return badFlag(err)
-	}
-	mlp := lelantus.MLPConfig{Enabled: mlpOn, MSHRs: *mshrs, Workers: *mlpWorkers}
-	prefetchMode, err := lelantus.ParsePrefetchMode(*prefetchName)
-	if err != nil {
-		return badFlag(err)
-	}
-	prefetch := lelantus.PrefetchConfig{Mode: prefetchMode, Depth: *prefetchDepth}
 	switch *probeFormat {
 	case "summary", "perfetto":
 	default:
@@ -141,30 +116,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fail(err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProf, err := prof.Start(stderr, "lelantus-sim")
+	if err != nil {
+		return fail(err)
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(stderr, "lelantus-sim: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "lelantus-sim: %v\n", err)
-			}
-		}()
-	}
+	defer stopProf()
 
 	var script workload.Script
 	if *replay != "" {
@@ -201,22 +157,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *disasm {
 		trace.Disassemble(stdout, script, 40)
 	}
-	// machineCfg stamps every shared machine knob onto a scheme's default
-	// config; each run site (single, -compare baseline, -all grid) goes
-	// through it so the flags apply uniformly.
+	// machineCfg stamps the knobs onto a scheme's default config; each run
+	// site (single, -compare baseline, -all grid) goes through it.
 	machineCfg := func(s lelantus.Scheme) lelantus.Config {
 		c := lelantus.DefaultConfig(s)
-		c.Mem.MemBytes = *memMB << 20
-		c.Mem.Core.Fidelity = fidelity
-		c.Mem.Core.Persist = persist
-		c.Mem.Core.MLP = mlp
-		c.Mem.Core.Prefetch = prefetch
-		if *ranks > 0 {
-			c.Mem.NVM.Ranks = *ranks
-		}
-		if *banks > 0 {
-			c.Mem.NVM.BanksPerRank = *banks
-		}
+		knobs.Apply(&c)
 		return c
 	}
 
@@ -301,7 +246,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "counters   %d overflows, ctr-cache miss %.2f%%, cow-cache miss %.2f%%\n",
 		res.CtrOverflows, 100*res.CtrMissRate, 100*res.CoWMissRate)
 	fmt.Fprintf(stdout, "traffic    %.2f%% copy/init share\n", 100*res.CopyInitShare)
-	if prefetchMode != lelantus.PrefetchOff {
+	if knobs.Prefetch.Mode != lelantus.PrefetchOff {
 		fmt.Fprintf(stdout, "prefetch   %d issued, %d useful, %d late, %d unused, %d dropped\n",
 			res.Engine.PrefetchIssued, res.Engine.PrefetchUseful,
 			res.Engine.PrefetchLate, res.Engine.PrefetchUnused, res.Engine.PrefetchDropped)

@@ -69,3 +69,21 @@ func ExampleSchemes() {
 	// lelantus
 	// lelantus-cow
 }
+
+// Knobs configure the beyond-paper machine axes from the same text the
+// CLIs' flags and the benchmarks' LELANTUS_KNOBS variable accept.
+func ExampleKnobs() {
+	var k lelantus.Knobs
+	if err := k.Parse("fidelity=timing,persist=phoenix,mlp=on,mem=64"); err != nil {
+		panic(err)
+	}
+	cfg := lelantus.DefaultConfig(lelantus.Lelantus)
+	k.Apply(&cfg)
+	fmt.Println(cfg.Mem.Core.Fidelity, "fidelity,", cfg.Mem.MemBytes>>20, "MiB,", cfg.Mem.Core.Persist.Name(), "persistence")
+
+	err := k.Parse("mshrs=-4")
+	fmt.Println(err)
+	// Output:
+	// timing fidelity, 64 MiB, phoenix persistence
+	// -mshrs -4: must be >= 0 (0 selects the default)
+}

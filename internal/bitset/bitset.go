@@ -23,8 +23,8 @@ func New(n uint64) *Set {
 }
 
 // grow extends the backing storage to cover bit i. Only indexes beyond the
-// pre-sized capacity pay this (they do not occur when the set is sized from
-// the memory layout, but stray test geometries stay safe).
+// current capacity pay this: a set pre-sized from the memory layout never
+// grows, and a set started empty grows to its highest bit once.
 func (s *Set) grow(word int) {
 	for len(s.words) <= word {
 		s.words = append(s.words, 0)

@@ -444,9 +444,14 @@ func (s *MACStore) Verify(lineNo uint64, ciph []byte, major uint64, minor uint8)
 		return nil
 	}
 	if got := s.compute(lineNo, ciph, major, minor); got != p.sums[slot] {
-		return fmt.Errorf("bmt: data MAC mismatch at line %#x", lineNo)
+		return MACMismatch(lineNo)
 	}
 	return nil
+}
+
+// MACMismatch is the error a data line that fails its MAC check reads as.
+func MACMismatch(lineNo uint64) error {
+	return fmt.Errorf("bmt: data MAC mismatch at line %#x", lineNo)
 }
 
 // Drop removes the MAC of a line (page freed and its metadata reset).

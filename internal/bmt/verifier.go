@@ -98,7 +98,7 @@ func (v *MACVerifier) Verify(lineNo uint64, ciph []byte, major uint64, minor uin
 		return nil
 	}
 	if got := v.compute(lineNo, ciph, major, minor); got != p.sums[slot] {
-		return fmt.Errorf("bmt: data MAC mismatch at line %#x", lineNo)
+		return MACMismatch(lineNo)
 	}
 	return nil
 }

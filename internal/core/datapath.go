@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 
+	"lelantus/internal/bmt"
 	"lelantus/internal/ctr"
 	"lelantus/internal/faultinject"
 	"lelantus/internal/mem"
@@ -39,7 +40,20 @@ func (e *Engine) persistDataLine(addr uint64, img *[mem.LineBytes]byte) faultinj
 	default:
 		e.Phys.WriteLine(addr, img)
 	}
+	if e.fi != nil {
+		e.fi.NoteDataPersist(addr, dec.Landed())
+	}
 	return dec
+}
+
+// timingMAC stands in for the data-MAC check timing fidelity elides: the
+// full path's MAC rejects a line whose last persist did not land in full,
+// and the fault plane remembers which lines those are (DESIGN.md §10).
+func (e *Engine) timingMAC(addr uint64) error {
+	if e.fi != nil && e.fi.Torn(addr) {
+		return bmt.MACMismatch(mem.LineNo(addr))
+	}
+	return nil
 }
 
 // fiObserve records a landed data image in the fault plane's shadow history
@@ -178,6 +192,9 @@ func (e *Engine) resolve(now, lineAddr uint64) ([mem.LineBytes]byte, uint64, err
 		// already produced the data; the pad and the MAC verification are
 		// elided while their latency charges stay identical to Full.
 		e.Enc.NotePad()
+		if err := e.timingMAC(cur); err != nil {
+			return zeroLine, done, err
+		}
 		return ciph, done, nil
 	}
 	if err := e.MACs.Verify(lineNo, ciph[:], blk.Major, blk.Minor[i]); err != nil {
@@ -378,6 +395,9 @@ func (e *Engine) reencryptPage(now, pfn uint64, blk *ctr.Block, skipLine int) (u
 			// read+write NVM traffic and latency of the full path remain.
 			rt := e.Mem.Read(now, la)
 			e.Stats.DataReads++
+			if err := e.timingMAC(la); err != nil {
+				return rt, err
+			}
 			e.Enc.NotePad() // decrypt under the old epoch
 			e.Enc.NotePad() // encrypt under the new one
 			wt := e.Mem.Write(rt+e.cfg.AESLatencyNs, la)

@@ -303,6 +303,8 @@ type Engine struct {
 	// written marks lines that have ever been encrypted to NVM; reads of
 	// never-written lines return zeros (fresh memory). Dense bitset, one
 	// bit per data line — consulted on every read and set on every write.
+	// It grows to the highest line written instead of being sized from
+	// the capacity, which would cost 32 MiB per 16 GiB machine up front.
 	written *bitset.Set
 
 	// footprint tracking for Fig. 10c/d. tracked is a per-page bitset so
@@ -319,7 +321,6 @@ func NewEngine(cfg Config, layout Layout, phys *mem.Physical, dev *nvm.Device,
 	encEng *enc.Engine, tree *bmt.Tree, macs *bmt.MACStore,
 	cc *ctrcache.Cache, cowCache *ctrcache.CoWCache) *Engine {
 	pages := layout.DataLimit / mem.PageBytes
-	lines := layout.DataLimit / mem.LineBytes
 	var mshr *nvm.MSHRFile
 	if cfg.MLP.Enabled {
 		mshr = nvm.NewMSHRFile(cfg.MLP.MSHRs)
@@ -338,7 +339,7 @@ func NewEngine(cfg Config, layout Layout, phys *mem.Physical, dev *nvm.Device,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		initialised: bitset.New(pages),
 		fiDataPoint: faultinject.DataWrite,
-		written:     bitset.New(lines),
+		written:     new(bitset.Set),
 		tracked:     bitset.New(pages),
 		footprint:   make(map[uint64]uint64),
 		mshr:        mshr,

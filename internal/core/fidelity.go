@@ -45,19 +45,6 @@ func (f Fidelity) String() string {
 	return fmt.Sprintf("Fidelity(%d)", int(f))
 }
 
-// MarshalText renders the fidelity name in JSON and text encodings.
-func (f Fidelity) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
-
-// UnmarshalText parses a fidelity name.
-func (f *Fidelity) UnmarshalText(b []byte) error {
-	v, err := ParseFidelity(string(b))
-	if err != nil {
-		return err
-	}
-	*f = v
-	return nil
-}
-
 // ParseFidelity maps a name (as accepted by the CLI tools) to a Fidelity.
 func ParseFidelity(name string) (Fidelity, error) {
 	for i, n := range fidelityNames {

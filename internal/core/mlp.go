@@ -335,6 +335,12 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 		if full && crypt[i].err != nil {
 			return rt, copied, crypt[i].err
 		}
+		if !full && !e.cfg.NonSecure && !isZero[i] {
+			// The source line phase A MAC-verifies at full fidelity.
+			if err := e.timingMAC(srcLA[i]); err != nil {
+				return rt, copied, err
+			}
+		}
 
 		la := mem.LineAddr(dst, i)
 		lineNo := mem.LineNo(la)
@@ -477,6 +483,9 @@ func (e *Engine) reencryptBatched(now, pfn uint64, blk *ctr.Block, skipLine int,
 		}
 		// Timing fidelity: plaintext at rest is epoch-invariant — only the
 		// pad accounting and the NVM traffic of the full path remain.
+		if err := e.timingMAC(la); err != nil {
+			return rt, err
+		}
 		e.Enc.NotePads(2)
 		wt := e.mshrWrite(rt+e.cfg.AESLatencyNs, la)
 		e.Stats.DataWrites++

@@ -22,10 +22,6 @@ const (
 	PrefetchBoth  = prefetch.Both
 )
 
-// ParsePrefetchMode maps a -prefetch flag value (off, delta, chain, both;
-// empty means off) to a PrefetchMode.
-func ParsePrefetchMode(s string) (PrefetchMode, error) { return prefetch.ParseMode(s) }
-
 // PrefetchEnabled reports whether the metadata prefetch unit is active.
 func (e *Engine) PrefetchEnabled() bool { return e.pf != nil }
 

@@ -26,42 +26,22 @@ type Options struct {
 	// Quick shrinks workloads for CI-speed runs; the full sizes are the
 	// paper-comparable defaults.
 	Quick bool
-	// MemBytes is the simulated NVM capacity (default 512 MB: big enough
-	// for every workload while keeping host memory modest; the paper's
-	// 16 GB changes nothing for these working sets).
-	MemBytes uint64
 	// Parallel caps the worker pool that fans independent simulation runs
 	// out over CPU cores (<= 0 selects GOMAXPROCS). Every run is a fully
 	// isolated machine and results are consumed index-aligned, so reports
 	// are byte-identical at any worker count.
 	Parallel int
-	// Fidelity selects the machine fidelity for every run: FidelityFull
-	// (the zero value) computes the whole crypto data plane, FidelityTiming
-	// elides it with identical statistics. Reports are byte-identical under
-	// both (pinned by TestFidelityQuickGridEquivalence).
-	Fidelity core.Fidelity
+	// Knobs is the machine every run builds on. Reports are byte-identical
+	// at either fidelity (pinned by TestFidelityQuickGridEquivalence); the
+	// persist-, mlp- and prefetch-matrix experiments override their own
+	// axis per cell.
+	sim.Knobs
 	// Probe, when non-nil, attaches a fresh observability plane (sized by
 	// this config) to every machine the experiments build. Each grid cell
 	// gets its own plane, so parallel runs never share one; the planes are
 	// reachable afterwards only for runs built through machineConfig by the
 	// caller (RunOne-style single runs) — grid reports ignore them.
 	Probe *probe.Config
-	// Persist selects the metadata persistence strategy every machine runs
-	// under (nil = strict write-through, the historical behaviour). The
-	// persist-matrix experiment overrides it per cell.
-	Persist core.PersistStrategy
-	// MLP selects the memory-level-parallelism model every machine runs
-	// under (zero value = the serial engine, byte-identical reports). The
-	// mlp-matrix experiment overrides it per cell.
-	MLP core.MLPConfig
-	// Prefetch selects the metadata-prefetch configuration every machine
-	// runs under (zero value = off, byte-identical reports). The
-	// prefetch-matrix experiment overrides it per cell.
-	Prefetch core.PrefetchConfig
-	// Ranks and BanksPerRank override the device geometry when positive
-	// (zero keeps nvm.DefaultConfig's 2 × 8).
-	Ranks        int
-	BanksPerRank int
 
 	// scripts interns generated workload scripts across the experiments of
 	// one option set (set by DefaultOptions; nil just disables sharing).
@@ -70,14 +50,7 @@ type Options struct {
 
 // DefaultOptions returns full-size experiment settings.
 func DefaultOptions() Options {
-	return Options{Seed: 1, MemBytes: 512 << 20, scripts: newScriptCache()}
-}
-
-func (o Options) memBytes() uint64 {
-	if o.MemBytes == 0 {
-		return 512 << 20
-	}
-	return o.MemBytes
+	return Options{Seed: 1, scripts: newScriptCache()}
 }
 
 // Report is one regenerated table or figure.
@@ -111,17 +84,7 @@ func (r *Report) Markdown() string {
 // machineConfig builds a simulator config for an experiment run.
 func (o Options) machineConfig(scheme core.Scheme, mutate func(*sim.Config)) sim.Config {
 	cfg := sim.DefaultConfig(scheme)
-	cfg.Mem.MemBytes = o.memBytes()
-	cfg.Mem.Core.Fidelity = o.Fidelity
-	cfg.Mem.Core.Persist = o.Persist
-	cfg.Mem.Core.MLP = o.MLP
-	cfg.Mem.Core.Prefetch = o.Prefetch
-	if o.Ranks > 0 {
-		cfg.Mem.NVM.Ranks = o.Ranks
-	}
-	if o.BanksPerRank > 0 {
-		cfg.Mem.NVM.BanksPerRank = o.BanksPerRank
-	}
+	o.Apply(&cfg)
 	if o.Probe != nil {
 		cfg.Mem.Probe = probe.New(*o.Probe)
 	}

@@ -22,17 +22,14 @@ func MLPMatrix(o Options) (*Report, error) {
 	schemes := comparedSchemes()
 	modes := []struct {
 		name string
-		cfg  core.MLPConfig
-	}{
-		{"off", core.MLPConfig{}},
-		{"on", core.MLPConfig{Enabled: true, MSHRs: o.MLP.MSHRs, Workers: o.MLP.Workers}},
-	}
+		on   bool
+	}{{"off", false}, {"on", true}}
 	var jobs []sim.GridJob
 	for _, m := range modes {
 		for _, s := range schemes {
-			mlp := m.cfg
-			jobs = append(jobs, o.job(fmt.Sprintf("mlp-matrix/%s/%v", m.name, s), s, script,
-				func(c *sim.Config) { c.Mem.Core.MLP = mlp }))
+			om := o
+			om.MLP.Enabled = m.on
+			jobs = append(jobs, om.job(fmt.Sprintf("mlp-matrix/%s/%v", m.name, s), s, script, nil))
 		}
 	}
 	results, err := o.runGrid(jobs)

@@ -41,10 +41,10 @@ func PersistMatrix(o Options) (*Report, error) {
 	var jobs []sim.GridJob
 	for _, strat := range strategies {
 		for _, s := range schemes {
-			strat := strat
+			op := o
+			op.Persist = strat
 			slot := len(jobs)
-			job := o.job(fmt.Sprintf("persist-matrix/%s/%v", strat.Name(), s), s, script,
-				func(c *sim.Config) { c.Mem.Core.Persist = strat })
+			job := op.job(fmt.Sprintf("persist-matrix/%s/%v", strat.Name(), s), s, script, nil)
 			job.After = func(m *sim.Machine, _ sim.Result) {
 				if err := m.Ctl.Crash(m.Now(), true); err != nil {
 					rec[slot] = recCell{err: err}

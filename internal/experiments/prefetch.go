@@ -69,12 +69,10 @@ func PrefetchMatrix(o Options) (*Report, error) {
 				// are consumed index-aligned below.
 				pl := probe.New(probe.Config{RingCap: 1})
 				planes = append(planes, pl)
-				pf := core.PrefetchConfig{Mode: m.mode, Depth: o.Prefetch.Depth}
-				jobs = append(jobs, o.job(fmt.Sprintf("prefetch-matrix/%s/%s/%v", w.name, m.name, s), s, w.script,
-					func(c *sim.Config) {
-						c.Mem.Core.Prefetch = pf
-						c.Mem.Probe = pl
-					}))
+				op := o
+				op.Prefetch.Mode = m.mode
+				jobs = append(jobs, op.job(fmt.Sprintf("prefetch-matrix/%s/%s/%v", w.name, m.name, s), s, w.script,
+					func(c *sim.Config) { c.Mem.Probe = pl }))
 			}
 		}
 	}

@@ -79,6 +79,18 @@ func (p Point) String() string {
 // cells are compared byte-for-byte across runs).
 func (p Point) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
 
+// UnmarshalText parses a point name, so a crash cell written to a grid
+// results log decodes back to the same value. Unknown names are an error.
+func (p *Point) UnmarshalText(b []byte) error {
+	for i, n := range pointNames {
+		if n == string(b) {
+			*p = Point(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("faultinject: unknown persist point %q", b)
+}
+
 // tearable reports whether the point has a 64 B line write in flight that a
 // crash can tear; seam points are pure control-flow windows.
 func tearable(p Point) bool {
@@ -155,6 +167,12 @@ type Plane struct {
 	shadowOn bool
 	shadow   map[uint64][][mem.LineBytes]byte
 
+	// torn holds the data lines whose last persist did not land in full:
+	// dropped, torn, or cut short by the crash. The full data path detects
+	// such a line by its MAC, which describes the intended image; timing
+	// fidelity computes no MACs and asks the plane instead.
+	torn map[uint64]struct{}
+
 	// persistProfile names the engine's persistence strategy ("strict",
 	// "phoenix", "triad:N"). Purely diagnostic: lazy strategies move some
 	// persist points (e.g. CoW-table write-through) from command time to
@@ -172,6 +190,7 @@ func New(seed int64) *Plane {
 		seed:  seed,
 		drops: make(map[target]struct{}),
 		tears: make(map[target]struct{}),
+		torn:  make(map[uint64]struct{}),
 	}
 }
 
@@ -313,4 +332,21 @@ func (p *Plane) ShadowHistory(addr uint64) [][mem.LineBytes]byte {
 		return nil
 	}
 	return p.shadow[addr]
+}
+
+// NoteDataPersist records whether a data-line persist landed in full.
+func (p *Plane) NoteDataPersist(addr uint64, landed bool) {
+	switch {
+	case !landed:
+		p.torn[addr] = struct{}{}
+	case len(p.torn) > 0:
+		delete(p.torn, addr)
+	}
+}
+
+// Torn reports whether a data line's last persist did not land in full, so
+// a MAC check of the line would fail.
+func (p *Plane) Torn(addr uint64) bool {
+	_, ok := p.torn[addr]
+	return ok
 }

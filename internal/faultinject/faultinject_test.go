@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -120,5 +121,39 @@ func TestLanded(t *testing.T) {
 		if c.d.Landed() != c.want {
 			t.Fatalf("case %d: Landed() = %v, want %v", i, c.d.Landed(), c.want)
 		}
+	}
+}
+
+func TestPointTextRoundTrip(t *testing.T) {
+	for pt := Point(0); pt < NumPoints; pt++ {
+		b, err := json.Marshal(pt)
+		if err != nil {
+			t.Fatalf("%v: marshal: %v", pt, err)
+		}
+		var back Point
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("%v: unmarshal %s: %v", pt, b, err)
+		}
+		if back != pt {
+			t.Fatalf("%s decoded to %v, want %v", b, back, pt)
+		}
+	}
+	var p Point
+	if err := p.UnmarshalText([]byte("no-such-point")); err == nil {
+		t.Fatal("unknown point name decoded without error")
+	}
+}
+
+func TestTornTracksLastDataPersist(t *testing.T) {
+	p := New(1)
+	const a, b = 0x1000, 0x2000
+	p.NoteDataPersist(a, false)
+	p.NoteDataPersist(b, true)
+	if !p.Torn(a) || p.Torn(b) {
+		t.Fatalf("torn(a)=%v torn(b)=%v, want true false", p.Torn(a), p.Torn(b))
+	}
+	p.NoteDataPersist(a, true)
+	if p.Torn(a) {
+		t.Fatal("a full rewrite did not clear the torn mark")
 	}
 }

@@ -49,6 +49,15 @@ func (r CellResult) failed() bool {
 	return r.Crash != nil && len(r.Crash.Violations) > 0
 }
 
+// reason is the one-line cause of a failed cell: the error's first line,
+// or the first recovery violation of a crash cell that failed its oracle.
+func (r CellResult) reason() string {
+	if r.Err != "" || r.Crash == nil || len(r.Crash.Violations) == 0 {
+		return firstLine(r.Err)
+	}
+	return fmt.Sprintf("%d recovery violation(s), first: %s", len(r.Crash.Violations), r.Crash.Violations[0])
+}
+
 // RunCell executes one cell in the calling process. It never panics and
 // never returns a partial result: any panic under the simulation is
 // recovered into the cell's Err field with its stack, so a corrupt cell

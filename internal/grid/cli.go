@@ -6,12 +6,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
 
+	"lelantus/internal/hostprof"
 	"lelantus/internal/metrics"
 )
 
@@ -77,8 +76,7 @@ type runtimeOpts struct {
 	quiet         *bool
 	telemetryAddr *string
 	heartbeat     *time.Duration
-	cpuprofile    *string
-	memprofile    *string
+	prof          *hostprof.Flags
 }
 
 func addRuntimeFlags(fs *flag.FlagSet) *runtimeOpts {
@@ -92,8 +90,7 @@ func addRuntimeFlags(fs *flag.FlagSet) *runtimeOpts {
 		quiet:         fs.Bool("quiet", false, "suppress per-cell progress lines"),
 		telemetryAddr: fs.String("telemetry-addr", "", "serve live telemetry over HTTP on this address (e.g. :9090 or 127.0.0.1:0): Prometheus /metrics, JSON /status, /debug/pprof/"),
 		heartbeat:     fs.Duration("heartbeat", 0, "emit one JSON progress line per interval to stderr and rewrite telemetry.json atomically (0 = off), e.g. 10s"),
-		cpuprofile:    fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file"),
-		memprofile:    fs.String("memprofile", "", "write a heap profile (taken after the run) to this file"),
+		prof:          hostprof.Register(fs),
 	}
 }
 
@@ -120,56 +117,6 @@ func (r *runtimeOpts) options(stderr io.Writer) Options {
 		opts.HeartbeatW = stderr
 	}
 	return opts
-}
-
-// startProfiles starts the optional CPU profile and returns a stop closure
-// that finishes it and snapshots the optional heap profile. ok=false means
-// a profile file could not be created (a usage-level problem: exit 1
-// before any grid work starts).
-func startProfiles(cpu, mem string, stderr io.Writer) (stop func(), ok bool) {
-	stopCPU := func() {}
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			fmt.Fprintf(stderr, "lelantus-grid: cpuprofile: %v\n", err)
-			return nil, false
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "lelantus-grid: cpuprofile: %v\n", err)
-			f.Close()
-			return nil, false
-		}
-		stopCPU = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
-	if mem != "" {
-		// Fail before the run, not after it, when the path is unwritable.
-		f, err := os.Create(mem)
-		if err != nil {
-			stopCPU()
-			fmt.Fprintf(stderr, "lelantus-grid: memprofile: %v\n", err)
-			return nil, false
-		}
-		f.Close()
-	}
-	return func() {
-		stopCPU()
-		if mem == "" {
-			return
-		}
-		f, err := os.Create(mem)
-		if err != nil {
-			fmt.Fprintf(stderr, "lelantus-grid: memprofile: %v\n", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC() // materialise up-to-date heap statistics
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(stderr, "lelantus-grid: memprofile: %v\n", err)
-		}
-	}, true
 }
 
 func splitCSV(s string) []string {
@@ -239,7 +186,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	fidelity := fs.String("fidelity", "", "fidelity for every cell: full | timing (default timing; reports are byte-identical either way)")
 	faultSeeds := fs.String("faultseeds", "", "comma-separated fault-plane seeds for crash cells (default 1)")
 	crashPoints := fs.String("crashpoints", "", "comma-separated persist points to crash cells at (default none)")
-	memMB := fs.Uint64("mem", 0, "simulated NVM capacity in MiB (0 = 512)")
+	memMB := fs.Uint64("mem", 0, "simulated NVM capacity in MiB (0 = the memory controller's 16 GiB default)")
 	quick := fs.Bool("quick", false, "reduced workload sizes")
 	regionKB := fs.Uint64("region-kb", 0, "forkbench region override in KiB (0 = default; the smoke-grid knob)")
 	ranks := fs.Int("ranks", 0, "NVM ranks (0 = default 2)")
@@ -345,11 +292,14 @@ func cmdResume(args []string, stdout, stderr io.Writer) int {
 }
 
 func finishRun(coord *Coordinator, dir string, rt *runtimeOpts, stdout, stderr io.Writer) int {
-	stopProfiles, ok := startProfiles(*rt.cpuprofile, *rt.memprofile, stderr)
-	if !ok {
+	// A bad profile path is a usage-level problem: exit 1 before any grid
+	// work starts.
+	stopProf, err := rt.prof.Start(stderr, "lelantus-grid")
+	if err != nil {
+		fmt.Fprintf(stderr, "lelantus-grid: %v\n", err)
 		return 1
 	}
-	defer stopProfiles()
+	defer stopProf()
 	if *rt.telemetryAddr != "" {
 		ts, err := StartTelemetry(*rt.telemetryAddr, coord.opts.Metrics, coord.Progress)
 		if err != nil {
@@ -369,7 +319,7 @@ func finishRun(coord *Coordinator, dir string, rt *runtimeOpts, stdout, stderr i
 	fmt.Fprintf(stdout, "grid %s: %d/%d ok, %d failed — report %s\n",
 		rep.Name, rep.OK, rep.Total, rep.Failed, filepath.Join(dir, reportFile))
 	for _, f := range rep.Failures {
-		fmt.Fprintf(stdout, "  FAILED %s (%s): %s\n", f.Tag, f.ID, firstLine(f.Err))
+		fmt.Fprintf(stdout, "  FAILED %s (%s): %s\n", f.Tag, f.ID, f.reason())
 	}
 	if *rt.strict && rep.Failed > 0 {
 		return 1

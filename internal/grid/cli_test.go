@@ -2,6 +2,7 @@ package grid
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -161,5 +162,81 @@ func TestCLIPresetWithOverride(t *testing.T) {
 	}
 	if !strings.Contains(out, "grid quick: 1/1 ok") {
 		t.Fatalf("preset run output %q, want the preset name and 1 overridden cell", out)
+	}
+}
+
+// TestCLINegativeKnobsExitTwo pins the range half of the knob contract on
+// the grid's scalar knob flags: a negative count is a one-line usage error
+// naming the flag, raised before any directory is created.
+func TestCLINegativeKnobsExitTwo(t *testing.T) {
+	for _, flag := range []string{"-prefetch-depth", "-ranks", "-banks"} {
+		t.Run(flag, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "g")
+			code, out, errb := runCLI(t, "run", "-dir", dir, "-workloads", "forkbench", "-region-kb", "64", flag, "-2")
+			if code != 2 {
+				t.Fatalf("exit %d, want 2 (stderr: %s)", code, errb)
+			}
+			msg := strings.TrimRight(errb, "\n")
+			if strings.Contains(msg, "\n") || !strings.Contains(msg, flag+" -2") {
+				t.Fatalf("diagnosis %q is not one line naming %s", msg, flag)
+			}
+			if out != "" {
+				t.Fatalf("bad flag value produced stdout output: %q", out)
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Fatalf("grid directory created for a bad spec (stat: %v)", err)
+			}
+		})
+	}
+}
+
+// TestCLIMemZeroKeepsControllerDefault pins that -mem 0 runs memctrl's
+// 16 GiB default machine, the capacity every existing grid directory was
+// computed at: the cells' results (which count capacity-dependent tree
+// persists) match a -mem 16384 run's and differ from a -mem 512 run's.
+func TestCLIMemZeroKeepsControllerDefault(t *testing.T) {
+	results := func(mem string) []json.RawMessage {
+		dir := filepath.Join(t.TempDir(), "g")
+		if code, _, errb := runCLI(t, "run", "-dir", dir, "-workloads", "forkbench", "-schemes", "lelantus",
+			"-region-kb", "64", "-mem", mem, "-quiet"); code != 0 {
+			t.Fatalf("-mem %s: exit %d, stderr: %s", mem, code, errb)
+		}
+		var rep struct {
+			Cells []struct {
+				Result json.RawMessage `json:"result"`
+			} `json:"cells"`
+		}
+		if err := json.Unmarshal(readReport(t, dir), &rep); err != nil {
+			t.Fatal(err)
+		}
+		var out []json.RawMessage
+		for _, c := range rep.Cells {
+			out = append(out, c.Result)
+		}
+		return out
+	}
+	a, b, c := results("0"), results("16384"), results("512")
+	if len(a) != 1 || !bytes.Equal(a[0], b[0]) {
+		t.Fatalf("-mem 0 results %s differ from -mem 16384 results %s", a, b)
+	}
+	if bytes.Equal(a[0], c[0]) {
+		t.Fatal("-mem 0 results match a -mem 512 run's: the capacity knob has no effect")
+	}
+}
+
+// TestCLIUnwritableMemProfileFailsBeforeRun pins that a -memprofile path
+// that cannot be written fails before any cell runs.
+func TestCLIUnwritableMemProfileFailsBeforeRun(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "g")
+	code, out, errb := runCLI(t, "run", "-dir", dir, "-workloads", "forkbench", "-schemes", "lelantus",
+		"-region-kb", "64", "-quiet", "-memprofile", filepath.Join(t.TempDir(), "no-such-dir", "mem.out"))
+	if code != 1 || !strings.Contains(errb, "memprofile") {
+		t.Fatalf("exit %d stderr %q, want 1 with the cause", code, errb)
+	}
+	if out != "" {
+		t.Fatalf("stdout %q: want no run", out)
+	}
+	if data, _ := os.ReadFile(filepath.Join(dir, logFile)); len(data) != 0 {
+		t.Fatalf("a cell ran before the profile check: results log %q", data)
 	}
 }

@@ -324,7 +324,7 @@ func (c *Coordinator) runCellWithRetry(spec CellSpec) Record {
 			wait = maxBackoff
 		}
 		c.gm.retried.Inc()
-		c.logf("cell %s attempt %d failed (%s); retrying in %s", res.Tag, attempt, firstLine(res.Err), wait)
+		c.logf("cell %s attempt %d failed (%s); retrying in %s", res.Tag, attempt, res.reason(), wait)
 		time.Sleep(wait)
 	}
 }

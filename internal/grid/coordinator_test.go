@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lelantus/internal/metrics"
 )
 
 // fastSpec is the sub-second grid every coordinator test sweeps: tiny
@@ -300,5 +302,47 @@ func TestIsolateMatchesInProcess(t *testing.T) {
 	}
 	if !bytes.Equal(readReport(t, inproc), readReport(t, isolated)) {
 		t.Fatal("isolated report differs from the in-process report")
+	}
+}
+
+// TestFinishedCrashGridResumesNothing pins that crash-cell records decode
+// from the results log: a finished grid whose log holds crash cells must
+// resume with zero cells started, and status must report it done.
+func TestFinishedCrashGridResumesNothing(t *testing.T) {
+	dir := t.TempDir()
+	spec := fastSpec()
+	spec.CrashPoints = []uint64{0, 50}
+	rep := mustRun(t, dir, spec, Options{Workers: 2})
+	if rep.Total != 4 {
+		t.Fatalf("grid has %d cells, want 4", rep.Total)
+	}
+	crash := 0
+	for _, c := range append(append([]CellResult(nil), rep.Cells...), rep.Failures...) {
+		if c.Crash != nil {
+			crash++
+		}
+	}
+	if crash != 2 {
+		t.Fatalf("%d crash cells ran, want 2 (report %+v)", crash, rep)
+	}
+	before := readReport(t, dir)
+
+	reg := metrics.NewRegistry()
+	coord, err := Open(dir, Options{Workers: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("grid_cells_started_total", "").Value(); n != 0 {
+		t.Fatalf("resume of a finished crash grid started %d cells, want 0", n)
+	}
+	if !bytes.Equal(readReport(t, dir), before) {
+		t.Fatal("resume rewrote report.json differently")
+	}
+	code, out, errb := runCLI(t, "status", "-dir", dir)
+	if code != 0 || !strings.Contains(out, "4/4 done") || !strings.Contains(out, "report   "+filepath.Join(dir, reportFile)) {
+		t.Fatalf("status exit %d out %q stderr %q, want 4/4 done with the report", code, out, errb)
 	}
 }

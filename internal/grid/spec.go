@@ -34,8 +34,8 @@ type CellSpec struct {
 	Huge     bool   `json:"huge,omitempty"`
 	Seed     int64  `json:"seed"`
 	// Scheme/Fidelity/Persist/MLP/Prefetch are the flag spellings, parsed
-	// by the same core parsers the CLIs use; empty strings select the
-	// defaults (full fidelity, strict persistence, mlp/prefetch off).
+	// by sim.Knobs like the CLIs' flags; empty strings select the defaults
+	// (full fidelity, strict persistence, mlp/prefetch off).
 	Scheme        string `json:"scheme"`
 	Fidelity      string `json:"fidelity,omitempty"`
 	Persist       string `json:"persist,omitempty"`
@@ -47,10 +47,10 @@ type CellSpec struct {
 	// persist point) instead of a plain measurement run.
 	FaultSeed  int64  `json:"faultSeed,omitempty"`
 	CrashPoint uint64 `json:"crashPoint,omitempty"`
-	// MemMB sizes the simulated NVM (0 = 512 MiB). Quick selects reduced
-	// workload sizes where a workload supports them (forkbench), and
-	// RegionKB overrides the forkbench region outright — the knob the
-	// smoke grids use for sub-second cells.
+	// MemMB sizes the simulated NVM (0 = memctrl's 16 GiB default). Quick
+	// selects reduced workload sizes where a workload supports them
+	// (forkbench), and RegionKB overrides the forkbench region outright —
+	// the knob the smoke grids use for sub-second cells.
 	MemMB    uint64 `json:"memMB,omitempty"`
 	Quick    bool   `json:"quick,omitempty"`
 	RegionKB uint64 `json:"regionKB,omitempty"`
@@ -97,63 +97,60 @@ func (c CellSpec) Tag() string {
 }
 
 // Build resolves the spec into a machine configuration and a workload
-// script. Every enum is validated here with the same parsers the CLI
-// flags use, so a spec that came from disk (a resumed checkpoint, a
-// worker's stdin) fails with an actionable error instead of a panic or a
-// silent default.
+// script. Every knob is parsed and range-checked by sim.Knobs, the parser
+// behind the CLI flags, so a spec that came from disk (a resumed
+// checkpoint, a worker's stdin) fails with an actionable error instead of
+// a panic or a silent default.
 func (c CellSpec) Build() (sim.Config, workload.Script, error) {
-	var zero sim.Config
+	cfg, err := c.config()
+	if err != nil {
+		return sim.Config{}, workload.Script{}, err
+	}
+	script, err := c.buildScript()
+	if err != nil {
+		return sim.Config{}, workload.Script{}, err
+	}
+	return cfg, script, nil
+}
+
+// config resolves the scheme and the knobs into a machine configuration.
+func (c CellSpec) config() (sim.Config, error) {
 	scheme, err := core.ParseScheme(c.Scheme)
 	if err != nil {
-		return zero, workload.Script{}, err
+		return sim.Config{}, err
 	}
-	fidelity := core.FidelityFull
-	if c.Fidelity != "" {
-		if fidelity, err = core.ParseFidelity(c.Fidelity); err != nil {
-			return zero, workload.Script{}, err
-		}
-	}
-	persist, err := core.ParsePersist(c.Persist)
-	if err != nil {
-		return zero, workload.Script{}, err
-	}
-	mlpOn, err := core.ParseMLP(c.MLP)
-	if err != nil {
-		return zero, workload.Script{}, err
-	}
-	pfMode, err := core.ParsePrefetchMode(c.Prefetch)
-	if err != nil {
-		return zero, workload.Script{}, err
-	}
-	if c.PrefetchDepth < 0 {
-		return zero, workload.Script{}, fmt.Errorf("grid: negative prefetch depth %d", c.PrefetchDepth)
-	}
-
-	cfg := sim.DefaultConfig(scheme)
-	if c.MemMB > 0 {
-		cfg.Mem.MemBytes = c.MemMB << 20
-	}
-	cfg.Mem.Core.Fidelity = fidelity
-	cfg.Mem.Core.Persist = persist
 	// Grid cells already run many-wide across the coordinator's pool;
 	// Workers=1 keeps the MLP page engines inline so cells never nest
 	// goroutine pools. Results are byte-identical at any pool size (pinned
 	// by TestMLPOnPoolSizeDeterminism), so this is purely a scheduling
 	// choice.
-	cfg.Mem.Core.MLP = core.MLPConfig{Enabled: mlpOn, Workers: 1}
-	cfg.Mem.Core.Prefetch = core.PrefetchConfig{Mode: pfMode, Depth: c.PrefetchDepth}
-	if c.Ranks > 0 {
-		cfg.Mem.NVM.Ranks = c.Ranks
+	k := sim.Knobs{
+		MLP:      core.MLPConfig{Workers: 1},
+		Prefetch: core.PrefetchConfig{Depth: c.PrefetchDepth},
+		MemBytes: c.MemMB << 20,
+		Ranks:    c.Ranks,
+		Banks:    c.Banks,
 	}
-	if c.Banks > 0 {
-		cfg.Mem.NVM.BanksPerRank = c.Banks
+	for _, kv := range [...][2]string{{"fidelity", c.Fidelity}, {"persist", c.Persist}, {"mlp", c.MLP}, {"prefetch", c.Prefetch}} {
+		if kv[1] == "" {
+			continue // the knob's default
+		}
+		if err := k.Set(kv[0], kv[1]); err != nil {
+			return sim.Config{}, err
+		}
 	}
-
-	script, err := c.buildScript()
-	if err != nil {
-		return zero, workload.Script{}, err
+	if err := k.Validate(); err != nil {
+		return sim.Config{}, err
 	}
-	return cfg, script, nil
+	cfg := sim.DefaultConfig(scheme)
+	if k.MemBytes == 0 {
+		// memMB 0 keeps memctrl's 16 GiB default, which every grid has run
+		// at: the capacity is not part of a cell's ID, so resolving it any
+		// other way would mix two machines in one resumed report.
+		k.MemBytes = cfg.Mem.MemBytes
+	}
+	k.Apply(&cfg)
+	return cfg, nil
 }
 
 // buildScript resolves the workload axis. Forkbench honours Quick and the
@@ -309,7 +306,8 @@ func (s Spec) Cells() []CellSpec {
 // Validate checks every axis value with the same parsers Build uses and
 // rejects duplicate cell IDs (a spec listing an axis value twice would
 // otherwise silently collapse in the resume bookkeeping). It returns a
-// one-line actionable error for the first problem found.
+// one-line actionable error for the first problem found. Workloads are
+// only resolved by name: generating a script cannot fail after that.
 func (s Spec) Validate() error {
 	cells := s.Cells()
 	if len(cells) == 0 {
@@ -317,7 +315,11 @@ func (s Spec) Validate() error {
 	}
 	seen := make(map[string]int, len(cells))
 	for i, c := range cells {
-		if _, _, err := c.Build(); err != nil {
+		_, err := c.config()
+		if err == nil {
+			_, err = workload.ByName(c.Workload)
+		}
+		if err != nil {
 			return fmt.Errorf("grid: cell %d (%s): %w", i, c.Tag(), err)
 		}
 		id := c.ID()

@@ -39,21 +39,31 @@ func LineAddr(pfn uint64, i int) uint64 {
 	return pfn<<PageShift | uint64(i)<<LineShift
 }
 
-// Physical is the sparse byte store for the NVM address space: a dense
-// frame table (one pointer per 4 KB frame, sized from the capacity) whose
-// frames materialise on first write. The table makes the per-line
-// ReadLine/WriteLine lookup an array index — these sit under every simulated
-// memory access, where a map probe is measurable.
+// Physical is the sparse byte store for the NVM address space: a two-level
+// frame table (a directory sized from the capacity, of 512-frame chunks
+// that materialise on first write into their 2 MiB range) whose frames
+// materialise on first write. The table makes the per-line
+// ReadLine/WriteLine lookup two array indexes — these sit under every
+// simulated memory access, where a map probe is measurable — while a
+// machine costs memory in proportion to what it touches, not to its
+// capacity (a flat table is 34 MB of pointers for 16 GiB).
 type Physical struct {
-	frames   []*[PageBytes]byte
+	chunks   []*frameChunk
 	resident int
 	size     uint64
 }
 
+// chunkShift sizes the frame table's chunks: 512 frames, one 4 KB page of
+// pointers.
+const chunkShift = 9
+
+type frameChunk [1 << chunkShift]*[PageBytes]byte
+
 // NewPhysical creates a physical space of the given byte capacity.
 func NewPhysical(size uint64) *Physical {
+	frames := (size + PageBytes - 1) / PageBytes
 	return &Physical{
-		frames: make([]*[PageBytes]byte, (size+PageBytes-1)/PageBytes),
+		chunks: make([]*frameChunk, (frames+1<<chunkShift-1)>>chunkShift),
 		size:   size,
 	}
 }
@@ -62,22 +72,30 @@ func NewPhysical(size uint64) *Physical {
 func (p *Physical) Size() uint64 { return p.size }
 
 func (p *Physical) frame(pfn uint64, create bool) *[PageBytes]byte {
-	if pfn >= uint64(len(p.frames)) {
+	ci := pfn >> chunkShift
+	if ci >= uint64(len(p.chunks)) {
 		if !create {
 			return nil
 		}
 		// Beyond the declared capacity (stray test geometries): grow.
-		grown := make([]*[PageBytes]byte, pfn+1)
-		copy(grown, p.frames)
-		p.frames = grown
+		grown := make([]*frameChunk, ci+1)
+		copy(grown, p.chunks)
+		p.chunks = grown
 	}
-	f := p.frames[pfn]
-	if f == nil && create {
-		f = new([PageBytes]byte)
-		p.frames[pfn] = f
+	c := p.chunks[ci]
+	if c == nil {
+		if !create {
+			return nil
+		}
+		c = new(frameChunk)
+		p.chunks[ci] = c
+	}
+	f := &c[pfn&(1<<chunkShift-1)]
+	if *f == nil && create {
+		*f = new([PageBytes]byte)
 		p.resident++
 	}
-	return f
+	return *f
 }
 
 // ReadLine copies the 64 bytes at the (line-aligned) address into out.

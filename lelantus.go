@@ -65,9 +65,6 @@ const (
 	FidelityTiming = core.FidelityTiming
 )
 
-// ParseFidelity maps "full" or "timing" to its Fidelity value.
-func ParseFidelity(name string) (Fidelity, error) { return core.ParseFidelity(name) }
-
 // MLPConfig models memory-level parallelism: an MSHR file that lets a line
 // access's counter fetch, BMT verify and data read overlap across device
 // banks, and an issue window that batches the page engines' per-line work
@@ -75,9 +72,6 @@ func ParseFidelity(name string) (Fidelity, error) { return core.ParseFidelity(na
 // report byte then matches the serial engine. Set it via
 // Config.Mem.Core.MLP.
 type MLPConfig = core.MLPConfig
-
-// ParseMLP maps an -mlp flag value ("on", "off") to an enable bit.
-func ParseMLP(name string) (bool, error) { return core.ParseMLP(name) }
 
 // PrefetchConfig drives the metadata prefetch unit: a per-region delta
 // prefetcher over counter-block/CoW-table pages and a redirect-chain walker
@@ -96,10 +90,6 @@ const (
 	PrefetchChain = core.PrefetchChain
 	PrefetchBoth  = core.PrefetchBoth
 )
-
-// ParsePrefetchMode maps a -prefetch flag value ("off", "delta", "chain",
-// "both"; empty means off) to its PrefetchMode.
-func ParsePrefetchMode(name string) (PrefetchMode, error) { return core.ParsePrefetchMode(name) }
 
 // Schemes lists every scheme in comparison order.
 func Schemes() []Scheme { return core.Schemes() }
@@ -124,9 +114,21 @@ func PhoenixPersist() PersistStrategy { return core.PhoenixPersist() }
 // further level one more inner tree level).
 func TriadPersist(level int) PersistStrategy { return core.TriadPersist(level) }
 
-// ParsePersist maps a strategy name ("strict", "phoenix", "triad:N") to its
-// PersistStrategy.
-func ParsePersist(name string) (PersistStrategy, error) { return core.ParsePersist(name) }
+// Knobs is the machine-knob surface the CLIs, the experiment harness and
+// the grid share: fidelity (full or timing, the crypto-eliding fast path
+// with identical measurements), metadata persistence (strict, Phoenix,
+// Triad-NVM), memory-level parallelism, metadata prefetch, NVM capacity
+// and geometry. Parse spellings with Set, Parse or RegisterFlags, check
+// them with Validate and stamp them onto a Config with Apply:
+//
+//	var k lelantus.Knobs
+//	err := k.Parse("fidelity=timing,persist=phoenix,mlp=on,prefetch=both")
+//	cfg := lelantus.DefaultConfig(lelantus.Lelantus)
+//	k.Apply(&cfg)
+//
+// The zero value is the default machine. DESIGN.md's knob table lists
+// every knob.
+type Knobs = sim.Knobs
 
 // Config assembles a simulated machine (memory subsystem + kernel).
 type Config = sim.Config
