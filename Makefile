@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json perfbench-test nopanic crash-sweep probe-smoke persist-matrix mlp-smoke prefetch-smoke grid-smoke telemetry-smoke verify
+.PHONY: all build vet test race bench bench-json perfbench-test nopanic cli-smoke grid-smoke telemetry-smoke verify
 
 all: verify
 
@@ -31,43 +31,22 @@ nopanic:
 	@! grep -rn --include='*.go' --exclude='*_test.go' 'panic(' internal lelantus.go \
 	    || (echo 'panic() reachable from the public API'; exit 1)
 
-# Crash-point enumeration smoke: crash at strided persist points across
-# every scheme, counter-cache mode and persistence strategy, recover, and
-# require zero invariant violations.
-crash-sweep:
-	$(GO) test -count=1 -run 'TestCrashSweep|TestCrashRecovery' ./internal/sim
-
-# Persistence-strategy matrix: the strict strategy must be byte-identical
-# to the historical default, relaxed strategies must trade runtime write
-# overhead for recovery time (engine-, sim- and harness-level pins), and
-# the per-pass RecoveryNs formula must hold for every strategy.
-persist-matrix:
-	$(GO) test -count=1 ./internal/core -run 'TestPersistStrategy|TestParsePersist'
-	$(GO) test -count=1 ./internal/memctrl -run 'TestRecoveryNsFormulaPerPass|TestDrainIssuesAtCurrentTime|TestBatteryDrainPreservesLazyCoWMapping'
-	$(GO) test -count=1 ./internal/sim -run 'TestStrictPersistEquivalence|TestPersistTradeoff|TestProbeRecoveryEventsPerStrategy'
-	$(GO) test -count=1 ./internal/experiments -run 'TestPersistMatrixTradeoff'
-
-# Probe-plane smoke: run the unit/integration probe tests, then trace a
-# real forkbench run end-to-end through the CLI and validate the emitted
-# Chrome trace-event JSON with the built-in schema checker.
-probe-smoke:
-	$(GO) test -count=1 ./internal/probe ./internal/sim -run 'TestProbe|TestValidateTrace|TestWriteTrace'
+# CLI smoke: real lelantus-sim runs through the surfaces unit tests do not
+# reach — a forkbench trace through the probe plane validated with the
+# built-in Chrome trace-event schema checker, the MSHR-overlapped engine,
+# and the prefetchers with the probe plane reporting coverage. The tests
+# behind these features (crash sweep, persistence matrix, probe, MLP and
+# prefetch pins) run under `test`, and the MLP pool-size determinism tests
+# under `race`.
+cli-smoke:
 	$(GO) run ./cmd/lelantus-sim -workload forkbench -fidelity timing \
 	    -probe -probe-format=perfetto -probe-out /tmp/lelantus-probe-smoke.json >/dev/null
 	$(GO) run ./cmd/lelantus-sim -probe-check /tmp/lelantus-probe-smoke.json
 	@rm -f /tmp/lelantus-probe-smoke.json
-
-# MLP smoke: the -mlp=off byte-identity and knob-inertness pins, the
-# mlp=on fidelity/pool-size determinism properties, the MSHR/bank unit
-# tests, the bank-parallel recovery model, and a CLI run with the
-# overlapped engine on.
-mlp-smoke:
-	$(GO) test -count=1 ./internal/nvm ./internal/issuewin
-	$(GO) test -count=1 ./internal/core -run 'TestMLP'
-	$(GO) test -count=1 ./internal/memctrl -run 'TestRecoveryNsMLPFormula|TestRecoveryReportMLPInvariant'
-	$(GO) test -count=1 ./internal/sim -run 'TestMLP'
-	$(GO) test -count=1 -race ./internal/sim -run 'TestMLPOnPoolSizeDeterminism|TestMLPGridConcurrent'
 	$(GO) run ./cmd/lelantus-sim -workload forkbench -fidelity timing -mlp=on >/dev/null
+	$(GO) run ./cmd/lelantus-sim -workload forkbench -fidelity timing -mlp=on -prefetch=both \
+	    -probe -probe-out /tmp/lelantus-prefetch-smoke.json
+	@rm -f /tmp/lelantus-prefetch-smoke.json
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
@@ -106,19 +85,6 @@ bench-json:
 # separate module, so `go test ./...` at the root does not reach it).
 perfbench-test:
 	cd perfbench && $(GO) test .
-
-# Prefetch smoke: the -prefetch=off byte-identity and knob-inertness pins,
-# the per-mode fidelity-equivalence properties (prefetch moves time and
-# metadata traffic, never functional state), the delta-table/chain-walker
-# unit tests, the cache property tests for the prefetch-fill insert paths,
-# and a real CLI run with the walker on and the probe plane reporting
-# prefetch coverage.
-prefetch-smoke:
-	$(GO) test -count=1 ./internal/prefetch ./internal/ctrcache
-	$(GO) test -count=1 ./internal/sim -run 'TestPrefetch'
-	$(GO) run ./cmd/lelantus-sim -workload forkbench -fidelity timing -mlp=on -prefetch=both \
-	    -probe -probe-out /tmp/lelantus-prefetch-smoke.json
-	@rm -f /tmp/lelantus-prefetch-smoke.json
 
 # Grid smoke: the work-stealing substrate and coordinator unit tests, the
 # results-log decoder pins, the subprocess kill/resume harness (SIGKILL at
@@ -169,4 +135,4 @@ telemetry-smoke:
 	@rm -rf /tmp/lelantus-telemetry-smoke /tmp/lelantus-telemetry-smoke.err \
 	    /tmp/lelantus-telemetry-smoke.prom /tmp/lelantus-telemetry-smoke-bin
 
-verify: build vet nopanic test perfbench-test race crash-sweep persist-matrix probe-smoke mlp-smoke prefetch-smoke grid-smoke telemetry-smoke
+verify: build vet nopanic test perfbench-test race cli-smoke grid-smoke telemetry-smoke

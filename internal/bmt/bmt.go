@@ -36,7 +36,6 @@ package bmt
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"hash"
 )
@@ -72,18 +71,16 @@ type Tree struct {
 	dirty   []map[uint64]struct{}
 	pending bool
 
-	// mac is the reusable keyed HMAC state; idxBuf/childBuf/sumBuf are the
+	// mac is the reusable keyed HMAC state; childBuf/sumBuf are the
 	// scratch buffers handed to it (struct fields, so the interface call
 	// does not force a heap allocation per operation). key is retained so
 	// NewLeafVerifier can derive independent states for concurrent readers.
+	// The embedded LeafVerifier is the tree's own leaf hasher, sharing mac.
 	key      []byte
 	mac      hash.Hash
-	idxBuf   [8]byte
 	childBuf [hashSize]byte
 	sumBuf   [hashSize]byte
-	// rawBuf keeps a reusable copy of leaf content so the caller's buffer
-	// never escapes through the hash interface.
-	rawBuf []byte
+	LeafVerifier
 
 	Updates  uint64
 	verifies uint64
@@ -101,6 +98,7 @@ func New(key []byte, nBlocks uint64) *Tree {
 		levels++
 	}
 	t := &Tree{levels: levels, mac: hmac.New(sha256.New, key), key: append([]byte(nil), key...)}
+	t.LeafVerifier = LeafVerifier{t: t, mac: t.mac}
 	t.nodes = make([]map[uint64][hashSize]byte, levels)
 	t.dirty = make([]map[uint64]struct{}, levels)
 	for i := range t.nodes {
@@ -109,7 +107,7 @@ func New(key []byte, nBlocks uint64) *Tree {
 	}
 	// Default (empty) hashes, bottom-up.
 	t.defaults = make([][hashSize]byte, levels)
-	t.defaults[0] = t.leafHash(^uint64(0), nil)
+	t.defaults[0] = t.digest(^uint64(0), nil)
 	for l := 1; l < levels; l++ {
 		t.defaults[l] = t.innerHash(t.defaults[l-1])
 	}
@@ -133,16 +131,6 @@ func (t *Tree) DisableHashing() { t.accountingOnly = true }
 func (t *Tree) finish() [hashSize]byte {
 	t.mac.Sum(t.sumBuf[:0])
 	return t.sumBuf
-}
-
-func (t *Tree) leafHash(idx uint64, raw []byte) [hashSize]byte {
-	binary.LittleEndian.PutUint64(t.idxBuf[:], idx)
-	t.rawBuf = append(t.rawBuf[:0], raw...)
-	t.mac.Reset()
-	t.mac.Write(leafTag)
-	t.mac.Write(t.idxBuf[:])
-	t.mac.Write(t.rawBuf)
-	return t.finish()
 }
 
 // innerHash of a node whose children are all default at the level below.
@@ -183,7 +171,7 @@ func (t *Tree) Update(idx uint64, raw []byte) {
 	if t.accountingOnly {
 		t.nodes[0][idx] = [hashSize]byte{} // presence only: drives the rebuild counts
 	} else {
-		t.nodes[0][idx] = t.leafHash(idx, raw)
+		t.nodes[0][idx] = t.digest(idx, raw)
 	}
 	t.pending = true
 	node := idx
@@ -228,7 +216,7 @@ func (t *Tree) Verify(idx uint64, raw []byte) error {
 	if t.accountingOnly {
 		return nil
 	}
-	h := t.leafHash(idx, raw)
+	h := t.digest(idx, raw)
 	node := idx
 	for l := 1; l < t.levels; l++ {
 		parent := node / Arity
@@ -267,27 +255,6 @@ func (t *Tree) Root() [hashSize]byte {
 // Root() is the quiesce point; this is the crash-time view the recovery
 // scrub compares its rebuilt root against.
 func (t *Tree) RootRegister() [hashSize]byte { return t.root }
-
-// VerifyLeaf checks raw against the stored leaf digest of counter block idx
-// alone, without walking to the root. The post-crash scrub uses it to
-// localise torn or stale blocks: leaf digests are persisted eagerly with
-// their blocks (Update computes them before the write is acknowledged), so
-// a block whose NVM bytes disagree with its own digest was torn or lost
-// mid-write. Accounting-only trees (timing fidelity) keep no digests and
-// report success.
-func (t *Tree) VerifyLeaf(idx uint64, raw []byte) error {
-	if t.accountingOnly {
-		return nil
-	}
-	stored, ok := t.nodes[0][idx]
-	if !ok {
-		return fmt.Errorf("bmt: no leaf digest for counter block %d", idx)
-	}
-	if t.leafHash(idx, raw) != stored {
-		return fmt.Errorf("bmt: leaf digest mismatch at counter block %d", idx)
-	}
-	return nil
-}
 
 // RebuildFromLeaves reconstructs every inner node and the root from the
 // persisted leaf digests — Phoenix-style selective persistence: leaves are
@@ -351,7 +318,7 @@ func (t *Tree) ResetLeaf(idx uint64, raw []byte) {
 		t.nodes[0][idx] = [hashSize]byte{}
 		return
 	}
-	t.nodes[0][idx] = t.leafHash(idx, raw)
+	t.nodes[0][idx] = t.digest(idx, raw)
 }
 
 // Levels returns the tree's level count, including the leaf-digest level
@@ -375,19 +342,20 @@ type macPage struct {
 // to its address and encryption counter, so stale or relocated ciphertext
 // fails verification. Not safe for concurrent use (single reusable HMAC
 // state, like Tree).
+//
+// The embedded MACVerifier is the store's own MAC computer: Verify and Sum
+// are its methods, Update is Sum plus StoreSum.
 type MACStore struct {
 	key   []byte // retained for NewVerifier's independent HMAC states
-	mac   hash.Hash
 	pages []*macPage
-
-	hdrBuf  [17]byte
-	sumBuf  [hashSize]byte
-	ciphBuf []byte
+	MACVerifier
 }
 
 // NewMACStore creates an empty MAC store with the given key.
 func NewMACStore(key []byte) *MACStore {
-	return &MACStore{mac: hmac.New(sha256.New, key), key: append([]byte(nil), key...)}
+	s := &MACStore{key: append([]byte(nil), key...)}
+	s.MACVerifier = MACVerifier{s: s, mac: hmac.New(sha256.New, key)}
+	return s
 }
 
 // page returns the MAC page for a line number, materialising it if create
@@ -410,43 +378,9 @@ func (s *MACStore) page(lineNo uint64, create bool) *macPage {
 	return p
 }
 
-func (s *MACStore) compute(lineNo uint64, ciph []byte, major uint64, minor uint8) [hashSize]byte {
-	binary.LittleEndian.PutUint64(s.hdrBuf[0:8], lineNo)
-	binary.LittleEndian.PutUint64(s.hdrBuf[8:16], major)
-	s.hdrBuf[16] = minor
-	// Copy into the reusable scratch so the caller's (often stack-resident)
-	// ciphertext buffer does not escape through the hash interface.
-	s.ciphBuf = append(s.ciphBuf[:0], ciph...)
-	s.mac.Reset()
-	s.mac.Write(s.hdrBuf[:])
-	s.mac.Write(s.ciphBuf)
-	s.mac.Sum(s.sumBuf[:0])
-	return s.sumBuf
-}
-
 // Update records the MAC for a freshly written line.
 func (s *MACStore) Update(lineNo uint64, ciph []byte, major uint64, minor uint8) {
-	p := s.page(lineNo, true)
-	slot := lineNo % macPageLines
-	p.sums[slot] = s.compute(lineNo, ciph, major, minor)
-	p.present |= 1 << slot
-}
-
-// Verify checks a line read from NVM. Lines never written (e.g. demand-zero
-// content) have no MAC yet and verify trivially.
-func (s *MACStore) Verify(lineNo uint64, ciph []byte, major uint64, minor uint8) error {
-	p := s.page(lineNo, false)
-	if p == nil {
-		return nil
-	}
-	slot := lineNo % macPageLines
-	if p.present&(1<<slot) == 0 {
-		return nil
-	}
-	if got := s.compute(lineNo, ciph, major, minor); got != p.sums[slot] {
-		return MACMismatch(lineNo)
-	}
-	return nil
+	s.StoreSum(lineNo, s.Sum(lineNo, ciph, major, minor))
 }
 
 // MACMismatch is the error a data line that fails its MAC check reads as.

@@ -12,15 +12,19 @@ import (
 // computed by a parallel worker into a serial StoreSum commit.
 type Digest [hashSize]byte
 
-// LeafVerifier re-verifies stored leaf digests with a private HMAC state,
-// so the recovery scrub's pass 1 can fan page verification out over a
-// goroutine pool. It only READS the tree (the stored leaf map and the
-// accounting-only flag); any concurrent tree mutation is the caller's bug.
+// LeafVerifier computes and checks leaf digests. The tree embeds one that
+// shares its HMAC state; NewLeafVerifier derives independent ones with a
+// private state, so the recovery scrub's pass 1 can fan page verification
+// out over a goroutine pool. A derived verifier only READS the tree (the
+// stored leaf map and the accounting-only flag); any concurrent tree
+// mutation is the caller's bug.
 type LeafVerifier struct {
 	t      *Tree
 	mac    hash.Hash
 	idxBuf [8]byte
 	sumBuf [hashSize]byte
+	// rawBuf keeps a reusable copy of leaf content so the caller's buffer
+	// never escapes through the hash interface.
 	rawBuf []byte
 }
 
@@ -30,15 +34,7 @@ func (t *Tree) NewLeafVerifier() *LeafVerifier {
 	return &LeafVerifier{t: t, mac: hmac.New(sha256.New, t.key)}
 }
 
-// Verify is Tree.VerifyLeaf with the verifier's own scratch state.
-func (v *LeafVerifier) Verify(idx uint64, raw []byte) error {
-	if v.t.accountingOnly {
-		return nil
-	}
-	stored, ok := v.t.nodes[0][idx]
-	if !ok {
-		return fmt.Errorf("bmt: no leaf digest for counter block %d", idx)
-	}
+func (v *LeafVerifier) digest(idx uint64, raw []byte) [hashSize]byte {
 	binary.LittleEndian.PutUint64(v.idxBuf[:], idx)
 	v.rawBuf = append(v.rawBuf[:0], raw...)
 	v.mac.Reset()
@@ -46,21 +42,42 @@ func (v *LeafVerifier) Verify(idx uint64, raw []byte) error {
 	v.mac.Write(v.idxBuf[:])
 	v.mac.Write(v.rawBuf)
 	v.mac.Sum(v.sumBuf[:0])
-	if v.sumBuf != stored {
+	return v.sumBuf
+}
+
+// VerifyLeaf checks raw against the stored leaf digest of counter block idx
+// alone, without walking to the root. The post-crash scrub uses it to
+// localise torn or stale blocks: leaf digests are persisted eagerly with
+// their blocks (Update computes them before the write is acknowledged), so
+// a block whose NVM bytes disagree with its own digest was torn or lost
+// mid-write. Accounting-only trees (timing fidelity) keep no digests and
+// report success.
+func (v *LeafVerifier) VerifyLeaf(idx uint64, raw []byte) error {
+	if v.t.accountingOnly {
+		return nil
+	}
+	stored, ok := v.t.nodes[0][idx]
+	if !ok {
+		return fmt.Errorf("bmt: no leaf digest for counter block %d", idx)
+	}
+	if v.digest(idx, raw) != stored {
 		return fmt.Errorf("bmt: leaf digest mismatch at counter block %d", idx)
 	}
 	return nil
 }
 
-// MACVerifier computes and checks per-line data MACs with a private HMAC
-// state: pool workers in the recovery MAC scrub and the batched page-engine
-// paths each own one. Verify/Sum only read the store's pages; concurrent
+// MACVerifier computes and checks per-line data MACs. The store embeds one;
+// NewVerifier derives independent ones with a private HMAC state, so pool
+// workers in the recovery MAC scrub and the batched page engines each own
+// one. Verify/Sum only read the store's pages; concurrent
 // Update/StoreSum/Drop calls are the caller's bug.
 type MACVerifier struct {
-	s       *MACStore
-	mac     hash.Hash
-	hdrBuf  [17]byte
-	sumBuf  [hashSize]byte
+	s      *MACStore
+	mac    hash.Hash
+	hdrBuf [17]byte
+	sumBuf [hashSize]byte
+	// ciphBuf is a reusable copy of the ciphertext, so the caller's (often
+	// stack-resident) buffer does not escape through the hash interface.
 	ciphBuf []byte
 }
 
@@ -69,7 +86,9 @@ func (s *MACStore) NewVerifier() *MACVerifier {
 	return &MACVerifier{s: s, mac: hmac.New(sha256.New, s.key)}
 }
 
-func (v *MACVerifier) compute(lineNo uint64, ciph []byte, major uint64, minor uint8) [hashSize]byte {
+// Sum returns the MAC binding (ciphertext, address, counter): the value
+// Update stores.
+func (v *MACVerifier) Sum(lineNo uint64, ciph []byte, major uint64, minor uint8) Digest {
 	binary.LittleEndian.PutUint64(v.hdrBuf[0:8], lineNo)
 	binary.LittleEndian.PutUint64(v.hdrBuf[8:16], major)
 	v.hdrBuf[16] = minor
@@ -81,13 +100,8 @@ func (v *MACVerifier) compute(lineNo uint64, ciph []byte, major uint64, minor ui
 	return v.sumBuf
 }
 
-// Sum returns the MAC binding (ciphertext, address, counter) — the value
-// Update would store — computed with the verifier's private state.
-func (v *MACVerifier) Sum(lineNo uint64, ciph []byte, major uint64, minor uint8) Digest {
-	return v.compute(lineNo, ciph, major, minor)
-}
-
-// Verify is MACStore.Verify with the verifier's own scratch state.
+// Verify checks a line read from NVM. Lines never written (e.g. demand-zero
+// content) have no MAC yet and verify trivially.
 func (v *MACVerifier) Verify(lineNo uint64, ciph []byte, major uint64, minor uint8) error {
 	p := v.s.page(lineNo, false)
 	if p == nil {
@@ -97,7 +111,7 @@ func (v *MACVerifier) Verify(lineNo uint64, ciph []byte, major uint64, minor uin
 	if p.present&(1<<slot) == 0 {
 		return nil
 	}
-	if got := v.compute(lineNo, ciph, major, minor); got != p.sums[slot] {
+	if v.Sum(lineNo, ciph, major, minor) != p.sums[slot] {
 		return MACMismatch(lineNo)
 	}
 	return nil

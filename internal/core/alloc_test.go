@@ -133,3 +133,48 @@ func BenchmarkCoreWriteLine(b *testing.B) {
 		})
 	}
 }
+
+// TestReencryptSweepAllocFree pins that the overflow re-encryption sweep
+// runs without a heap allocation at pool size 1 — with MLP off, and with
+// MLP on and a one-worker pool — at both fidelities: the sweep's scratch
+// is the engine's own and worker 0 uses the engine's crypto state.
+func TestReencryptSweepAllocFree(t *testing.T) {
+	for _, mlp := range []bool{false, true} {
+		for _, f := range []Fidelity{FidelityFull, FidelityTiming} {
+			t.Run(fmt.Sprintf("mlp=%v/%v", mlp, f), func(t *testing.T) {
+				e := testEngine(t, Lelantus, func(c *Config) {
+					c.Fidelity = f
+					c.MLP = MLPConfig{Enabled: mlp, Workers: 1}
+				})
+				const pfn = 4
+				var plain [mem.LineBytes]byte
+				plain[0] = 0x3C
+				now := uint64(0)
+				write := func(li int) {
+					d, err := e.WriteLine(now, mem.LineAddr(pfn, li), &plain)
+					if err != nil {
+						t.Fatal(err)
+					}
+					now = d
+				}
+				for li := 0; li < mem.LinesPerPage; li++ {
+					write(li)
+				}
+				// Each run rewrites one line past a full minor-counter
+				// period, so it holds at least one 63-line sweep.
+				overflows := e.Stats.Overflows
+				avg := testing.AllocsPerRun(20, func() {
+					for i := 0; i < 130; i++ {
+						write(0)
+					}
+				})
+				if e.Stats.Overflows-overflows < 21 {
+					t.Fatalf("only %d overflows in 21 runs", e.Stats.Overflows-overflows)
+				}
+				if avg != 0 {
+					t.Errorf("%.2f allocs per run, want 0", avg)
+				}
+			})
+		}
+	}
+}

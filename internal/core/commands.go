@@ -206,7 +206,9 @@ func (e *Engine) pagePhyc(now, src, dst uint64) (done uint64, copied int, err er
 	if e.mlpOn() {
 		// MLP: walk the redirect chain once for the whole page and batch
 		// the per-line work over the issue-window pool; the serial loop
-		// below re-resolves the chain per line.
+		// below re-resolves the chain per line. The only page engine with
+		// two paths: the walks touch the counter cache differently, so
+		// hits and sim-ns differ between them (DESIGN.md §14.2).
 		done, copied, err = e.phycLinesBatched(t, src, dst, &blk)
 		if err != nil {
 			return done, copied, err
@@ -234,7 +236,7 @@ func (e *Engine) pagePhyc(now, src, dst uint64) (done uint64, copied int, err er
 			case e.cfg.Fidelity == FidelityTiming:
 				// Timing fidelity: plaintext at rest, pad and MAC elided, the
 				// secure path's AES latency charge kept.
-				e.Enc.NotePad()
+				e.Enc.NotePads(1)
 				dec = e.persistDataLine(la, &plain)
 				wt = e.Mem.Write(rt+e.cfg.AESLatencyNs, la)
 			default:

@@ -6,6 +6,7 @@ import (
 	"lelantus/internal/bmt"
 	"lelantus/internal/ctr"
 	"lelantus/internal/faultinject"
+	"lelantus/internal/issuewin"
 	"lelantus/internal/mem"
 	"lelantus/internal/probe"
 )
@@ -143,45 +144,35 @@ func (e *Engine) resolve(now, lineAddr uint64) ([mem.LineBytes]byte, uint64, err
 
 	lineNo := mem.LineNo(cur)
 	i := mem.LineIndex(cur)
+	if !e.mlpOn() {
+		// Serial engine: the data fetch issues once the final counter block
+		// has resolved. Under MLP it issues the moment the final address was
+		// known — for chains, when the last redirect was decoded — so the
+		// counter fetch, its BMT verify and the data read occupy distinct
+		// banks concurrently (this models an always-correct no-redirect
+		// predictor: traffic is identical to the serial engine, only
+		// completion moves). Either way retire waits for the counter block,
+		// which decides what the fetched bytes mean.
+		issueT = t
+	}
 	if !e.written.Test(lineNo) {
 		// The line was never encrypted to NVM (e.g. the shared zero frame):
 		// its plaintext is zeros. The fetch is still charged — the device
 		// does not know the content is dead.
-		if e.mlpOn() {
-			// MLP: the fetch issued the moment the address was known,
-			// overlapping the counter fetch; the zero decision itself still
-			// needs the counter, so retire is the later of the two.
-			t = maxU64(t, e.mshrRead(issueT, cur))
-		} else {
-			t = e.Mem.Read(t, cur)
-		}
+		t = maxU64(t, e.readLeg(issueT, cur))
 		e.Stats.DataReads++
 		e.Stats.ZeroReads++
 		return zeroLine, t, nil
 	}
 	var ciph [mem.LineBytes]byte
 	e.Phys.ReadLine(cur, &ciph)
-	var fetchDone uint64
-	if e.mlpOn() {
-		// MLP: issue the data fetch when the final address became known —
-		// for chains, when the last redirect was decoded — instead of after
-		// the final counter block returns. The counter fetch, its BMT
-		// verify and the data read then occupy distinct banks concurrently
-		// (this models an always-correct no-redirect predictor: traffic is
-		// identical to the serial engine, only completion moves).
-		fetchDone = e.mshrRead(issueT, cur)
-	} else {
-		fetchDone = e.Mem.Read(t, cur)
-	}
+	fetchDone := e.readLeg(issueT, cur)
 	e.Stats.DataReads++
 	if e.cfg.NonSecure {
 		// Plaintext at rest: no pad, no MAC (paper Section III-G). The
 		// redirect/zero decision still came from the counter block, so
 		// retire cannot precede it.
-		if e.mlpOn() {
-			fetchDone = maxU64(fetchDone, t)
-		}
-		return ciph, fetchDone, nil
+		return ciph, maxU64(fetchDone, t), nil
 	}
 	// OTP generation overlaps the data fetch (paper Fig. 1). Dependence-
 	// ordered: the pad needs the counter, so retire is gated on t even when
@@ -191,7 +182,7 @@ func (e *Engine) resolve(now, lineAddr uint64) ([mem.LineBytes]byte, uint64, err
 		// Timing fidelity: the line is at rest as plaintext, so the fetch
 		// already produced the data; the pad and the MAC verification are
 		// elided while their latency charges stay identical to Full.
-		e.Enc.NotePad()
+		e.Enc.NotePads(1)
 		if err := e.timingMAC(cur); err != nil {
 			return zeroLine, done, err
 		}
@@ -321,7 +312,7 @@ func (e *Engine) writeLine(now, lineAddr uint64, plain *[mem.LineBytes]byte) (ui
 		// and skip the pad, the encryption XOR and the MAC. The device-
 		// visible operation order and every latency charge match the
 		// secure path below.
-		e.Enc.NotePad()
+		e.Enc.NotePads(1)
 		dec := e.persistDataLine(lineAddr, plain)
 		dataDone := e.Mem.Write(t+e.cfg.AESLatencyNs, lineAddr)
 		e.Stats.DataWrites++
@@ -353,89 +344,102 @@ func (e *Engine) writeLine(now, lineAddr uint64, plain *[mem.LineBytes]byte) (ui
 	return maxU64(dataDone, ctrDone), err
 }
 
+// reencSweep is one re-encryption sweep: the page's two epochs, the lines
+// that need moving and the pool's crypto output per line. The engine owns
+// one, so a sweep allocates nothing at pool size 1.
+type reencSweep struct {
+	lineBatch
+	pfn                uint64
+	oldMajor, newMajor uint64
+	oldMinor, newMinor [mem.LinesPerPage]uint8
+	lines              []int
+	out                [mem.LinesPerPage]lineOut
+}
+
+// Do implements issuewin.Batch: verify and decrypt line j under the old
+// epoch, re-encrypt and MAC it under the new one.
+func (s *reencSweep) Do(c *lineCrypto, j int) {
+	i := s.lines[j]
+	la := mem.LineAddr(s.pfn, i)
+	lineNo := mem.LineNo(la)
+	out := &s.out[j]
+	var ciph [mem.LineBytes]byte
+	s.e.Phys.ReadLine(la, &ciph)
+	if out.err = c.mac.Verify(lineNo, ciph[:], s.oldMajor, s.oldMinor[i]); out.err != nil {
+		return
+	}
+	out.plain = c.enc.Decrypt(&ciph, lineNo, s.oldMajor, s.oldMinor[i])
+	out.ciph = c.enc.Encrypt(&out.plain, lineNo, s.newMajor, s.newMinor[i])
+	out.sum = c.mac.Sum(lineNo, out.ciph[:], s.newMajor, s.newMinor[i])
+}
+
 // reencryptPage handles a minor-counter overflow: the page enters a new
 // major epoch and every materialised line (except skipLine, which is about
 // to be overwritten) is read, decrypted under the old counter, re-encrypted
 // under the new one and written back (paper Section V-C overhead analysis).
+// The lines are mutually independent, so the crypto runs on the
+// issue-window pool and the serial commit phase keeps stats, persistence
+// and fault points in ascending line order.
 func (e *Engine) reencryptPage(now, pfn uint64, blk *ctr.Block, skipLine int) (uint64, error) {
 	e.Stats.Overflows++
 	lines0 := e.Stats.ReencryptedLines
-	oldMajor := blk.Major
-	oldMinor := blk.Minor
+	s := &e.sweep
+	s.pfn, s.oldMajor, s.oldMinor = pfn, blk.Major, blk.Minor
 	reenc := blk.BumpMajor()
-	if e.mlpOn() {
-		// MLP: the sweep's lines are mutually independent (each is read
-		// under the old epoch and written under the new), so the crypto
-		// fans out over the issue-window pool and the NVM legs go through
-		// the MSHR file and the bank queues.
-		done, err := e.reencryptBatched(now, pfn, blk, skipLine, oldMajor, oldMinor, reenc)
-		if err != nil {
-			return done, err
+	s.newMajor, s.newMinor = blk.Major, blk.Minor
+	s.lines = s.lines[:0]
+	for _, i := range reenc {
+		// A line never written has a randomly initialised counter and no
+		// resident data: the new epoch needs no data movement for it.
+		if i != skipLine && e.written.Test(mem.LineNo(mem.LineAddr(pfn, i))) {
+			s.lines = append(s.lines, i)
 		}
-		if e.pr != nil {
-			e.pr.Record(probe.EvOverflow, now, done, pfn, e.Stats.ReencryptedLines-lines0)
-		}
-		return done, nil
+	}
+	// Timing fidelity keeps plaintext at rest, which is epoch-invariant:
+	// the sweep moves no bytes at all. Only the two pad generations per
+	// line and the read+write NVM traffic and latency of the full path
+	// remain.
+	full := e.cfg.Fidelity == FidelityFull
+	if full {
+		issuewin.RunWith(e.pool, len(s.lines), s)
 	}
 	done := now
-	for _, i := range reenc {
-		if i == skipLine {
-			continue
-		}
+	for j, i := range s.lines {
 		la := mem.LineAddr(pfn, i)
-		lineNo := mem.LineNo(la)
-		if !e.written.Test(lineNo) {
-			// Randomly initialised counter with no resident data: the new
-			// epoch needs no data movement for this line.
-			continue
-		}
-		if e.cfg.Fidelity == FidelityTiming {
-			// Plaintext at rest is epoch-invariant: the sweep moves no
-			// bytes at all. Only the two pad generations per line and the
-			// read+write NVM traffic and latency of the full path remain.
-			rt := e.Mem.Read(now, la)
-			e.Stats.DataReads++
+		// Independent legs: every line's read issues at the sweep start —
+		// the bank queues (and, under MLP, the MSHR file) decide the real
+		// spread.
+		rt := e.readLeg(now, la)
+		e.Stats.DataReads++
+		c := &s.out[j]
+		var dec faultinject.Decision
+		if full {
+			if c.err != nil {
+				return rt, c.err
+			}
+			e.Enc.NotePads(2) // decrypt under the old epoch, encrypt under the new
+			dec = e.persistDataLine(la, &c.ciph)
+			e.MACs.StoreSum(mem.LineNo(la), c.sum)
+		} else {
 			if err := e.timingMAC(la); err != nil {
 				return rt, err
 			}
-			e.Enc.NotePad() // decrypt under the old epoch
-			e.Enc.NotePad() // encrypt under the new one
-			wt := e.Mem.Write(rt+e.cfg.AESLatencyNs, la)
-			e.Stats.DataWrites++
-			e.Stats.ReencryptedLines++
-			// No byte movement to fault, but the persist point still counts
-			// so crash enumeration covers the mid-sweep seam here too.
-			if d := e.fiHit(faultinject.ReencryptLine); d.Action == faultinject.ActCrash {
-				return wt, d.Err
-			}
-			if wt > done {
-				done = wt
-			}
-			continue
+			e.Enc.NotePads(2)
 		}
-		var ciph [mem.LineBytes]byte
-		e.Phys.ReadLine(la, &ciph)
-		// Already issue-parallel: every sweep read issues at `now` and the
-		// bank queues serialize conflicts — MLP adds only the MSHR gate.
-		rt := e.Mem.Read(now, la)
-		e.Stats.DataReads++
-		if err := e.MACs.Verify(lineNo, ciph[:], oldMajor, oldMinor[i]); err != nil {
-			return rt, err
-		}
-		plain := e.Enc.Decrypt(&ciph, lineNo, oldMajor, oldMinor[i])
-		newCiph := e.Enc.Encrypt(&plain, lineNo, blk.Major, blk.Minor[i])
-		dec := e.persistDataLine(la, &newCiph)
-		e.MACs.Update(lineNo, newCiph[:], blk.Major, blk.Minor[i])
-		wt := e.Mem.Write(rt+e.cfg.AESLatencyNs, la)
+		wt := e.writeLeg(rt+e.cfg.AESLatencyNs, la)
 		e.Stats.DataWrites++
 		e.Stats.ReencryptedLines++
-		e.fiObserve(dec, la, &plain)
-		if dec.Action == faultinject.ActCrash {
-			return wt, dec.Err
+		if full {
+			e.fiObserve(dec, la, &c.plain)
+			if dec.Action == faultinject.ActCrash {
+				return wt, dec.Err
+			}
 		}
 		// A crash between one line's write and its neighbour's leaves the
 		// page half in the old epoch, half in the new — the recovery scrub
-		// must surface every old-epoch line as a MAC mismatch.
+		// must surface every old-epoch line as a MAC mismatch. Timing
+		// fidelity moves no bytes, but the persist point still counts so
+		// crash enumeration covers the mid-sweep seam there too.
 		if d := e.fiHit(faultinject.ReencryptLine); d.Action == faultinject.ActCrash {
 			return wt, d.Err
 		}

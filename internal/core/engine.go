@@ -295,6 +295,13 @@ type Engine struct {
 	// when MLP is enabled; nil means MLP off (the hot paths branch on the
 	// nil check, so the serial engine pays one compare).
 	mshr *nvm.MSHRFile
+	// pool is the issue-window size the page engines and scrub passes fan
+	// their per-line crypto over: 1 (inline) with MLP off.
+	pool int
+	// own is the engine's own crypto state, which pool worker 0 uses.
+	own lineCrypto
+	// sweep is the re-encryption sweep's scratch, reused by every overflow.
+	sweep reencSweep
 
 	// pf is the optional metadata prefetch unit; nil means prefetch off
 	// (one pointer compare per metadata access, byte-identical reports).
@@ -343,7 +350,10 @@ func NewEngine(cfg Config, layout Layout, phys *mem.Physical, dev *nvm.Device,
 		tracked:     bitset.New(pages),
 		footprint:   make(map[uint64]uint64),
 		mshr:        mshr,
+		pool:        cfg.MLP.poolSize(),
 	}
+	e.own = lineCrypto{enc: &encEng.Worker, mac: &macs.MACVerifier, leaf: &tree.LeafVerifier}
+	e.sweep = reencSweep{lineBatch: lineBatch{e}, lines: make([]int, 0, mem.LinesPerPage)}
 	if pf := prefetch.New(cfg.Prefetch); pf != nil {
 		e.pf = pf
 		e.attachPrefetchSinks()

@@ -13,9 +13,10 @@ import (
 	"lelantus/internal/mem"
 )
 
-// MLPConfig models memory-level parallelism in the timing plane. Disabled
-// (the zero value), every access chain is charged serially — the historical
-// engine, byte-identical in every report. Enabled, two mechanisms apply:
+// MLPConfig models memory-level parallelism in the timing plane. It picks
+// timing, not code: every scrub pass and every page engine but page_phyc
+// runs one path either way. Disabled (the zero value), every access chain
+// is charged serially. Enabled, two things change:
 //
 //   - An MSHR file lets the *independent* legs of a line access — the final
 //     data fetch against the counter-block fetch and verify it overlaps —
@@ -24,11 +25,11 @@ import (
 //     (redirect-chain hops, pad-gated writes) stay serial; each kept
 //     serialization is documented at its site.
 //
-//   - An issue window batches the per-line work of the page engines
-//     (page_phyc, CopyPageFull, ZeroPageFull, the re-encryption sweep, the
-//     recovery scrub): per-line jobs are fanned over a deterministic
-//     goroutine pool and merged in line order, so results are byte-identical
-//     at any Workers value — only wall-clock changes with pool size.
+//   - The per-line crypto of the page engines (page_phyc, the re-encryption
+//     sweep) and the recovery scrub's digest and MAC checks fan out over a
+//     deterministic goroutine pool of Workers and merge in line order, so
+//     results are byte-identical at any pool size. Disabled, the pool has
+//     size 1: the jobs run inline on the engine's own crypto state.
 type MLPConfig struct {
 	// Enabled turns the model on. Off, the MSHR file is never allocated and
 	// the hot paths pay one nil compare.
@@ -41,9 +42,12 @@ type MLPConfig struct {
 	Workers int
 }
 
-// workers resolves the pool size.
-func (c MLPConfig) workers() int {
-	if c.Workers > 0 {
+// poolSize resolves the issue-window pool size: 1 with MLP off.
+func (c MLPConfig) poolSize() int {
+	switch {
+	case !c.Enabled:
+		return 1
+	case c.Workers > 0:
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
@@ -64,13 +68,17 @@ func ParseMLP(s string) (bool, error) {
 func (e *Engine) mlpOn() bool { return e.mshr != nil }
 
 // MLPEnabled is mlpOn for callers outside the package (the controller's
-// page engines batch their line loops on it).
+// page engines pick their line issue times on it).
 func (e *Engine) MLPEnabled() bool { return e.mlpOn() }
 
-// mshrRead issues an overlapped read leg through the MSHR file: the leg
-// starts when a register frees (stalling past issue if all are busy) and
-// holds it until the device read completes.
-func (e *Engine) mshrRead(issue, addr uint64) uint64 {
+// readLeg issues an independent read leg at issue. With MLP on it goes
+// through the MSHR file: the leg starts when a register frees (stalling
+// past issue if all are busy) and holds it until the device read
+// completes. With MLP off it goes straight to the device.
+func (e *Engine) readLeg(issue, addr uint64) uint64 {
+	if !e.mlpOn() {
+		return e.Mem.Read(issue, addr)
+	}
 	if e.pr != nil {
 		e.pr.ObserveMSHROcc(e.mshr.Busy(issue))
 	}
@@ -79,8 +87,11 @@ func (e *Engine) mshrRead(issue, addr uint64) uint64 {
 	})
 }
 
-// mshrWrite is mshrRead for an independent write leg.
-func (e *Engine) mshrWrite(issue, addr uint64) uint64 {
+// writeLeg is readLeg for an independent write leg.
+func (e *Engine) writeLeg(issue, addr uint64) uint64 {
+	if !e.mlpOn() {
+		return e.Mem.Write(issue, addr)
+	}
 	if e.pr != nil {
 		e.pr.ObserveMSHROcc(e.mshr.Busy(issue))
 	}
@@ -208,20 +219,75 @@ func (e *Engine) stopAt(hops []chainHop, i int) lineStop {
 	return lineStop{hop: len(hops) - 1, hops: len(hops) - 1}
 }
 
-// phycCrypto is the pool output of one batched page_phyc line under full
-// fidelity: everything the serial commit needs with the hash work done.
-type phycCrypto struct {
+// lineCrypto is one pool worker's crypto state: a pad generator, a data-MAC
+// checker and a leaf-digest checker.
+type lineCrypto struct {
+	enc  *enc.Worker
+	mac  *bmt.MACVerifier
+	leaf *bmt.LeafVerifier
+}
+
+// lineBatch is the part every page-engine and scrub batch shares. Worker 0
+// — the only worker at pool size 1, so every batch with MLP off — runs on
+// the engine's own pad generator and verifiers; the pool's other workers
+// get private copies.
+type lineBatch struct{ e *Engine }
+
+// State implements issuewin.Batch.
+func (b lineBatch) State(w int) *lineCrypto {
+	if w == 0 {
+		return &b.e.own
+	}
+	return &lineCrypto{enc: b.e.Enc.NewWorker(), mac: b.e.MACs.NewVerifier(), leaf: b.e.Tree.NewLeafVerifier()}
+}
+
+// lineOut is the pool output of one page-engine line under full fidelity:
+// everything the serial commit needs with the hash work done — the
+// plaintext, its new ciphertext and MAC, or the source line's MAC error.
+type lineOut struct {
 	plain [mem.LineBytes]byte
 	ciph  [mem.LineBytes]byte
 	sum   bmt.Digest
 	err   error
 }
 
-// phycLinesBatched is the MLP replacement for page_phyc's per-line loop:
-// one chain walk serves all 64 lines, per-line crypto fans out over the
-// issue-window pool, and the serial commit phase applies timing, stats,
-// persistence and fault points in ascending line order — so the result is
-// byte-identical at any pool size.
+// phycBatch is one batched page_phyc: every wanted line resolved against
+// the latched chain, and the pool's crypto output per line.
+type phycBatch struct {
+	lineBatch
+	hops              []chainHop
+	dst, dstMajor     uint64
+	jobs              []int // the wanted lines, in ascending order
+	stops             [mem.LinesPerPage]lineStop
+	srcLA, srcLineNo  [mem.LinesPerPage]uint64
+	isZero, isWritten [mem.LinesPerPage]bool
+	out               [mem.LinesPerPage]lineOut
+}
+
+// Do implements issuewin.Batch: pure per-line crypto of job j.
+func (b *phycBatch) Do(c *lineCrypto, j int) {
+	i := b.jobs[j]
+	out := &b.out[i]
+	if !b.isZero[i] {
+		h := &b.hops[b.stops[i].hop]
+		var sc [mem.LineBytes]byte
+		b.e.Phys.ReadLine(b.srcLA[i], &sc)
+		if err := c.mac.Verify(b.srcLineNo[i], sc[:], h.blk.Major, h.blk.Minor[i]); err != nil {
+			out.err = err
+			return
+		}
+		out.plain = c.enc.Decrypt(&sc, b.srcLineNo[i], h.blk.Major, h.blk.Minor[i])
+	}
+	dstNo := mem.LineNo(mem.LineAddr(b.dst, i))
+	out.ciph = c.enc.Encrypt(&out.plain, dstNo, b.dstMajor, 1)
+	out.sum = c.mac.Sum(dstNo, out.ciph[:], b.dstMajor, 1)
+}
+
+// phycLinesBatched is page_phyc's line loop under MLP: one chain walk
+// serves all 64 lines, per-line crypto fans out over the issue-window pool,
+// and the serial commit phase applies timing, stats, persistence and fault
+// points in ascending line order — so the result is byte-identical at any
+// pool size.
 func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint64, copied int, err error) {
 	var want [mem.LinesPerPage]bool
 	n := 0
@@ -241,66 +307,34 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 		return t, 0, werr
 	}
 
-	var stops [mem.LinesPerPage]lineStop
-	var srcLA, srcLineNo [mem.LinesPerPage]uint64
-	var isZero, isWritten [mem.LinesPerPage]bool
+	b := &phycBatch{lineBatch: lineBatch{e}, hops: hops, dst: dst, dstMajor: blk.Major, jobs: make([]int, 0, n)}
 	for i := 0; i < mem.LinesPerPage; i++ {
 		if !want[i] {
 			continue
 		}
 		s := e.stopAt(hops, i)
-		stops[i] = s
-		srcLA[i] = mem.LineAddr(hops[s.hop].pfn, i)
-		srcLineNo[i] = mem.LineNo(srcLA[i])
-		isWritten[i] = e.written.Test(srcLineNo[i])
-		isZero[i] = s.zero || !isWritten[i]
+		b.jobs = append(b.jobs, i)
+		b.stops[i] = s
+		b.srcLA[i] = mem.LineAddr(hops[s.hop].pfn, i)
+		b.srcLineNo[i] = mem.LineNo(b.srcLA[i])
+		b.isWritten[i] = e.written.Test(b.srcLineNo[i])
+		b.isZero[i] = s.zero || !b.isWritten[i]
 	}
 
 	// Phase A: pure per-line crypto on the pool (full fidelity only —
 	// timing and non-secure modes move raw bytes in the commit phase).
 	full := e.cfg.Fidelity == FidelityFull && !e.cfg.NonSecure
-	var crypt [mem.LinesPerPage]phycCrypto
 	if full {
-		// dstMajor is copied out so the pool closure never captures blk:
-		// a leaked *ctr.Block would force every caller's counter block to
-		// the heap, breaking the MLP-off zero-alloc hot-path gate.
-		dstMajor := blk.Major
-		jobs := make([]int, 0, n)
-		for i := 0; i < mem.LinesPerPage; i++ {
-			if want[i] {
-				jobs = append(jobs, i)
-			}
-		}
-		issuewin.RunWith(e.cfg.MLP.workers(), len(jobs),
-			func() *encWorkerPair { return e.newEncWorkerPair() },
-			func(wp *encWorkerPair, j int) {
-				i := jobs[j]
-				c := &crypt[i]
-				if !isZero[i] {
-					h := &hops[stops[i].hop]
-					var sc [mem.LineBytes]byte
-					e.Phys.ReadLine(srcLA[i], &sc)
-					if verr := wp.mac.Verify(srcLineNo[i], sc[:], h.blk.Major, h.blk.Minor[i]); verr != nil {
-						c.err = verr
-						return
-					}
-					c.plain = wp.enc.Decrypt(&sc, srcLineNo[i], h.blk.Major, h.blk.Minor[i])
-				}
-				dstNo := mem.LineNo(mem.LineAddr(dst, i))
-				c.ciph = wp.enc.Encrypt(&c.plain, dstNo, dstMajor, 1)
-				c.sum = wp.mac.Sum(dstNo, c.ciph[:], dstMajor, 1)
-			})
+		issuewin.RunWith(e.pool, n, b)
 	}
 
 	// Phase B: serial commit in ascending line order. Every mutation of
 	// shared state — MSHR registers, bank queues, stats, the fault plane's
 	// deterministic sequence, the MAC store — happens only here.
-	for i := 0; i < mem.LinesPerPage; i++ {
-		if !want[i] {
-			continue
-		}
-		s := stops[i]
+	for _, i := range b.jobs {
+		s := b.stops[i]
 		h := &hops[s.hop]
+		srcLA, isWritten := b.srcLA[i], b.isWritten[i]
 		if s.hops > 0 {
 			e.Stats.Redirects++
 			e.Stats.ChainHops += uint64(s.hops)
@@ -318,12 +352,12 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 			// No mapping: the serial path charges no data read.
 			e.Stats.ZeroReads++
 			rt = h.done
-		case !isWritten[i]:
-			rt = maxU64(h.done, e.mshrRead(h.issue, srcLA[i]))
+		case !isWritten:
+			rt = maxU64(h.done, e.readLeg(h.issue, srcLA))
 			e.Stats.DataReads++
 			e.Stats.ZeroReads++
 		default:
-			fetch := e.mshrRead(h.issue, srcLA[i])
+			fetch := e.readLeg(h.issue, srcLA)
 			e.Stats.DataReads++
 			if e.cfg.NonSecure {
 				rt = maxU64(fetch, h.done)
@@ -332,12 +366,13 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 				rt = maxU64(fetch, h.done+e.cfg.AESLatencyNs)
 			}
 		}
-		if full && crypt[i].err != nil {
-			return rt, copied, crypt[i].err
+		c := &b.out[i]
+		if full && c.err != nil {
+			return rt, copied, c.err
 		}
-		if !full && !e.cfg.NonSecure && !isZero[i] {
+		if !full && !e.cfg.NonSecure && !b.isZero[i] {
 			// The source line phase A MAC-verifies at full fidelity.
-			if err := e.timingMAC(srcLA[i]); err != nil {
+			if err := e.timingMAC(srcLA); err != nil {
 				return rt, copied, err
 			}
 		}
@@ -351,31 +386,31 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 		switch {
 		case e.cfg.NonSecure:
 			var plain [mem.LineBytes]byte
-			if isWritten[i] && !s.zero {
-				e.Phys.ReadLine(srcLA[i], &plain)
+			if isWritten && !s.zero {
+				e.Phys.ReadLine(srcLA, &plain)
 			}
 			dec = e.persistDataLine(la, &plain)
-			wt = e.mshrWrite(rt, la)
+			wt = e.writeLeg(rt, la)
 			e.fiObserve(dec, la, &plain)
 		case e.cfg.Fidelity == FidelityTiming:
 			var plain [mem.LineBytes]byte
-			if isWritten[i] && !s.zero {
-				e.Phys.ReadLine(srcLA[i], &plain)
+			if isWritten && !s.zero {
+				e.Phys.ReadLine(srcLA, &plain)
 				e.Enc.NotePads(1) // the elided decrypt
 			}
 			e.Enc.NotePads(1) // the elided encrypt
 			dec = e.persistDataLine(la, &plain)
-			wt = e.mshrWrite(rt+e.cfg.AESLatencyNs, la)
+			wt = e.writeLeg(rt+e.cfg.AESLatencyNs, la)
 			e.fiObserve(dec, la, &plain)
 		default:
-			if isWritten[i] && !s.zero {
+			if isWritten && !s.zero {
 				e.Enc.NotePads(1) // the worker's decrypt
 			}
 			e.Enc.NotePads(1) // the worker's encrypt
-			dec = e.persistDataLine(la, &crypt[i].ciph)
-			e.MACs.StoreSum(lineNo, crypt[i].sum)
-			wt = e.mshrWrite(rt+e.cfg.AESLatencyNs, la)
-			e.fiObserve(dec, la, &crypt[i].plain)
+			dec = e.persistDataLine(la, &c.ciph)
+			e.MACs.StoreSum(lineNo, c.sum)
+			wt = e.writeLeg(rt+e.cfg.AESLatencyNs, la)
+			e.fiObserve(dec, la, &c.plain)
 		}
 		e.Stats.DataWrites++
 		e.Stats.PhycLines++
@@ -391,125 +426,6 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 		}
 	}
 	return done, copied, nil
-}
-
-// reencCrypto is the pool output of one batched re-encryption line.
-type reencCrypto struct {
-	plain   [mem.LineBytes]byte
-	newCiph [mem.LineBytes]byte
-	sum     bmt.Digest
-	err     error
-}
-
-// reencryptBatched is the MLP replacement for the re-encryption sweep's
-// per-line loop. All lines of the page are independent (read under the old
-// epoch, written under the new), so the crypto fans out over the pool and
-// the read/write legs go through the MSHR file; the serial commit phase
-// keeps stats, persistence and fault points in ascending line order.
-func (e *Engine) reencryptBatched(now, pfn uint64, blk *ctr.Block, skipLine int,
-	oldMajor uint64, oldMinor [mem.LinesPerPage]uint8, reenc []int) (uint64, error) {
-	lines := make([]int, 0, len(reenc))
-	for _, i := range reenc {
-		if i == skipLine {
-			continue
-		}
-		if !e.written.Test(mem.LineNo(mem.LineAddr(pfn, i))) {
-			// Randomly initialised counter with no resident data: the new
-			// epoch needs no data movement for this line.
-			continue
-		}
-		lines = append(lines, i)
-	}
-	done := now
-	if len(lines) == 0 {
-		return done, nil
-	}
-
-	full := e.cfg.Fidelity == FidelityFull
-	crypt := make([]reencCrypto, len(lines))
-	if full {
-		// Copied out so the pool closure never captures blk: a leaked
-		// *ctr.Block would force writeLine's counter block to the heap,
-		// breaking the MLP-off zero-alloc hot-path gate.
-		newMajor := blk.Major
-		newMinor := blk.Minor
-		issuewin.RunWith(e.cfg.MLP.workers(), len(lines),
-			func() *encWorkerPair { return e.newEncWorkerPair() },
-			func(wp *encWorkerPair, j int) {
-				i := lines[j]
-				la := mem.LineAddr(pfn, i)
-				lineNo := mem.LineNo(la)
-				c := &crypt[j]
-				var ciph [mem.LineBytes]byte
-				e.Phys.ReadLine(la, &ciph)
-				if verr := wp.mac.Verify(lineNo, ciph[:], oldMajor, oldMinor[i]); verr != nil {
-					c.err = verr
-					return
-				}
-				c.plain = wp.enc.Decrypt(&ciph, lineNo, oldMajor, oldMinor[i])
-				c.newCiph = wp.enc.Encrypt(&c.plain, lineNo, newMajor, newMinor[i])
-				c.sum = wp.mac.Sum(lineNo, c.newCiph[:], newMajor, newMinor[i])
-			})
-	}
-
-	for j, i := range lines {
-		la := mem.LineAddr(pfn, i)
-		lineNo := mem.LineNo(la)
-		// Independent legs: every line's read issues at the sweep start —
-		// the MSHR file and the bank queues decide the real spread.
-		rt := e.mshrRead(now, la)
-		e.Stats.DataReads++
-		if full {
-			if crypt[j].err != nil {
-				return rt, crypt[j].err
-			}
-			e.Enc.NotePads(2) // the worker's decrypt + encrypt
-			dec := e.persistDataLine(la, &crypt[j].newCiph)
-			e.MACs.StoreSum(lineNo, crypt[j].sum)
-			wt := e.mshrWrite(rt+e.cfg.AESLatencyNs, la)
-			e.Stats.DataWrites++
-			e.Stats.ReencryptedLines++
-			e.fiObserve(dec, la, &crypt[j].plain)
-			if dec.Action == faultinject.ActCrash {
-				return wt, dec.Err
-			}
-			if d := e.fiHit(faultinject.ReencryptLine); d.Action == faultinject.ActCrash {
-				return wt, d.Err
-			}
-			if wt > done {
-				done = wt
-			}
-			continue
-		}
-		// Timing fidelity: plaintext at rest is epoch-invariant — only the
-		// pad accounting and the NVM traffic of the full path remain.
-		if err := e.timingMAC(la); err != nil {
-			return rt, err
-		}
-		e.Enc.NotePads(2)
-		wt := e.mshrWrite(rt+e.cfg.AESLatencyNs, la)
-		e.Stats.DataWrites++
-		e.Stats.ReencryptedLines++
-		if d := e.fiHit(faultinject.ReencryptLine); d.Action == faultinject.ActCrash {
-			return wt, d.Err
-		}
-		if wt > done {
-			done = wt
-		}
-	}
-	return done, nil
-}
-
-// encWorkerPair bundles the per-worker crypto scratch the batched paths
-// need: an AES pad generator and a MAC verifier, both private to one pool
-// worker.
-type encWorkerPair struct {
-	enc *enc.Worker
-	mac *bmt.MACVerifier
-}
-
-func (e *Engine) newEncWorkerPair() *encWorkerPair {
-	return &encWorkerPair{enc: e.Enc.NewWorker(), mac: e.MACs.NewVerifier()}
 }
 
 // ceilDiv is ceil(a/b) for the MLP recovery model.

@@ -212,12 +212,7 @@ func (e *Engine) prefetchCtr(issue, pfn uint64) (ready uint64, ok bool) {
 	addr := e.ctrAddr(pfn)
 	var raw [ctr.BlockBytes]byte
 	e.Phys.ReadLine(addr, &raw)
-	var done uint64
-	if e.mshr != nil {
-		done = e.mshrRead(issue, addr)
-	} else {
-		done = e.Mem.Read(issue, addr)
-	}
+	done := e.readLeg(issue, addr)
 	e.Stats.CtrReads++
 	if !e.cfg.NonSecure {
 		done += e.cfg.VerifyNs
@@ -260,12 +255,7 @@ func (e *Engine) prefetchCoW(issue, pfn uint64) (ready uint64, ok bool) {
 		return issue, false
 	}
 	addr := e.cowMetaAddr(pfn)
-	var done uint64
-	if e.mshr != nil {
-		done = e.mshrRead(issue, addr)
-	} else {
-		done = e.Mem.Read(issue, addr)
-	}
+	done := e.readLeg(issue, addr)
 	e.Stats.CoWMetaReads++
 	src, present := e.peekCoWEntry(pfn)
 	if !e.CoWCache.InsertPrefetched(pfn, src, present) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"lelantus/internal/bmt"
 	"lelantus/internal/ctr"
 	"lelantus/internal/issuewin"
 	"lelantus/internal/mem"
@@ -100,6 +99,63 @@ func (e *Engine) chainNext(pfn uint64) (uint64, bool) {
 	return 0, false
 }
 
+// leafScan is recovery pass 1's digest check: one job per initialised
+// counter block.
+type leafScan struct {
+	lineBatch
+	pfns []uint64
+	torn []bool
+}
+
+// Do implements issuewin.Batch.
+func (s *leafScan) Do(c *lineCrypto, j int) {
+	var raw [ctr.BlockBytes]byte
+	s.e.Phys.ReadLine(s.e.ctrAddr(s.pfns[j]), &raw)
+	s.torn[j] = c.leaf.VerifyLeaf(s.pfns[j], raw[:]) != nil
+}
+
+// pageScrub is one page's pass-4 outcome.
+type pageScrub struct {
+	scrubbed uint64
+	lost     []uint64 // line addresses whose MAC mismatched
+}
+
+// macScrub is recovery pass 4: one job per page whose counter block
+// survived. Without hashing (timing fidelity) it only counts the lines a
+// full scrub would verify.
+type macScrub struct {
+	lineBatch
+	pfns    []uint64
+	hashing bool
+	out     []pageScrub
+}
+
+// Do implements issuewin.Batch. peekBlock is side-effect free.
+func (s *macScrub) Do(c *lineCrypto, j int) {
+	pfn := s.pfns[j]
+	blk, ok := s.e.peekBlock(pfn)
+	if !ok {
+		return
+	}
+	o := &s.out[j]
+	for i := 0; i < mem.LinesPerPage; i++ {
+		la := mem.LineAddr(pfn, i)
+		lineNo := mem.LineNo(la)
+		if blk.Minor[i] == 0 || !s.e.written.Test(lineNo) {
+			continue
+		}
+		o.scrubbed++
+		if !s.hashing {
+			continue
+		}
+		var ciph [mem.LineBytes]byte
+		s.e.Phys.ReadLine(la, &ciph)
+		if c.mac.Verify(lineNo, ciph[:], blk.Major, blk.Minor[i]) != nil {
+			o.lost = append(o.lost, la)
+		}
+	}
+}
+
 // Recover scrubs the persisted metadata image after a crash, in the spirit
 // of Anubis/Phoenix-style recovery: the NVM-resident leaves are the ground
 // truth, everything volatile is rebuilt or re-verified from them. The
@@ -138,68 +194,39 @@ func (e *Engine) Recover() (*RecoveryReport, error) {
 	pages := e.layout.DataLimit / mem.PageBytes
 
 	// Pass 1: counter-block scan against (or rebuild of) the leaf digests.
-	torn := make(map[uint64]bool)
-	leafDurable := strat.LeafDigestsDurable()
-	if e.mlpOn() && secure && leafDurable && hashing {
-		// MLP: per-block digest checks are independent and read-only
-		// (LeafVerifier never touches the tree, Phys reads are concurrent-
-		// safe), so they fan out over the issue-window pool; the serial
-		// merge below walks the outputs in pfn order, so the report is
-		// byte-identical at any pool size. The rebuild mode (no durable
-		// digests) stays serial: ResetLeaf mutates the tree.
-		cand := make([]uint64, 0, pages)
-		for pfn := uint64(0); pfn < pages; pfn++ {
-			if e.initialised.Test(pfn) {
-				cand = append(cand, pfn)
-			}
+	live := make([]uint64, 0, e.initialised.Count())
+	for pfn := uint64(0); pfn < pages; pfn++ {
+		if e.initialised.Test(pfn) {
+			live = append(live, pfn)
 		}
-		rep.BlocksScanned = uint64(len(cand))
-		tornFlags := make([]bool, len(cand))
-		issuewin.RunWith(e.cfg.MLP.workers(), len(cand),
-			func() *bmt.LeafVerifier { return e.Tree.NewLeafVerifier() },
-			func(v *bmt.LeafVerifier, j int) {
-				var raw [ctr.BlockBytes]byte
-				e.Phys.ReadLine(e.ctrAddr(cand[j]), &raw)
-				tornFlags[j] = v.Verify(cand[j], raw[:]) != nil
-			})
-		for j, bad := range tornFlags {
+	}
+	rep.BlocksScanned = uint64(len(live))
+	torn := make(map[uint64]bool)
+	switch {
+	case !secure:
+	case !strat.LeafDigestsDurable():
+		// Rebuild mode: ResetLeaf mutates the tree, so it stays serial.
+		for _, pfn := range live {
+			var raw [ctr.BlockBytes]byte
+			e.Phys.ReadLine(e.ctrAddr(pfn), &raw)
+			e.Tree.ResetLeaf(pfn, raw[:])
+			rep.LeavesRebuilt++
+		}
+	case hashing:
+		// The per-block digest checks are independent and read-only, so
+		// they run on the issue-window pool; the merge walks them in pfn
+		// order, so the report is byte-identical at any pool size.
+		scan := &leafScan{lineBatch: lineBatch{e}, pfns: live, torn: make([]bool, len(live))}
+		issuewin.RunWith(e.pool, len(live), scan)
+		for j, bad := range scan.torn {
 			if !bad {
 				continue
 			}
-			pfn := cand[j]
+			pfn := live[j]
 			rep.TornBlocks++
 			torn[pfn] = true
 			if uint64(len(rep.TornPages)) < reportListCap {
 				rep.TornPages = append(rep.TornPages, pfn)
-			}
-		}
-	} else {
-		for pfn := uint64(0); pfn < pages; pfn++ {
-			if !e.initialised.Test(pfn) {
-				continue
-			}
-			rep.BlocksScanned++
-			if !secure {
-				continue
-			}
-			if !leafDurable {
-				var raw [ctr.BlockBytes]byte
-				e.Phys.ReadLine(e.ctrAddr(pfn), &raw)
-				e.Tree.ResetLeaf(pfn, raw[:])
-				rep.LeavesRebuilt++
-				continue
-			}
-			if !hashing {
-				continue
-			}
-			var raw [ctr.BlockBytes]byte
-			e.Phys.ReadLine(e.ctrAddr(pfn), &raw)
-			if err := e.Tree.VerifyLeaf(pfn, raw[:]); err != nil {
-				rep.TornBlocks++
-				torn[pfn] = true
-				if uint64(len(rep.TornPages)) < reportListCap {
-					rep.TornPages = append(rep.TornPages, pfn)
-				}
 			}
 		}
 	}
@@ -277,92 +304,24 @@ func (e *Engine) Recover() (*RecoveryReport, error) {
 
 	// Pass 4: MAC scrub of written lines on pages whose counter block
 	// survived intact (a torn block already invalidates the whole page).
+	// The per-page scrub is read-only, so pages run on the issue-window
+	// pool; the merge walks them in pfn order, so counts and the LostLines
+	// prefix do not depend on the pool size.
 	if secure {
-		if e.mlpOn() {
-			// MLP: the per-page scrub is read-only (peekBlock is
-			// side-effect-free, MACVerifier owns its HMAC state), so pages
-			// fan out over the pool; the merge walks pages in pfn order, so
-			// counts and the LostLines prefix match the serial scrub exactly.
-			cand := make([]uint64, 0, pages)
-			for pfn := uint64(0); pfn < pages; pfn++ {
-				if e.initialised.Test(pfn) && !torn[pfn] {
-					cand = append(cand, pfn)
-				}
+		intact := live[:0]
+		for _, pfn := range live {
+			if !torn[pfn] {
+				intact = append(intact, pfn)
 			}
-			type pageScrub struct {
-				scrubbed   uint64
-				mismatches uint64
-				lost       []uint64
-			}
-			out := make([]pageScrub, len(cand))
-			issuewin.RunWith(e.cfg.MLP.workers(), len(cand),
-				func() *bmt.MACVerifier {
-					if hashing {
-						return e.MACs.NewVerifier()
-					}
-					return nil
-				},
-				func(v *bmt.MACVerifier, j int) {
-					pfn := cand[j]
-					blk, ok := e.peekBlock(pfn)
-					if !ok {
-						return
-					}
-					o := &out[j]
-					for i := 0; i < mem.LinesPerPage; i++ {
-						la := mem.LineAddr(pfn, i)
-						lineNo := mem.LineNo(la)
-						if blk.Minor[i] == 0 || !e.written.Test(lineNo) {
-							continue
-						}
-						o.scrubbed++
-						if !hashing {
-							continue
-						}
-						var ciph [mem.LineBytes]byte
-						e.Phys.ReadLine(la, &ciph)
-						if v.Verify(lineNo, ciph[:], blk.Major, blk.Minor[i]) != nil {
-							o.mismatches++
-							o.lost = append(o.lost, la)
-						}
-					}
-				})
-			for j := range out {
-				rep.LinesScrubbed += out[j].scrubbed
-				rep.MACMismatches += out[j].mismatches
-				for _, la := range out[j].lost {
-					if uint64(len(rep.LostLines)) < reportListCap {
-						rep.LostLines = append(rep.LostLines, la)
-					}
-				}
-			}
-		} else {
-			for pfn := uint64(0); pfn < pages; pfn++ {
-				if !e.initialised.Test(pfn) || torn[pfn] {
-					continue
-				}
-				blk, ok := e.peekBlock(pfn)
-				if !ok {
-					continue
-				}
-				for i := 0; i < mem.LinesPerPage; i++ {
-					la := mem.LineAddr(pfn, i)
-					lineNo := mem.LineNo(la)
-					if blk.Minor[i] == 0 || !e.written.Test(lineNo) {
-						continue
-					}
-					rep.LinesScrubbed++
-					if !hashing {
-						continue
-					}
-					var ciph [mem.LineBytes]byte
-					e.Phys.ReadLine(la, &ciph)
-					if err := e.MACs.Verify(lineNo, ciph[:], blk.Major, blk.Minor[i]); err != nil {
-						rep.MACMismatches++
-						if uint64(len(rep.LostLines)) < reportListCap {
-							rep.LostLines = append(rep.LostLines, la)
-						}
-					}
+		}
+		scrub := &macScrub{lineBatch: lineBatch{e}, pfns: intact, hashing: hashing, out: make([]pageScrub, len(intact))}
+		issuewin.RunWith(e.pool, len(intact), scrub)
+		for j := range scrub.out {
+			rep.LinesScrubbed += scrub.out[j].scrubbed
+			rep.MACMismatches += uint64(len(scrub.out[j].lost))
+			for _, la := range scrub.out[j].lost {
+				if uint64(len(rep.LostLines)) < reportListCap {
+					rep.LostLines = append(rep.LostLines, la)
 				}
 			}
 		}

@@ -30,7 +30,7 @@ const padBlocks = LineBytes / aes.BlockSize
 
 // tweakSlots sizes the direct-mapped tweak cache (a power of two, indexed
 // by the line number's low bits). 256 entries cover the simulator's working
-// sets well while costing ~10 KB per engine.
+// sets well while costing ~10 KB per worker.
 const tweakSlots = 256
 
 // tweakEntry caches the first-stage AES output for one (lineNo, major)
@@ -43,16 +43,13 @@ type tweakEntry struct {
 	tweak  [aes.BlockSize]byte
 }
 
-// Engine generates one-time pads and applies them to cachelines.
-// Not safe for concurrent use: the tweak cache and the scratch blocks are
-// single-threaded state (each simulated machine owns its engine).
-type Engine struct {
+// Worker generates one-time pads and applies them to cachelines. It owns
+// its tweak cache and scratch blocks and shares only the AES key schedule
+// (cipher.Block's Encrypt is safe for concurrent use), so a goroutine pool
+// can give each worker its own and crypt independent lines concurrently.
+// A Worker counts nothing: pad accounting belongs to the Engine.
+type Worker struct {
 	block cipher.Block
-	// Pads counts pad generations (one per line encryption/decryption),
-	// used by the timing model (24-cycle AES latency, overlapped with the
-	// data fetch). It counts logical pad generations: a tweak-cache hit
-	// still increments it, the timing model is unchanged.
-	Pads uint64
 
 	// tweaks caches the (lineNo ‖ major) AES stage: repeated pads on the
 	// same line (read-modify-write traffic, minor-counter advances,
@@ -65,6 +62,61 @@ type Engine struct {
 	pad [LineBytes]byte
 }
 
+// Pad computes the 64-byte one-time pad for the line identified by its
+// physical line number (byte address >> 6) and its encryption counter.
+func (w *Worker) Pad(lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
+	slot := &w.tweaks[lineNo%tweakSlots]
+	if !slot.valid || slot.lineNo != lineNo || slot.major != major {
+		w.in = [aes.BlockSize]byte{}
+		binary.LittleEndian.PutUint64(w.in[0:8], lineNo)
+		binary.LittleEndian.PutUint64(w.in[8:16], major)
+		w.block.Encrypt(slot.tweak[:], w.in[:])
+		slot.lineNo, slot.major, slot.valid = lineNo, major, true
+	}
+	for i := 0; i < padBlocks; i++ {
+		w.in = slot.tweak
+		w.in[0] ^= minor
+		w.in[1] ^= byte(i)
+		w.block.Encrypt(w.pad[i*aes.BlockSize:(i+1)*aes.BlockSize], w.in[:])
+	}
+	return w.pad
+}
+
+// Crypt XORs src with the pad for (lineNo, major, minor) into dst.
+// Counter-mode encryption and decryption are the same operation.
+func (w *Worker) Crypt(dst, src *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) {
+	pad := w.Pad(lineNo, major, minor)
+	for i := range dst {
+		dst[i] = src[i] ^ pad[i]
+	}
+}
+
+// Encrypt is Crypt with naming that reads well at write sites.
+func (w *Worker) Encrypt(plain *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
+	var out [LineBytes]byte
+	w.Crypt(&out, plain, lineNo, major, minor)
+	return out
+}
+
+// Decrypt is Crypt with naming that reads well at read sites.
+func (w *Worker) Decrypt(ciph *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
+	var out [LineBytes]byte
+	w.Crypt(&out, ciph, lineNo, major, minor)
+	return out
+}
+
+// Engine is the controller's encryption engine: its own Worker plus the
+// pad count. Not safe for concurrent use (each simulated machine owns its
+// engine); pool workers derive private Workers with NewWorker.
+type Engine struct {
+	Worker
+	// Pads counts pad generations (one per line encryption/decryption),
+	// used by the timing model (24-cycle AES latency, overlapped with the
+	// data fetch). It counts logical pad generations: a tweak-cache hit
+	// still increments it, the timing model is unchanged.
+	Pads uint64
+}
+
 // New creates an engine keyed with the given 16-byte AES-128 key.
 func New(key []byte) (*Engine, error) {
 	if len(key) != 16 {
@@ -74,56 +126,38 @@ func New(key []byte) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{block: b}, nil
+	return &Engine{Worker: Worker{block: b}}, nil
 }
 
-// Pad computes the 64-byte one-time pad for the line identified by its
-// physical line number (byte address >> 6) and its encryption counter.
+// NewWorker derives an independent pad generator from the engine.
+func (e *Engine) NewWorker() *Worker { return &Worker{block: e.block} }
+
+// NotePads records n logical pad generations without computing them: the
+// accounting for pads a batch's workers generated, and, under timing-only
+// fidelity (core.FidelityTiming), for every pad the full data plane would
+// have generated, so the Pads counter is identical across fidelities.
+func (e *Engine) NotePads(n uint64) { e.Pads += n }
+
+// Pad is Worker.Pad, counted.
 func (e *Engine) Pad(lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
 	e.Pads++
-	slot := &e.tweaks[lineNo%tweakSlots]
-	if !slot.valid || slot.lineNo != lineNo || slot.major != major {
-		e.in = [aes.BlockSize]byte{}
-		binary.LittleEndian.PutUint64(e.in[0:8], lineNo)
-		binary.LittleEndian.PutUint64(e.in[8:16], major)
-		e.block.Encrypt(slot.tweak[:], e.in[:])
-		slot.lineNo, slot.major, slot.valid = lineNo, major, true
-	}
-
-	for i := 0; i < padBlocks; i++ {
-		e.in = slot.tweak
-		e.in[0] ^= minor
-		e.in[1] ^= byte(i)
-		e.block.Encrypt(e.pad[i*aes.BlockSize:(i+1)*aes.BlockSize], e.in[:])
-	}
-	return e.pad
+	return e.Worker.Pad(lineNo, major, minor)
 }
 
-// NotePad records a logical pad generation without computing it. The
-// timing-only fidelity (core.FidelityTiming) calls it at every site where
-// the full data plane would generate a pad, so the Pads counter — and any
-// model built on it — is identical across fidelities.
-func (e *Engine) NotePad() { e.Pads++ }
-
-// Crypt XORs src with the pad for (lineNo, major, minor) into dst.
-// Counter-mode encryption and decryption are the same operation.
+// Crypt is Worker.Crypt, counted.
 func (e *Engine) Crypt(dst, src *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) {
-	pad := e.Pad(lineNo, major, minor)
-	for i := range dst {
-		dst[i] = src[i] ^ pad[i]
-	}
+	e.Pads++
+	e.Worker.Crypt(dst, src, lineNo, major, minor)
 }
 
-// Encrypt is Crypt with naming that reads well at write sites.
+// Encrypt is Worker.Encrypt, counted.
 func (e *Engine) Encrypt(plain *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
-	var out [LineBytes]byte
-	e.Crypt(&out, plain, lineNo, major, minor)
-	return out
+	e.Pads++
+	return e.Worker.Encrypt(plain, lineNo, major, minor)
 }
 
-// Decrypt is Crypt with naming that reads well at read sites.
+// Decrypt is Worker.Decrypt, counted.
 func (e *Engine) Decrypt(ciph *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
-	var out [LineBytes]byte
-	e.Crypt(&out, ciph, lineNo, major, minor)
-	return out
+	e.Pads++
+	return e.Worker.Decrypt(ciph, lineNo, major, minor)
 }

@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"lelantus/internal/core"
@@ -153,92 +154,60 @@ func comparedSchemes() []core.Scheme {
 	return []core.Scheme{core.SilentShredder, core.Lelantus, core.LelantusCoW}
 }
 
+// experiment is one registry entry: its id, any aliases it also answers
+// to, and its generator.
+type experiment struct {
+	id      string
+	aliases []string
+	gen     func(Options) (*Report, error)
+}
+
+// registry lists every experiment in paper order. All, ByID, Lookup and IDs
+// all read it.
+var registry = []experiment{
+	{"fig2", nil, Fig2},
+	{"tableI", nil, TableI},
+	{"tableIII", nil, TableIII},
+	{"tableIV", nil, TableIV},
+	{"fig9-4KB", []string{"fig9"}, func(o Options) (*Report, error) { return Fig9(o, false) }},
+	{"fig9-2MB", nil, func(o Options) (*Report, error) { return Fig9(o, true) }},
+	{"fig10", nil, Fig10},
+	{"tableV", nil, TableV},
+	{"fig11-4KB", []string{"fig11"}, func(o Options) (*Report, error) { return Fig11(o, false) }},
+	{"fig11-2MB", nil, func(o Options) (*Report, error) { return Fig11(o, true) }},
+	{"fig12", nil, Fig12},
+	{"ablation-nonsecure", nil, AblationNonSecure},
+	{"ablation-cowcache", nil, AblationCoWCache},
+	{"ablation-ctrcache", nil, AblationCtrCache},
+	{"ablation-wear", nil, AblationWear},
+	{"ablation-tlb", nil, AblationTLB},
+	{"usecases", nil, UseCases},
+	{"ablation-writequeue", nil, AblationWriteQueue},
+	{"persist-matrix", nil, PersistMatrix},
+	{"mlp-matrix", nil, MLPMatrix},
+	{"prefetch-matrix", nil, PrefetchMatrix},
+}
+
 // All regenerates every table and figure in paper order.
 func All(o Options) ([]*Report, error) {
 	var reports []*Report
-	type gen struct {
-		name string
-		f    func(Options) (*Report, error)
-	}
-	gens := []gen{
-		{"fig2", Fig2},
-		{"tableI", TableI},
-		{"tableIII", TableIII},
-		{"tableIV", TableIV},
-		{"fig9-4KB", func(o Options) (*Report, error) { return Fig9(o, false) }},
-		{"fig9-2MB", func(o Options) (*Report, error) { return Fig9(o, true) }},
-		{"fig10", Fig10},
-		{"tableV", TableV},
-		{"fig11-4KB", func(o Options) (*Report, error) { return Fig11(o, false) }},
-		{"fig11-2MB", func(o Options) (*Report, error) { return Fig11(o, true) }},
-		{"fig12", Fig12},
-		{"ablation-nonsecure", AblationNonSecure},
-		{"ablation-cowcache", AblationCoWCache},
-		{"ablation-ctrcache", AblationCtrCache},
-		{"ablation-wear", AblationWear},
-		{"ablation-tlb", AblationTLB},
-		{"usecases", UseCases},
-		{"ablation-writequeue", AblationWriteQueue},
-		{"persist-matrix", PersistMatrix},
-		{"mlp-matrix", MLPMatrix},
-		{"prefetch-matrix", PrefetchMatrix},
-	}
-	for _, g := range gens {
-		r, err := g.f(o)
+	for _, x := range registry {
+		r, err := x.gen(o)
 		if err != nil {
-			return reports, fmt.Errorf("experiments: %s: %w", g.name, err)
+			return reports, fmt.Errorf("experiments: %s: %w", x.id, err)
 		}
 		reports = append(reports, r)
 	}
 	return reports, nil
 }
 
-// generatorByID resolves an experiment identifier (including the fig9 /
-// fig11 aliases) to its generator.
-func generatorByID(id string) (func(Options) (*Report, error), error) {
-	switch id {
-	case "fig2":
-		return Fig2, nil
-	case "tableI":
-		return TableI, nil
-	case "tableIII":
-		return TableIII, nil
-	case "tableIV":
-		return TableIV, nil
-	case "fig9", "fig9-4KB":
-		return func(o Options) (*Report, error) { return Fig9(o, false) }, nil
-	case "fig9-2MB":
-		return func(o Options) (*Report, error) { return Fig9(o, true) }, nil
-	case "fig10":
-		return Fig10, nil
-	case "tableV":
-		return TableV, nil
-	case "fig11", "fig11-4KB":
-		return func(o Options) (*Report, error) { return Fig11(o, false) }, nil
-	case "fig11-2MB":
-		return func(o Options) (*Report, error) { return Fig11(o, true) }, nil
-	case "fig12":
-		return Fig12, nil
-	case "ablation-nonsecure":
-		return AblationNonSecure, nil
-	case "ablation-cowcache":
-		return AblationCoWCache, nil
-	case "ablation-ctrcache":
-		return AblationCtrCache, nil
-	case "ablation-wear":
-		return AblationWear, nil
-	case "ablation-tlb":
-		return AblationTLB, nil
-	case "usecases":
-		return UseCases, nil
-	case "ablation-writequeue":
-		return AblationWriteQueue, nil
-	case "persist-matrix":
-		return PersistMatrix, nil
-	case "mlp-matrix":
-		return MLPMatrix, nil
-	case "prefetch-matrix":
-		return PrefetchMatrix, nil
+// find resolves an experiment identifier or alias to its registry entry.
+func find(id string) (*experiment, error) {
+	for i := range registry {
+		x := &registry[i]
+		if x.id == id || slices.Contains(x.aliases, id) {
+			return x, nil
+		}
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q (see -list)", id)
 }
@@ -246,7 +215,7 @@ func generatorByID(id string) (func(Options) (*Report, error), error) {
 // Lookup validates an experiment identifier without running it, so a CLI
 // can reject a typo before any simulation starts. It returns the id.
 func Lookup(id string) (string, error) {
-	if _, err := generatorByID(id); err != nil {
+	if _, err := find(id); err != nil {
 		return "", err
 	}
 	return id, nil
@@ -254,20 +223,20 @@ func Lookup(id string) (string, error) {
 
 // ByID regenerates a single experiment.
 func ByID(o Options, id string) (*Report, error) {
-	gen, err := generatorByID(id)
+	x, err := find(id)
 	if err != nil {
 		return nil, err
 	}
-	return gen(o)
+	return x.gen(o)
 }
 
 // IDs lists the experiment identifiers in paper order.
 func IDs() []string {
-	return []string{"fig2", "tableI", "tableIII", "tableIV", "fig9-4KB",
-		"fig9-2MB", "fig10", "tableV", "fig11-4KB", "fig11-2MB", "fig12",
-		"ablation-nonsecure", "ablation-cowcache", "ablation-ctrcache",
-		"ablation-wear", "ablation-tlb", "usecases", "ablation-writequeue",
-		"persist-matrix", "mlp-matrix", "prefetch-matrix"}
+	ids := make([]string, len(registry))
+	for i, x := range registry {
+		ids[i] = x.id
+	}
+	return ids
 }
 
 var _ = ctrcache.WriteBack // referenced by fig12.go

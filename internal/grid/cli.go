@@ -133,24 +133,22 @@ func splitCSV(s string) []string {
 	return out
 }
 
-func parseInt64CSV(s string) ([]int64, error) {
-	var out []int64
+// parseIntCSV parses a comma-separated list of decimal integers.
+func parseIntCSV[T int64 | uint64](s string) ([]T, error) {
+	var out []T
 	for _, p := range splitCSV(s) {
-		v, err := strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q in list %q", p, s)
+		var v T
+		var err error
+		kind := "integer"
+		switch v := any(&v).(type) {
+		case *int64:
+			*v, err = strconv.ParseInt(p, 10, 64)
+		case *uint64:
+			*v, err = strconv.ParseUint(p, 10, 64)
+			kind = "unsigned integer"
 		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseUint64CSV(s string) ([]uint64, error) {
-	var out []uint64
-	for _, p := range splitCSV(s) {
-		v, err := strconv.ParseUint(p, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad unsigned integer %q in list %q", p, s)
+			return nil, fmt.Errorf("bad %s %q in list %q", kind, p, s)
 		}
 		out = append(out, v)
 	}
@@ -225,7 +223,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		case "page":
 			spec.Huge, err = parsePageModes(*page)
 		case "seeds":
-			spec.Seeds, err = parseInt64CSV(*seeds)
+			spec.Seeds, err = parseIntCSV[int64](*seeds)
 		case "persist":
 			spec.Persist = splitCSV(*persist)
 		case "mlp":
@@ -237,9 +235,9 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		case "fidelity":
 			spec.Fidelity = *fidelity
 		case "faultseeds":
-			spec.FaultSeeds, err = parseInt64CSV(*faultSeeds)
+			spec.FaultSeeds, err = parseIntCSV[int64](*faultSeeds)
 		case "crashpoints":
-			spec.CrashPoints, err = parseUint64CSV(*crashPoints)
+			spec.CrashPoints, err = parseIntCSV[uint64](*crashPoints)
 		case "mem":
 			spec.MemMB = *memMB
 		case "quick":

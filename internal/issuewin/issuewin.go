@@ -1,29 +1,32 @@
 // Package issuewin provides the deterministic work-partitioning pool behind
-// the engine's bank-parallel batch paths (page_phyc, the re-encryption
-// sweep, the recovery scrub passes). A batch of n independent per-index
-// jobs is split into contiguous chunks, one per worker goroutine; each job
-// writes only to its own index's output slot, and the caller merges the
-// slots in index order after Run returns. Because job outputs are pure
-// functions of their index (workers carry private scratch state, never
-// shared mutable state), the merged result is byte-identical at any worker
-// count — the pool-size determinism contract the MLP tests pin.
+// the engine's page engines and recovery scrub passes. A batch of n
+// independent per-index jobs is split into contiguous chunks, one per
+// worker goroutine; each job writes only to its own index's output slot,
+// and the caller merges the slots in index order after RunWith returns.
+// Because job outputs are pure functions of their index (workers carry
+// private scratch state, never shared mutable state), the merged result is
+// byte-identical at any worker count — the pool-size determinism contract
+// the MLP tests pin.
 package issuewin
 
 import "sync"
 
-// Run executes fn(i) for every i in [0, n), fanned out over `workers`
-// goroutines in contiguous index chunks. workers <= 1 (or a batch too small
-// to split) runs inline. fn must only write to per-index state.
-func Run(workers, n int, fn func(i int)) {
-	RunWith(workers, n, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) { fn(i) })
+// Batch is a set of independent per-index jobs with per-worker state.
+type Batch[S any] interface {
+	// State returns worker w's private state. It is called once per
+	// participating worker; a batch that runs inline has only worker 0.
+	State(w int) S
+	// Do runs job i with the calling worker's state. It must only write
+	// to per-index output.
+	Do(s S, i int)
 }
 
-// RunWith is Run with per-worker private state: newState is called once per
-// participating worker (including the inline path) and the state is handed
-// to every fn call that worker executes. Jobs needing non-reentrant scratch
-// — HMAC states, AES pad buffers — get one instance each without sharing.
-func RunWith[S any](workers, n int, newState func() S, fn func(s S, i int)) {
+// RunWith executes b.Do for every i in [0, n), fanned out over `workers`
+// goroutines in contiguous index chunks. workers <= 1 (or a batch too small
+// to split) runs inline on the caller's goroutine as worker 0. The batch is
+// an interface rather than a closure so that a caller whose batch state
+// already lives on the heap allocates nothing on the inline path.
+func RunWith[S any](workers, n int, b Batch[S]) {
 	if n <= 0 {
 		return
 	}
@@ -31,9 +34,9 @@ func RunWith[S any](workers, n int, newState func() S, fn func(s S, i int)) {
 		workers = n
 	}
 	if workers <= 1 {
-		s := newState()
+		s := b.State(0)
 		for i := 0; i < n; i++ {
-			fn(s, i)
+			b.Do(s, i)
 		}
 		return
 	}
@@ -41,13 +44,13 @@ func RunWith[S any](workers, n int, newState func() S, fn func(s S, i int)) {
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		lo, hi := w*n/workers, (w+1)*n/workers
-		go func(lo, hi int) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
-			s := newState()
+			s := b.State(w)
 			for i := lo; i < hi; i++ {
-				fn(s, i)
+				b.Do(s, i)
 			}
-		}(lo, hi)
+		}(w, lo, hi)
 	}
 	wg.Wait()
 }

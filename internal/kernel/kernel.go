@@ -315,6 +315,14 @@ func (k *Kernel) translate(pid Pid, va uint64) (*Process, *VMA, *PTE, error) {
 	return p, vma, pte, nil
 }
 
+// pageTable returns the page table holding vma's mappings, keyed by vpnOf.
+func (p *Process) pageTable(vma *VMA) map[uint64]*PTE {
+	if vma.Huge {
+		return p.PTH
+	}
+	return p.PT
+}
+
 // vpnOf returns the TLB key page number for an access.
 func vpnOf(vma *VMA, va uint64) uint64 {
 	if vma.Huge {

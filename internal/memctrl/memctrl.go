@@ -345,52 +345,34 @@ func (c *Controller) PageInit(now, dst uint64) (uint64, error) {
 // for schemes whose commands do not cover copies): all 64 lines of the
 // source are read and written to the destination. Regular pages copy
 // through the cache (polluting it); huge-page constituents use
-// non-temporal stores.
+// non-temporal stores. Each line's store chains on its own load. Under MLP
+// the lines are program-ordered but mutually independent, so every load
+// issues at now and the bank queues and MSHRs spread them out; the serial
+// engine issues each load at the previous line's completion. Completion is
+// the max over lines.
 func (c *Controller) CopyPageFull(now, src, dst uint64, nonTemporal bool) (uint64, error) {
 	prev := c.SetContext(CtxCopy)
 	defer c.SetContext(prev)
-	done := now
-	if c.Engine.MLPEnabled() {
-		// MLP: the 64 per-line copies are program-ordered but mutually
-		// independent, so each line's load issues at the window start and
-		// its store chains only on its own load; completion is the max over
-		// lines (bank queues and MSHRs spread them out). The serial engine
-		// below instead threads one line's store into the next line's load.
-		for i := 0; i < mem.LinesPerPage; i++ {
-			plain, t, err := c.Load(now, mem.LineAddr(src, i))
-			if err != nil {
-				return t, err
-			}
-			da := mem.LineAddr(dst, i)
-			var wt uint64
-			if nonTemporal {
-				wt, err = c.StoreNT(t, da, &plain)
-			} else {
-				wt, err = c.Store(t, da, plain[:])
-			}
-			if err != nil {
-				return wt, err
-			}
-			if wt > done {
-				done = wt
-			}
-		}
-		return done, nil
-	}
+	mlp := c.Engine.MLPEnabled()
+	issue, done := now, now
 	for i := 0; i < mem.LinesPerPage; i++ {
-		plain, t, err := c.Load(done, mem.LineAddr(src, i))
+		plain, t, err := c.Load(issue, mem.LineAddr(src, i))
 		if err != nil {
 			return t, err
 		}
-		done = t
 		da := mem.LineAddr(dst, i)
+		var wt uint64
 		if nonTemporal {
-			done, err = c.StoreNT(done, da, &plain)
+			wt, err = c.StoreNT(t, da, &plain)
 		} else {
-			done, err = c.Store(done, da, plain[:])
+			wt, err = c.Store(t, da, plain[:])
 		}
 		if err != nil {
-			return done, err
+			return wt, err
+		}
+		done = max(done, wt)
+		if !mlp {
+			issue = wt
 		}
 	}
 	return done, nil
@@ -398,42 +380,30 @@ func (c *Controller) CopyPageFull(now, src, dst uint64, nonTemporal bool) (uint6
 
 // ZeroPageFull is the conventional zero-fill of a page (Baseline demand
 // zero). Under Silent Shredder the engine turns each all-zero line write
-// into a counter reset, which is exactly that design's saving.
+// into a counter reset, which is exactly that design's saving. Line issue
+// times follow CopyPageFull: all at now under MLP, each at the previous
+// line's completion otherwise.
 func (c *Controller) ZeroPageFull(now, dst uint64, nonTemporal bool) (uint64, error) {
 	prev := c.SetContext(CtxInit)
 	defer c.SetContext(prev)
+	mlp := c.Engine.MLPEnabled()
 	var zero [mem.LineBytes]byte
-	done := now
-	var err error
-	if c.Engine.MLPEnabled() {
-		// MLP: independent zero-fills all issue at the window start and
-		// max-merge, like CopyPageFull above.
-		for i := 0; i < mem.LinesPerPage; i++ {
-			da := mem.LineAddr(dst, i)
-			var wt uint64
-			if nonTemporal {
-				wt, err = c.StoreNT(now, da, &zero)
-			} else {
-				wt, err = c.Store(now, da, zero[:])
-			}
-			if err != nil {
-				return wt, err
-			}
-			if wt > done {
-				done = wt
-			}
-		}
-		return done, nil
-	}
+	issue, done := now, now
 	for i := 0; i < mem.LinesPerPage; i++ {
 		da := mem.LineAddr(dst, i)
+		var wt uint64
+		var err error
 		if nonTemporal {
-			done, err = c.StoreNT(done, da, &zero)
+			wt, err = c.StoreNT(issue, da, &zero)
 		} else {
-			done, err = c.Store(done, da, zero[:])
+			wt, err = c.Store(issue, da, zero[:])
 		}
 		if err != nil {
-			return done, err
+			return wt, err
+		}
+		done = max(done, wt)
+		if !mlp {
+			issue = wt
 		}
 	}
 	return done, nil

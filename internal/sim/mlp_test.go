@@ -41,9 +41,9 @@ func overflowScript() workload.Script {
 
 // TestMLPOffKnobInert pins the -mlp=off contract: a disabled MLPConfig with
 // non-zero MSHR and worker counts changes nothing — every Result field is
-// identical to the zero-config machine. Combined with the construction that
-// every mlp=off branch is the pre-PR code verbatim, this is the byte-identity
-// guarantee for disabled MLP.
+// identical to the zero-config machine. The page engines and scrub passes
+// run one path at either setting, so what pins mlp=off output to its
+// historical bytes is TestGoldenResults' literal digests.
 func TestMLPOffKnobInert(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		script := randomScript(seed)
