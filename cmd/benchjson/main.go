@@ -21,6 +21,11 @@
 // names matching the pattern enter the comparison (table, warnings and
 // geomean alike) — e.g. `-filter ChainHeavy` restricts the table to the
 // redirect-chain-heavy cells the metadata prefetcher targets.
+//
+// The document also keeps the environment header `go test -bench` prints
+// (goos, goarch, pkg, cpu) plus the GOMAXPROCS the name suffix shows, as
+// env. -compare warns, in one line, when the two files' environments
+// differ: host ns/op from different machines do not compare.
 package main
 
 import (
@@ -46,13 +51,25 @@ type Result struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Document is the emitted file.
+// Env is the environment a document was measured in. GOMAXPROCS comes
+// from the benchmark names' -N suffix, which go test omits at 1.
+type Env struct {
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	Pkg        string `json:"pkg,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+// Document is the emitted file. Env is nil in documents written before it
+// existed.
 type Document struct {
 	Note       string            `json:"note"`
+	Env        *Env              `json:"env,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
-var procSuffix = regexp.MustCompile(`-\d+$`)
+var procSuffix = regexp.MustCompile(`-(\d+)$`)
 
 func main() {
 	compare := flag.Bool("compare", false, "compare two benchmark JSON files (args: old.json new.json) instead of reading bench output from stdin")
@@ -78,15 +95,42 @@ func main() {
 		}
 		return
 	}
+	doc, err := parseBench(os.Stdin, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	// json.Marshal sorts map keys, so the output is diff-stable; indent for
+	// reviewable commits.
+	out, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: captured %d benchmarks\n", len(doc.Benchmarks))
+	os.Stdout.Write(append(out, '\n'))
+}
+
+// parseBench reads `go test -bench` output, echoing every line to echo so
+// the raw output stays visible, and returns the document it describes.
+func parseBench(r io.Reader, echo io.Writer) (Document, error) {
 	doc := Document{
 		Note:       "generated by `make bench-json`; compare against BENCH_seed.json",
+		Env:        &Env{GOMAXPROCS: 1},
 		Benchmarks: map[string]Result{},
 	}
-	sc := bufio.NewScanner(os.Stdin)
+	header := map[string]*string{"goos": &doc.Env.GOOS, "goarch": &doc.Env.GOARCH, "pkg": &doc.Env.Pkg, "cpu": &doc.Env.CPU}
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Fprintln(os.Stderr, line) // keep the raw output visible
+		fmt.Fprintln(echo, line)
+		if key, value, ok := strings.Cut(line, ": "); ok && header[key] != nil {
+			if *header[key] == "" {
+				*header[key] = value
+			}
+			continue
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -99,7 +143,11 @@ func main() {
 		if err != nil {
 			continue
 		}
-		name := procSuffix.ReplaceAllString(strings.TrimPrefix(fields[0], "Benchmark"), "")
+		name := strings.TrimPrefix(fields[0], "Benchmark")
+		if m := procSuffix.FindStringSubmatch(name); m != nil {
+			doc.Env.GOMAXPROCS, _ = strconv.Atoi(m[1])
+			name = strings.TrimSuffix(name, m[0])
+		}
 		r := Result{Iterations: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -125,27 +173,20 @@ func main() {
 		doc.Benchmarks[name] = r
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return doc, err
 	}
 	if len(doc.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
+		return doc, fmt.Errorf("no benchmark lines on stdin")
 	}
-	// json.Marshal sorts map keys, so the output is diff-stable; indent for
-	// reviewable commits.
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+	return doc, nil
+}
+
+// String renders an environment for the -compare warning.
+func (e *Env) String() string {
+	if e == nil {
+		return "unrecorded"
 	}
-	names := make([]string, 0, len(doc.Benchmarks))
-	for n := range doc.Benchmarks {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(os.Stderr, "benchjson: captured %d benchmarks\n", len(names))
-	os.Stdout.Write(append(out, '\n'))
+	return fmt.Sprintf("%s/%s %s, cpu %q, GOMAXPROCS %d", e.GOOS, e.GOARCH, e.Pkg, e.CPU, e.GOMAXPROCS)
 }
 
 // loadDoc reads one committed benchmark document.
@@ -200,6 +241,10 @@ func compareDocs(stdout, stderr io.Writer, oldPath, newPath, metric, filter stri
 		if _, ok := newDoc.Benchmarks[n]; ok {
 			names = append(names, n)
 		}
+	}
+	if oldDoc.Env.String() != newDoc.Env.String() {
+		fmt.Fprintf(stderr, "benchjson: warning: environments differ (%s: %v; %s: %v); host ns/op do not compare\n",
+			oldPath, oldDoc.Env, newPath, newDoc.Env)
 	}
 	warnUnmatched(stderr, oldDoc, newDoc, oldPath, newPath)
 	if len(names) == 0 {

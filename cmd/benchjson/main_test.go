@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -125,5 +126,70 @@ func TestCompareErrors(t *testing.T) {
 	if err := compareDocs(&out, &errb, filepath.Join(t.TempDir(), "missing.json"),
 		newPath, "", ""); err == nil {
 		t.Fatal("missing old document: want an error")
+	}
+}
+
+// benchOutput is a `go test -bench` transcript: the environment header,
+// then result lines whose -4 suffix is GOMAXPROCS.
+const benchOutput = `goos: linux
+goarch: amd64
+pkg: lelantus
+cpu: Example CPU @ 2.00GHz
+BenchmarkReadLine/lelantus-4   	 1000	      1234 ns/op	  88.0 sim-ns	       0 B/op	       0 allocs/op
+BenchmarkFig9-4   	       1	 5000000 ns/op
+PASS
+ok  	lelantus	1.0s
+`
+
+func TestParseBenchEnv(t *testing.T) {
+	var echo bytes.Buffer
+	doc, err := parseBench(strings.NewReader(benchOutput), &echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Env{GOOS: "linux", GOARCH: "amd64", Pkg: "lelantus", CPU: "Example CPU @ 2.00GHz", GOMAXPROCS: 4}
+	if doc.Env == nil || *doc.Env != want {
+		t.Fatalf("env = %+v, want %+v", doc.Env, want)
+	}
+	r, ok := doc.Benchmarks["ReadLine/lelantus"]
+	if !ok || r.NsPerOp != 1234 || r.Metrics["sim-ns"] != 88 {
+		t.Fatalf("ReadLine/lelantus = %+v (found %v)", r, ok)
+	}
+	if _, ok := doc.Benchmarks["Fig9"]; !ok {
+		t.Fatalf("suffix not stripped: %v", doc.Benchmarks)
+	}
+	if echo.String() != benchOutput {
+		t.Fatal("raw output not echoed verbatim")
+	}
+	// go test prints no suffix at GOMAXPROCS 1.
+	doc, err = parseBench(strings.NewReader("BenchmarkX 1 2 ns/op\n"), io.Discard)
+	if err != nil || doc.Env.GOMAXPROCS != 1 {
+		t.Fatalf("unsuffixed run: env %+v, err %v", doc.Env, err)
+	}
+}
+
+func TestCompareWarnsOnEnvDiff(t *testing.T) {
+	bench := map[string]Result{"X": {Iterations: 1, NsPerOp: 10}}
+	a := &Env{GOOS: "linux", GOARCH: "amd64", CPU: "A", GOMAXPROCS: 2}
+	b := &Env{GOOS: "linux", GOARCH: "amd64", CPU: "B", GOMAXPROCS: 2}
+	for _, tc := range []struct {
+		name     string
+		old, new *Env
+		warns    int
+	}{
+		{"same", a, a, 0},
+		{"cpu differs", a, b, 1},
+		{"unrecorded", nil, a, 1},
+		{"both unrecorded", nil, nil, 0},
+	} {
+		oldPath := writeDoc(t, "old.json", Document{Env: tc.old, Benchmarks: bench})
+		newPath := writeDoc(t, "new.json", Document{Env: tc.new, Benchmarks: bench})
+		var out, errb bytes.Buffer
+		if err := compareDocs(&out, &errb, oldPath, newPath, "", ""); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Count(errb.String(), "environments differ"); got != tc.warns {
+			t.Errorf("%s: %d environment warnings, want %d:\n%s", tc.name, got, tc.warns, errb.String())
+		}
 	}
 }

@@ -344,7 +344,7 @@ type macPage struct {
 // state, like Tree).
 //
 // The embedded MACVerifier is the store's own MAC computer: Verify and Sum
-// are its methods, Update is Sum plus StoreSum.
+// are its methods; a write installs a line's Sum with StoreSum.
 type MACStore struct {
 	key   []byte // retained for NewVerifier's independent HMAC states
 	pages []*macPage
@@ -376,11 +376,6 @@ func (s *MACStore) page(lineNo uint64, create bool) *macPage {
 		s.pages[idx] = p
 	}
 	return p
-}
-
-// Update records the MAC for a freshly written line.
-func (s *MACStore) Update(lineNo uint64, ciph []byte, major uint64, minor uint8) {
-	s.StoreSum(lineNo, s.Sum(lineNo, ciph, major, minor))
 }
 
 // MACMismatch is the error a data line that fails its MAC check reads as.

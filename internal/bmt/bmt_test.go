@@ -133,7 +133,7 @@ func TestQuickUpdateVerify(t *testing.T) {
 func TestMACStore(t *testing.T) {
 	s := NewMACStore([]byte("mac-key"))
 	ciph := blockBytes(6)
-	s.Update(99, ciph, 4, 2)
+	s.StoreSum(99, s.Sum(99, ciph, 4, 2))
 	if err := s.Verify(99, ciph, 4, 2); err != nil {
 		t.Fatalf("verify: %v", err)
 	}

@@ -69,8 +69,8 @@ func (v *LeafVerifier) VerifyLeaf(idx uint64, raw []byte) error {
 // MACVerifier computes and checks per-line data MACs. The store embeds one;
 // NewVerifier derives independent ones with a private HMAC state, so pool
 // workers in the recovery MAC scrub and the batched page engines each own
-// one. Verify/Sum only read the store's pages; concurrent
-// Update/StoreSum/Drop calls are the caller's bug.
+// one. Verify/Sum only read the store's pages; concurrent StoreSum/Drop
+// calls are the caller's bug.
 type MACVerifier struct {
 	s      *MACStore
 	mac    hash.Hash
@@ -87,7 +87,7 @@ func (s *MACStore) NewVerifier() *MACVerifier {
 }
 
 // Sum returns the MAC binding (ciphertext, address, counter): the value
-// Update stores.
+// StoreSum installs.
 func (v *MACVerifier) Sum(lineNo uint64, ciph []byte, major uint64, minor uint8) Digest {
 	binary.LittleEndian.PutUint64(v.hdrBuf[0:8], lineNo)
 	binary.LittleEndian.PutUint64(v.hdrBuf[8:16], major)
@@ -117,9 +117,8 @@ func (v *MACVerifier) Verify(lineNo uint64, ciph []byte, major uint64, minor uin
 	return nil
 }
 
-// StoreSum installs a precomputed MAC (a MACVerifier.Sum produced by a
-// parallel worker) for a line: the serial-commit half of the batched
-// update path, equivalent to Update with the hash work already done.
+// StoreSum installs a line's MAC (a MACVerifier.Sum, possibly produced by a
+// parallel worker): the serial-commit half of every data-line write.
 func (s *MACStore) StoreSum(lineNo uint64, sum Digest) {
 	p := s.page(lineNo, true)
 	slot := lineNo % macPageLines

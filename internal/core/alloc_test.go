@@ -23,51 +23,54 @@ func allocAddrs() []uint64 {
 
 // TestHotPathAllocFree pins the tentpole property: once the working set is
 // warm (counter blocks cached, MAC entries materialised), ReadLine and
-// WriteLine run without a single heap allocation for every scheme.
+// WriteLine run without a single heap allocation for every scheme, at both
+// fidelities.
 func TestHotPathAllocFree(t *testing.T) {
 	for _, s := range Schemes() {
 		t.Run(s.String(), func(t *testing.T) {
-			e := testEngine(t, s, nil)
-			addrs := allocAddrs()
-			var plain [mem.LineBytes]byte
-			for i := range plain {
-				plain[i] = 0x5A
-			}
-			now := uint64(0)
-			for _, a := range addrs { // warm-up: materialise all metadata
-				d, err := e.WriteLine(now, a, &plain)
-				if err != nil {
-					t.Fatal(err)
+			for _, f := range []Fidelity{FidelityFull, FidelityTiming} {
+				e := testEngine(t, s, func(c *Config) { c.Fidelity = f })
+				addrs := allocAddrs()
+				var plain [mem.LineBytes]byte
+				for i := range plain {
+					plain[i] = 0x5A
 				}
-				now = d
-			}
+				now := uint64(0)
+				for _, a := range addrs { // warm-up: materialise all metadata
+					d, err := e.WriteLine(now, a, &plain)
+					if err != nil {
+						t.Fatal(err)
+					}
+					now = d
+				}
 
-			var k int
-			writes := testing.AllocsPerRun(200, func() {
-				a := addrs[k%len(addrs)]
-				k++
-				d, err := e.WriteLine(now, a, &plain)
-				if err != nil {
-					t.Fatal(err)
+				var k int
+				writes := testing.AllocsPerRun(200, func() {
+					a := addrs[k%len(addrs)]
+					k++
+					d, err := e.WriteLine(now, a, &plain)
+					if err != nil {
+						t.Fatal(err)
+					}
+					now = d
+				})
+				if writes != 0 {
+					t.Errorf("%v WriteLine: %.2f allocs/op, want 0", f, writes)
 				}
-				now = d
-			})
-			if writes != 0 {
-				t.Errorf("WriteLine: %.2f allocs/op, want 0", writes)
-			}
 
-			k = 0
-			reads := testing.AllocsPerRun(200, func() {
-				a := addrs[k%len(addrs)]
-				k++
-				_, d, err := e.ReadLine(now, a)
-				if err != nil {
-					t.Fatal(err)
+				k = 0
+				reads := testing.AllocsPerRun(200, func() {
+					a := addrs[k%len(addrs)]
+					k++
+					_, d, err := e.ReadLine(now, a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					now = d
+				})
+				if reads != 0 {
+					t.Errorf("%v ReadLine: %.2f allocs/op, want 0", f, reads)
 				}
-				now = d
-			})
-			if reads != 0 {
-				t.Errorf("ReadLine: %.2f allocs/op, want 0", reads)
 			}
 		})
 	}

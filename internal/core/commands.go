@@ -227,28 +227,13 @@ func (e *Engine) pagePhyc(now, src, dst uint64) (done uint64, copied int, err er
 			lineNo := mem.LineNo(la)
 			blk.Minor[i] = 1
 			e.written.Set(lineNo)
-			var wt uint64
-			var dec faultinject.Decision
-			switch {
-			case e.cfg.NonSecure:
-				dec = e.persistDataLine(la, &plain)
-				wt = e.Mem.Write(rt, la)
-			case e.cfg.Fidelity == FidelityTiming:
-				// Timing fidelity: plaintext at rest, pad and MAC elided, the
-				// secure path's AES latency charge kept.
-				e.Enc.NotePads(1)
-				dec = e.persistDataLine(la, &plain)
-				wt = e.Mem.Write(rt+e.cfg.AESLatencyNs, la)
-			default:
-				ciph := e.Enc.Encrypt(&plain, lineNo, blk.Major, blk.Minor[i])
-				dec = e.persistDataLine(la, &ciph)
-				e.MACs.Update(lineNo, ciph[:], blk.Major, blk.Minor[i])
-				wt = e.Mem.Write(rt+e.cfg.AESLatencyNs, la)
-			}
+			e.countPads(1)
+			img, sum := e.own.seal(lineNo, blk.Major, blk.Minor[i], &plain)
+			dec := e.persistDataLine(la, &plain, &img, &sum)
+			wt := e.Mem.Write(rt+e.padNs, la)
 			e.Stats.DataWrites++
 			e.Stats.PhycLines++
 			copied++
-			e.fiObserve(dec, la, &plain)
 			if dec.Action == faultinject.ActCrash {
 				return wt, copied, dec.Err
 			}

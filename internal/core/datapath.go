@@ -27,11 +27,18 @@ func maxU64(a, b uint64) uint64 {
 	return b
 }
 
-// persistDataLine commits a 64 B data image to NVM bytes through the fault
-// plane: a drop leaves the old bytes, a tear merges an 8 B-granular prefix,
-// a crash tears and then unwinds the command. Callers charge device time
-// and stats themselves — injected faults change bytes, never timing.
-func (e *Engine) persistDataLine(addr uint64, img *[mem.LineBytes]byte) faultinject.Decision {
+// persistDataLine commits a sealed 64 B data line: its MAC to the MAC store
+// and its image to NVM bytes through the fault plane. A drop leaves the old
+// bytes, a tear merges an 8 B-granular prefix, a crash tears and then
+// unwinds the command. The MAC store always receives the intended image's
+// MAC: like the BMT leaf digests, it describes what *should* be in NVM, so a
+// torn or lost data write is caught as a MAC mismatch on the next read. A
+// landed image enters the fault plane's shadow history as plain, the value a
+// later read should produce, so the crash-sweep oracle can tell
+// stale-but-valid content from corruption. Callers charge device time and
+// stats themselves — injected faults change bytes, never timing.
+func (e *Engine) persistDataLine(addr uint64, plain, img *[mem.LineBytes]byte, sum *bmt.Digest) faultinject.Decision {
+	e.storeMAC(mem.LineNo(addr), sum)
 	dec := e.fiHit(e.fiDataPoint)
 	switch dec.Action {
 	case faultinject.ActDrop:
@@ -43,27 +50,11 @@ func (e *Engine) persistDataLine(addr uint64, img *[mem.LineBytes]byte) faultinj
 	}
 	if e.fi != nil {
 		e.fi.NoteDataPersist(addr, dec.Landed())
+		if dec.Landed() {
+			e.fi.ObserveData(addr, plain)
+		}
 	}
 	return dec
-}
-
-// timingMAC stands in for the data-MAC check timing fidelity elides: the
-// full path's MAC rejects a line whose last persist did not land in full,
-// and the fault plane remembers which lines those are (DESIGN.md §10).
-func (e *Engine) timingMAC(addr uint64) error {
-	if e.fi != nil && e.fi.Torn(addr) {
-		return bmt.MACMismatch(mem.LineNo(addr))
-	}
-	return nil
-}
-
-// fiObserve records a landed data image in the fault plane's shadow history
-// so the crash-sweep oracle can distinguish stale-but-valid content from
-// corruption. plain is the plaintext value a later read should produce.
-func (e *Engine) fiObserve(dec faultinject.Decision, addr uint64, plain *[mem.LineBytes]byte) {
-	if e.fi != nil && dec.Landed() {
-		e.fi.ObserveData(addr, plain)
-	}
 }
 
 // resolve follows the CoW metadata from the requested line to the line that
@@ -164,35 +155,18 @@ func (e *Engine) resolve(now, lineAddr uint64) ([mem.LineBytes]byte, uint64, err
 		e.Stats.ZeroReads++
 		return zeroLine, t, nil
 	}
-	var ciph [mem.LineBytes]byte
-	e.Phys.ReadLine(cur, &ciph)
+	var img [mem.LineBytes]byte
+	e.Phys.ReadLine(cur, &img)
 	fetchDone := e.readLeg(issueT, cur)
 	e.Stats.DataReads++
-	if e.cfg.NonSecure {
-		// Plaintext at rest: no pad, no MAC (paper Section III-G). The
-		// redirect/zero decision still came from the counter block, so
-		// retire cannot precede it.
-		return ciph, maxU64(fetchDone, t), nil
-	}
 	// OTP generation overlaps the data fetch (paper Fig. 1). Dependence-
 	// ordered: the pad needs the counter, so retire is gated on t even when
-	// the fetch itself issued earlier under MLP.
-	done := maxU64(fetchDone, t+e.cfg.AESLatencyNs)
-	if e.cfg.Fidelity == FidelityTiming {
-		// Timing fidelity: the line is at rest as plaintext, so the fetch
-		// already produced the data; the pad and the MAC verification are
-		// elided while their latency charges stay identical to Full.
-		e.Enc.NotePads(1)
-		if err := e.timingMAC(cur); err != nil {
-			return zeroLine, done, err
-		}
-		return ciph, done, nil
-	}
-	if err := e.MACs.Verify(lineNo, ciph[:], blk.Major, blk.Minor[i]); err != nil {
-		return zeroLine, done, err
-	}
-	plain := e.Enc.Decrypt(&ciph, lineNo, blk.Major, blk.Minor[i])
-	return plain, done, nil
+	// the fetch itself issued earlier under MLP — and so is a non-secure
+	// read, whose redirect/zero decision came from the counter block too.
+	done := maxU64(fetchDone, t+e.padNs)
+	e.countPads(1)
+	plain, err := e.own.open(cur, blk.Major, blk.Minor[i], &img)
+	return plain, done, err
 }
 
 // ReadLine services a 64 B read request from the cache hierarchy.
@@ -289,53 +263,19 @@ func (e *Engine) writeLine(now, lineAddr uint64, plain *[mem.LineBytes]byte) (ui
 
 	lineNo := mem.LineNo(lineAddr)
 	e.written.Set(lineNo)
-	if e.cfg.NonSecure {
-		dec := e.persistDataLine(lineAddr, plain)
-		// Dependence-ordered: the copy/zero decision above consumed the
-		// counter block, so the data write cannot issue before t.
-		dataDone := e.Mem.Write(t, lineAddr)
-		e.Stats.DataWrites++
-		e.fiObserve(dec, lineAddr, plain)
-		if dec.Action == faultinject.ActCrash {
-			return dataDone, dec.Err
-		}
-		if ctrChanged {
-			ctrDone, err := e.storeBlock(t, pfn, &blk)
-			return maxU64(dataDone, ctrDone), err
-		}
-		return dataDone, nil
-	}
-	if e.cfg.Fidelity == FidelityTiming {
-		// Timing fidelity: store the plaintext itself — the exact bytes
-		// must keep moving because content decides control flow elsewhere
-		// (Silent Shredder's zero elision above, KSM's page compare) —
-		// and skip the pad, the encryption XOR and the MAC. The device-
-		// visible operation order and every latency charge match the
-		// secure path below.
-		e.Enc.NotePads(1)
-		dec := e.persistDataLine(lineAddr, plain)
-		dataDone := e.Mem.Write(t+e.cfg.AESLatencyNs, lineAddr)
-		e.Stats.DataWrites++
-		e.fiObserve(dec, lineAddr, plain)
-		if dec.Action == faultinject.ActCrash {
-			return dataDone, dec.Err
-		}
-		ctrDone, err := e.storeBlock(t, pfn, &blk)
-		return maxU64(dataDone, ctrDone), err
-	}
-	ciph := e.Enc.Encrypt(plain, lineNo, blk.Major, blk.Minor[li])
-	dec := e.persistDataLine(lineAddr, &ciph)
-	// The MAC store always receives the intended ciphertext: like the BMT
-	// leaf digests, it describes what *should* be in NVM, so a torn or lost
-	// data write is caught as a MAC mismatch on the next read.
-	e.MACs.Update(lineNo, ciph[:], blk.Major, blk.Minor[li])
+	e.countPads(1)
+	img, sum := e.own.seal(lineNo, blk.Major, blk.Minor[li], plain)
+	dec := e.persistDataLine(lineAddr, plain, &img, &sum)
 	// Dependence-ordered: the write's pad comes from the counter resolved
-	// at t, so the data write cannot issue before t+AES even under MLP.
-	dataDone := e.Mem.Write(t+e.cfg.AESLatencyNs, lineAddr)
+	// at t (and a non-secure write's copy/zero decision consumed it), so
+	// the data write cannot issue before t+pad even under MLP.
+	dataDone := e.Mem.Write(t+e.padNs, lineAddr)
 	e.Stats.DataWrites++
-	e.fiObserve(dec, lineAddr, plain)
 	if dec.Action == faultinject.ActCrash {
 		return dataDone, dec.Err
+	}
+	if !ctrChanged {
+		return dataDone, nil
 	}
 	// Already issue-parallel: the counter-block store issues at t, not at
 	// dataDone — it and the data write overlap via the max-merge below, so
@@ -356,21 +296,18 @@ type reencSweep struct {
 	out                [mem.LinesPerPage]lineOut
 }
 
-// Do implements issuewin.Batch: verify and decrypt line j under the old
-// epoch, re-encrypt and MAC it under the new one.
+// Do implements issuewin.Batch: open line j under the old epoch and seal
+// it under the new one.
 func (s *reencSweep) Do(c *lineCrypto, j int) {
 	i := s.lines[j]
 	la := mem.LineAddr(s.pfn, i)
-	lineNo := mem.LineNo(la)
 	out := &s.out[j]
-	var ciph [mem.LineBytes]byte
-	s.e.Phys.ReadLine(la, &ciph)
-	if out.err = c.mac.Verify(lineNo, ciph[:], s.oldMajor, s.oldMinor[i]); out.err != nil {
+	var img [mem.LineBytes]byte
+	s.e.Phys.ReadLine(la, &img)
+	if out.plain, out.err = c.open(la, s.oldMajor, s.oldMinor[i], &img); out.err != nil {
 		return
 	}
-	out.plain = c.enc.Decrypt(&ciph, lineNo, s.oldMajor, s.oldMinor[i])
-	out.ciph = c.enc.Encrypt(&out.plain, lineNo, s.newMajor, s.newMinor[i])
-	out.sum = c.mac.Sum(lineNo, out.ciph[:], s.newMajor, s.newMinor[i])
+	out.img, out.sum = c.seal(mem.LineNo(la), s.newMajor, s.newMinor[i], &out.plain)
 }
 
 // reencryptPage handles a minor-counter overflow: the page enters a new
@@ -395,14 +332,7 @@ func (e *Engine) reencryptPage(now, pfn uint64, blk *ctr.Block, skipLine int) (u
 			s.lines = append(s.lines, i)
 		}
 	}
-	// Timing fidelity keeps plaintext at rest, which is epoch-invariant:
-	// the sweep moves no bytes at all. Only the two pad generations per
-	// line and the read+write NVM traffic and latency of the full path
-	// remain.
-	full := e.cfg.Fidelity == FidelityFull
-	if full {
-		issuewin.RunWith(e.pool, len(s.lines), s)
-	}
+	issuewin.RunWith(e.pool, len(s.lines), s)
 	done := now
 	for j, i := range s.lines {
 		la := mem.LineAddr(pfn, i)
@@ -412,34 +342,20 @@ func (e *Engine) reencryptPage(now, pfn uint64, blk *ctr.Block, skipLine int) (u
 		rt := e.readLeg(now, la)
 		e.Stats.DataReads++
 		c := &s.out[j]
-		var dec faultinject.Decision
-		if full {
-			if c.err != nil {
-				return rt, c.err
-			}
-			e.Enc.NotePads(2) // decrypt under the old epoch, encrypt under the new
-			dec = e.persistDataLine(la, &c.ciph)
-			e.MACs.StoreSum(mem.LineNo(la), c.sum)
-		} else {
-			if err := e.timingMAC(la); err != nil {
-				return rt, err
-			}
-			e.Enc.NotePads(2)
+		if c.err != nil {
+			return rt, c.err
 		}
-		wt := e.writeLeg(rt+e.cfg.AESLatencyNs, la)
+		e.countPads(2) // open under the old epoch, seal under the new
+		dec := e.persistDataLine(la, &c.plain, &c.img, &c.sum)
+		wt := e.writeLeg(rt+e.padNs, la)
 		e.Stats.DataWrites++
 		e.Stats.ReencryptedLines++
-		if full {
-			e.fiObserve(dec, la, &c.plain)
-			if dec.Action == faultinject.ActCrash {
-				return wt, dec.Err
-			}
+		if dec.Action == faultinject.ActCrash {
+			return wt, dec.Err
 		}
 		// A crash between one line's write and its neighbour's leaves the
 		// page half in the old epoch, half in the new — the recovery scrub
-		// must surface every old-epoch line as a MAC mismatch. Timing
-		// fidelity moves no bytes, but the persist point still counts so
-		// crash enumeration covers the mid-sweep seam there too.
+		// must surface every old-epoch line as a MAC mismatch.
 		if d := e.fiHit(faultinject.ReencryptLine); d.Action == faultinject.ActCrash {
 			return wt, d.Err
 		}

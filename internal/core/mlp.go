@@ -7,7 +7,6 @@ import (
 
 	"lelantus/internal/bmt"
 	"lelantus/internal/ctr"
-	"lelantus/internal/enc"
 	"lelantus/internal/faultinject"
 	"lelantus/internal/issuewin"
 	"lelantus/internal/mem"
@@ -219,18 +218,10 @@ func (e *Engine) stopAt(hops []chainHop, i int) lineStop {
 	return lineStop{hop: len(hops) - 1, hops: len(hops) - 1}
 }
 
-// lineCrypto is one pool worker's crypto state: a pad generator, a data-MAC
-// checker and a leaf-digest checker.
-type lineCrypto struct {
-	enc  *enc.Worker
-	mac  *bmt.MACVerifier
-	leaf *bmt.LeafVerifier
-}
-
 // lineBatch is the part every page-engine and scrub batch shares. Worker 0
-// — the only worker at pool size 1, so every batch with MLP off — runs on
-// the engine's own pad generator and verifiers; the pool's other workers
-// get private copies.
+// — the only worker at pool size 1, so every batch with MLP off or with
+// plaintext at rest — runs on the engine's own pad generator and
+// verifiers; the pool's other workers get private copies.
 type lineBatch struct{ e *Engine }
 
 // State implements issuewin.Batch.
@@ -238,15 +229,17 @@ func (b lineBatch) State(w int) *lineCrypto {
 	if w == 0 {
 		return &b.e.own
 	}
-	return &lineCrypto{enc: b.e.Enc.NewWorker(), mac: b.e.MACs.NewVerifier(), leaf: b.e.Tree.NewLeafVerifier()}
+	c := b.e.own
+	c.enc, c.mac, c.leaf = b.e.Enc.NewWorker(), b.e.MACs.NewVerifier(), b.e.Tree.NewLeafVerifier()
+	return &c
 }
 
-// lineOut is the pool output of one page-engine line under full fidelity:
-// everything the serial commit needs with the hash work done — the
-// plaintext, its new ciphertext and MAC, or the source line's MAC error.
+// lineOut is the pool output of one page-engine line: everything the serial
+// commit needs with the crypto done — the plaintext, its new at-rest image
+// and MAC, or the source line's open error.
 type lineOut struct {
 	plain [mem.LineBytes]byte
-	ciph  [mem.LineBytes]byte
+	img   [mem.LineBytes]byte
 	sum   bmt.Digest
 	err   error
 }
@@ -259,28 +252,25 @@ type phycBatch struct {
 	dst, dstMajor     uint64
 	jobs              []int // the wanted lines, in ascending order
 	stops             [mem.LinesPerPage]lineStop
-	srcLA, srcLineNo  [mem.LinesPerPage]uint64
+	srcLA             [mem.LinesPerPage]uint64
 	isZero, isWritten [mem.LinesPerPage]bool
 	out               [mem.LinesPerPage]lineOut
 }
 
-// Do implements issuewin.Batch: pure per-line crypto of job j.
+// Do implements issuewin.Batch: pure per-line crypto of job j — open the
+// source line (a zero line's plaintext stays zeros), seal it for dst.
 func (b *phycBatch) Do(c *lineCrypto, j int) {
 	i := b.jobs[j]
 	out := &b.out[i]
 	if !b.isZero[i] {
 		h := &b.hops[b.stops[i].hop]
-		var sc [mem.LineBytes]byte
-		b.e.Phys.ReadLine(b.srcLA[i], &sc)
-		if err := c.mac.Verify(b.srcLineNo[i], sc[:], h.blk.Major, h.blk.Minor[i]); err != nil {
-			out.err = err
+		var img [mem.LineBytes]byte
+		b.e.Phys.ReadLine(b.srcLA[i], &img)
+		if out.plain, out.err = c.open(b.srcLA[i], h.blk.Major, h.blk.Minor[i], &img); out.err != nil {
 			return
 		}
-		out.plain = c.enc.Decrypt(&sc, b.srcLineNo[i], h.blk.Major, h.blk.Minor[i])
 	}
-	dstNo := mem.LineNo(mem.LineAddr(b.dst, i))
-	out.ciph = c.enc.Encrypt(&out.plain, dstNo, b.dstMajor, 1)
-	out.sum = c.mac.Sum(dstNo, out.ciph[:], b.dstMajor, 1)
+	out.img, out.sum = c.seal(mem.LineNo(mem.LineAddr(b.dst, i)), b.dstMajor, 1, &out.plain)
 }
 
 // phycLinesBatched is page_phyc's line loop under MLP: one chain walk
@@ -316,17 +306,12 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 		b.jobs = append(b.jobs, i)
 		b.stops[i] = s
 		b.srcLA[i] = mem.LineAddr(hops[s.hop].pfn, i)
-		b.srcLineNo[i] = mem.LineNo(b.srcLA[i])
-		b.isWritten[i] = e.written.Test(b.srcLineNo[i])
+		b.isWritten[i] = e.written.Test(mem.LineNo(b.srcLA[i]))
 		b.isZero[i] = s.zero || !b.isWritten[i]
 	}
 
-	// Phase A: pure per-line crypto on the pool (full fidelity only —
-	// timing and non-secure modes move raw bytes in the commit phase).
-	full := e.cfg.Fidelity == FidelityFull && !e.cfg.NonSecure
-	if full {
-		issuewin.RunWith(e.pool, n, b)
-	}
+	// Phase A: pure per-line crypto on the pool.
+	issuewin.RunWith(e.pool, n, b)
 
 	// Phase B: serial commit in ascending line order. Every mutation of
 	// shared state — MSHR registers, bank queues, stats, the fault plane's
@@ -359,59 +344,24 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 		default:
 			fetch := e.readLeg(h.issue, srcLA)
 			e.Stats.DataReads++
-			if e.cfg.NonSecure {
-				rt = maxU64(fetch, h.done)
-			} else {
-				// Pad generation overlaps the fetch but needs the counter.
-				rt = maxU64(fetch, h.done+e.cfg.AESLatencyNs)
-			}
+			// Pad generation overlaps the fetch but needs the counter.
+			rt = maxU64(fetch, h.done+e.padNs)
 		}
 		c := &b.out[i]
-		if full && c.err != nil {
+		if c.err != nil {
 			return rt, copied, c.err
-		}
-		if !full && !e.cfg.NonSecure && !b.isZero[i] {
-			// The source line phase A MAC-verifies at full fidelity.
-			if err := e.timingMAC(srcLA); err != nil {
-				return rt, copied, err
-			}
 		}
 
 		la := mem.LineAddr(dst, i)
-		lineNo := mem.LineNo(la)
 		blk.Minor[i] = 1
-		e.written.Set(lineNo)
-		var wt uint64
-		var dec faultinject.Decision
-		switch {
-		case e.cfg.NonSecure:
-			var plain [mem.LineBytes]byte
-			if isWritten && !s.zero {
-				e.Phys.ReadLine(srcLA, &plain)
-			}
-			dec = e.persistDataLine(la, &plain)
-			wt = e.writeLeg(rt, la)
-			e.fiObserve(dec, la, &plain)
-		case e.cfg.Fidelity == FidelityTiming:
-			var plain [mem.LineBytes]byte
-			if isWritten && !s.zero {
-				e.Phys.ReadLine(srcLA, &plain)
-				e.Enc.NotePads(1) // the elided decrypt
-			}
-			e.Enc.NotePads(1) // the elided encrypt
-			dec = e.persistDataLine(la, &plain)
-			wt = e.writeLeg(rt+e.cfg.AESLatencyNs, la)
-			e.fiObserve(dec, la, &plain)
-		default:
-			if isWritten && !s.zero {
-				e.Enc.NotePads(1) // the worker's decrypt
-			}
-			e.Enc.NotePads(1) // the worker's encrypt
-			dec = e.persistDataLine(la, &c.ciph)
-			e.MACs.StoreSum(lineNo, c.sum)
-			wt = e.writeLeg(rt+e.cfg.AESLatencyNs, la)
-			e.fiObserve(dec, la, &c.plain)
+		e.written.Set(mem.LineNo(la))
+		pads := uint64(1) // the seal
+		if !b.isZero[i] {
+			pads++ // and the source line's open
 		}
+		e.countPads(pads)
+		dec := e.persistDataLine(la, &c.plain, &c.img, &c.sum)
+		wt := e.writeLeg(rt+e.padNs, la)
 		e.Stats.DataWrites++
 		e.Stats.PhycLines++
 		copied++

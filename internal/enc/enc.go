@@ -110,10 +110,10 @@ func (w *Worker) Decrypt(ciph *[LineBytes]byte, lineNo uint64, major uint64, min
 // engine); pool workers derive private Workers with NewWorker.
 type Engine struct {
 	Worker
-	// Pads counts pad generations (one per line encryption/decryption),
-	// used by the timing model (24-cycle AES latency, overlapped with the
-	// data fetch). It counts logical pad generations: a tweak-cache hit
-	// still increments it, the timing model is unchanged.
+	// Pads counts logical pad generations (one per line encryption or
+	// decryption), booked with NotePads: the embedded Worker's Pad, Crypt,
+	// Encrypt and Decrypt count nothing, and a tweak-cache hit is still
+	// one pad.
 	Pads uint64
 }
 
@@ -132,32 +132,9 @@ func New(key []byte) (*Engine, error) {
 // NewWorker derives an independent pad generator from the engine.
 func (e *Engine) NewWorker() *Worker { return &Worker{block: e.block} }
 
-// NotePads records n logical pad generations without computing them: the
-// accounting for pads a batch's workers generated, and, under timing-only
-// fidelity (core.FidelityTiming), for every pad the full data plane would
-// have generated, so the Pads counter is identical across fidelities.
+// NotePads records n logical pad generations. The engine's workers count
+// nothing, so the controller books every pad of a line operation here, in
+// one place: the pads the full data plane generates and timing-only
+// fidelity (core.FidelityTiming) elides, so the Pads counter is identical
+// across fidelities.
 func (e *Engine) NotePads(n uint64) { e.Pads += n }
-
-// Pad is Worker.Pad, counted.
-func (e *Engine) Pad(lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
-	e.Pads++
-	return e.Worker.Pad(lineNo, major, minor)
-}
-
-// Crypt is Worker.Crypt, counted.
-func (e *Engine) Crypt(dst, src *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) {
-	e.Pads++
-	e.Worker.Crypt(dst, src, lineNo, major, minor)
-}
-
-// Encrypt is Worker.Encrypt, counted.
-func (e *Engine) Encrypt(plain *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
-	e.Pads++
-	return e.Worker.Encrypt(plain, lineNo, major, minor)
-}
-
-// Decrypt is Worker.Decrypt, counted.
-func (e *Engine) Decrypt(ciph *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
-	e.Pads++
-	return e.Worker.Decrypt(ciph, lineNo, major, minor)
-}

@@ -122,14 +122,20 @@ func TestQuickRoundTripRandom(t *testing.T) {
 	}
 }
 
+// TestPadCounter: pads are booked with NotePads only; computing one counts
+// nothing.
 func TestPadCounter(t *testing.T) {
 	e := newEngine(t)
-	before := e.Pads
 	var p [LineBytes]byte
 	e.Encrypt(&p, 1, 1, 1)
 	e.Decrypt(&p, 1, 1, 1)
-	if e.Pads != before+2 {
-		t.Fatalf("Pads = %d, want %d", e.Pads, before+2)
+	if e.Pads != 0 {
+		t.Fatalf("crypting counted %d pads, want 0", e.Pads)
+	}
+	e.NotePads(2)
+	e.NotePads(1)
+	if e.Pads != 3 {
+		t.Fatalf("Pads = %d, want 3", e.Pads)
 	}
 }
 

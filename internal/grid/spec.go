@@ -16,6 +16,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"lelantus/internal/core"
 	"lelantus/internal/sim"
@@ -106,6 +107,9 @@ func (c CellSpec) Build() (sim.Config, workload.Script, error) {
 	if err != nil {
 		return sim.Config{}, workload.Script{}, err
 	}
+	if c.Workload == "forkbench" && c.RegionKB > cfg.Mem.MemBytes>>10 {
+		return sim.Config{}, workload.Script{}, fmt.Errorf("regionKB %d: region exceeds the %d MiB machine", c.RegionKB, cfg.Mem.MemBytes>>20)
+	}
 	script, err := c.buildScript()
 	if err != nil {
 		return sim.Config{}, workload.Script{}, err
@@ -127,11 +131,14 @@ func (c CellSpec) config() (sim.Config, error) {
 	k := sim.Knobs{
 		MLP:      core.MLPConfig{Workers: 1},
 		Prefetch: core.PrefetchConfig{Depth: c.PrefetchDepth},
-		MemBytes: c.MemMB << 20,
 		Ranks:    c.Ranks,
 		Banks:    c.Banks,
 	}
-	for _, kv := range [...][2]string{{"fidelity", c.Fidelity}, {"persist", c.Persist}, {"mlp", c.MLP}, {"prefetch", c.Prefetch}} {
+	mem := ""
+	if c.MemMB > 0 {
+		mem = strconv.FormatUint(c.MemMB, 10)
+	}
+	for _, kv := range [...][2]string{{"fidelity", c.Fidelity}, {"persist", c.Persist}, {"mlp", c.MLP}, {"prefetch", c.Prefetch}, {"mem", mem}} {
 		if kv[1] == "" {
 			continue // the knob's default
 		}

@@ -116,10 +116,38 @@ func fidelityConfig(s core.Scheme, f core.Fidelity, seed int64) Config {
 	return cfg
 }
 
+// runPads is RunWith that also returns the engine's pad count, which the
+// Result does not carry.
+func runPads(cfg Config, s workload.Script) (Result, uint64, error) {
+	m, err := NewMachine(cfg)
+	if err != nil {
+		return Result{}, 0, err
+	}
+	res, err := m.Run(s)
+	return res, m.Ctl.Engine.Enc.Pads, err
+}
+
+// checkPads pins the pad count as one more fidelity-independent quantity:
+// full and timing runs must count the same pads, and the same machine in
+// non-secure mode (cfg with NonSecure set) must generate none.
+func checkPads(t *testing.T, name string, full, timing uint64, cfg Config, s workload.Script) {
+	t.Helper()
+	if full != timing {
+		t.Errorf("%s: pads diverge across fidelity: full %d, timing %d", name, full, timing)
+	}
+	cfg.Mem.Core.NonSecure = true
+	if _, pads, err := runPads(cfg, s); err != nil {
+		t.Fatalf("%s non-secure: %v", name, err)
+	} else if pads != 0 {
+		t.Errorf("%s: non-secure run generated %d pads", name, pads)
+	}
+}
+
 // TestFidelityEquivalenceProperty is the fidelity contract as a property
 // test: for random scripts over every scheme, every field of the Result —
 // execution time, NVM traffic, engine and kernel statistics, miss rates —
-// must be identical whether the crypto data plane ran or was elided.
+// and the pad count must be identical whether the crypto data plane ran or
+// was elided.
 func TestFidelityEquivalenceProperty(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 	if testing.Short() {
@@ -128,11 +156,11 @@ func TestFidelityEquivalenceProperty(t *testing.T) {
 	for _, seed := range seeds {
 		script := randomScript(seed)
 		for _, s := range core.Schemes() {
-			full, err := RunWith(fidelityConfig(s, core.FidelityFull, seed), script)
+			full, fullPads, err := runPads(fidelityConfig(s, core.FidelityFull, seed), script)
 			if err != nil {
 				t.Fatalf("seed %d %v full: %v", seed, s, err)
 			}
-			timing, err := RunWith(fidelityConfig(s, core.FidelityTiming, seed), script)
+			timing, timingPads, err := runPads(fidelityConfig(s, core.FidelityTiming, seed), script)
 			if err != nil {
 				t.Fatalf("seed %d %v timing: %v", seed, s, err)
 			}
@@ -140,6 +168,8 @@ func TestFidelityEquivalenceProperty(t *testing.T) {
 				t.Errorf("seed %d %v: results diverge\nfull:   %+v\ntiming: %+v",
 					seed, s, full, timing)
 			}
+			checkPads(t, fmt.Sprintf("seed %d %v", seed, s), fullPads, timingPads,
+				fidelityConfig(s, core.FidelityFull, seed), script)
 		}
 	}
 }
@@ -167,11 +197,11 @@ func TestFidelityEquivalenceOverflow(t *testing.T) {
 	script := b.Script()
 
 	for _, s := range []core.Scheme{core.Lelantus, core.LelantusCoW} {
-		full, err := RunWith(fidelityConfig(s, core.FidelityFull, 1), script)
+		full, fullPads, err := runPads(fidelityConfig(s, core.FidelityFull, 1), script)
 		if err != nil {
 			t.Fatalf("%v full: %v", s, err)
 		}
-		timing, err := RunWith(fidelityConfig(s, core.FidelityTiming, 1), script)
+		timing, timingPads, err := runPads(fidelityConfig(s, core.FidelityTiming, 1), script)
 		if err != nil {
 			t.Fatalf("%v timing: %v", s, err)
 		}
@@ -181,6 +211,7 @@ func TestFidelityEquivalenceOverflow(t *testing.T) {
 		if full != timing {
 			t.Errorf("%v: results diverge\nfull:   %+v\ntiming: %+v", s, full, timing)
 		}
+		checkPads(t, s.String(), fullPads, timingPads, fidelityConfig(s, core.FidelityFull, 1), script)
 	}
 }
 

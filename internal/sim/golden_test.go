@@ -42,34 +42,44 @@ func checkGolden(t *testing.T, want map[string]string, name, got string) {
 
 // TestGoldenResults pins the exact output of the simulator as literal
 // digests: every sim.Result field of a set of scripts over every scheme,
-// both fidelities and both MLP settings, and the crash-and-recover cells
-// of the quick forkbench under two persistence strategies. A refactor that
-// claims to keep reports byte-identical must leave every digest unchanged;
-// a deliberate model change updates the literals and says why.
+// both fidelities, non-secure mode and both MLP settings, and the
+// crash-and-recover cells of the quick forkbench under two persistence
+// strategies. A refactor that claims to keep reports byte-identical must
+// leave every digest unchanged; a deliberate model change updates the
+// literals and says why.
 func TestGoldenResults(t *testing.T) {
 	type script struct {
-		name  string
-		seed  int64
-		build func() workload.Script
+		name      string
+		seed      int64
+		build     func() workload.Script
+		nonSecure bool // also pin the non-secure (plaintext, no pad) mode
 	}
 	scripts := []script{
-		{"rand1", 1, func() workload.Script { return randomScript(1) }},
-		{"rand2", 2, func() workload.Script { return randomScript(2) }},
-		{"rand3", 3, func() workload.Script { return randomScript(3) }},
-		{"overflow", 2, overflowScript},
-		{"forkbench", 1, quickForkbench},
+		{"rand1", 1, func() workload.Script { return randomScript(1) }, true},
+		{"rand2", 2, func() workload.Script { return randomScript(2) }, false},
+		{"rand3", 3, func() workload.Script { return randomScript(3) }, false},
+		{"overflow", 2, overflowScript, true},
+		{"forkbench", 1, quickForkbench, true},
 	}
-	fidelities := []core.Fidelity{core.FidelityFull, core.FidelityTiming}
+	modes := []string{"full", "timing", "nonsecure"}
 	if testing.Short() {
 		scripts = []script{scripts[0], scripts[3]}
 	}
 	for _, sc := range scripts {
 		s := sc.build()
 		for _, scheme := range core.Schemes() {
-			for _, f := range fidelities {
+			for _, mode := range modes {
+				if mode == "nonsecure" && !sc.nonSecure {
+					continue
+				}
 				for _, mlp := range []bool{false, true} {
-					name := fmt.Sprintf("%s/%v/%v/mlp=%v", sc.name, scheme, f, mlp)
+					name := fmt.Sprintf("%s/%v/%s/mlp=%v", sc.name, scheme, mode, mlp)
+					f := core.FidelityFull
+					if mode == "timing" {
+						f = core.FidelityTiming
+					}
 					cfg := fidelityConfig(scheme, f, sc.seed)
+					cfg.Mem.Core.NonSecure = mode == "nonsecure"
 					cfg.Mem.Core.MLP.Enabled = mlp
 					res, err := RunWith(cfg, s)
 					if err != nil {
@@ -186,6 +196,32 @@ var goldenResults = map[string]string{
 	"forkbench/lelantus-cow/full/mlp=true":       "43de99ce77ff1b45eb7dfb9e9b49ee36328fb36549741a07ad8f4f5b5c7c264f",
 	"forkbench/lelantus-cow/timing/mlp=false":    "cd8acc025605534e58f6ee5359974e0d0fdebe01505a8c7631f130f2b130c40b",
 	"forkbench/lelantus-cow/timing/mlp=true":     "43de99ce77ff1b45eb7dfb9e9b49ee36328fb36549741a07ad8f4f5b5c7c264f",
+
+	// Non-secure mode: plaintext at rest, no pads (paper Section III-G).
+	"rand1/baseline/nonsecure/mlp=false":            "f98069ed43f7969d7cc06909cfcad1b8fea02eb634e96f2b4ee55d89017968ab",
+	"rand1/baseline/nonsecure/mlp=true":             "a2e60b0faf9c3c0b218920111d60f5aabe862f1ab6b3e262fb3cfac4ca8ec99c",
+	"rand1/silent-shredder/nonsecure/mlp=false":     "0fc29268434881568cf0e17d234bee31968da26a6880ee347b6a8d9ad8bce2ae",
+	"rand1/silent-shredder/nonsecure/mlp=true":      "1874314fba94576f59c4af7f4b4edb1fda1d22badb4a20207e237e3c541b7422",
+	"rand1/lelantus/nonsecure/mlp=false":            "485c63ccfc26a9663d423af7a71c34f5b685e648a51eaaaeac2650818991d2af",
+	"rand1/lelantus/nonsecure/mlp=true":             "55f9836704cfd87b3f58d194cb11511d8fc2b049a545afcedc81fe1ad8b113bd",
+	"rand1/lelantus-cow/nonsecure/mlp=false":        "3e0c3f8d1a0a66f6717caf1c8535e2a1c7b33a486d4324114f25d68014ed4351",
+	"rand1/lelantus-cow/nonsecure/mlp=true":         "275aca1f444151764be8e3aa28f5855a8ee213c2dbc0fdf6bb8a78dde522f843",
+	"overflow/baseline/nonsecure/mlp=false":         "3fd5b78c92a1346cc4a1a39666c22bb3d60bf0f18bbea493d85c575b33e24f92",
+	"overflow/baseline/nonsecure/mlp=true":          "d5bcf3120952fa2f942b983e48f9712eba7a3fbeaec4a7a19080d14660fa6fcc",
+	"overflow/silent-shredder/nonsecure/mlp=false":  "ceeced1d2e7f2d322f99c4c2d5fa0db2ffc0ca459cc41ef56b7dbfddcc6bcde8",
+	"overflow/silent-shredder/nonsecure/mlp=true":   "f19afab381ab6ac6791551c0613336b9f365ded1a41c05e5328669672f6d257d",
+	"overflow/lelantus/nonsecure/mlp=false":         "3ec929b50009852c932bb072793443468c0220ebf7ab4a2a676494d9a2fde055",
+	"overflow/lelantus/nonsecure/mlp=true":          "5d34dff095de23b5eb5bb4f45835e965550de591bef5587aab4204e091317a36",
+	"overflow/lelantus-cow/nonsecure/mlp=false":     "f966459976d6c4f1a59e7396642bb290d647f20c6225f83d079e85dfacd43d0a",
+	"overflow/lelantus-cow/nonsecure/mlp=true":      "8aaa6375a7237ed64f83f08f04d61e8c78de1ec372226028c2e040cfb2e04bc6",
+	"forkbench/baseline/nonsecure/mlp=false":        "e0b548d952ee6911746baaa44dc5fdc7ee5578e5ceb54122d174d0ce2d082138",
+	"forkbench/baseline/nonsecure/mlp=true":         "33ab599a34cfb4e85839ebf8f10c90594f7d46c72d853c8eeffd7e18098a7749",
+	"forkbench/silent-shredder/nonsecure/mlp=false": "682e9e22211ff3876482b3c5b0d874d31a9c77ad8b236ace94bda4bdbf2e8d97",
+	"forkbench/silent-shredder/nonsecure/mlp=true":  "0c0618e0bd73ce84e0ad8fd4b6694d1e2ed7afea8cb64e31038ff5aea717c239",
+	"forkbench/lelantus/nonsecure/mlp=false":        "f5426b90229b6fad6050947f9e270ceb22183c6bbc14b60840902ec1a7b403c7",
+	"forkbench/lelantus/nonsecure/mlp=true":         "a1ae5bbb3d4c103c1a1933a78d5e7e23f9a40bddf71fe5a99a26dbcca594d32e",
+	"forkbench/lelantus-cow/nonsecure/mlp=false":    "b9af9ba31cc9bbb9d610423b4f609e006f4ef94355bbc5228d4b8e4c574f68d9",
+	"forkbench/lelantus-cow/nonsecure/mlp=true":     "b313857a126e8d225b2b2571465a62b74ebaf69aeed87ea2f91ca04cf660cb82",
 }
 
 var goldenCrashCells = map[string]string{

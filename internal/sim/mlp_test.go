@@ -86,11 +86,11 @@ func TestMLPOnFidelityEquivalence(t *testing.T) {
 	var phycs, overflows uint64
 	for si, script := range scripts {
 		for _, s := range core.Schemes() {
-			full, err := RunWith(mlpConfig(s, core.FidelityFull, int64(si), 0), script)
+			full, fullPads, err := runPads(mlpConfig(s, core.FidelityFull, int64(si), 0), script)
 			if err != nil {
 				t.Fatalf("%s %v full: %v", script.Name, s, err)
 			}
-			timing, err := RunWith(mlpConfig(s, core.FidelityTiming, int64(si), 0), script)
+			timing, timingPads, err := runPads(mlpConfig(s, core.FidelityTiming, int64(si), 0), script)
 			if err != nil {
 				t.Fatalf("%s %v timing: %v", script.Name, s, err)
 			}
@@ -98,6 +98,8 @@ func TestMLPOnFidelityEquivalence(t *testing.T) {
 				t.Errorf("%s %v: mlp=on results diverge across fidelity\nfull:   %+v\ntiming: %+v",
 					script.Name, s, full, timing)
 			}
+			checkPads(t, fmt.Sprintf("%s %v", script.Name, s), fullPads, timingPads,
+				mlpConfig(s, core.FidelityFull, int64(si), 0), script)
 			phycs += full.Engine.PagePhycs
 			overflows += full.Engine.Overflows
 		}
