@@ -13,17 +13,16 @@ vet:
 test:
 	$(GO) test ./...
 
-# The grid runner, the experiment harness and the MLP issue-window pool
-# are the concurrent code in the repository; -short keeps the race pass
-# CI-sized while still exercising every RunGrid path (the determinism
-# tests run multi-worker grids even in short mode). The crash-sweep
-# tests run their cells in parallel, so the fault plane rides along; the
-# probe plane is per-machine state, so its sim-level tests ride too. The
-# nvm and issuewin packages carry the MSHR file and the deterministic
-# pool; the sim MLP determinism tests drive the pooled page engines and
-# recovery passes multi-worker under the detector.
+# The grid runner and the experiment harness are the concurrent code in
+# the repository: they run whole cells on a worker pool, and no goroutine
+# starts inside a cell. -short keeps the race pass CI-sized while still
+# exercising every RunGrid path (the determinism tests run multi-worker
+# grids even in short mode). The crash-sweep tests run their cells in
+# parallel, so the fault plane rides along; the probe plane and the nvm
+# MSHR file are per-machine state, so their tests ride too, as does the
+# sim test that runs mlp=on cells concurrently.
 race:
-	$(GO) test -race -short ./internal/sim/... ./internal/experiments/... ./internal/faultinject/... ./internal/probe/... ./internal/nvm/... ./internal/issuewin/... ./internal/grid/... ./internal/steal/... ./internal/metrics/...
+	$(GO) test -race -short ./internal/sim/... ./internal/experiments/... ./internal/faultinject/... ./internal/probe/... ./internal/nvm/... ./internal/grid/... ./internal/steal/... ./internal/metrics/...
 
 # No panic() may be reachable from the public Machine/Controller API:
 # internal-invariant failures surface as typed errors through Run.
@@ -36,8 +35,8 @@ nopanic:
 # built-in Chrome trace-event schema checker, the MSHR-overlapped engine,
 # and the prefetchers with the probe plane reporting coverage. The tests
 # behind these features (crash sweep, persistence matrix, probe, MLP and
-# prefetch pins) run under `test`, and the MLP pool-size determinism tests
-# under `race`.
+# prefetch pins) run under `test`, and the concurrent grid tests under
+# `race`.
 cli-smoke:
 	$(GO) run ./cmd/lelantus-sim -workload forkbench -fidelity timing \
 	    -probe -probe-format=perfetto -probe-out /tmp/lelantus-probe-smoke.json >/dev/null

@@ -70,7 +70,7 @@ func TestListExitsZero(t *testing.T) {
 // negative count is a one-line usage error naming the flag, not a value
 // the harness silently replaces with its default.
 func TestNegativeKnobsExitTwo(t *testing.T) {
-	for _, flag := range []string{"-mshrs", "-mlp-workers", "-prefetch-depth", "-ranks", "-banks"} {
+	for _, flag := range []string{"-mshrs", "-prefetch-depth", "-ranks", "-banks"} {
 		t.Run(flag, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if code := run([]string{"-exp", "fig2", flag, "-3"}, &stdout, &stderr); code != 2 {
@@ -82,6 +82,32 @@ func TestNegativeKnobsExitTwo(t *testing.T) {
 			}
 			if stdout.Len() != 0 {
 				t.Fatalf("bad flag value produced stdout output: %q", stdout.String())
+			}
+		})
+	}
+}
+
+// TestOversizeKnobsExitTwo pins the upper bounds: a device of more than
+// 4096 banks, whether the product of -ranks and -banks is large or wraps,
+// and an MSHR file of more than 4096 registers are one-line usage errors,
+// not an out-of-memory crash or a silently different device.
+func TestOversizeKnobsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-ranks", "1000000000", "-banks", "64"},
+		{"-ranks", "4611686018427387904", "-banks", "4"},
+		{"-mlp=on", "-mshrs", "2000000000"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(append([]string{"-exp", "fig2"}, args...), &stdout, &stderr); code != 2 {
+				t.Fatalf("exit %d, want 2 (stderr: %s)", code, stderr.String())
+			}
+			msg := strings.TrimRight(stderr.String(), "\n")
+			if strings.Contains(msg, "\n") || !strings.HasPrefix(msg, "lelantus-bench: -") {
+				t.Fatalf("diagnosis %q is not one line naming a flag", msg)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("oversize knob produced stdout output: %q", stdout.String())
 			}
 		})
 	}

@@ -71,16 +71,16 @@ type Tree struct {
 	dirty   []map[uint64]struct{}
 	pending bool
 
-	// mac is the reusable keyed HMAC state; childBuf/sumBuf are the
+	// mac is the reusable keyed HMAC state; childBuf/sumBuf/idxBuf are the
 	// scratch buffers handed to it (struct fields, so the interface call
-	// does not force a heap allocation per operation). key is retained so
-	// NewLeafVerifier can derive independent states for concurrent readers.
-	// The embedded LeafVerifier is the tree's own leaf hasher, sharing mac.
-	key      []byte
+	// does not force a heap allocation per operation), and rawBuf a
+	// reusable copy of leaf content, so the caller's buffer never escapes
+	// through the hash interface.
 	mac      hash.Hash
 	childBuf [hashSize]byte
 	sumBuf   [hashSize]byte
-	LeafVerifier
+	idxBuf   [8]byte
+	rawBuf   []byte
 
 	Updates  uint64
 	verifies uint64
@@ -97,8 +97,7 @@ func New(key []byte, nBlocks uint64) *Tree {
 	for span := uint64(1); span < nBlocks; span *= Arity {
 		levels++
 	}
-	t := &Tree{levels: levels, mac: hmac.New(sha256.New, key), key: append([]byte(nil), key...)}
-	t.LeafVerifier = LeafVerifier{t: t, mac: t.mac}
+	t := &Tree{levels: levels, mac: hmac.New(sha256.New, key)}
 	t.nodes = make([]map[uint64][hashSize]byte, levels)
 	t.dirty = make([]map[uint64]struct{}, levels)
 	for i := range t.nodes {
@@ -256,26 +255,16 @@ func (t *Tree) Root() [hashSize]byte {
 // scrub compares its rebuilt root against.
 func (t *Tree) RootRegister() [hashSize]byte { return t.root }
 
-// RebuildFromLeaves reconstructs every inner node and the root from the
-// persisted leaf digests — Phoenix-style selective persistence: leaves are
-// durable alongside their counter blocks while the tree interior is
+// RebuildFromLeavesByLevel reconstructs every inner node and the root from
+// the persisted leaf digests — Phoenix-style selective persistence: leaves
+// are durable alongside their counter blocks while the tree interior is
 // volatile on-chip state, so recovery recomputes it bottom-up instead of
 // persisting every inner-node update during normal operation. Any pending
-// lazy propagation is superseded. Returns the number of inner nodes
-// rebuilt.
-func (t *Tree) RebuildFromLeaves() uint64 {
-	var rebuilt uint64
-	for _, n := range t.RebuildFromLeavesByLevel() {
-		rebuilt += n
-	}
-	return rebuilt
-}
-
-// RebuildFromLeavesByLevel is RebuildFromLeaves with per-level accounting:
-// element i counts the nodes rebuilt at inner level i+1 (level 0 being the
-// leaf digests). Leveled persistence strategies (Triad-NVM) charge durable
-// and rebuilt levels differently, so recovery needs the breakdown. In
-// accounting-only mode no hash is computed, but the counts (driven by leaf
+// lazy propagation is superseded. Element i of the result counts the
+// nodes rebuilt at inner level i+1 (level 0 being the leaf digests).
+// Leveled persistence strategies (Triad-NVM) charge durable and rebuilt
+// levels differently, so recovery needs the breakdown. In accounting-only
+// mode no hash is computed, but the counts (driven by leaf
 // presence, which Update records in both modes) are byte-identical.
 func (t *Tree) RebuildFromLeavesByLevel() []uint64 {
 	for l := 1; l < t.levels; l++ {
@@ -310,7 +299,7 @@ func (t *Tree) RebuildFromLeavesByLevel() []uint64 {
 // not persist leaf digests (Triad-NVM counters-only): whatever bytes the
 // NVM image holds are adopted as ground truth, and a torn counter write is
 // left for the data-MAC scrub or a later read to flag. Dirty-path
-// bookkeeping is untouched: callers follow up with RebuildFromLeaves,
+// bookkeeping is untouched: callers follow up with RebuildFromLeavesByLevel,
 // which supersedes any pending propagation. Accounting-only trees record
 // presence without hashing.
 func (t *Tree) ResetLeaf(idx uint64, raw []byte) {
@@ -343,19 +332,24 @@ type macPage struct {
 // fails verification. Not safe for concurrent use (single reusable HMAC
 // state, like Tree).
 //
-// The embedded MACVerifier is the store's own MAC computer: Verify and Sum
-// are its methods; a write installs a line's Sum with StoreSum.
+// Verify and Sum compute with the store's own HMAC state; a write installs
+// a line's Sum with StoreSum.
 type MACStore struct {
-	key   []byte // retained for NewVerifier's independent HMAC states
 	pages []*macPage
-	MACVerifier
+
+	// mac is the reusable keyed HMAC state and hdrBuf/sumBuf its scratch
+	// buffers; ciphBuf is a reusable copy of the ciphertext, so the
+	// caller's (often stack-resident) buffer does not escape through the
+	// hash interface.
+	mac     hash.Hash
+	hdrBuf  [17]byte
+	sumBuf  [hashSize]byte
+	ciphBuf []byte
 }
 
 // NewMACStore creates an empty MAC store with the given key.
 func NewMACStore(key []byte) *MACStore {
-	s := &MACStore{key: append([]byte(nil), key...)}
-	s.MACVerifier = MACVerifier{s: s, mac: hmac.New(sha256.New, key)}
-	return s
+	return &MACStore{mac: hmac.New(sha256.New, key)}
 }
 
 // page returns the MAC page for a line number, materialising it if create

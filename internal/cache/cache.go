@@ -238,13 +238,6 @@ func (l *Level) drop(lineAddr uint64) {
 	}
 }
 
-// Clean clears the dirty bit of a line (after an explicit write-back).
-func (l *Level) Clean(lineAddr uint64) {
-	if i := l.find(lineAddr); i >= 0 {
-		l.dirty[i] = false
-	}
-}
-
 // Config parameterises the three-level hierarchy.
 type Config struct {
 	L1Bytes, L2Bytes, L3Bytes uint64

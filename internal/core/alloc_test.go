@@ -138,16 +138,16 @@ func BenchmarkCoreWriteLine(b *testing.B) {
 }
 
 // TestReencryptSweepAllocFree pins that the overflow re-encryption sweep
-// runs without a heap allocation at pool size 1 — with MLP off, and with
-// MLP on and a one-worker pool — at both fidelities: the sweep's scratch
-// is the engine's own and worker 0 uses the engine's crypto state.
+// runs without a heap allocation — with MLP off and on, at both
+// fidelities: it opens and seals each line on the engine's own crypto
+// state.
 func TestReencryptSweepAllocFree(t *testing.T) {
 	for _, mlp := range []bool{false, true} {
 		for _, f := range []Fidelity{FidelityFull, FidelityTiming} {
 			t.Run(fmt.Sprintf("mlp=%v/%v", mlp, f), func(t *testing.T) {
 				e := testEngine(t, Lelantus, func(c *Config) {
 					c.Fidelity = f
-					c.MLP = MLPConfig{Enabled: mlp, Workers: 1}
+					c.MLP = MLPConfig{Enabled: mlp}
 				})
 				const pfn = 4
 				var plain [mem.LineBytes]byte

@@ -6,7 +6,6 @@ import (
 	"lelantus/internal/bmt"
 	"lelantus/internal/ctr"
 	"lelantus/internal/faultinject"
-	"lelantus/internal/issuewin"
 	"lelantus/internal/mem"
 	"lelantus/internal/probe"
 )
@@ -284,69 +283,37 @@ func (e *Engine) writeLine(now, lineAddr uint64, plain *[mem.LineBytes]byte) (ui
 	return maxU64(dataDone, ctrDone), err
 }
 
-// reencSweep is one re-encryption sweep: the page's two epochs, the lines
-// that need moving and the pool's crypto output per line. The engine owns
-// one, so a sweep allocates nothing at pool size 1.
-type reencSweep struct {
-	lineBatch
-	pfn                uint64
-	oldMajor, newMajor uint64
-	oldMinor, newMinor [mem.LinesPerPage]uint8
-	lines              []int
-	out                [mem.LinesPerPage]lineOut
-}
-
-// Do implements issuewin.Batch: open line j under the old epoch and seal
-// it under the new one.
-func (s *reencSweep) Do(c *lineCrypto, j int) {
-	i := s.lines[j]
-	la := mem.LineAddr(s.pfn, i)
-	out := &s.out[j]
-	var img [mem.LineBytes]byte
-	s.e.Phys.ReadLine(la, &img)
-	if out.plain, out.err = c.open(la, s.oldMajor, s.oldMinor[i], &img); out.err != nil {
-		return
-	}
-	out.img, out.sum = c.seal(mem.LineNo(la), s.newMajor, s.newMinor[i], &out.plain)
-}
-
 // reencryptPage handles a minor-counter overflow: the page enters a new
 // major epoch and every materialised line (except skipLine, which is about
 // to be overwritten) is read, decrypted under the old counter, re-encrypted
-// under the new one and written back (paper Section V-C overhead analysis).
-// The lines are mutually independent, so the crypto runs on the
-// issue-window pool and the serial commit phase keeps stats, persistence
-// and fault points in ascending line order.
+// under the new one and written back (paper Section V-C overhead analysis),
+// one line at a time in ascending order.
 func (e *Engine) reencryptPage(now, pfn uint64, blk *ctr.Block, skipLine int) (uint64, error) {
 	e.Stats.Overflows++
 	lines0 := e.Stats.ReencryptedLines
-	s := &e.sweep
-	s.pfn, s.oldMajor, s.oldMinor = pfn, blk.Major, blk.Minor
-	reenc := blk.BumpMajor()
-	s.newMajor, s.newMinor = blk.Major, blk.Minor
-	s.lines = s.lines[:0]
-	for _, i := range reenc {
+	oldMajor, oldMinor := blk.Major, blk.Minor
+	done := now
+	for _, i := range blk.BumpMajor() {
+		la := mem.LineAddr(pfn, i)
 		// A line never written has a randomly initialised counter and no
 		// resident data: the new epoch needs no data movement for it.
-		if i != skipLine && e.written.Test(mem.LineNo(mem.LineAddr(pfn, i))) {
-			s.lines = append(s.lines, i)
+		if i == skipLine || !e.written.Test(mem.LineNo(la)) {
+			continue
 		}
-	}
-	issuewin.RunWith(e.pool, len(s.lines), s)
-	done := now
-	for j, i := range s.lines {
-		la := mem.LineAddr(pfn, i)
 		// Independent legs: every line's read issues at the sweep start —
 		// the bank queues (and, under MLP, the MSHR file) decide the real
 		// spread.
 		rt := e.readLeg(now, la)
 		e.Stats.DataReads++
-		c := &s.out[j]
-		if c.err != nil {
-			return rt, c.err
+		var old [mem.LineBytes]byte
+		e.Phys.ReadLine(la, &old)
+		plain, err := e.own.open(la, oldMajor, oldMinor[i], &old)
+		if err != nil {
+			return rt, err
 		}
+		img, sum := e.own.seal(mem.LineNo(la), blk.Major, blk.Minor[i], &plain)
 		e.countPads(2) // open under the old epoch, seal under the new
-		dec := e.persistDataLine(la, &c.plain, &c.img, &c.sum)
+		dec := e.persistDataLine(la, &plain, &img, &sum)
 		wt := e.writeLeg(rt+e.padNs, la)
 		e.Stats.DataWrites++
 		e.Stats.ReencryptedLines++

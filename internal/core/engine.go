@@ -295,17 +295,12 @@ type Engine struct {
 	// when MLP is enabled; nil means MLP off (the hot paths branch on the
 	// nil check, so the serial engine pays one compare).
 	mshr *nvm.MSHRFile
-	// pool is the issue-window size the page engines and scrub passes fan
-	// their per-line crypto over: 1 (inline) with MLP off or with
-	// plaintext at rest.
-	pool int
-	// own is the engine's own crypto state, which pool worker 0 uses.
+	// own is the engine's crypto state, through which every data line is
+	// opened and sealed.
 	own lineCrypto
 	// padNs is the pad-generation latency a data line's fetch or write
 	// waits on: AESLatencyNs, or 0 when non-secure mode generates no pads.
 	padNs uint64
-	// sweep is the re-encryption sweep's scratch, reused by every overflow.
-	sweep reencSweep
 
 	// pf is the optional metadata prefetch unit; nil means prefetch off
 	// (one pointer compare per metadata access, byte-identical reports).
@@ -354,17 +349,12 @@ func NewEngine(cfg Config, layout Layout, phys *mem.Physical, dev *nvm.Device,
 		tracked:     bitset.New(pages),
 		footprint:   make(map[uint64]uint64),
 		mshr:        mshr,
-		pool:        cfg.MLP.poolSize(),
 		padNs:       cfg.AESLatencyNs,
 	}
-	e.own = lineCrypto{enc: &encEng.Worker, mac: &macs.MACVerifier, leaf: &tree.LeafVerifier, rest: restFor(cfg), e: e}
-	if e.own.rest != restCipher {
-		e.pool = 1 // plaintext at rest: a batch job is only a copy, run inline
-	}
+	e.own = lineCrypto{enc: encEng, mac: macs, rest: restFor(cfg), e: e}
 	if e.own.rest == restPlain {
 		e.padNs = 0
 	}
-	e.sweep = reencSweep{lineBatch: lineBatch{e}, lines: make([]int, 0, mem.LinesPerPage)}
 	if pf := prefetch.New(cfg.Prefetch); pf != nil {
 		e.pf = pf
 		e.attachPrefetchSinks()

@@ -85,13 +85,12 @@ func restFor(cfg Config) atRest {
 	return restCipher
 }
 
-// lineCrypto is one pool worker's crypto state — a pad generator, a
-// data-MAC checker and a leaf-digest checker — and the seam every data-line
-// path goes through: open reads a line's at-rest image, seal makes one.
+// lineCrypto is the engine's crypto state — its pad generator and data-MAC
+// store — and the seam every data-line path goes through: open reads a
+// line's at-rest image, seal makes one.
 type lineCrypto struct {
-	enc  *enc.Worker
-	mac  *bmt.MACVerifier
-	leaf *bmt.LeafVerifier
+	enc  *enc.Engine
+	mac  *bmt.MACStore
 	rest atRest
 	e    *Engine // for the fault plane's torn-line record
 }
@@ -100,7 +99,7 @@ type lineCrypto struct {
 // (major, minor), into its plaintext: check the MAC, then decrypt. With
 // plaintext at rest the image is the plaintext; timing fidelity rejects it
 // exactly where the MAC would have, when the line's last persist did not
-// land in full. Read-only, so pool workers call it concurrently.
+// land in full.
 func (c *lineCrypto) open(addr, major uint64, minor uint8, img *[mem.LineBytes]byte) ([mem.LineBytes]byte, error) {
 	switch c.rest {
 	case restPlain:

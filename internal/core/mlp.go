@@ -2,33 +2,23 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
-	"lelantus/internal/bmt"
 	"lelantus/internal/ctr"
 	"lelantus/internal/faultinject"
-	"lelantus/internal/issuewin"
 	"lelantus/internal/mem"
 )
 
 // MLPConfig models memory-level parallelism in the timing plane. It picks
 // timing, not code: every scrub pass and every page engine but page_phyc
-// runs one path either way. Disabled (the zero value), every access chain
-// is charged serially. Enabled, two things change:
-//
-//   - An MSHR file lets the *independent* legs of a line access — the final
-//     data fetch against the counter-block fetch and verify it overlaps —
-//     occupy distinct device banks concurrently, so completion is the max of
-//     the overlapped legs instead of their sum. Dependence-ordered legs
-//     (redirect-chain hops, pad-gated writes) stay serial; each kept
-//     serialization is documented at its site.
-//
-//   - The per-line crypto of the page engines (page_phyc, the re-encryption
-//     sweep) and the recovery scrub's digest and MAC checks fan out over a
-//     deterministic goroutine pool of Workers and merge in line order, so
-//     results are byte-identical at any pool size. Disabled, the pool has
-//     size 1: the jobs run inline on the engine's own crypto state.
+// runs one path either way, a line at a time on the engine's own crypto
+// state. Disabled (the zero value), every access chain is charged
+// serially. Enabled, an MSHR file lets the *independent* legs of a line
+// access — the final data fetch against the counter-block fetch and verify
+// it overlaps — occupy distinct device banks concurrently, so completion is
+// the max of the overlapped legs instead of their sum. Dependence-ordered
+// legs (redirect-chain hops, pad-gated writes) stay serial; each kept
+// serialization is documented at its site.
 type MLPConfig struct {
 	// Enabled turns the model on. Off, the MSHR file is never allocated and
 	// the hot paths pay one nil compare.
@@ -36,20 +26,10 @@ type MLPConfig struct {
 	// MSHRs sizes the miss-status holding register file gating overlapped
 	// legs (<= 0 means nvm.DefaultMSHRs).
 	MSHRs int
-	// Workers sizes the issue-window goroutine pool (<= 0 means GOMAXPROCS).
-	// Any value yields byte-identical results; it only trades wall-clock.
+	// Workers is ignored: the engine starts no goroutine.
+	//
+	// Deprecated: kept only so existing callers compile.
 	Workers int
-}
-
-// poolSize resolves the issue-window pool size: 1 with MLP off.
-func (c MLPConfig) poolSize() int {
-	switch {
-	case !c.Enabled:
-		return 1
-	case c.Workers > 0:
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // ParseMLP parses an -mlp flag value ("on" or "off"; empty means off).
@@ -218,66 +198,10 @@ func (e *Engine) stopAt(hops []chainHop, i int) lineStop {
 	return lineStop{hop: len(hops) - 1, hops: len(hops) - 1}
 }
 
-// lineBatch is the part every page-engine and scrub batch shares. Worker 0
-// — the only worker at pool size 1, so every batch with MLP off or with
-// plaintext at rest — runs on the engine's own pad generator and
-// verifiers; the pool's other workers get private copies.
-type lineBatch struct{ e *Engine }
-
-// State implements issuewin.Batch.
-func (b lineBatch) State(w int) *lineCrypto {
-	if w == 0 {
-		return &b.e.own
-	}
-	c := b.e.own
-	c.enc, c.mac, c.leaf = b.e.Enc.NewWorker(), b.e.MACs.NewVerifier(), b.e.Tree.NewLeafVerifier()
-	return &c
-}
-
-// lineOut is the pool output of one page-engine line: everything the serial
-// commit needs with the crypto done — the plaintext, its new at-rest image
-// and MAC, or the source line's open error.
-type lineOut struct {
-	plain [mem.LineBytes]byte
-	img   [mem.LineBytes]byte
-	sum   bmt.Digest
-	err   error
-}
-
-// phycBatch is one batched page_phyc: every wanted line resolved against
-// the latched chain, and the pool's crypto output per line.
-type phycBatch struct {
-	lineBatch
-	hops              []chainHop
-	dst, dstMajor     uint64
-	jobs              []int // the wanted lines, in ascending order
-	stops             [mem.LinesPerPage]lineStop
-	srcLA             [mem.LinesPerPage]uint64
-	isZero, isWritten [mem.LinesPerPage]bool
-	out               [mem.LinesPerPage]lineOut
-}
-
-// Do implements issuewin.Batch: pure per-line crypto of job j — open the
-// source line (a zero line's plaintext stays zeros), seal it for dst.
-func (b *phycBatch) Do(c *lineCrypto, j int) {
-	i := b.jobs[j]
-	out := &b.out[i]
-	if !b.isZero[i] {
-		h := &b.hops[b.stops[i].hop]
-		var img [mem.LineBytes]byte
-		b.e.Phys.ReadLine(b.srcLA[i], &img)
-		if out.plain, out.err = c.open(b.srcLA[i], h.blk.Major, h.blk.Minor[i], &img); out.err != nil {
-			return
-		}
-	}
-	out.img, out.sum = c.seal(mem.LineNo(mem.LineAddr(b.dst, i)), b.dstMajor, 1, &out.plain)
-}
-
 // phycLinesBatched is page_phyc's line loop under MLP: one chain walk
-// serves all 64 lines, per-line crypto fans out over the issue-window pool,
-// and the serial commit phase applies timing, stats, persistence and fault
-// points in ascending line order — so the result is byte-identical at any
-// pool size.
+// serves all 64 lines, then each wanted line is resolved against the
+// latched chain, opened, sealed for dst and committed in ascending line
+// order.
 func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint64, copied int, err error) {
 	var want [mem.LinesPerPage]bool
 	n := 0
@@ -297,29 +221,14 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 		return t, 0, werr
 	}
 
-	b := &phycBatch{lineBatch: lineBatch{e}, hops: hops, dst: dst, dstMajor: blk.Major, jobs: make([]int, 0, n)}
 	for i := 0; i < mem.LinesPerPage; i++ {
 		if !want[i] {
 			continue
 		}
 		s := e.stopAt(hops, i)
-		b.jobs = append(b.jobs, i)
-		b.stops[i] = s
-		b.srcLA[i] = mem.LineAddr(hops[s.hop].pfn, i)
-		b.isWritten[i] = e.written.Test(mem.LineNo(b.srcLA[i]))
-		b.isZero[i] = s.zero || !b.isWritten[i]
-	}
-
-	// Phase A: pure per-line crypto on the pool.
-	issuewin.RunWith(e.pool, n, b)
-
-	// Phase B: serial commit in ascending line order. Every mutation of
-	// shared state — MSHR registers, bank queues, stats, the fault plane's
-	// deterministic sequence, the MAC store — happens only here.
-	for _, i := range b.jobs {
-		s := b.stops[i]
 		h := &hops[s.hop]
-		srcLA, isWritten := b.srcLA[i], b.isWritten[i]
+		srcLA := mem.LineAddr(h.pfn, i)
+		isWritten := e.written.Test(mem.LineNo(srcLA))
 		if s.hops > 0 {
 			e.Stats.Redirects++
 			e.Stats.ChainHops += uint64(s.hops)
@@ -347,20 +256,24 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 			// Pad generation overlaps the fetch but needs the counter.
 			rt = maxU64(fetch, h.done+e.padNs)
 		}
-		c := &b.out[i]
-		if c.err != nil {
-			return rt, copied, c.err
+		// A zero line's plaintext stays zeros; any other is opened.
+		var plain [mem.LineBytes]byte
+		pads := uint64(1) // the seal
+		if !s.zero && isWritten {
+			var srcImg [mem.LineBytes]byte
+			e.Phys.ReadLine(srcLA, &srcImg)
+			if plain, err = e.own.open(srcLA, h.blk.Major, h.blk.Minor[i], &srcImg); err != nil {
+				return rt, copied, err
+			}
+			pads++ // and the source line's open
 		}
 
 		la := mem.LineAddr(dst, i)
+		img, sum := e.own.seal(mem.LineNo(la), blk.Major, 1, &plain)
 		blk.Minor[i] = 1
 		e.written.Set(mem.LineNo(la))
-		pads := uint64(1) // the seal
-		if !b.isZero[i] {
-			pads++ // and the source line's open
-		}
 		e.countPads(pads)
-		dec := e.persistDataLine(la, &c.plain, &c.img, &c.sum)
+		dec := e.persistDataLine(la, &plain, &img, &sum)
 		wt := e.writeLeg(rt+e.padNs, la)
 		e.Stats.DataWrites++
 		e.Stats.PhycLines++

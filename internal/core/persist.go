@@ -159,6 +159,3 @@ func (e *Engine) strategy() PersistStrategy {
 	}
 	return e.cfg.Persist
 }
-
-// PersistName returns the active persistence strategy's name.
-func (e *Engine) PersistName() string { return e.strategy().Name() }

@@ -22,9 +22,6 @@ const (
 	PrefetchBoth  = prefetch.Both
 )
 
-// PrefetchEnabled reports whether the metadata prefetch unit is active.
-func (e *Engine) PrefetchEnabled() bool { return e.pf != nil }
-
 // attachPrefetchSinks wires the caches' evicted-unused callbacks to the
 // prefetch unit's in-flight bookkeeping. Called at construction and again
 // after ResetVolatile swaps the caches. The callbacks keep one invariant:

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"lelantus/internal/ctr"
-	"lelantus/internal/issuewin"
 	"lelantus/internal/mem"
 	"lelantus/internal/probe"
 )
@@ -99,63 +97,6 @@ func (e *Engine) chainNext(pfn uint64) (uint64, bool) {
 	return 0, false
 }
 
-// leafScan is recovery pass 1's digest check: one job per initialised
-// counter block.
-type leafScan struct {
-	lineBatch
-	pfns []uint64
-	torn []bool
-}
-
-// Do implements issuewin.Batch.
-func (s *leafScan) Do(c *lineCrypto, j int) {
-	var raw [ctr.BlockBytes]byte
-	s.e.Phys.ReadLine(s.e.ctrAddr(s.pfns[j]), &raw)
-	s.torn[j] = c.leaf.VerifyLeaf(s.pfns[j], raw[:]) != nil
-}
-
-// pageScrub is one page's pass-4 outcome.
-type pageScrub struct {
-	scrubbed uint64
-	lost     []uint64 // line addresses whose MAC mismatched
-}
-
-// macScrub is recovery pass 4: one job per page whose counter block
-// survived. Without hashing (timing fidelity) it only counts the lines a
-// full scrub would verify.
-type macScrub struct {
-	lineBatch
-	pfns    []uint64
-	hashing bool
-	out     []pageScrub
-}
-
-// Do implements issuewin.Batch. peekBlock is side-effect free.
-func (s *macScrub) Do(c *lineCrypto, j int) {
-	pfn := s.pfns[j]
-	blk, ok := s.e.peekBlock(pfn)
-	if !ok {
-		return
-	}
-	o := &s.out[j]
-	for i := 0; i < mem.LinesPerPage; i++ {
-		la := mem.LineAddr(pfn, i)
-		lineNo := mem.LineNo(la)
-		if blk.Minor[i] == 0 || !s.e.written.Test(lineNo) {
-			continue
-		}
-		o.scrubbed++
-		if !s.hashing {
-			continue
-		}
-		var ciph [mem.LineBytes]byte
-		s.e.Phys.ReadLine(la, &ciph)
-		if c.mac.Verify(lineNo, ciph[:], blk.Major, blk.Minor[i]) != nil {
-			o.lost = append(o.lost, la)
-		}
-	}
-}
-
 // Recover scrubs the persisted metadata image after a crash, in the spirit
 // of Anubis/Phoenix-style recovery: the NVM-resident leaves are the ground
 // truth, everything volatile is rebuilt or re-verified from them. The
@@ -194,6 +135,8 @@ func (e *Engine) Recover() (*RecoveryReport, error) {
 	pages := e.layout.DataLimit / mem.PageBytes
 
 	// Pass 1: counter-block scan against (or rebuild of) the leaf digests.
+	// live is in pfn order, so passes 1 and 4 list torn pages and lost
+	// lines sorted.
 	live := make([]uint64, 0, e.initialised.Count())
 	for pfn := uint64(0); pfn < pages; pfn++ {
 		if e.initialised.Test(pfn) {
@@ -205,7 +148,7 @@ func (e *Engine) Recover() (*RecoveryReport, error) {
 	switch {
 	case !secure:
 	case !strat.LeafDigestsDurable():
-		// Rebuild mode: ResetLeaf mutates the tree, so it stays serial.
+		// Rebuild mode: adopt each block's NVM image as its leaf.
 		for _, pfn := range live {
 			var raw [ctr.BlockBytes]byte
 			e.Phys.ReadLine(e.ctrAddr(pfn), &raw)
@@ -213,16 +156,12 @@ func (e *Engine) Recover() (*RecoveryReport, error) {
 			rep.LeavesRebuilt++
 		}
 	case hashing:
-		// The per-block digest checks are independent and read-only, so
-		// they run on the issue-window pool; the merge walks them in pfn
-		// order, so the report is byte-identical at any pool size.
-		scan := &leafScan{lineBatch: lineBatch{e}, pfns: live, torn: make([]bool, len(live))}
-		issuewin.RunWith(e.pool, len(live), scan)
-		for j, bad := range scan.torn {
-			if !bad {
+		for _, pfn := range live {
+			var raw [ctr.BlockBytes]byte
+			e.Phys.ReadLine(e.ctrAddr(pfn), &raw)
+			if e.Tree.VerifyLeaf(pfn, raw[:]) == nil {
 				continue
 			}
-			pfn := live[j]
 			rep.TornBlocks++
 			torn[pfn] = true
 			if uint64(len(rep.TornPages)) < reportListCap {
@@ -230,7 +169,6 @@ func (e *Engine) Recover() (*RecoveryReport, error) {
 			}
 		}
 	}
-	sort.Slice(rep.TornPages, func(i, j int) bool { return rep.TornPages[i] < rep.TornPages[j] })
 
 	// Pass 2: rebuild the Merkle inner nodes from the (possibly just
 	// re-derived) leaves, Phoenix-style, level by level. The root register
@@ -304,28 +242,38 @@ func (e *Engine) Recover() (*RecoveryReport, error) {
 
 	// Pass 4: MAC scrub of written lines on pages whose counter block
 	// survived intact (a torn block already invalidates the whole page).
-	// The per-page scrub is read-only, so pages run on the issue-window
-	// pool; the merge walks them in pfn order, so counts and the LostLines
-	// prefix do not depend on the pool size.
+	// Without hashing (timing fidelity) it only counts the lines a full
+	// scrub would verify. peekBlock is side-effect free.
 	if secure {
-		intact := live[:0]
 		for _, pfn := range live {
-			if !torn[pfn] {
-				intact = append(intact, pfn)
+			if torn[pfn] {
+				continue
 			}
-		}
-		scrub := &macScrub{lineBatch: lineBatch{e}, pfns: intact, hashing: hashing, out: make([]pageScrub, len(intact))}
-		issuewin.RunWith(e.pool, len(intact), scrub)
-		for j := range scrub.out {
-			rep.LinesScrubbed += scrub.out[j].scrubbed
-			rep.MACMismatches += uint64(len(scrub.out[j].lost))
-			for _, la := range scrub.out[j].lost {
+			blk, ok := e.peekBlock(pfn)
+			if !ok {
+				continue
+			}
+			for i := 0; i < mem.LinesPerPage; i++ {
+				la := mem.LineAddr(pfn, i)
+				lineNo := mem.LineNo(la)
+				if blk.Minor[i] == 0 || !e.written.Test(lineNo) {
+					continue
+				}
+				rep.LinesScrubbed++
+				if !hashing {
+					continue
+				}
+				var ciph [mem.LineBytes]byte
+				e.Phys.ReadLine(la, &ciph)
+				if e.MACs.Verify(lineNo, ciph[:], blk.Major, blk.Minor[i]) == nil {
+					continue
+				}
+				rep.MACMismatches++
 				if uint64(len(rep.LostLines)) < reportListCap {
 					rep.LostLines = append(rep.LostLines, la)
 				}
 			}
 		}
-		sort.Slice(rep.LostLines, func(i, j int) bool { return rep.LostLines[i] < rep.LostLines[j] })
 	}
 
 	// Modeled scrub cost, per pass. Pass 1: every scanned block is a

@@ -30,7 +30,7 @@ const padBlocks = LineBytes / aes.BlockSize
 
 // tweakSlots sizes the direct-mapped tweak cache (a power of two, indexed
 // by the line number's low bits). 256 entries cover the simulator's working
-// sets well while costing ~10 KB per worker.
+// sets well while costing ~10 KB per engine.
 const tweakSlots = 256
 
 // tweakEntry caches the first-stage AES output for one (lineNo, major)
@@ -43,12 +43,10 @@ type tweakEntry struct {
 	tweak  [aes.BlockSize]byte
 }
 
-// Worker generates one-time pads and applies them to cachelines. It owns
-// its tweak cache and scratch blocks and shares only the AES key schedule
-// (cipher.Block's Encrypt is safe for concurrent use), so a goroutine pool
-// can give each worker its own and crypt independent lines concurrently.
-// A Worker counts nothing: pad accounting belongs to the Engine.
-type Worker struct {
+// Engine is the controller's encryption engine: it generates one-time
+// pads, applies them to cachelines and counts them. Not safe for
+// concurrent use (each simulated machine owns its engine).
+type Engine struct {
 	block cipher.Block
 
 	// tweaks caches the (lineNo ‖ major) AES stage: repeated pads on the
@@ -60,61 +58,54 @@ type Worker struct {
 	// in the struct so pad generation does not allocate.
 	in  [aes.BlockSize]byte
 	pad [LineBytes]byte
+
+	// Pads counts logical pad generations (one per line encryption or
+	// decryption), booked with NotePads: Pad, Crypt, Encrypt and Decrypt
+	// count nothing, and a tweak-cache hit is still one pad.
+	Pads uint64
 }
 
 // Pad computes the 64-byte one-time pad for the line identified by its
 // physical line number (byte address >> 6) and its encryption counter.
-func (w *Worker) Pad(lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
-	slot := &w.tweaks[lineNo%tweakSlots]
+func (e *Engine) Pad(lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
+	slot := &e.tweaks[lineNo%tweakSlots]
 	if !slot.valid || slot.lineNo != lineNo || slot.major != major {
-		w.in = [aes.BlockSize]byte{}
-		binary.LittleEndian.PutUint64(w.in[0:8], lineNo)
-		binary.LittleEndian.PutUint64(w.in[8:16], major)
-		w.block.Encrypt(slot.tweak[:], w.in[:])
+		e.in = [aes.BlockSize]byte{}
+		binary.LittleEndian.PutUint64(e.in[0:8], lineNo)
+		binary.LittleEndian.PutUint64(e.in[8:16], major)
+		e.block.Encrypt(slot.tweak[:], e.in[:])
 		slot.lineNo, slot.major, slot.valid = lineNo, major, true
 	}
 	for i := 0; i < padBlocks; i++ {
-		w.in = slot.tweak
-		w.in[0] ^= minor
-		w.in[1] ^= byte(i)
-		w.block.Encrypt(w.pad[i*aes.BlockSize:(i+1)*aes.BlockSize], w.in[:])
+		e.in = slot.tweak
+		e.in[0] ^= minor
+		e.in[1] ^= byte(i)
+		e.block.Encrypt(e.pad[i*aes.BlockSize:(i+1)*aes.BlockSize], e.in[:])
 	}
-	return w.pad
+	return e.pad
 }
 
 // Crypt XORs src with the pad for (lineNo, major, minor) into dst.
 // Counter-mode encryption and decryption are the same operation.
-func (w *Worker) Crypt(dst, src *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) {
-	pad := w.Pad(lineNo, major, minor)
+func (e *Engine) Crypt(dst, src *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) {
+	pad := e.Pad(lineNo, major, minor)
 	for i := range dst {
 		dst[i] = src[i] ^ pad[i]
 	}
 }
 
 // Encrypt is Crypt with naming that reads well at write sites.
-func (w *Worker) Encrypt(plain *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
+func (e *Engine) Encrypt(plain *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
 	var out [LineBytes]byte
-	w.Crypt(&out, plain, lineNo, major, minor)
+	e.Crypt(&out, plain, lineNo, major, minor)
 	return out
 }
 
 // Decrypt is Crypt with naming that reads well at read sites.
-func (w *Worker) Decrypt(ciph *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
+func (e *Engine) Decrypt(ciph *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
 	var out [LineBytes]byte
-	w.Crypt(&out, ciph, lineNo, major, minor)
+	e.Crypt(&out, ciph, lineNo, major, minor)
 	return out
-}
-
-// Engine is the controller's encryption engine: its own Worker plus the
-// pad count. Not safe for concurrent use (each simulated machine owns its
-// engine); pool workers derive private Workers with NewWorker.
-type Engine struct {
-	Worker
-	// Pads counts logical pad generations (one per line encryption or
-	// decryption), booked with NotePads: the embedded Worker's Pad, Crypt,
-	// Encrypt and Decrypt count nothing, and a tweak-cache hit is still
-	// one pad.
-	Pads uint64
 }
 
 // New creates an engine keyed with the given 16-byte AES-128 key.
@@ -126,13 +117,10 @@ func New(key []byte) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{Worker: Worker{block: b}}, nil
+	return &Engine{block: b}, nil
 }
 
-// NewWorker derives an independent pad generator from the engine.
-func (e *Engine) NewWorker() *Worker { return &Worker{block: e.block} }
-
-// NotePads records n logical pad generations. The engine's workers count
+// NotePads records n logical pad generations. Pad generation counts
 // nothing, so the controller books every pad of a line operation here, in
 // one place: the pads the full data plane generates and timing-only
 // fidelity (core.FidelityTiming) elides, so the Pads counter is identical

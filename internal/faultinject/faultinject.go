@@ -172,14 +172,6 @@ type Plane struct {
 	// such a line by its MAC, which describes the intended image; timing
 	// fidelity computes no MACs and asks the plane instead.
 	torn map[uint64]struct{}
-
-	// persistProfile names the engine's persistence strategy ("strict",
-	// "phoenix", "triad:N"). Purely diagnostic: lazy strategies move some
-	// persist points (e.g. CoW-table write-through) from command time to
-	// eviction/drain time, so per-point hit counts shift between profiles —
-	// recording the profile lets sweep artefacts and failure dumps name
-	// which persist-point schedule produced them.
-	persistProfile string
 }
 
 // New creates a disarmed plane. The seed determines tear widths (how many
@@ -217,24 +209,6 @@ func (p *Plane) PointHits(pt Point) uint64 {
 		return 0
 	}
 	return p.perPoint[pt]
-}
-
-// SetPersistProfile records which persistence strategy schedules the persist
-// points this plane observes. The controller declares it at build time.
-func (p *Plane) SetPersistProfile(name string) {
-	if p == nil {
-		return
-	}
-	p.persistProfile = name
-}
-
-// PersistProfile returns the declared persistence strategy name ("" when
-// none was declared).
-func (p *Plane) PersistProfile() string {
-	if p == nil {
-		return ""
-	}
-	return p.persistProfile
 }
 
 // ArmCrashAt schedules a crash at the nth global persist point (1-based).

@@ -123,13 +123,7 @@ func (c CellSpec) config() (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	// Grid cells already run many-wide across the coordinator's pool;
-	// Workers=1 keeps the MLP page engines inline so cells never nest
-	// goroutine pools. Results are byte-identical at any pool size (pinned
-	// by TestMLPOnPoolSizeDeterminism), so this is purely a scheduling
-	// choice.
 	k := sim.Knobs{
-		MLP:      core.MLPConfig{Workers: 1},
 		Prefetch: core.PrefetchConfig{Depth: c.PrefetchDepth},
 		Ranks:    c.Ranks,
 		Banks:    c.Banks,

@@ -10,12 +10,16 @@ import (
 const fuzzMaxRegionKB = 64 << 10
 
 // oversizeSpecs are cell specs whose sizes overflowed into a different
-// machine before Build checked them: a memMB past the mem knob's 44 bits
-// wrapped to a 1 MiB machine, and a regionKB past 2^54 wrapped to an empty
-// forkbench region.
+// machine, or past host memory, before Build checked them: a memMB past the
+// mem knob's 44 bits wrapped to a 1 MiB machine, a regionKB past 2^54
+// wrapped to an empty forkbench region, 10^9 ranks of 64 banks ran the
+// worker out of memory, and 2^62 ranks of 4 banks wrapped to a 1-bank
+// device.
 var oversizeSpecs = []string{
 	`{"workload":"forkbench","seed":1,"scheme":"lelantus","memMB":17592186044417,"quick":true}`,
 	`{"workload":"forkbench","seed":1,"scheme":"lelantus","regionKB":18014398509481984}`,
+	`{"workload":"forkbench","seed":1,"scheme":"lelantus","quick":true,"ranks":1000000000,"banks":64}`,
+	`{"workload":"forkbench","seed":1,"scheme":"lelantus","quick":true,"ranks":4611686018427387904,"banks":4}`,
 }
 
 // TestCellSpecRejectsOversize: a size that does not fit is an error, not a

@@ -143,7 +143,6 @@ func New(cfg Config) (*Controller, error) {
 		eng.Mem = ctl.Queue
 	}
 	eng.AttachFaultPlane(cfg.FaultPlane, cfg.WriteQueue != nil)
-	cfg.FaultPlane.SetPersistProfile(eng.PersistName())
 	eng.AttachProbe(cfg.Probe)
 	if cfg.Probe != nil {
 		// The sampler reads through the controller so it tracks the *current*

@@ -9,13 +9,13 @@ import (
 	"lelantus/internal/nvm"
 )
 
-func mlpCtl(t *testing.T, scheme core.Scheme, strat core.PersistStrategy, workers int) *Controller {
+func mlpCtl(t *testing.T, scheme core.Scheme, strat core.PersistStrategy) *Controller {
 	t.Helper()
 	cfg := DefaultConfig(scheme)
 	cfg.MemBytes = 16 << 20
 	cfg.CtrCacheMode = ctrcache.WriteBack
 	cfg.Core.Persist = strat
-	cfg.Core.MLP = core.MLPConfig{Enabled: true, Workers: workers}
+	cfg.Core.MLP = core.MLPConfig{Enabled: true}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestRecoveryNsMLPFormula(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.Lelantus, core.LelantusCoW} {
 		for _, strat := range []core.PersistStrategy{core.StrictPersist(), core.PhoenixPersist()} {
 			t.Run(scheme.String()+"/"+strat.Name(), func(t *testing.T) {
-				c := mlpCtl(t, scheme, strat, 1)
+				c := mlpCtl(t, scheme, strat)
 				exerciseCoW(t, c)
 				if err := c.Crash(0, true); err != nil {
 					t.Fatal(err)
@@ -78,18 +78,17 @@ func TestRecoveryNsMLPFormula(t *testing.T) {
 	}
 }
 
-// TestRecoveryReportMLPInvariant pins that the pooled scrub passes find
-// exactly what the serial ones find: every report field except the modeled
-// RecoveryNs is identical between mlp=off and mlp=on, and mlp=on reports are
-// identical at any pool size.
+// TestRecoveryReportMLPInvariant pins that the scrub passes find the same
+// under either MLP setting: every report field except the modeled
+// RecoveryNs is identical between mlp=off and mlp=on.
 func TestRecoveryReportMLPInvariant(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.Lelantus, core.LelantusCoW} {
 		for _, strat := range []core.PersistStrategy{core.StrictPersist(), core.PhoenixPersist()} {
 			t.Run(scheme.String()+"/"+strat.Name(), func(t *testing.T) {
-				recover := func(mlp bool, workers int) *core.RecoveryReport {
+				recover := func(mlp bool) *core.RecoveryReport {
 					var c *Controller
 					if mlp {
-						c = mlpCtl(t, scheme, strat, workers)
+						c = mlpCtl(t, scheme, strat)
 					} else {
 						c = persistCtl(t, scheme, strat)
 					}
@@ -103,21 +102,19 @@ func TestRecoveryReportMLPInvariant(t *testing.T) {
 					}
 					return rep
 				}
-				serial := recover(false, 0)
-				for _, workers := range []int{1, 4} {
-					pooled := recover(true, workers)
-					if pooled.RecoveryNs >= serial.RecoveryNs {
-						t.Errorf("workers=%d: bank-parallel recovery not faster (%d ns >= %d ns)",
-							workers, pooled.RecoveryNs, serial.RecoveryNs)
-					}
-					// Neutralise the one field the model moves, then demand
-					// everything else — torn blocks, rebuilt nodes, scrubbed
-					// lines, chain invariants — to match the serial scrub.
-					pooled.RecoveryNs = serial.RecoveryNs
-					if !reflect.DeepEqual(pooled, serial) {
-						t.Errorf("workers=%d: pooled scrub diverges from serial\nserial: %+v\npooled: %+v",
-							workers, serial, pooled)
-					}
+				serial := recover(false)
+				overlapped := recover(true)
+				if overlapped.RecoveryNs >= serial.RecoveryNs {
+					t.Errorf("bank-parallel recovery not faster (%d ns >= %d ns)",
+						overlapped.RecoveryNs, serial.RecoveryNs)
+				}
+				// Neutralise the one field the model moves, then demand
+				// everything else — torn blocks, rebuilt nodes, scrubbed
+				// lines, chain invariants — to match the serial scrub.
+				overlapped.RecoveryNs = serial.RecoveryNs
+				if !reflect.DeepEqual(overlapped, serial) {
+					t.Errorf("mlp=on scrub diverges from serial\nserial: %+v\nmlp=on: %+v",
+						serial, overlapped)
 				}
 			})
 		}

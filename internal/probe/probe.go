@@ -403,11 +403,3 @@ func (p *Plane) ObserveBankQueue(depth int) {
 	}
 	p.bankQ.Observe(uint64(depth))
 }
-
-// BankQueueDepth returns the bank-queue depth distribution (MLP runs only).
-func (p *Plane) BankQueueDepth() LinHist {
-	if p == nil {
-		return LinHist{}
-	}
-	return p.bankQ
-}

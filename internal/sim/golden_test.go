@@ -42,9 +42,10 @@ func checkGolden(t *testing.T, want map[string]string, name, got string) {
 
 // TestGoldenResults pins the exact output of the simulator as literal
 // digests: every sim.Result field of a set of scripts over every scheme,
-// both fidelities, non-secure mode and both MLP settings, and the
+// both fidelities, non-secure mode and both MLP settings, the
 // crash-and-recover cells of the quick forkbench under two persistence
-// strategies. A refactor that claims to keep reports byte-identical must
+// strategies, and crash cells of the overflow script where recovery
+// detects a torn counter block or a lost data line. A refactor that claims to keep reports byte-identical must
 // leave every digest unchanged; a deliberate model change updates the
 // literals and says why.
 func TestGoldenResults(t *testing.T) {
@@ -110,6 +111,30 @@ func TestGoldenResults(t *testing.T) {
 					}
 					checkGolden(t, goldenCrashCells, name, goldenDigest(t, cell))
 				}
+			}
+		}
+	}
+
+	// The forkbench cells above detect nothing. These crash the overflow
+	// script where recovery must: point 66 tears a counter block (pass 1's
+	// digest check), and macPoint loses a data line (pass 4's MAC scrub).
+	// The counts are asserted so the pins cannot go vacuous.
+	macPoint := map[core.Scheme]uint64{core.Baseline: 70, core.SilentShredder: 70, core.Lelantus: 196, core.LelantusCoW: 200}
+	ov := overflowScript()
+	for _, scheme := range core.Schemes() {
+		for _, mlp := range []bool{false, true} {
+			for _, p := range []struct{ n, torn, lost uint64 }{{66, 1, 0}, {macPoint[scheme], 0, 1}} {
+				name := fmt.Sprintf("crash/overflow/%v/mlp=%v/%d", scheme, mlp, p.n)
+				cfg := fidelityConfig(scheme, core.FidelityFull, 1)
+				cfg.Mem.Core.MLP.Enabled = mlp
+				cell, err := CrashAt(cfg, ov, 1, p.n)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if r := cell.Report; r.TornBlocks != p.torn || r.MACMismatches != p.lost {
+					t.Errorf("%s: %d torn blocks and %d MAC mismatches, want %d and %d", name, r.TornBlocks, r.MACMismatches, p.torn, p.lost)
+				}
+				checkGolden(t, goldenCrashCells, name, goldenDigest(t, cell))
 			}
 		}
 	}
@@ -257,4 +282,22 @@ var goldenCrashCells = map[string]string{
 	"crash/lelantus-cow/phoenix/mlp=false/1000":    "b73a9219341a07a4ba4a41aaf75b7cfff2e525799778dd58fecf38d1202a8c1e",
 	"crash/lelantus-cow/phoenix/mlp=true/100":      "acdec7d3716043a50435b3ccc6c3088180c87ff333363433d96cf759c522ca48",
 	"crash/lelantus-cow/phoenix/mlp=true/1000":     "63634f689e6c8f5bcb9ba4fb18391d1353d927f882abcc6b22b3604a9df397d9",
+
+	// Detecting cells: a torn counter block (66) and a lost data line.
+	"crash/overflow/baseline/mlp=false/66":        "cf1634fb6528fc1077f0b1874cef45e6dd9c5f6b3f00135b8315cd59e1cd9eee",
+	"crash/overflow/baseline/mlp=false/70":        "9c51dcb345fb4b7b04c6d9b921769497fed7f491205552eafa90d414528eec7b",
+	"crash/overflow/baseline/mlp=true/66":         "37d71e047ae3cdd7ad5c9e1f5abfe1563c7a9ed8bd7d0fbd2e99eecc5c431972",
+	"crash/overflow/baseline/mlp=true/70":         "f12a9f763304ddfd1cd98eb2c21d24413bee95b9f56278d425b4bd8fbd28ede8",
+	"crash/overflow/silent-shredder/mlp=false/66": "83199ff968d8fed51f427d4caff207fa32383461a6789202f0839ce8f900039a",
+	"crash/overflow/silent-shredder/mlp=false/70": "c725551bd0e43bc885df4d88dd2b68a476b3ddfde5841ad61e2bba5b89838802",
+	"crash/overflow/silent-shredder/mlp=true/66":  "45b5524013a681454239d64b6fd11482b46f6f68fcc62d8557635426421597e1",
+	"crash/overflow/silent-shredder/mlp=true/70":  "cf221080debb1753e2240bac57c84745f86019513655d231be3f765315c08580",
+	"crash/overflow/lelantus/mlp=false/66":        "44d250558edcb11fe8df7f9b739d4b33d97f2460acf017b8ea2187d845e6af66",
+	"crash/overflow/lelantus/mlp=false/196":       "11c0d26d870656a800d476ebb529897daf400e17c7c1f6e7d6878c038edf269b",
+	"crash/overflow/lelantus/mlp=true/66":         "02926809e9ddff3adac5ea03f4a5358a25ec06c5b667de3248880a2e73419f1e",
+	"crash/overflow/lelantus/mlp=true/196":        "d049e8eeb183bb7812b5d410c2a6f379262a784eb17cd8bf30df7314daa16a14",
+	"crash/overflow/lelantus-cow/mlp=false/66":    "6d4ab391d7d93b0a54db6fb392b281bdd18464921a17e8cdb5ffb64404df071b",
+	"crash/overflow/lelantus-cow/mlp=false/200":   "7375cea1b5e5402bdcdfcbdcd8547548cb2c94f94a160787c89df58485fac27f",
+	"crash/overflow/lelantus-cow/mlp=true/66":     "390910ee92703f82af55d2851d5dabe671a598b841091e10202f3de506896274",
+	"crash/overflow/lelantus-cow/mlp=true/200":    "d1d3578449a1d0c2bcf4eae1d11a0999a4bc2aa0673fd253fb79aa8ed4f2c74e",
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"strings"
 
 	"lelantus/internal/core"
+	"lelantus/internal/nvm"
 	"lelantus/internal/prefetch"
 )
 
@@ -15,6 +17,15 @@ import (
 // selects: big enough for every workload while keeping host memory modest
 // (the paper's 16 GB changes nothing for these working sets).
 const DefaultMemBytes = 512 << 20
+
+// MaxBanks caps the device's total bank count (ranks × banks per rank) and
+// MaxMSHRs the MSHR file: the simulator allocates state per bank and per
+// register, so a larger value would exhaust host memory. Each is 256× or
+// more its default.
+const (
+	MaxBanks = 4096
+	MaxMSHRs = 4096
+)
 
 // Knobs is the machine-knob surface every front end shares: the CLIs'
 // flags, the experiment harness's options, the grid's cell specs and the
@@ -28,7 +39,7 @@ type Knobs struct {
 	Fidelity core.Fidelity
 	// Persist is the metadata persistence strategy (nil = strict).
 	Persist core.PersistStrategy
-	// MLP carries the mlp, mshrs and mlp-workers knobs.
+	// MLP carries the mlp and mshrs knobs.
 	MLP core.MLPConfig
 	// Prefetch carries the prefetch and prefetch-depth knobs.
 	Prefetch core.PrefetchConfig
@@ -86,10 +97,8 @@ var knobTable = []knob{
 			}
 			return "off"
 		}},
-	numKnob("mshrs", "MSHR registers for -mlp=on (0 = default 8)",
+	numKnob("mshrs", "MSHR registers for -mlp=on (0 = default 8, at most 4096)",
 		func(k *Knobs) *int { return &k.MLP.MSHRs }),
-	numKnob("mlp-workers", "goroutine pool for the batched page engines under -mlp=on (0 = all CPUs); output is identical at any setting",
-		func(k *Knobs) *int { return &k.MLP.Workers }),
 	{name: "prefetch", usage: "metadata prefetch: off | delta (counter-stride) | chain (redirect-chain walker) | both; timing and metadata traffic change, functional state does not",
 		set: func(k *Knobs, v string) (err error) { k.Prefetch.Mode, err = prefetch.ParseMode(v); return err },
 		get: func(k *Knobs) string { return k.Prefetch.Mode.String() }},
@@ -110,8 +119,8 @@ var knobTable = []knob{
 			}
 			return strconv.FormatUint(k.MemBytes>>20, 10)
 		}},
-	numKnob("ranks", "NVM ranks (0 = default 2)", func(k *Knobs) *int { return &k.Ranks }),
-	numKnob("banks", "NVM banks per rank (0 = default 8)", func(k *Knobs) *int { return &k.Banks }),
+	numKnob("ranks", "NVM ranks (0 = default 2; ranks × banks at most 4096)", func(k *Knobs) *int { return &k.Ranks }),
+	numKnob("banks", "NVM banks per rank (0 = default 8; ranks × banks at most 4096)", func(k *Knobs) *int { return &k.Banks }),
 }
 
 // parse runs the knob's parser on k; the error names the knob's flag.
@@ -132,12 +141,21 @@ func (k *Knobs) Set(name, value string) error {
 	return fmt.Errorf("unknown knob %q", name)
 }
 
-// Validate reports the first negative numeric knob.
+// Validate reports the first negative numeric knob, then a size past
+// MaxMSHRs or MaxBanks.
 func (k Knobs) Validate() error {
 	for _, kn := range knobTable {
 		if kn.num != nil && *kn.num(&k) < 0 {
 			return fmt.Errorf("-%s %d: must be >= 0 (0 selects the default)", kn.name, *kn.num(&k))
 		}
+	}
+	if k.MLP.MSHRs > MaxMSHRs {
+		return fmt.Errorf("-mshrs %d: must be <= %d", k.MLP.MSHRs, MaxMSHRs)
+	}
+	def := nvm.DefaultConfig()
+	ranks, banks := cmp.Or(k.Ranks, def.Ranks), cmp.Or(k.Banks, def.BanksPerRank)
+	if ranks > MaxBanks/banks { // ranks*banks > MaxBanks, without overflow
+		return fmt.Errorf("-ranks %d -banks %d: more than %d banks in total", ranks, banks, MaxBanks)
 	}
 	return nil
 }

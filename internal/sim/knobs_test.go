@@ -14,7 +14,7 @@ import (
 // default text (the knob's spelling of its current value) parses back to
 // that value.
 func TestKnobsParse(t *testing.T) {
-	const text = "fidelity=timing,persist=triad:2,mlp=on,mshrs=16,mlp-workers=2,prefetch=both,prefetch-depth=8,mem=256,ranks=4,banks=16"
+	const text = "fidelity=timing,persist=triad:2,mlp=on,mshrs=16,prefetch=both,prefetch-depth=8,mem=256,ranks=4,banks=16"
 	var k Knobs
 	if err := k.Parse(text); err != nil {
 		t.Fatal(err)
@@ -22,7 +22,7 @@ func TestKnobsParse(t *testing.T) {
 	want := Knobs{
 		Fidelity: core.FidelityTiming,
 		Persist:  core.TriadPersist(2),
-		MLP:      core.MLPConfig{Enabled: true, MSHRs: 16, Workers: 2},
+		MLP:      core.MLPConfig{Enabled: true, MSHRs: 16},
 		Prefetch: core.PrefetchConfig{Mode: core.PrefetchBoth, Depth: 8},
 		MemBytes: 256 << 20,
 		Ranks:    4,
@@ -52,6 +52,29 @@ func TestKnobsRejectBadSpellings(t *testing.T) {
 		var k Knobs
 		if err := k.Parse(text); err == nil {
 			t.Errorf("Parse(%q) accepted", text)
+		}
+	}
+}
+
+// TestKnobsRejectOversize pins the upper bounds: more than MaxBanks banks
+// in total or more than MaxMSHRs registers is an error naming the flag,
+// including a ranks × banks product that wraps a 64-bit int, while the
+// caps themselves are accepted. Zero ranks or banks counts as the default.
+func TestKnobsRejectOversize(t *testing.T) {
+	for _, c := range []struct{ text, flag string }{
+		{"ranks=1000000000,banks=64", "-ranks"}, {"ranks=4611686018427387904,banks=4", "-ranks"},
+		{"ranks=513", "-ranks"}, {"banks=2049", "-ranks"}, {"ranks=4097,banks=1", "-ranks"},
+		{"mlp=on,mshrs=2000000000", "-mshrs"}, {"mshrs=4097", "-mshrs"},
+	} {
+		var k Knobs
+		if err := k.Parse(c.text); err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("Parse(%q) = %v, want an error naming %s", c.text, err, c.flag)
+		}
+	}
+	for _, text := range []string{"ranks=512", "banks=2048", "ranks=4096,banks=1", "ranks=1,banks=4096", "mshrs=4096"} {
+		var k Knobs
+		if err := k.Parse(text); err != nil {
+			t.Errorf("Parse(%q): %v", text, err)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"lelantus/internal/core"
@@ -11,9 +10,9 @@ import (
 )
 
 // mlpConfig builds a small machine with the MSHR-overlapped engine on.
-func mlpConfig(s core.Scheme, f core.Fidelity, seed int64, workers int) Config {
+func mlpConfig(s core.Scheme, f core.Fidelity, seed int64) Config {
 	cfg := fidelityConfig(s, f, seed)
-	cfg.Mem.Core.MLP = core.MLPConfig{Enabled: true, Workers: workers}
+	cfg.Mem.Core.MLP = core.MLPConfig{Enabled: true}
 	return cfg
 }
 
@@ -40,7 +39,7 @@ func overflowScript() workload.Script {
 }
 
 // TestMLPOffKnobInert pins the -mlp=off contract: a disabled MLPConfig with
-// non-zero MSHR and worker counts changes nothing — every Result field is
+// a non-zero MSHR count changes nothing — every Result field is
 // identical to the zero-config machine. The page engines and scrub passes
 // run one path at either setting, so what pins mlp=off output to its
 // historical bytes is TestGoldenResults' literal digests.
@@ -54,7 +53,7 @@ func TestMLPOffKnobInert(t *testing.T) {
 					t.Fatalf("seed %d %v: %v", seed, s, err)
 				}
 				cfg := fidelityConfig(s, f, seed)
-				cfg.Mem.Core.MLP = core.MLPConfig{Enabled: false, MSHRs: 7, Workers: 3}
+				cfg.Mem.Core.MLP = core.MLPConfig{Enabled: false, MSHRs: 7}
 				knob, err := RunWith(cfg, script)
 				if err != nil {
 					t.Fatalf("seed %d %v knob: %v", seed, s, err)
@@ -86,11 +85,11 @@ func TestMLPOnFidelityEquivalence(t *testing.T) {
 	var phycs, overflows uint64
 	for si, script := range scripts {
 		for _, s := range core.Schemes() {
-			full, fullPads, err := runPads(mlpConfig(s, core.FidelityFull, int64(si), 0), script)
+			full, fullPads, err := runPads(mlpConfig(s, core.FidelityFull, int64(si)), script)
 			if err != nil {
 				t.Fatalf("%s %v full: %v", script.Name, s, err)
 			}
-			timing, timingPads, err := runPads(mlpConfig(s, core.FidelityTiming, int64(si), 0), script)
+			timing, timingPads, err := runPads(mlpConfig(s, core.FidelityTiming, int64(si)), script)
 			if err != nil {
 				t.Fatalf("%s %v timing: %v", script.Name, s, err)
 			}
@@ -99,42 +98,13 @@ func TestMLPOnFidelityEquivalence(t *testing.T) {
 					script.Name, s, full, timing)
 			}
 			checkPads(t, fmt.Sprintf("%s %v", script.Name, s), fullPads, timingPads,
-				mlpConfig(s, core.FidelityFull, int64(si), 0), script)
+				mlpConfig(s, core.FidelityFull, int64(si)), script)
 			phycs += full.Engine.PagePhycs
 			overflows += full.Engine.Overflows
 		}
 	}
 	if phycs == 0 || overflows == 0 {
 		t.Errorf("script set exercised %d page_phycs and %d overflows — the batched paths went untested", phycs, overflows)
-	}
-}
-
-// TestMLPOnPoolSizeDeterminism pins the issue-window contract: with the
-// MSHR-overlapped engine on, every Result field is identical whether the
-// batched page engines run inline (workers=1), on a small pool, or across
-// every CPU. make race runs this under the race detector, which also checks
-// the pool's worker-private state really is private.
-func TestMLPOnPoolSizeDeterminism(t *testing.T) {
-	pools := []int{1, 4, runtime.NumCPU()}
-	scripts := []workload.Script{overflowScript(), randomScript(2), randomScript(3)}
-	for _, script := range scripts {
-		for _, s := range core.Schemes() {
-			for _, f := range []core.Fidelity{core.FidelityFull, core.FidelityTiming} {
-				var ref Result
-				for pi, workers := range pools {
-					res, err := RunWith(mlpConfig(s, f, 2, workers), script)
-					if err != nil {
-						t.Fatalf("%s %v workers=%d: %v", script.Name, s, workers, err)
-					}
-					if pi == 0 {
-						ref = res
-					} else if res != ref {
-						t.Errorf("%s %v %v: results diverge at workers=%d\nworkers=1: %+v\nworkers=%d: %+v",
-							script.Name, s, f, workers, ref, workers, res)
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -155,7 +125,7 @@ func TestMLPOnTrafficInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %v off: %v", seed, s, err)
 			}
-			on, err := RunWith(mlpConfig(s, core.FidelityTiming, seed, 0), script)
+			on, err := RunWith(mlpConfig(s, core.FidelityTiming, seed), script)
 			if err != nil {
 				t.Fatalf("seed %d %v on: %v", seed, s, err)
 			}
@@ -180,8 +150,7 @@ func TestMLPOnTrafficInvariant(t *testing.T) {
 }
 
 // TestMLPGridConcurrent runs mlp=on cells concurrently over the grid pool —
-// under -race this pins that concurrent machines with private issue-window
-// pools share nothing.
+// under -race this pins that concurrent machines share nothing.
 func TestMLPGridConcurrent(t *testing.T) {
 	script := randomScript(2)
 	var jobs []GridJob
@@ -189,7 +158,7 @@ func TestMLPGridConcurrent(t *testing.T) {
 		for rep := 0; rep < 2; rep++ {
 			jobs = append(jobs, GridJob{
 				Tag:    fmt.Sprintf("%v/rep%d", s, rep),
-				Config: mlpConfig(s, core.FidelityTiming, 2, 2),
+				Config: mlpConfig(s, core.FidelityTiming, 2),
 				Script: script,
 			})
 		}

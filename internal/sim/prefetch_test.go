@@ -252,3 +252,62 @@ func TestPrefetchGridDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// snapshotTreeScript is a snapshot tree (paper Section II-C): a 4 MiB image
+// written in full, then depth nested forks, each level dirtying line
+// `level` of every page. Reading line i < depth from the deepest snapshot
+// therefore walks a redirect chain depth-i hops long, and every other line
+// a chain of depth hops back to the image. The deepest snapshot reads every
+// line twice in the measured phase.
+func snapshotTreeScript(depth int) workload.Script {
+	const regionBytes = 4 << 20
+	b := workload.NewBuilder("snapshot-tree")
+	b.Spawn(0)
+	b.Mmap(0, 0, regionBytes, false)
+	for off := uint64(0); off < regionBytes; off += mem.LineBytes {
+		b.StoreNT(0, 0, off, 0x2A)
+	}
+	for level := 0; level <= depth; level++ {
+		if level > 0 {
+			b.Fork(level-1, level)
+		}
+		for off := uint64(0); off < regionBytes; off += uint64(mem.PageBytes) {
+			b.Store(level, 0, off+uint64(level*mem.LineBytes), 1, byte(level+1))
+		}
+	}
+	b.BeginMeasure()
+	for pass := 0; pass < 2; pass++ {
+		for off := uint64(0); off < regionBytes; off += mem.LineBytes {
+			b.Load(depth, 0, off, 8)
+		}
+	}
+	b.EndMeasure()
+	for level := depth; level >= 0; level-- {
+		b.Exit(level)
+	}
+	return b.Script()
+}
+
+// TestChainWalkerPaysOnSnapshotTree is the redirect-chain walker's fair
+// test: on the fork workloads it only ever sees depth-1 chains and its
+// fills come late, but six nested snapshots give it deep chains to walk
+// ahead of demand. There Lelantus-CoW must run at least 1% faster with
+// -prefetch=chain than with prefetching off (EXPERIMENTS.md records the
+// depth sweep, and that Lelantus itself loses time to the walker).
+func TestChainWalkerPaysOnSnapshotTree(t *testing.T) {
+	script := snapshotTreeScript(6)
+	run := func(m core.PrefetchMode) Result {
+		cfg := fidelityConfig(core.LelantusCoW, core.FidelityTiming, 1)
+		cfg.Mem.Core.Prefetch.Mode = m
+		res, err := RunWith(cfg, script)
+		if err != nil {
+			t.Fatalf("prefetch=%v: %v", m, err)
+		}
+		return res
+	}
+	off, chain := run(core.PrefetchOff), run(core.PrefetchChain)
+	if chain.ExecNs*100 > off.ExecNs*99 {
+		t.Errorf("chain walker saves too little on a depth-6 snapshot tree: %d ns with it, %d ns without (want at least 1%% less)",
+			chain.ExecNs, off.ExecNs)
+	}
+}

@@ -5,7 +5,6 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -138,52 +137,6 @@ func (t *Table) Markdown() string {
 	b.WriteString("| " + strings.Join(sep, " | ") + " |\n")
 	for _, r := range t.rows {
 		b.WriteString("| " + strings.Join(r, " | ") + " |\n")
-	}
-	return b.String()
-}
-
-// Histogram is a simple integer-valued histogram keyed by bucket label.
-type Histogram struct {
-	counts map[string]uint64
-}
-
-// NewHistogram creates an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[string]uint64)}
-}
-
-// Add increments bucket by n.
-func (h *Histogram) Add(bucket string, n uint64) {
-	h.counts[bucket] += n
-}
-
-// Get returns the count in a bucket.
-func (h *Histogram) Get(bucket string) uint64 { return h.counts[bucket] }
-
-// Total sums all buckets.
-func (h *Histogram) Total() uint64 {
-	var t uint64
-	for _, v := range h.counts {
-		t += v
-	}
-	return t
-}
-
-// Buckets returns the bucket labels in sorted order.
-func (h *Histogram) Buckets() []string {
-	keys := make([]string, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// String renders "bucket: count" lines in sorted bucket order.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	for _, k := range h.Buckets() {
-		fmt.Fprintf(&b, "%s: %d\n", k, h.counts[k])
 	}
 	return b.String()
 }

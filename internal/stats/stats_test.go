@@ -76,22 +76,6 @@ func TestTable(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	h.Add("b", 2)
-	h.Add("a", 1)
-	h.Add("b", 3)
-	if h.Get("b") != 5 || h.Total() != 6 {
-		t.Fatalf("get=%d total=%d", h.Get("b"), h.Total())
-	}
-	if got := h.Buckets(); len(got) != 2 || got[0] != "a" {
-		t.Fatalf("buckets = %v", got)
-	}
-	if !strings.HasPrefix(h.String(), "a: 1\n") {
-		t.Fatalf("string = %q", h.String())
-	}
-}
-
 func TestTableMarkdown(t *testing.T) {
 	tb := NewTable("MD", "a", "b")
 	tb.Add("x", 1)
