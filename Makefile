@@ -22,7 +22,7 @@ test:
 # MSHR file are per-machine state, so their tests ride too, as does the
 # sim test that runs mlp=on cells concurrently.
 race:
-	$(GO) test -race -short ./internal/sim/... ./internal/experiments/... ./internal/faultinject/... ./internal/probe/... ./internal/nvm/... ./internal/grid/... ./internal/steal/... ./internal/metrics/...
+	$(GO) test -race -short ./internal/sim/... ./internal/experiments/... ./internal/faultinject/... ./internal/probe/... ./internal/nvm/... ./internal/grid/... ./internal/metrics/...
 
 # No panic() may be reachable from the public Machine/Controller API:
 # internal-invariant failures surface as typed errors through Run.
@@ -85,12 +85,13 @@ bench-json:
 perfbench-test:
 	cd perfbench && $(GO) test .
 
-# Grid smoke: the work-stealing substrate and coordinator unit tests, the
+# Grid smoke: the worker pool (sim.ForEach) and coordinator unit tests, the
 # results-log decoder pins, the subprocess kill/resume harness (SIGKILL at
 # a seeded checkpoint boundary, resume, byte-compare the merged report),
 # and a real CLI run/status/resume cycle on a sub-second grid.
 grid-smoke:
-	$(GO) test -count=1 ./internal/steal ./internal/grid
+	$(GO) test -count=1 -run ForEach ./internal/sim
+	$(GO) test -count=1 ./internal/grid
 	@rm -rf /tmp/lelantus-grid-smoke
 	$(GO) run ./cmd/lelantus-grid run -dir /tmp/lelantus-grid-smoke \
 	    -workloads forkbench -schemes lelantus,baseline -region-kb 256 -strict -quiet

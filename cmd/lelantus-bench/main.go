@@ -91,6 +91,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := checkKnobs(); err != nil {
 		return badFlag(err)
 	}
+	if *parallel < 0 {
+		return badFlag(fmt.Errorf("-parallel %d: must be >= 0 (0 = all CPUs)", *parallel))
+	}
 
 	stopProf, err := prof.Start(stderr, "lelantus-bench")
 	if err != nil {

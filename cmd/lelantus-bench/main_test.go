@@ -21,6 +21,7 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 		{"bad mlp", []string{"-mlp", "maybe"}, "maybe"},
 		{"bad prefetch", []string{"-prefetch", "nope"}, "nope"},
 		{"bad experiment id", []string{"-exp", "fig99"}, "fig99"},
+		{"negative parallel", []string{"-exp", "tableIII", "-quick", "-parallel", "-4"}, "-parallel -4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

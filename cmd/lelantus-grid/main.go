@@ -1,7 +1,7 @@
 // Command lelantus-grid is the resumable, fault-tolerant experiment-grid
 // service: it shards a deterministic cell enumeration (schemes × workloads
 // × fault seeds × crash points × persist/MLP/prefetch knobs) over a
-// checkpointed, work-stealing coordinator, streams every finished cell to
+// checkpointed coordinator's worker pool, streams every finished cell to
 // an append-only checksummed results log, and merges a report that is
 // byte-identical at any worker count and across any kill/resume sequence.
 //

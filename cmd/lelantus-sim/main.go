@@ -92,6 +92,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := checkKnobs(); err != nil {
 		return badFlag(err)
 	}
+	if *parallel < 0 {
+		return badFlag(fmt.Errorf("-parallel %d: must be >= 0 (0 = all CPUs)", *parallel))
+	}
 	switch *probeFormat {
 	case "summary", "perfetto":
 	default:

@@ -25,6 +25,7 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 		{"bad prefetch", []string{"-prefetch", "nope"}, "nope"},
 		{"bad probe format", []string{"-probe", "-probe-format", "csv"}, "csv"},
 		{"bad workload", []string{"-workload", "nope"}, "nope"},
+		{"negative parallel", []string{"-workload", "forkbench", "-all", "-parallel", "-4"}, "-parallel -4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

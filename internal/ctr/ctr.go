@@ -112,8 +112,8 @@ func (b *Block) Validate() error {
 // 7-bit minors form one 56-bit word in exactly seven bytes (eight 6-bit
 // minors one 48-bit word in six bytes), so lane groups land on byte
 // boundaries and never straddle each other. The bit layout is identical to
-// the original per-bit codec (see packBitwise in bitwise.go, kept as the
-// differential-fuzz reference).
+// the original per-bit codec (see packBitwise in bitwise_test.go, kept as
+// the differential-fuzz reference).
 func (b *Block) Pack() ([BlockBytes]byte, error) {
 	var raw [BlockBytes]byte
 	err := b.PackInto(&raw)

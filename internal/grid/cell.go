@@ -14,7 +14,7 @@ import (
 // It deliberately carries nothing host- or schedule-dependent (no wall
 // clock, no attempt count, no worker identity): the merged report is built
 // from CellResults alone, which is what makes it byte-identical across
-// worker counts, steal orders and kill/resume sequences.
+// worker counts, run orders and kill/resume sequences.
 type CellResult struct {
 	ID     string         `json:"id"`
 	Tag    string         `json:"tag"`

@@ -94,6 +94,23 @@ func addRuntimeFlags(fs *flag.FlagSet) *runtimeOpts {
 	}
 }
 
+// parse parses args into fs and checks the runtime flags. A negative
+// value is a usage error: 0 is the one documented "all CPUs", "none",
+// "default" or "off". It reports false after writing a one-line
+// diagnosis; the caller exits 2.
+func (r *runtimeOpts) parse(fs *flag.FlagSet, args []string, stderr io.Writer) bool {
+	if err := fs.Parse(args); err != nil {
+		return false
+	}
+	for _, name := range []string{"workers", "timeout", "retries", "backoff", "heartbeat"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			fmt.Fprintf(stderr, "lelantus-grid: -%s %s: must be >= 0\n", name, v)
+			return false
+		}
+	}
+	return true
+}
+
 func (r *runtimeOpts) options(stderr io.Writer) Options {
 	logW := stderr
 	if *r.quiet {
@@ -108,7 +125,7 @@ func (r *runtimeOpts) options(stderr io.Writer) Options {
 		Log:     logW,
 	}
 	// Either telemetry surface enables the registry: the heartbeat reports
-	// steal/retry counters, and the HTTP server serves the full set.
+	// the retry counter, and the HTTP server serves the full set.
 	if *r.telemetryAddr != "" || *r.heartbeat > 0 {
 		opts.Metrics = metrics.NewRegistry()
 	}
@@ -191,7 +208,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	banks := fs.Int("banks", 0, "NVM banks per rank (0 = default 8)")
 	tail := fs.Bool("tail", false, "record per-event-class latency percentiles (p50/p90/p99/p999, simulated time) in every measurement cell's result")
 	rt := addRuntimeFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if !rt.parse(fs, args, stderr) {
 		return 2
 	}
 
@@ -278,7 +295,7 @@ func cmdResume(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", "grid-run", "grid directory to resume")
 	rt := addRuntimeFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if !rt.parse(fs, args, stderr) {
 		return 2
 	}
 	coord, err := Open(*dir, rt.options(stderr))

@@ -37,6 +37,12 @@ func TestCLIUsageAndFlagErrors(t *testing.T) {
 		{"status missing dir", []string{"status", "-dir", "/nonexistent-grid"}, 1, "no checkpoint"},
 		{"resume missing dir", []string{"resume", "-dir", "/nonexistent-grid"}, 1, "no checkpoint"},
 		{"bad heartbeat", []string{"run", "-dir", "x", "-heartbeat", "fast"}, 2, "heartbeat"},
+		{"negative workers", []string{"run", "-dir", "ignored", "-workers", "-3"}, 2, "-workers -3"},
+		{"negative retries", []string{"run", "-dir", "ignored", "-retries", "-5"}, 2, "-retries -5"},
+		{"negative timeout", []string{"run", "-dir", "ignored", "-timeout", "-1s"}, 2, "-timeout -1s"},
+		{"negative backoff", []string{"run", "-dir", "ignored", "-backoff", "-1s"}, 2, "-backoff -1s"},
+		{"negative heartbeat", []string{"run", "-dir", "ignored", "-heartbeat", "-1s"}, 2, "-heartbeat -1s"},
+		{"resume negative workers", []string{"resume", "-dir", "/nonexistent-grid", "-workers", "-3"}, 2, "-workers -3"},
 		{"bad telemetry addr", []string{"run", "-dir", "x", "-telemetry-addr", "not-an-addr:not-a-port"}, 1, "telemetry listen"},
 		{"promcheck no args", []string{"promcheck"}, 2, "promcheck"},
 		{"promcheck missing file", []string{"promcheck", "/nonexistent-scrape.prom"}, 1, "nonexistent-scrape"},

@@ -9,13 +9,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
 
 	"lelantus/internal/metrics"
-	"lelantus/internal/steal"
+	"lelantus/internal/sim"
 )
 
 // Options are the coordinator's runtime knobs. They are deliberately NOT
@@ -43,7 +42,7 @@ type Options struct {
 	Log io.Writer
 
 	// Metrics, when non-nil, receives live coordinator telemetry (cell
-	// counters, steal counts, queue depth, per-cell wall-time histogram).
+	// counters, retry counts, queue depth, per-cell wall-time histogram).
 	// Telemetry observes wall time and scheduling, so nothing read from the
 	// registry may flow into the report — with or without it, at any worker
 	// count, report.json is byte-identical (pinned by
@@ -69,7 +68,7 @@ const reexecEnv = "LELANTUS_GRID_CLI"
 
 // Coordinator drives one grid directory: enumerate cells, skip the ones
 // the results log already proves finished, fan the rest over a
-// work-stealing pool, stream every outcome to the log, checkpoint state,
+// sim.ForEach pool, stream every outcome to the log, checkpoint state,
 // and merge the report.
 type Coordinator struct {
 	dir   string
@@ -203,12 +202,8 @@ func (c *Coordinator) Run() (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("grid: open results log: %w", err)
 		}
-		workers := c.opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
 		var appendErr error
-		steal.RunHooked(len(pending), workers, func(i int) {
+		sim.ForEach(len(pending), c.opts.Workers, func(i int) {
 			c.gm.started.Inc()
 			cellStart := time.Now()
 			rec := c.runCellWithRetry(pending[i])
@@ -220,7 +215,7 @@ func (c *Coordinator) Run() (*Report, error) {
 				}
 				c.mu.Unlock()
 			}
-		}, steal.Hooks{OnSteal: func(int, int) { c.gm.steals.Inc() }})
+		})
 		closeErr := c.logF.Close()
 		c.logF = nil
 		if appendErr != nil {

@@ -52,7 +52,7 @@ func readReport(t *testing.T, dir string) []byte {
 
 func TestRunReportByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	spec := fastSpec("baseline", "silent-shredder", "lelantus", "lelantus-cow")
-	spec.Seeds = []int64{1, 2, 3} // 12 cells: enough for stealing to matter
+	spec.Seeds = []int64{1, 2, 3} // 12 cells: enough for workers to interleave
 	var want []byte
 	for _, workers := range []int{1, 3, 8} {
 		dir := t.TempDir()

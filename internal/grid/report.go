@@ -14,7 +14,7 @@ import (
 // per-cell outcomes — cells are sorted by ID (never by completion order),
 // duplicates dedupe first-wins, and nothing schedule- or host-dependent is
 // included — so the same spec produces a byte-identical report at any
-// worker count, any steal order, and across any kill/resume sequence.
+// worker count, any run order, and across any kill/resume sequence.
 // (Cells that fail *nondeterministically* — a wall-clock timeout, an OOM-
 // killed worker — are honestly reported and naturally outside that
 // guarantee; a deterministic simulation error reproduces bit for bit.)

@@ -1,14 +1,14 @@
 // Package grid is the resumable, fault-tolerant experiment-grid service:
-// a checkpointed, work-stealing coordinator that shards a deterministic
-// cell enumeration (cell ID = stable hash of the full job spec) across
-// worker goroutines and optional worker subprocesses, streams every
-// finished cell as one checksummed JSON line to an append-only results
-// log, and checkpoints coordinator state with atomic tmp+rename writes —
-// so a SIGKILL at any instant resumes without recomputing finished cells,
-// a torn final record is detected by checksum and re-run, and the merged
-// report is byte-identical to an uninterrupted run (merge sorts by cell
-// ID, never by completion order). DESIGN.md §16 documents the state
-// machine and the determinism argument.
+// a checkpointed coordinator that shards a deterministic cell enumeration
+// (cell ID = stable hash of the full job spec) across worker goroutines
+// and optional worker subprocesses, streams every finished cell as one
+// checksummed JSON line to an append-only results log, and checkpoints
+// coordinator state with atomic tmp+rename writes — so a SIGKILL at any
+// instant resumes without recomputing finished cells, a torn final record
+// is detected by checksum and re-run, and the merged report is
+// byte-identical to an uninterrupted run (merge sorts by cell ID, never by
+// completion order). DESIGN.md §16 documents the state machine and the
+// determinism argument.
 package grid
 
 import (

@@ -31,7 +31,6 @@ type gridMetrics struct {
 	finished   *metrics.Counter
 	failed     *metrics.Counter
 	retried    *metrics.Counter
-	steals     *metrics.Counter
 	wallNs     *metrics.Histogram
 }
 
@@ -43,7 +42,6 @@ func newGridMetrics(r *metrics.Registry) gridMetrics {
 		finished:   r.Counter("grid_cells_finished_total", "cells recorded to the results log (ok or failed)"),
 		failed:     r.Counter("grid_cells_failed_total", "cells recorded as failed after all retries"),
 		retried:    r.Counter("grid_cell_retries_total", "extra attempts after a failed attempt"),
-		steals:     r.Counter("grid_steals_total", "work items taken from another worker's shard"),
 		wallNs:     r.Histogram("grid_cell_wall_ns", "per-cell wall-clock nanoseconds (all attempts and backoff waits)"),
 	}
 }
@@ -59,7 +57,6 @@ type Progress struct {
 	Total   int    `json:"total"`
 	Failed  int    `json:"failed"`
 	Retries uint64 `json:"retries"`
-	Steals  uint64 `json:"steals"`
 	// CellsPerSec is the finish rate of *this* run (resumed runs do not
 	// count previously finished cells), and EtaSec the remaining work at
 	// that rate (0 until the first cell finishes).
@@ -83,7 +80,6 @@ func (c *Coordinator) Progress() Progress {
 		Total:   total,
 		Failed:  failed,
 		Retries: c.gm.retried.Value(),
-		Steals:  c.gm.steals.Value(),
 		Running: running,
 	}
 	if elapsed := time.Since(start).Seconds(); !start.IsZero() && elapsed > 0 && done > doneAtStart {

@@ -152,13 +152,6 @@ func (p *Physical) Write(addr uint64, data []byte) {
 	}
 }
 
-// ZeroPage clears a whole 4 KB frame.
-func (p *Physical) ZeroPage(pfn uint64) {
-	if f := p.frame(pfn, false); f != nil {
-		*f = [PageBytes]byte{}
-	}
-}
-
 // ResidentFrames reports how many frames are materialised (test/debug aid).
 func (p *Physical) ResidentFrames() int { return p.resident }
 

@@ -87,19 +87,6 @@ func TestPhysicalCrossPageRange(t *testing.T) {
 	}
 }
 
-func TestZeroPage(t *testing.T) {
-	p := NewPhysical(1 << 30)
-	var line [LineBytes]byte
-	line[0] = 0xAA
-	p.WriteLine(PageAddr(3), &line)
-	p.ZeroPage(3)
-	var out [LineBytes]byte
-	p.ReadLine(PageAddr(3), &out)
-	if out != ([LineBytes]byte{}) {
-		t.Fatal("ZeroPage left data")
-	}
-}
-
 func TestAllocatorBasics(t *testing.T) {
 	a := NewAllocator(10, 20)
 	f1, err := a.Alloc()

@@ -11,7 +11,7 @@
 //     unconditionally.
 //
 //   - Strictly off the recorded-report path. Telemetry observes host time
-//     and scheduling (wall clocks, worker counts, steal orders) — exactly
+//     and scheduling (wall clocks, worker counts, run orders) — exactly
 //     the quantities the deterministic reports must never contain — so
 //     nothing read from a Registry may flow into report.json or any
 //     experiment report. The grid byte-identity tests pin this.

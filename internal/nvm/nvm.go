@@ -4,8 +4,6 @@
 // write), and per-line wear counting for lifetime analysis.
 package nvm
 
-import "sort"
-
 // Config describes the device geometry and latencies.
 type Config struct {
 	Ranks        int
@@ -176,35 +174,4 @@ func (d *Device) MaxWear() (max uint32, lines int) {
 		}
 	}
 	return max, len(d.wear)
-}
-
-// WearPercentiles returns the requested percentiles (0..100) of the
-// per-line write distribution. Returns nil when wear tracking is off.
-func (d *Device) WearPercentiles(pcts ...float64) []uint32 {
-	if len(d.wear) == 0 {
-		return nil
-	}
-	all := make([]uint32, 0, len(d.wear))
-	for _, w := range d.wear {
-		all = append(all, w)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	out := make([]uint32, len(pcts))
-	for i, p := range pcts {
-		idx := int(p / 100 * float64(len(all)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(all) {
-			idx = len(all) - 1
-		}
-		out[i] = all[idx]
-	}
-	return out
-}
-
-// ResetStats clears traffic counters (not the bank state or wear map).
-func (d *Device) ResetStats() {
-	d.Reads, d.Writes, d.ReadBusyNs, d.WriteBusy = 0, 0, 0, 0
-	d.RowHits, d.RowMisses = 0, 0
 }

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sync"
+	"sync/atomic"
 
-	"lelantus/internal/steal"
 	"lelantus/internal/workload"
 )
 
@@ -23,20 +24,37 @@ type GridJob struct {
 	After func(*Machine, Result)
 }
 
-// GridWorkers resolves a requested worker count: values <= 0 select
-// GOMAXPROCS, and the pool is never larger than the job list.
-func GridWorkers(requested, jobs int) int {
-	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// ForEach calls fn(i) exactly once for every i in [0, n) over a pool of at
+// most `workers` goroutines (<= 0 selects GOMAXPROCS) and returns when
+// every call has returned. Workers take the next index from one shared
+// counter, so an idle worker always picks up the next cell and a slow one
+// never holds up the rest. One worker runs inline on the caller's
+// goroutine. ForEach promises nothing about order or about which
+// goroutine runs fn(i): callers that write fn's output index-aligned get
+// the same result at any worker count.
+func ForEach(n, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if w > jobs {
-		w = jobs
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
 	}
-	if w < 1 {
-		w = 1
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
 	}
-	return w
+	wg.Wait()
 }
 
 // runJob executes one grid cell on a fresh machine, converting a panic
@@ -64,21 +82,18 @@ func runJob(job *GridJob) (res Result, err error) {
 	return res, nil
 }
 
-// RunGridErrs executes every job on a fresh machine over a work-stealing
-// pool of at most `workers` goroutines (<= 0 selects GOMAXPROCS) and
+// RunGridErrs executes every job on a fresh machine over a ForEach pool
+// of at most `workers` goroutines (<= 0 selects GOMAXPROCS) and
 // returns results and errors index-aligned with the jobs. Failures are
 // fully isolated per cell: a job that errors — or panics — leaves its
 // error in its own slot while every surviving cell still runs to
 // completion and returns its result. Machines share no state, and outputs
 // are written index-aligned, so the result slice is byte-identical at any
-// worker count and any steal order.
+// worker count and in any order the pool runs them.
 func RunGridErrs(jobs []GridJob, workers int) ([]Result, []error) {
 	results := make([]Result, len(jobs))
 	errs := make([]error, len(jobs))
-	if len(jobs) == 0 {
-		return results, errs
-	}
-	steal.Run(len(jobs), GridWorkers(workers, len(jobs)), func(i int) {
+	ForEach(len(jobs), workers, func(i int) {
 		results[i], errs[i] = runJob(&jobs[i])
 	})
 	return results, errs

@@ -1,5 +1,5 @@
-// Package stats provides the counters, ratios, and text-table helpers the
-// simulator and the experiment harness use to report results.
+// Package stats provides the text tables the simulator and the experiment
+// harness report results in.
 package stats
 
 import (
@@ -7,22 +7,6 @@ import (
 	"fmt"
 	"strings"
 )
-
-// Ratio formats a/b as a fixed-point decimal, returning "-" when b is zero.
-func Ratio(a, b float64, decimals int) string {
-	if b == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.*f", decimals, a/b)
-}
-
-// Pct formats a/b as a percentage string.
-func Pct(a, b float64) string {
-	if b == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2f%%", 100*a/b)
-}
 
 // Table accumulates rows and renders them with aligned columns, in the
 // spirit of the tables in the paper's evaluation section.

@@ -38,21 +38,6 @@ func TestEmptyTableJSON(t *testing.T) {
 	}
 }
 
-func TestRatioAndPct(t *testing.T) {
-	if Ratio(1, 3, 2) != "0.33" {
-		t.Fatalf("Ratio = %s", Ratio(1, 3, 2))
-	}
-	if Ratio(1, 0, 2) != "-" {
-		t.Fatal("Ratio by zero")
-	}
-	if Pct(1, 4) != "25.00%" {
-		t.Fatalf("Pct = %s", Pct(1, 4))
-	}
-	if Pct(1, 0) != "-" {
-		t.Fatal("Pct by zero")
-	}
-}
-
 func TestTable(t *testing.T) {
 	tb := NewTable("Demo", "name", "value")
 	tb.Add("alpha", 3.14159)

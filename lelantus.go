@@ -27,9 +27,10 @@
 // Concurrency: a Machine is a single simulated system with one global
 // clock and is not safe for concurrent use. Independent simulations run
 // on independent Machines (they share nothing); RunGrid fans a list of
-// (scheme, workload, config) cells out over a worker pool that way, with
-// index-aligned results, so sweeps parallelise without changing a single
-// reported byte — that is how the benchmark harness runs.
+// (scheme, workload, config) cells out over a shared-index worker pool
+// that way, with index-aligned results, so sweeps parallelise without
+// changing a single reported byte — that is how the benchmark harness
+// runs.
 package lelantus
 
 import (
@@ -67,9 +68,9 @@ const (
 
 // MLPConfig models memory-level parallelism: an MSHR file that lets a line
 // access's counter fetch, BMT verify and data read overlap across device
-// banks, and an issue window that batches the page engines' per-line work
-// over a deterministic goroutine pool. The zero value is disabled — every
-// report byte then matches the serial engine. Set it via
+// banks. It changes simulated timing only; no goroutine starts inside a
+// machine. The zero value is disabled — every access chain is then charged
+// serially. Set it via
 // Config.Mem.Core.MLP.
 type MLPConfig = core.MLPConfig
 
