@@ -51,9 +51,10 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # bench-json captures the hot-path and end-to-end benchmarks as a JSON
-# baseline: the ReadLine/WriteLine micro-benchmarks (with allocation counts)
-# at a fixed benchtime, plus every Fig9 quick cell and the PagePhyc,
-# OverflowSweep, RecoveryScrub and ChainHeavy cells at two iterations (each
+# baseline: the ReadLine/WriteLine micro-benchmarks and the cache
+# hierarchy's per-layer ones (with allocation counts) at a fixed benchtime,
+# plus every Fig9 quick cell and the PagePhyc, OverflowSweep,
+# RecoveryScrub and ChainHeavy cells at two iterations (each
 # iteration is one full deterministic simulation, so two are enough for a
 # stable ns/op). KNOBS is the machine in sim.Knobs's text form, read by
 # bench_test.go from LELANTUS_KNOBS; OUT is the file written. Benchmark
@@ -74,8 +75,8 @@ KNOBS ?=
 OUT ?= BENCH_hotpath.json
 bench-json:
 	{ LELANTUS_KNOBS='$(KNOBS)' $(GO) test -run '^$$' \
-	      -bench '^(BenchmarkReadLine|BenchmarkWriteLine)$$' \
-	      -benchmem -benchtime 0.2s . ; \
+	      -bench '^(BenchmarkReadLine|BenchmarkWriteLine|BenchmarkCache.*)$$' \
+	      -benchmem -benchtime 0.2s . ./internal/cache ; \
 	  LELANTUS_KNOBS='$(KNOBS)' $(GO) test -run '^$$' \
 	      -bench '^(BenchmarkFig9|BenchmarkPagePhyc|BenchmarkOverflowSweep|BenchmarkRecoveryScrub|BenchmarkChainHeavy)$$' -benchtime 2x . ; } \
 	  | $(GO) run ./cmd/benchjson > $(OUT)

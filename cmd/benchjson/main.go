@@ -113,6 +113,9 @@ func main() {
 
 // parseBench reads `go test -bench` output, echoing every line to echo so
 // the raw output stays visible, and returns the document it describes.
+// Output may span several packages (env keeps the first pkg header); a
+// benchmark name reported under two packages is an error, since the
+// document keys results by bare name.
 func parseBench(r io.Reader, echo io.Writer) (Document, error) {
 	doc := Document{
 		Note:       "generated by `make bench-json`; compare against BENCH_seed.json",
@@ -120,12 +123,18 @@ func parseBench(r io.Reader, echo io.Writer) (Document, error) {
 		Benchmarks: map[string]Result{},
 	}
 	header := map[string]*string{"goos": &doc.Env.GOOS, "goarch": &doc.Env.GOARCH, "pkg": &doc.Env.Pkg, "cpu": &doc.Env.CPU}
+	// pkg is the package of the result lines being read; pkgOf maps each
+	// benchmark name to the package that reported it.
+	pkg, pkgOf := "", map[string]string{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Fprintln(echo, line)
 		if key, value, ok := strings.Cut(line, ": "); ok && header[key] != nil {
+			if key == "pkg" {
+				pkg = value
+			}
 			if *header[key] == "" {
 				*header[key] = value
 			}
@@ -170,6 +179,10 @@ func parseBench(r io.Reader, echo io.Writer) (Document, error) {
 				r.Metrics[unit] = v
 			}
 		}
+		if prev, seen := pkgOf[name]; seen && prev != pkg {
+			return doc, fmt.Errorf("benchmark %s is reported by both %s and %s", name, prev, pkg)
+		}
+		pkgOf[name] = pkg
 		doc.Benchmarks[name] = r
 	}
 	if err := sc.Err(); err != nil {

@@ -193,3 +193,30 @@ func TestCompareWarnsOnEnvDiff(t *testing.T) {
 		}
 	}
 }
+
+// TestParseBenchNameClash feeds two packages' output: distinct names from
+// both are kept, and a name both packages report is an error naming the
+// benchmark and both packages rather than a silent overwrite.
+func TestParseBenchNameClash(t *testing.T) {
+	const twoPkgs = `pkg: lelantus
+BenchmarkReadLine 10 100 ns/op
+pkg: lelantus/internal/cache
+BenchmarkCacheFlushPage 10 200 ns/op
+`
+	doc, err := parseBench(strings.NewReader(twoPkgs), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Benchmarks) != 2 || doc.Env.Pkg != "lelantus" {
+		t.Fatalf("benchmarks %v, env pkg %q", doc.Benchmarks, doc.Env.Pkg)
+	}
+	// The same name twice within one package (e.g. -count 2) keeps the last.
+	if _, err := parseBench(strings.NewReader(twoPkgs+"BenchmarkCacheFlushPage 10 300 ns/op\n"), io.Discard); err != nil {
+		t.Fatalf("repeat within one package: %v", err)
+	}
+	_, err = parseBench(strings.NewReader(twoPkgs+"pkg: lelantus/internal/sim\nBenchmarkReadLine-2 10 100 ns/op\n"), io.Discard)
+	want := "benchmark ReadLine is reported by both lelantus and lelantus/internal/sim"
+	if err == nil || err.Error() != want {
+		t.Fatalf("clash error = %v, want %q", err, want)
+	}
+}

@@ -8,33 +8,42 @@ package cache
 
 import "lelantus/internal/mem"
 
-// Victim describes a line evicted from the data level.
+// Victim describes a line evicted or dropped from a level. Data points at
+// the line's bytes inside the data level (nil for the tag-only levels), so
+// handing a victim out copies nothing. It stays valid until the level's
+// next Insert (the hierarchy's next Fill): callers write it back before
+// touching the cache again.
 type Victim struct {
 	LineAddr uint64
 	Dirty    bool
-	Data     [mem.LineBytes]byte
+	Data     *[mem.LineBytes]byte
 }
 
-// invalidTag marks an empty way. Tags are line-aligned byte addresses, so
-// the all-ones pattern can never collide with a real line.
-const invalidTag = ^uint64(0)
+// validBit is set in the tag of every valid way. Line addresses are
+// line-aligned, so bit 0 is free, and the zero way is invalid: a new level
+// needs no initialisation pass over its ways.
+const validBit = 1
 
-// Level is one set-associative cache level. The ways of a set are stored
-// as parallel arrays — an 8-way set's tags (and, separately, its LRU
-// ticks) each span exactly one 64 B cache line of the host — because the
-// set scan in Lookup sits under every simulated memory access and
-// dominates the simulator's own runtime.
+// way is one way of a set: its tag (the line address plus validBit, 0 when
+// invalid) and the level tick of its last use. An invalid way always holds
+// tick 0 and a valid one a tick of at least 1, so the first way with the
+// least tick is the first invalid way if there is one, else the LRU way.
+type way struct{ tag, tick uint64 }
+
+// Level is one set-associative cache level. A set's ways are packed side
+// by side — an 8-way set is 128 B of adjacent host memory — because the
+// set scan sits under every simulated memory access and dominates the
+// simulator's own runtime. Every lineAddr argument is line-aligned.
 type Level struct {
-	name      string
 	sets      uint64
 	setMask   uint64 // sets-1 when sets is a power of two, else 0
 	ways      uint64
 	latency   uint64 // ns charged when the lookup reaches this level
 	holdsData bool
-	tags      []uint64
-	ticks     []uint64
-	dirty     []bool
-	data      []*[mem.LineBytes]byte // nil slice for tag-only levels
+	slots     []way
+	dirty     []bool                 // false on every invalid way
+	data      []*[mem.LineBytes]byte // data level only; set on a way's first fill
+	spare     *[mem.LineBytes]byte   // data level: swapped in for an evicted way's buffer
 	tick      uint64
 
 	Hits, Misses uint64
@@ -42,24 +51,19 @@ type Level struct {
 
 // NewLevel builds a level of sizeBytes capacity with the given
 // associativity. Only the data level (L3) materialises line contents.
-func NewLevel(name string, sizeBytes uint64, ways int, latencyNs uint64, holdsData bool) *Level {
+func NewLevel(sizeBytes uint64, ways int, latencyNs uint64, holdsData bool) *Level {
 	sets := sizeBytes / mem.LineBytes / uint64(ways)
 	if sets == 0 {
 		sets = 1
 	}
 	n := sets * uint64(ways)
 	l := &Level{
-		name:      name,
 		sets:      sets,
 		ways:      uint64(ways),
 		latency:   latencyNs,
 		holdsData: holdsData,
-		tags:      make([]uint64, n),
-		ticks:     make([]uint64, n),
+		slots:     make([]way, n),
 		dirty:     make([]bool, n),
-	}
-	for i := range l.tags {
-		l.tags[i] = invalidTag
 	}
 	if holdsData {
 		l.data = make([]*[mem.LineBytes]byte, n)
@@ -72,82 +76,74 @@ func NewLevel(name string, sizeBytes uint64, ways int, latencyNs uint64, holdsDa
 	return l
 }
 
-// setBase returns the index of the first way of the line's set.
-func (l *Level) setBase(lineAddr uint64) uint64 {
+// set returns the line's set and the index of its first way.
+func (l *Level) set(lineAddr uint64) ([]way, int) {
 	var s uint64
 	if l.setMask != 0 {
 		s = (lineAddr >> mem.LineShift) & l.setMask
 	} else {
 		s = (lineAddr >> mem.LineShift) % l.sets
 	}
-	return s * l.ways
+	base := s * l.ways
+	return l.slots[base : base+l.ways], int(base)
 }
 
 // find returns the way index holding the line, or -1.
 func (l *Level) find(lineAddr uint64) int {
-	base := l.setBase(lineAddr)
-	tags := l.tags[base : base+l.ways]
-	for i, t := range tags {
-		if t == lineAddr {
-			return int(base) + i
+	set, base := l.set(lineAddr)
+	key := lineAddr | validBit
+	for i := range set {
+		if set[i].tag == key {
+			return base + i
 		}
 	}
 	return -1
 }
 
+// findOrVictim scans the line's set once: it returns (way, true) when the
+// line is present, else (way to fill, false) — the first way with the
+// least tick, which by the tick-0 invariant is the first invalid way if
+// one exists, otherwise the LRU way.
+func (l *Level) findOrVictim(lineAddr uint64) (int, bool) {
+	set, base := l.set(lineAddr)
+	key := lineAddr | validBit
+	pick, least := 0, ^uint64(0)
+	for i, w := range set {
+		if w.tag == key {
+			return base + i, true
+		}
+		// Written so the argmin compiles to conditional moves: which way
+		// is least recently used is data the branch predictor cannot learn.
+		if w.tick < least {
+			pick = i
+		}
+		least = min(least, w.tick)
+	}
+	return base + pick, false
+}
+
+// probe looks the line up, counting a hit or miss; on a hit it refreshes
+// LRU state, optionally marks the line dirty and returns its way index,
+// else -1.
+func (l *Level) probe(lineAddr uint64, makeDirty bool) int {
+	l.tick++
+	i := l.find(lineAddr)
+	if i < 0 {
+		l.Misses++
+		return -1
+	}
+	l.slots[i].tick = l.tick
+	if makeDirty {
+		l.dirty[i] = true
+	}
+	l.Hits++
+	return i
+}
+
 // Lookup probes for a line; on hit it refreshes LRU state and optionally
 // marks the line dirty.
 func (l *Level) Lookup(lineAddr uint64, makeDirty bool) bool {
-	l.tick++
-	if i := l.find(lineAddr); i >= 0 {
-		l.ticks[i] = l.tick
-		if makeDirty {
-			l.dirty[i] = true
-		}
-		l.Hits++
-		return true
-	}
-	l.Misses++
-	return false
-}
-
-// Peek probes without touching LRU or statistics.
-func (l *Level) Peek(lineAddr uint64) bool { return l.find(lineAddr) >= 0 }
-
-// Data returns a pointer to the cached copy of the line, or nil.
-func (l *Level) Data(lineAddr uint64) *[mem.LineBytes]byte {
-	if i := l.find(lineAddr); i >= 0 && l.holdsData {
-		return l.data[i]
-	}
-	return nil
-}
-
-// findOrVictim scans the line's set once: it returns (way, true) when the
-// line is present, else (way to fill, false) — the first invalid way if one
-// exists, otherwise the LRU way.
-func (l *Level) findOrVictim(lineAddr uint64) (int, bool) {
-	base := l.setBase(lineAddr)
-	tags := l.tags[base : base+l.ways]
-	invalid := -1
-	for i, t := range tags {
-		if t == lineAddr {
-			return int(base) + i, true
-		}
-		if invalid < 0 && t == invalidTag {
-			invalid = int(base) + i
-		}
-	}
-	if invalid >= 0 {
-		return invalid, false
-	}
-	ticks := l.ticks[base : base+l.ways]
-	pick := 0
-	for i, tk := range ticks {
-		if tk < ticks[pick] {
-			pick = i
-		}
-	}
-	return int(base) + pick, false
+	return l.probe(lineAddr, makeDirty) >= 0
 }
 
 // Insert fills the line, evicting the LRU way if the set is full. The
@@ -155,41 +151,36 @@ func (l *Level) findOrVictim(lineAddr uint64) (int, bool) {
 // can write dirty lines back and maintain inclusion.
 func (l *Level) Insert(lineAddr uint64, dirty bool, data *[mem.LineBytes]byte) (victim Victim, evicted bool) {
 	l.tick++
-	// Already present (e.g. refill racing an earlier insert): update.
-	pick, present := l.findOrVictim(lineAddr)
+	i, present := l.findOrVictim(lineAddr)
+	w := &l.slots[i]
 	if present {
-		l.ticks[pick] = l.tick
-		l.dirty[pick] = l.dirty[pick] || dirty
-		if l.holdsData && data != nil {
-			if l.data[pick] == nil {
-				l.data[pick] = new([mem.LineBytes]byte)
+		// Already present (e.g. refill racing an earlier insert): update.
+		dirty = dirty || l.dirty[i]
+	} else if w.tag != 0 {
+		victim, evicted = Victim{LineAddr: w.tag &^ validBit, Dirty: l.dirty[i]}, true
+		if l.holdsData {
+			// The victim keeps the slot's buffer and the spare takes its
+			// place, so an eviction copies no line.
+			if l.spare == nil {
+				l.spare = new([mem.LineBytes]byte)
 			}
-			*l.data[pick] = *data
+			victim.Data = l.data[i]
+			l.data[i], l.spare = l.spare, victim.Data
 		}
-		return Victim{}, false
 	}
-	if l.tags[pick] != invalidTag {
-		victim.LineAddr = l.tags[pick]
-		victim.Dirty = l.dirty[pick]
-		if l.holdsData && l.data[pick] != nil {
-			victim.Data = *l.data[pick]
-		}
-		evicted = true
-	}
-	l.tags[pick] = lineAddr
-	l.ticks[pick] = l.tick
-	l.dirty[pick] = dirty
+	*w = way{tag: lineAddr | validBit, tick: l.tick}
+	l.dirty[i] = dirty
 	if l.holdsData {
-		// Recycle the slot's line buffer: a data level churns through fills
-		// at memory speed and must not allocate one 64 B block per fill.
-		buf := l.data[pick]
+		// A data level churns through fills at memory speed; each way's
+		// buffer is allocated once and recycled.
+		buf := l.data[i]
 		if buf == nil {
 			buf = new([mem.LineBytes]byte)
-			l.data[pick] = buf
+			l.data[i] = buf
 		}
 		if data != nil {
 			*buf = *data
-		} else {
+		} else if !present {
 			*buf = [mem.LineBytes]byte{}
 		}
 	}
@@ -197,45 +188,46 @@ func (l *Level) Insert(lineAddr uint64, dirty bool, data *[mem.LineBytes]byte) (
 }
 
 // insertTag is Insert for the tag-only levels: same placement and LRU
-// behaviour, but no victim is materialised (L1/L2 victims carry no state the
-// hierarchy needs — inclusion back-invalidates come from L3 evictions).
-func (l *Level) insertTag(lineAddr uint64, dirty bool) {
+// behaviour, but a new line is clean and no victim is materialised (L1/L2
+// victims carry no state the hierarchy needs — inclusion back-invalidates
+// come from L3 evictions).
+func (l *Level) insertTag(lineAddr uint64) {
 	l.tick++
-	pick, present := l.findOrVictim(lineAddr)
-	if present {
-		l.ticks[pick] = l.tick
-		l.dirty[pick] = l.dirty[pick] || dirty
-		return
-	}
-	l.tags[pick] = lineAddr
-	l.ticks[pick] = l.tick
-	l.dirty[pick] = dirty
+	i, present := l.findOrVictim(lineAddr)
+	l.slots[i] = way{tag: lineAddr | validBit, tick: l.tick}
+	l.dirty[i] = present && l.dirty[i]
 }
 
-// Invalidate drops the line if present, returning its state.
+// clear invalidates way i; its data buffer stays for the next fill.
+func (l *Level) clear(i int) {
+	l.slots[i] = way{}
+	l.dirty[i] = false
+}
+
+// Invalidate drops the line if present, returning its state. The victim's
+// Data is the way's own buffer, valid until the level's next Insert.
 func (l *Level) Invalidate(lineAddr uint64) (victim Victim, present bool) {
-	if i := l.find(lineAddr); i >= 0 {
-		victim.LineAddr = lineAddr
-		victim.Dirty = l.dirty[i]
-		if l.holdsData && l.data[i] != nil {
-			victim.Data = *l.data[i]
-		}
-		l.tags[i] = invalidTag // the data buffer stays for reuse
-		l.ticks[i] = 0
-		l.dirty[i] = false
-		return victim, true
+	i := l.find(lineAddr)
+	if i < 0 {
+		return Victim{}, false
 	}
-	return Victim{}, false
+	victim = Victim{LineAddr: lineAddr, Dirty: l.dirty[i]}
+	if l.holdsData {
+		victim.Data = l.data[i]
+	}
+	l.clear(i)
+	return victim, true
 }
 
 // drop invalidates the line without materialising a victim (bulk flush and
-// invalidate paths that do not need the line's state).
-func (l *Level) drop(lineAddr uint64) {
-	if i := l.find(lineAddr); i >= 0 {
-		l.tags[i] = invalidTag
-		l.ticks[i] = 0
-		l.dirty[i] = false
+// invalidate paths that do not need the line's state), reporting whether
+// it was present.
+func (l *Level) drop(lineAddr uint64) bool {
+	i := l.find(lineAddr)
+	if i >= 0 {
+		l.clear(i)
 	}
+	return i >= 0
 }
 
 // Config parameterises the three-level hierarchy.
@@ -255,6 +247,8 @@ func DefaultConfig() Config {
 }
 
 // Hierarchy is the inclusive three-level hierarchy. Line data lives in L3.
+// L1 and L2 hold a subset of L3's lines: every fill goes to all three
+// levels and every L3 eviction back-invalidates L1 and L2.
 type Hierarchy struct {
 	L1, L2, L3 *Level
 
@@ -266,9 +260,9 @@ type Hierarchy struct {
 // NewHierarchy builds the hierarchy from the configuration.
 func NewHierarchy(cfg Config) *Hierarchy {
 	return &Hierarchy{
-		L1: NewLevel("L1", cfg.L1Bytes, cfg.Ways, cfg.L1Ns, false),
-		L2: NewLevel("L2", cfg.L2Bytes, cfg.Ways, cfg.L2Ns, false),
-		L3: NewLevel("L3", cfg.L3Bytes, cfg.Ways, cfg.L3Ns, true),
+		L1: NewLevel(cfg.L1Bytes, cfg.Ways, cfg.L1Ns, false),
+		L2: NewLevel(cfg.L2Bytes, cfg.Ways, cfg.L2Ns, false),
+		L3: NewLevel(cfg.L3Bytes, cfg.Ways, cfg.L3Ns, true),
 	}
 }
 
@@ -285,53 +279,18 @@ func (l *Level) peekData(lineAddr uint64) *[mem.LineBytes]byte {
 // level only): on hit it refreshes LRU state, optionally marks the line
 // dirty, and returns the cached copy.
 func (l *Level) touchData(lineAddr uint64, makeDirty bool) *[mem.LineBytes]byte {
-	l.tick++
-	if i := l.find(lineAddr); i >= 0 {
-		l.ticks[i] = l.tick
-		if makeDirty {
-			l.dirty[i] = true
-		}
-		l.Hits++
+	if i := l.probe(lineAddr, makeDirty); i >= 0 {
 		return l.data[i]
 	}
-	l.Misses++
 	return nil
 }
 
-// Access performs a load or store probe. On a full miss the caller must
-// fetch the line from memory and call Fill. The returned latency covers the
-// levels traversed; missToMem reports whether memory must be consulted.
-func (h *Hierarchy) Access(lineAddr uint64, write bool) (latencyNs uint64, missToMem bool) {
-	latencyNs = h.L1.latency
-	if h.L1.Lookup(lineAddr, write) {
-		if write {
-			// Keep the data level's copy authoritative and dirty.
-			h.L3.Lookup(lineAddr, true)
-		}
-		return latencyNs, false
-	}
-	latencyNs += h.L2.latency
-	if h.L2.Lookup(lineAddr, write) {
-		h.L1.insertTag(lineAddr, false)
-		if write {
-			h.L3.Lookup(lineAddr, true)
-		}
-		return latencyNs, false
-	}
-	latencyNs += h.L3.latency
-	if h.L3.Lookup(lineAddr, write) {
-		h.L1.insertTag(lineAddr, false)
-		h.L2.insertTag(lineAddr, false)
-		return latencyNs, false
-	}
-	return latencyNs, true
-}
-
-// AccessData is Access fused with the data lookup: on a hit it also
-// returns the authoritative L3 copy (already marked dirty for writes), so
-// the hit path costs one L3 set scan instead of separate Access + Data +
-// MarkDirty probes. Replacement decisions are identical to Access: loads
-// hitting in L1/L2 do not refresh L3 recency, stores always do.
+// AccessData performs a load or store probe. On a hit it returns the
+// authoritative L3 copy (already marked dirty for writes); on a full miss
+// the caller must fetch the line from memory and call Fill. The returned
+// latency covers the levels traversed; missToMem reports whether memory
+// must be consulted. Loads hitting in L1/L2 do not refresh L3 recency,
+// stores always do.
 func (h *Hierarchy) AccessData(lineAddr uint64, write bool) (latencyNs uint64, data *[mem.LineBytes]byte, missToMem bool) {
 	latencyNs = h.L1.latency
 	if h.L1.Lookup(lineAddr, write) {
@@ -342,7 +301,7 @@ func (h *Hierarchy) AccessData(lineAddr uint64, write bool) (latencyNs uint64, d
 	}
 	latencyNs += h.L2.latency
 	if h.L2.Lookup(lineAddr, write) {
-		h.L1.insertTag(lineAddr, false)
+		h.L1.insertTag(lineAddr)
 		if write {
 			return latencyNs, h.L3.touchData(lineAddr, true), false
 		}
@@ -350,19 +309,20 @@ func (h *Hierarchy) AccessData(lineAddr uint64, write bool) (latencyNs uint64, d
 	}
 	latencyNs += h.L3.latency
 	if d := h.L3.touchData(lineAddr, write); d != nil {
-		h.L1.insertTag(lineAddr, false)
-		h.L2.insertTag(lineAddr, false)
+		h.L1.insertTag(lineAddr)
+		h.L2.insertTag(lineAddr)
 		return latencyNs, d, false
 	}
 	return latencyNs, nil, true
 }
 
 // Fill installs a line fetched from memory into all levels and returns any
-// dirty L3 victim that must be written back. Inclusion is maintained by
-// back-invalidating victims from L1/L2.
+// dirty L3 victim that must be written back (its Data is valid until the
+// next Fill). Inclusion is maintained by back-invalidating victims from
+// L1/L2.
 func (h *Hierarchy) Fill(lineAddr uint64, dirty bool, data *[mem.LineBytes]byte) (wb Victim, needWB bool) {
-	h.L1.insertTag(lineAddr, false)
-	h.L2.insertTag(lineAddr, false)
+	h.L1.insertTag(lineAddr)
+	h.L2.insertTag(lineAddr)
 	v, evicted := h.L3.Insert(lineAddr, dirty, data)
 	if evicted {
 		h.L1.drop(v.LineAddr)
@@ -374,29 +334,23 @@ func (h *Hierarchy) Fill(lineAddr uint64, dirty bool, data *[mem.LineBytes]byte)
 	return Victim{}, false
 }
 
-// Data exposes the authoritative cached copy of a line (nil if not cached).
-func (h *Hierarchy) Data(lineAddr uint64) *[mem.LineBytes]byte {
-	return h.L3.Data(lineAddr)
-}
-
-// Cached reports whether the line is resident on chip.
-func (h *Hierarchy) Cached(lineAddr uint64) bool { return h.L3.Peek(lineAddr) }
-
-// MarkDirty flags a resident line dirty (store hit path helper).
-func (h *Hierarchy) MarkDirty(lineAddr uint64) { h.L3.Lookup(lineAddr, true) }
-
 // FlushPage writes back and invalidates every resident line of the 4 KB
 // page, returning the dirty lines in page order. This models the kernel's
 // cache flush of a source page before write-protecting it. The returned
-// slice aliases an internal scratch buffer and is only valid until the next
-// FlushPage call — callers consume it immediately.
+// slice aliases an internal scratch buffer and its victims' Data the L3
+// ways' buffers: both are valid until the next FlushPage or Fill — callers
+// consume them immediately.
 func (h *Hierarchy) FlushPage(pfn uint64) []Victim {
 	dirty := h.flushBuf[:0]
 	for i := 0; i < mem.LinesPerPage; i++ {
 		la := mem.LineAddr(pfn, i)
+		v, present := h.L3.Invalidate(la)
+		if !present {
+			continue // by inclusion, L1 and L2 do not hold it either
+		}
 		h.L1.drop(la)
 		h.L2.drop(la)
-		if v, present := h.L3.Invalidate(la); present && v.Dirty {
+		if v.Dirty {
 			dirty = append(dirty, v)
 		}
 	}
@@ -408,25 +362,22 @@ func (h *Hierarchy) FlushPage(pfn uint64) []Victim {
 // modelling the invalidation of a freshly allocated destination page.
 func (h *Hierarchy) InvalidatePage(pfn uint64) {
 	for i := 0; i < mem.LinesPerPage; i++ {
-		la := mem.LineAddr(pfn, i)
-		h.L1.drop(la)
-		h.L2.drop(la)
-		h.L3.drop(la)
+		// By inclusion, only a line L3 held can be in L1 or L2.
+		if la := mem.LineAddr(pfn, i); h.L3.drop(la) {
+			h.L1.drop(la)
+			h.L2.drop(la)
+		}
 	}
 }
 
 // DrainDirty writes back every dirty line (end-of-run accounting), calling
-// sink for each. Lines remain resident but clean.
+// sink for each with the way's own buffer. Lines remain resident but clean.
 func (h *Hierarchy) DrainDirty(sink func(Victim)) {
 	l := h.L3
-	for i, tag := range l.tags {
-		if tag != invalidTag && l.dirty[i] {
-			v := Victim{LineAddr: tag, Dirty: true}
-			if l.data[i] != nil {
-				v.Data = *l.data[i]
-			}
+	for i, dirty := range l.dirty {
+		if dirty {
 			l.dirty[i] = false
-			sink(v)
+			sink(Victim{LineAddr: l.slots[i].tag &^ validBit, Dirty: true, Data: l.data[i]})
 		}
 	}
 }

@@ -24,7 +24,7 @@ func lineData(v byte) *[mem.LineBytes]byte {
 
 func TestAccessMissThenHit(t *testing.T) {
 	h := NewHierarchy(smallConfig())
-	lat, miss := h.Access(0x1000, false)
+	lat, _, miss := h.AccessData(0x1000, false)
 	if !miss {
 		t.Fatal("cold access must miss")
 	}
@@ -32,7 +32,7 @@ func TestAccessMissThenHit(t *testing.T) {
 		t.Fatalf("miss latency = %d, want 35", lat)
 	}
 	h.Fill(0x1000, false, lineData(1))
-	lat, miss = h.Access(0x1000, false)
+	lat, _, miss = h.AccessData(0x1000, false)
 	if miss || lat != 2 {
 		t.Fatalf("L1 hit: miss=%v lat=%d", miss, lat)
 	}
@@ -41,7 +41,7 @@ func TestAccessMissThenHit(t *testing.T) {
 func TestStoreDirtiesDataLevel(t *testing.T) {
 	h := NewHierarchy(smallConfig())
 	h.Fill(0x40, false, lineData(7))
-	if _, miss := h.Access(0x40, true); miss {
+	if _, _, miss := h.AccessData(0x40, true); miss {
 		t.Fatal("store should hit after fill")
 	}
 	var found bool
@@ -88,10 +88,10 @@ func TestInclusionBackInvalidate(t *testing.T) {
 	b := uint64(32 * mem.LineBytes)
 	c := uint64(64 * mem.LineBytes)
 	h.Fill(a, false, lineData(1))
-	h.Access(a, false) // promote into L1/L2
+	h.AccessData(a, false) // promote into L1/L2
 	h.Fill(b, false, lineData(2))
 	h.Fill(c, false, lineData(3)) // evicts a from L3
-	if h.L1.Peek(a) || h.L2.Peek(a) {
+	if h.L1.find(a) >= 0 || h.L2.find(a) >= 0 {
 		t.Fatal("inclusion violated: L3 victim still present in L1/L2")
 	}
 }
@@ -119,7 +119,7 @@ func TestFlushPage(t *testing.T) {
 	if len(dirty) != 1 || dirty[0].LineAddr != mem.LineAddr(pfn, 0) {
 		t.Fatalf("FlushPage dirty = %+v", dirty)
 	}
-	if h.Cached(mem.LineAddr(pfn, 0)) || h.Cached(mem.LineAddr(pfn, 1)) {
+	if h.L3.find(mem.LineAddr(pfn, 0)) >= 0 || h.L3.find(mem.LineAddr(pfn, 1)) >= 0 {
 		t.Fatal("flush must invalidate all lines of the page")
 	}
 }
@@ -139,12 +139,11 @@ func TestInvalidatePageDropsDirty(t *testing.T) {
 func TestDataPointerIsAuthoritative(t *testing.T) {
 	h := NewHierarchy(smallConfig())
 	h.Fill(0x80, false, lineData(4))
-	d := h.Data(0x80)
+	_, d, _ := h.AccessData(0x80, true)
 	if d == nil || d[0] != 4 {
-		t.Fatal("Data must expose the cached line")
+		t.Fatal("AccessData must expose the cached line")
 	}
 	d[5] = 99
-	h.MarkDirty(0x80)
 	var got byte
 	h.DrainDirty(func(v Victim) {
 		if v.LineAddr == 0x80 {
@@ -152,7 +151,7 @@ func TestDataPointerIsAuthoritative(t *testing.T) {
 		}
 	})
 	if got != 99 {
-		t.Fatal("in-place mutation through Data must be visible at write-back")
+		t.Fatal("in-place mutation through AccessData must be visible at write-back")
 	}
 }
 
@@ -160,7 +159,7 @@ func TestFillUpdatesExisting(t *testing.T) {
 	h := NewHierarchy(smallConfig())
 	h.Fill(0xC0, false, lineData(1))
 	h.Fill(0xC0, true, lineData(2))
-	if d := h.Data(0xC0); d == nil || d[0] != 2 {
+	if _, d, _ := h.AccessData(0xC0, false); d == nil || d[0] != 2 {
 		t.Fatal("refill must update data in place")
 	}
 	dirty := false
@@ -172,10 +171,107 @@ func TestFillUpdatesExisting(t *testing.T) {
 
 func TestHitStats(t *testing.T) {
 	h := NewHierarchy(smallConfig())
-	h.Access(0, false)
+	h.AccessData(0, false)
 	h.Fill(0, false, lineData(0))
-	h.Access(0, false)
+	h.AccessData(0, false)
 	if h.L1.Misses != 1 || h.L1.Hits != 1 {
 		t.Fatalf("L1 hits=%d misses=%d", h.L1.Hits, h.L1.Misses)
+	}
+}
+
+// warmHierarchy returns a Table III hierarchy whose L3 is full of dirty
+// lines, so every further fill of a new line evicts a dirty victim and
+// every slot's line buffer exists.
+func warmHierarchy() (*Hierarchy, uint64) {
+	h := NewHierarchy(DefaultConfig())
+	d := lineData(1)
+	next := uint64(0)
+	for i := 0; i < 2*int(DefaultConfig().L3Bytes/mem.LineBytes); i++ {
+		h.Fill(next, true, d)
+		next += mem.LineBytes
+	}
+	return h, next
+}
+
+// benchSink keeps the benchmarks' reads of line bytes observable.
+var benchSink byte
+
+// BenchmarkCacheAccessDataHit cycles loads and stores over an L1-sized
+// working set: every probe hits, and stores also refresh the L3 copy.
+func BenchmarkCacheAccessDataHit(b *testing.B) {
+	h := NewHierarchy(DefaultConfig())
+	const lines = 1024 // 64 KB, the L1 capacity
+	for i := uint64(0); i < lines; i++ {
+		h.Fill(i*mem.LineBytes, false, lineData(byte(i)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		la := uint64(i%lines) * mem.LineBytes
+		_, d, miss := h.AccessData(la, i&1 == 1)
+		if miss || d == nil {
+			b.Fatal("working set must stay resident")
+		}
+		benchSink += d[0]
+	}
+}
+
+// BenchmarkCacheFillEvictDirty streams dirty fills of new lines through a
+// full L3, so each one evicts and hands back a dirty victim.
+func BenchmarkCacheFillEvictDirty(b *testing.B) {
+	h, next := warmHierarchy()
+	d := lineData(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wb, need := h.Fill(next, true, d)
+		if !need {
+			b.Fatal("a fill into a full dirty L3 must write back")
+		}
+		benchSink += wb.Data[0]
+		next += mem.LineBytes
+	}
+}
+
+// BenchmarkCacheFlushPage flushes pages of which 8 of 64 lines are dirty
+// and resident, the shape of a partially cached CoW source page.
+func BenchmarkCacheFlushPage(b *testing.B) {
+	h, _ := warmHierarchy()
+	d := lineData(3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pfn := uint64(1<<20 + i%256)
+		for j := 0; j < mem.LinesPerPage; j += 8 {
+			h.Fill(mem.LineAddr(pfn, j), true, d)
+		}
+		if n := len(h.FlushPage(pfn)); n != mem.LinesPerPage/8 {
+			b.Fatalf("flushed %d dirty lines, want %d", n, mem.LinesPerPage/8)
+		}
+	}
+}
+
+// TestWarmPathsDoNotAllocate gates the hot paths at zero allocations once
+// every slot's line buffer exists: hits, dirty fills that evict, and page
+// flushes.
+func TestWarmPathsDoNotAllocate(t *testing.T) {
+	h := NewHierarchy(smallConfig())
+	d := lineData(4)
+	next := uint64(0)
+	step := func() {
+		for i := 0; i < 4; i++ {
+			if wb, need := h.Fill(next, true, d); need && wb.LineAddr >= next {
+				t.Fatalf("victim %#x is not an older line", wb.LineAddr)
+			}
+			h.AccessData(next, true)
+			next += mem.LineBytes
+		}
+		h.FlushPage(mem.PageOf(next - mem.LineBytes))
+	}
+	for i := 0; i < 256; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(200, step); avg != 0 {
+		t.Fatalf("warm fill/evict/flush path allocates %.1f times per run", avg)
 	}
 }

@@ -207,7 +207,7 @@ func (c *Controller) count() { c.reqsByCtx[c.ctx]++ }
 // counted as a request: it is the echo of the store that dirtied the line,
 // which was counted when issued.
 func (c *Controller) writeBackVictim(now uint64, v cache.Victim) (uint64, error) {
-	return c.Engine.WriteLine(now, v.LineAddr, &v.Data)
+	return c.Engine.WriteLine(now, v.LineAddr, v.Data)
 }
 
 // Load reads the 64 B line containing addr through the cache hierarchy and
