@@ -33,7 +33,8 @@ nopanic:
 # CLI smoke: real lelantus-sim runs through the surfaces unit tests do not
 # reach — a forkbench trace through the probe plane validated with the
 # built-in Chrome trace-event schema checker, the MSHR-overlapped engine,
-# and the prefetchers with the probe plane reporting coverage. The tests
+# the prefetchers with the probe plane reporting coverage, and a recorded
+# script replayed — plus one lelantus-trace footprint render. The tests
 # behind these features (crash sweep, persistence matrix, probe, MLP and
 # prefetch pins) run under `test`, and the concurrent grid tests under
 # `race`.
@@ -46,6 +47,10 @@ cli-smoke:
 	$(GO) run ./cmd/lelantus-sim -workload forkbench -fidelity timing -mlp=on -prefetch=both \
 	    -probe -probe-out /tmp/lelantus-prefetch-smoke.json
 	@rm -f /tmp/lelantus-prefetch-smoke.json
+	$(GO) run ./cmd/lelantus-sim -workload forkbench -record /tmp/lelantus-smoke.lt >/dev/null
+	$(GO) run ./cmd/lelantus-sim -replay /tmp/lelantus-smoke.lt -fidelity timing >/dev/null
+	@rm -f /tmp/lelantus-smoke.lt
+	$(GO) run ./cmd/lelantus-trace -pages 2 >/dev/null
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

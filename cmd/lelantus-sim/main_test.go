@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"lelantus/internal/trace"
+	"lelantus/internal/workload"
 )
 
 // TestBadFlagValuesExitTwo pins the CLI's flag-hardening contract: an
@@ -144,5 +149,71 @@ func TestUnwritableMemProfileFailsBeforeRun(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "memprofile") || stdout.Len() != 0 {
 		t.Fatalf("stdout %q stderr %q: want no run and a memprofile diagnosis", stdout.String(), stderr.String())
+	}
+}
+
+// TestRecordReplayMatchesWorkload pins the trace round trip end to end: a
+// recorded forkbench replays to the same report, byte for byte, as the
+// -workload run it was recorded from.
+func TestRecordReplayMatchesWorkload(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "forkbench.lt")
+	sim := func(args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	sim("-workload", "forkbench", "-record", path)
+	direct := sim("-workload", "forkbench", "-fidelity", "timing")
+	replayed := sim("-replay", path, "-fidelity", "timing")
+	if replayed != direct {
+		t.Fatalf("replay differs from the direct run:\n--- direct\n%s--- replay\n%s", direct, replayed)
+	}
+}
+
+// TestMalformedTracesExitOne pins that a trace which decodes but cannot
+// run is a one-line runtime error: no panic, no hang.
+func TestMalformedTracesExitOne(t *testing.T) {
+	one := func(ops ...workload.Op) workload.Script {
+		return workload.Script{Name: "bad", Procs: 1, Regions: 1, MeasureProc: -1,
+			Ops: append([]workload.Op{{Kind: workload.OpSpawn}}, ops...)}
+	}
+	huge := one()
+	huge.Procs = 1 << 62
+	cases := map[string]workload.Script{
+		"load by proc slot 5": one(workload.Op{Kind: workload.OpLoad, Proc: 5, Size: 8}),
+		"1<<62 procs":         huge,
+		"proc slot -1":        one(workload.Op{Kind: workload.OpStore, Proc: -1, Size: 8}),
+		"1<<60-byte mmap":     one(workload.Op{Kind: workload.OpMmap, Bytes: 1 << 60}),
+	}
+	for name, s := range cases {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "bad.lt")
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := trace.Write(f, s); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			var stdout, stderr bytes.Buffer
+			done := make(chan int, 1)
+			go func() { done <- run([]string{"-replay", path}, &stdout, &stderr) }()
+			select {
+			case code := <-done:
+				if code != 1 {
+					t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr.String())
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("replay still running after 10 s")
+			}
+			msg := strings.TrimRight(stderr.String(), "\n")
+			if strings.Contains(msg, "\n") || !strings.HasPrefix(msg, "lelantus-sim: ") {
+				t.Fatalf("diagnosis %q is not one lelantus-sim line", msg)
+			}
+		})
 	}
 }

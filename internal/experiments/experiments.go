@@ -14,8 +14,6 @@ import (
 	"strings"
 
 	"lelantus/internal/core"
-	"lelantus/internal/ctrcache"
-	"lelantus/internal/probe"
 	"lelantus/internal/sim"
 	"lelantus/internal/stats"
 	"lelantus/internal/workload"
@@ -37,12 +35,6 @@ type Options struct {
 	// persist-, mlp- and prefetch-matrix experiments override their own
 	// axis per cell.
 	sim.Knobs
-	// Probe, when non-nil, attaches a fresh observability plane (sized by
-	// this config) to every machine the experiments build. Each grid cell
-	// gets its own plane, so parallel runs never share one; the planes are
-	// reachable afterwards only for runs built through machineConfig by the
-	// caller (RunOne-style single runs) — grid reports ignore them.
-	Probe *probe.Config
 
 	// scripts interns generated workload scripts across the experiments of
 	// one option set (set by DefaultOptions; nil just disables sharing).
@@ -86,9 +78,6 @@ func (r *Report) Markdown() string {
 func (o Options) machineConfig(scheme core.Scheme, mutate func(*sim.Config)) sim.Config {
 	cfg := sim.DefaultConfig(scheme)
 	o.Apply(&cfg)
-	if o.Probe != nil {
-		cfg.Mem.Probe = probe.New(*o.Probe)
-	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -238,5 +227,3 @@ func IDs() []string {
 	}
 	return ids
 }
-
-var _ = ctrcache.WriteBack // referenced by fig12.go

@@ -245,6 +245,10 @@ func (k *Kernel) Mmap(now uint64, pid Pid, bytes uint64, huge bool) (vaddr, done
 	if p == nil {
 		return 0, now, fmt.Errorf("kernel: mmap by dead pid %d", pid)
 	}
+	// A mapping no larger than memory bounds the PTEs installed below.
+	if limit := k.ctl.Config().MemBytes; bytes > limit {
+		return 0, now, fmt.Errorf("kernel: mmap of %d bytes exceeds the %d-byte memory", bytes, limit)
+	}
 	k.Stats.Mmaps++
 	unit := uint64(mem.PageBytes)
 	zpfn := k.zeroPFN

@@ -445,75 +445,6 @@ func TestStatsSub(t *testing.T) {
 	}
 }
 
-func TestMadviseDontNeed(t *testing.T) {
-	for _, s := range core.Schemes() {
-		t.Run(s.String(), func(t *testing.T) {
-			k := testKernel(t, s)
-			pid := k.Spawn()
-			va, _, err := k.Mmap(0, pid, 4*mem.PageBytes, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := k.Allocator().InUse()
-			for p := uint64(0); p < 4; p++ {
-				kwrite(t, k, pid, va+p*mem.PageBytes, 0xAD, 8)
-			}
-			if k.Allocator().InUse() != base+4 {
-				t.Fatal("writes must allocate frames")
-			}
-			if _, err := k.MadviseDontNeed(0, pid, va, 2*mem.PageBytes); err != nil {
-				t.Fatal(err)
-			}
-			if got := k.Allocator().InUse(); got != base+2 {
-				t.Fatalf("madvise must free 2 frames: InUse=%d want %d", got, base+2)
-			}
-			// Released range reads zero; retained range keeps its data.
-			if got := kread(t, k, pid, va, 8); got[0] != 0 {
-				t.Fatalf("released page = %#x, want 0", got[0])
-			}
-			if got := kread(t, k, pid, va+3*mem.PageBytes, 8); got[0] != 0xAD {
-				t.Fatalf("retained page = %#x", got[0])
-			}
-			// Writing the released range faults a fresh frame again.
-			kwrite(t, k, pid, va, 0xBE, 8)
-			if got := kread(t, k, pid, va, 8); got[0] != 0xBE {
-				t.Fatalf("rewrite = %#x", got[0])
-			}
-		})
-	}
-}
-
-func TestMadviseSharedSource(t *testing.T) {
-	// Discarding a page that is the CoW source of a child's copy must
-	// materialise the child's pending lines first.
-	k := testKernel(t, core.Lelantus)
-	parent := k.Spawn()
-	va, _, err := k.Mmap(0, parent, mem.PageBytes, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for li := uint64(0); li < 8; li++ {
-		kwrite(t, k, parent, va+li*mem.LineBytes, byte(0x20+li), 8)
-	}
-	child, _, err := k.Fork(0, parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kwrite(t, k, child, va, 0xEE, 8) // child's partial copy
-	// Parent discards its (now exclusively owned) original page.
-	if _, err := k.MadviseDontNeed(0, parent, va, mem.PageBytes); err != nil {
-		t.Fatal(err)
-	}
-	// Child still sees the original content on uncopied lines.
-	if got := kread(t, k, child, va+3*mem.LineBytes, 8); got[0] != 0x23 {
-		t.Fatalf("child line 3 = %#x, want 0x23", got[0])
-	}
-	// Parent reads zeros.
-	if got := kread(t, k, parent, va, 8); got[0] != 0 {
-		t.Fatalf("parent after madvise = %#x", got[0])
-	}
-}
-
 func TestTLBChargesAndInvalidates(t *testing.T) {
 	k := testKernel(t, core.Baseline)
 	pid := k.Spawn()
@@ -544,100 +475,27 @@ func TestTLBChargesAndInvalidates(t *testing.T) {
 	}
 }
 
-func TestMadviseErrors(t *testing.T) {
+func TestMunmapErrors(t *testing.T) {
 	k := testKernel(t, core.Baseline)
-	if _, err := k.MadviseDontNeed(0, 99, 0, 4096); err == nil {
+	if _, err := k.Munmap(0, 99, 0, 4096); err == nil {
 		t.Fatal("dead pid accepted")
 	}
 	pid := k.Spawn()
-	if _, err := k.MadviseDontNeed(0, pid, 0xdead000, 4096); err == nil {
+	if _, err := k.Munmap(0, pid, 0xdead000, 4096); err == nil {
 		t.Fatal("unmapped range accepted")
 	}
 }
 
-func TestMprotectDirtyTracking(t *testing.T) {
-	for _, s := range core.Schemes() {
-		t.Run(s.String(), func(t *testing.T) {
-			k := testKernel(t, s)
-			pid := k.Spawn()
-			va, _, err := k.Mmap(0, pid, 4*mem.PageBytes, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for p := uint64(0); p < 4; p++ {
-				kwrite(t, k, pid, va+p*mem.PageBytes, byte(0x60+p), 8)
-			}
-			// Checkpoint epoch: write-protect everything.
-			if _, err := k.Mprotect(0, pid, va, 4*mem.PageBytes, false); err != nil {
-				t.Fatal(err)
-			}
-			reuse0 := k.Stats.ReuseFaults
-			// Reads never fault; data intact.
-			if got := kread(t, k, pid, va, 8); got[0] != 0x60 {
-				t.Fatalf("read after protect = %#x", got[0])
-			}
-			if k.Stats.ReuseFaults != reuse0 {
-				t.Fatal("read must not fault")
-			}
-			// First write per page faults exactly once (the dirty bit).
-			kwrite(t, k, pid, va, 0x70, 8)
-			kwrite(t, k, pid, va+8, 0x71, 8)
-			if k.Stats.ReuseFaults != reuse0+1 {
-				t.Fatalf("ReuseFaults = %d, want %d", k.Stats.ReuseFaults, reuse0+1)
-			}
-			if got := kread(t, k, pid, va+mem.PageBytes, 8); got[0] != 0x61 {
-				t.Fatalf("untouched page = %#x", got[0])
-			}
-		})
-	}
-}
-
-func TestMprotectUpgradeRespectsSharing(t *testing.T) {
-	k := testKernel(t, core.Lelantus)
-	parent := k.Spawn()
-	va, _, err := k.Mmap(0, parent, mem.PageBytes, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kwrite(t, k, parent, va, 0x42, 8)
-	child, _, err := k.Fork(0, parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Upgrading a CoW-shared page must NOT make it writable in place.
-	if _, err := k.Mprotect(0, parent, va, mem.PageBytes, true); err != nil {
-		t.Fatal(err)
-	}
-	kwrite(t, k, parent, va, 0x43, 8)
-	if got := kread(t, k, child, va, 8); got[0] != 0x42 {
-		t.Fatalf("child sees parent's post-mprotect write: %#x", got[0])
-	}
-}
-
-func TestMprotectExclusiveUpgrade(t *testing.T) {
-	k := testKernel(t, core.Lelantus)
+// TestMmapLargerThanMemory pins that a mapping larger than the machine is
+// refused up front: Mmap installs one PTE per unit, so an absurd length
+// would otherwise run for as long as it takes to install them all.
+func TestMmapLargerThanMemory(t *testing.T) {
+	k := testKernel(t, core.Baseline)
 	pid := k.Spawn()
-	va, _, err := k.Mmap(0, pid, mem.PageBytes, false)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := k.Mmap(0, pid, 1<<60, false); err == nil {
+		t.Fatal("1<<60-byte mapping accepted")
 	}
-	kwrite(t, k, pid, va, 1, 8)
-	if _, err := k.Mprotect(0, pid, va, mem.PageBytes, false); err != nil {
-		t.Fatal(err)
-	}
-	// Explicit upgrade restores writability without a later fault.
-	if _, err := k.Mprotect(0, pid, va, mem.PageBytes, true); err != nil {
-		t.Fatal(err)
-	}
-	reuse := k.Stats.ReuseFaults
-	kwrite(t, k, pid, va, 2, 8)
-	if k.Stats.ReuseFaults != reuse {
-		t.Fatal("write after explicit upgrade must not fault")
-	}
-	if _, err := k.Mprotect(0, 99, 0, 4096, false); err == nil {
-		t.Fatal("dead pid accepted")
-	}
-	if _, err := k.Mprotect(0, pid, 0xdead000, 4096, false); err == nil {
-		t.Fatal("unmapped range accepted")
+	if _, _, err := k.Mmap(0, pid, 64<<20, true); err != nil {
+		t.Fatalf("mapping the whole memory: %v", err)
 	}
 }

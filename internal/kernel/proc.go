@@ -123,53 +123,40 @@ func (k *Kernel) Exit(now uint64, pid Pid) (uint64, error) {
 	return now, nil
 }
 
-// Munmap removes an existing mapping range (unit-aligned).
-func (k *Kernel) Munmap(now uint64, pid Pid, vaddr, bytes uint64) (uint64, error) {
-	// The TLB keeps any entry of the unmapped range (an open model question,
-	// ROADMAP.md): invalidating would move timing.
-	return k.walkRange(now, pid, vaddr, bytes, "munmap",
-		func(now uint64, p *Process, vma *VMA, va uint64, pte *PTE) (uint64, error) {
-			t, err := k.unmapPTE(now, vma.Huge, pte)
-			if err == nil {
-				delete(p.pageTable(vma), vpnOf(vma, va))
-			}
-			return t, err
-		})
-}
-
-// walkRange is the prologue and unit walk the range syscalls share. It
-// rejects a dead pid or an unmapped vaddr (op names the call in the
-// error), charges the syscall, then calls fn on every mapped unit — a 4 KB
+// Munmap removes an existing mapping range: every mapped unit — a 4 KB
 // page, or a 2 MB page in a huge VMA — from vaddr's unit up to
-// vaddr+bytes, clipped to the VMA. fn returns the new time; an error stops
-// the walk.
-func (k *Kernel) walkRange(now uint64, pid Pid, vaddr, bytes uint64, op string,
-	fn func(now uint64, p *Process, vma *VMA, va uint64, pte *PTE) (uint64, error)) (uint64, error) {
+// vaddr+bytes, clipped to the VMA. A dead pid or an unmapped vaddr is an
+// error.
+func (k *Kernel) Munmap(now uint64, pid Pid, vaddr, bytes uint64) (uint64, error) {
 	k.bumpGen()
 	p := k.procs[pid]
 	if p == nil {
-		return now, fmt.Errorf("kernel: %s by dead pid %d", op, pid)
+		return now, fmt.Errorf("kernel: munmap by dead pid %d", pid)
 	}
 	vma := p.vmaOf(vaddr)
 	if vma == nil {
-		return now, fmt.Errorf("kernel: %s of unmapped vaddr %#x", op, vaddr)
+		return now, fmt.Errorf("kernel: munmap of unmapped vaddr %#x", vaddr)
 	}
 	now += k.cfg.SyscallNs
 	unit := uint64(mem.PageBytes)
 	if vma.Huge {
 		unit = mem.HugePageBytes
 	}
+	// The TLB keeps any entry of the unmapped range (an open model question,
+	// ROADMAP.md): invalidating would move timing.
 	table, end := p.pageTable(vma), min(vaddr+bytes, vma.End)
 	for va := vaddr &^ (unit - 1); va < end; va += unit {
-		pte := table[vpnOf(vma, va)]
+		vpn := vpnOf(vma, va)
+		pte := table[vpn]
 		if pte == nil {
 			continue
 		}
-		t, err := fn(now, p, vma, va, pte)
+		t, err := k.unmapPTE(now, vma.Huge, pte)
 		if err != nil {
 			return t, err
 		}
 		now = t
+		delete(table, vpn)
 	}
 	return now, nil
 }
@@ -250,66 +237,4 @@ func (k *Kernel) KSMMerge(now uint64, refs []PageRef) (int, uint64, error) {
 		merged++
 	}
 	return merged, now, nil
-}
-
-// MadviseDontNeed releases the physical backing of a mapped range
-// (madvise(MADV_DONTNEED)): the pages return to the demand-zero state, so
-// the next read sees zeros and the next write faults a fresh frame. Under
-// the Lelantus schemes the released frames go through the page_free
-// protocol like any other free.
-func (k *Kernel) MadviseDontNeed(now uint64, pid Pid, vaddr, bytes uint64) (uint64, error) {
-	return k.walkRange(now, pid, vaddr, bytes, "madvise",
-		func(now uint64, p *Process, vma *VMA, va uint64, pte *PTE) (uint64, error) {
-			if k.isZeroFrame(pte.PFN, vma.Huge) {
-				return now, nil
-			}
-			t, err := k.unmapPTE(now, vma.Huge, pte)
-			if err != nil {
-				return t, err
-			}
-			pte.PFN = k.zeroPFN
-			if vma.Huge {
-				pte.PFN = k.hugeZeroPFN
-			}
-			pte.Writable = false
-			p.TLB.Invalidate(vpnOf(vma, va), vma.Huge)
-			return t, nil
-		})
-}
-
-// Mprotect changes the write permission of a mapped range. Write-
-// protecting is the dirty-tracking primitive incremental checkpointers
-// build on: the next write to each unit takes a fault (and under the
-// Lelantus schemes runs the usual CoW/reuse protocol). Re-enabling writes
-// only applies to exclusively-owned frames — pages still CoW-shared stay
-// write-protected so isolation is preserved, exactly like Linux, where
-// mprotect(PROT_WRITE) marks the VMA and the fault handler sorts out
-// sharing.
-func (k *Kernel) Mprotect(now uint64, pid Pid, vaddr, bytes uint64, writable bool) (uint64, error) {
-	return k.walkRange(now, pid, vaddr, bytes, "mprotect",
-		func(now uint64, p *Process, vma *VMA, va uint64, pte *PTE) (uint64, error) {
-			if !writable {
-				if pte.Writable {
-					pte.Writable = false
-					p.TLB.Invalidate(vpnOf(vma, va), vma.Huge)
-				}
-				return now, nil
-			}
-			// Upgrades only take effect for exclusively-owned real frames;
-			// the zero page and shared pages must keep faulting.
-			if k.isZeroFrame(pte.PFN, vma.Huge) {
-				return now, nil
-			}
-			info := k.pages[pte.PFN]
-			if info == nil || info.MapCount != 1 || pte.Writable {
-				return now, nil
-			}
-			// Run the reuse protocol: dependents of a formerly shared page
-			// must be materialised before in-place writes resume.
-			t, err := k.reuseFault(now, pte, info)
-			if err == nil {
-				p.TLB.Invalidate(vpnOf(vma, va), vma.Huge)
-			}
-			return t, err
-		})
 }

@@ -166,6 +166,9 @@ func (m *Machine) snapInto(dst *snapshot) {
 // therefore be shared by many machines running concurrently — RunGrid and
 // the experiment harness's script interning rely on this.
 func (m *Machine) Run(s workload.Script) (Result, error) {
+	if err := s.Validate(); err != nil {
+		return Result{}, fmt.Errorf("sim: %w", err)
+	}
 	m.procs = make([]kernel.Pid, s.Procs)
 	m.regions = make([]uint64, s.Regions)
 	m.procNs = make([]uint64, s.Procs)

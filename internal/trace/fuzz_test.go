@@ -34,16 +34,3 @@ func FuzzRead(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadJSON: arbitrary JSON must never panic.
-func FuzzReadJSON(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, sample()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.String())
-	f.Add(`{"name":"x"}`)
-	f.Fuzz(func(t *testing.T, data string) {
-		_, _ = ReadJSON(bytes.NewReader([]byte(data)))
-	})
-}

@@ -1,13 +1,12 @@
 // Package trace serialises workload scripts so runs can be recorded,
 // shared and replayed bit-exactly: a compact varint binary format (the
-// native interchange format of cmd/lelantus-sim's -record/-replay flags),
-// a JSON form for human editing, and a disassembler for inspection.
+// native interchange format of cmd/lelantus-sim's -record/-replay flags)
+// and a disassembler for inspection.
 package trace
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -100,7 +99,9 @@ func Read(r io.Reader) (workload.Script, error) {
 	if nOps > maxOps {
 		return s, fmt.Errorf("trace: absurd op count %d", nOps)
 	}
-	s.Ops = make([]workload.Op, 0, nOps)
+	// The count is only a claim until the ops are read: preallocating it
+	// would let a short header commit 96 B × maxOps (24 GiB).
+	s.Ops = make([]workload.Op, 0, min(nOps, 1<<16))
 	for i := uint64(0); i < nOps; i++ {
 		var op workload.Op
 		kind, err := br.ReadByte()
@@ -172,37 +173,6 @@ func writeVarint(w *bufio.Writer, v int64) {
 func readInt(br *bufio.Reader) (int, error) {
 	v, err := binary.ReadUvarint(br)
 	return int(v), err
-}
-
-// jsonScript is the JSON wire form.
-type jsonScript struct {
-	Name        string        `json:"name"`
-	Procs       int           `json:"procs"`
-	Regions     int           `json:"regions"`
-	MeasureProc int           `json:"measure_proc"`
-	Ops         []workload.Op `json:"ops"`
-}
-
-// WriteJSON serialises the script as indented JSON.
-func WriteJSON(w io.Writer, s workload.Script) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(jsonScript{
-		Name: s.Name, Procs: s.Procs, Regions: s.Regions,
-		MeasureProc: s.MeasureProc, Ops: s.Ops,
-	})
-}
-
-// ReadJSON deserialises a JSON script.
-func ReadJSON(r io.Reader) (workload.Script, error) {
-	var js jsonScript
-	if err := json.NewDecoder(r).Decode(&js); err != nil {
-		return workload.Script{}, err
-	}
-	return workload.Script{
-		Name: js.Name, Procs: js.Procs, Regions: js.Regions,
-		MeasureProc: js.MeasureProc, Ops: js.Ops,
-	}, nil
 }
 
 // Disassemble prints up to max ops (0 = all) in readable form.

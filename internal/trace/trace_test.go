@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -63,24 +65,6 @@ func TestBinaryRoundTripBigScript(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	s := sample()
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != s.Name || got.Procs != s.Procs || got.MeasureProc != s.MeasureProc {
-		t.Fatalf("header mismatch: %+v", got)
-	}
-	if len(got.Ops) != len(s.Ops) {
-		t.Fatalf("ops %d vs %d", len(got.Ops), len(s.Ops))
-	}
-}
-
 func TestBadInput(t *testing.T) {
 	if _, err := Read(bytes.NewReader([]byte("WRONGMAGIC....."))); err == nil {
 		t.Fatal("bad magic accepted")
@@ -113,5 +97,25 @@ func TestDisassemble(t *testing.T) {
 	Disassemble(&full, sample(), 0)
 	if !strings.Contains(full.String(), "exit p0") {
 		t.Fatal("missing final op in full disassembly")
+	}
+}
+
+// TestHugeOpCountDoesNotPreallocate pins that a header claiming maxOps ops
+// over an empty body fails without allocating for the claim.
+func TestHugeOpCountDoesNotPreallocate(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, workload.Script{Name: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	head := buf.Bytes()[:buf.Len()-1] // drop the zero op count
+	head = binary.AppendUvarint(append([]byte(nil), head...), maxOps)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Read(bytes.NewReader(head)); err == nil {
+		t.Fatal("truncated op stream accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("reading a %d-byte header allocated %d bytes", len(head), grew)
 	}
 }

@@ -113,6 +113,46 @@ type Script struct {
 	MeasureProc int
 }
 
+// maxSlots caps a script's process and region slot counts: the simulator
+// allocates per-slot tables up front, so a count decoded from a corrupt
+// trace must not size them.
+const maxSlots = 1 << 16
+
+// Validate rejects a script whose slot indexing would run out of range
+// when executed: slot counts outside [0, maxSlots], and a Proc, NewProc,
+// Region or KSM Procs entry outside its slot table for an op that reads
+// it. Unknown op kinds pass; the simulator rejects them when it reaches
+// them.
+func (s Script) Validate() error {
+	if s.Procs < 0 || s.Procs > maxSlots || s.Regions < 0 || s.Regions > maxSlots {
+		return fmt.Errorf("workload: %d procs, %d regions (want 0..%d each)", s.Procs, s.Regions, maxSlots)
+	}
+	for i := range s.Ops {
+		o := &s.Ops[i]
+		procs, region := []int{o.Proc}, true
+		switch o.Kind {
+		case OpSpawn, OpExit, OpCompute:
+			region = false
+		case OpFork:
+			procs, region = []int{o.Proc, o.NewProc}, false
+		case OpMmap, OpLoad, OpStore, OpStoreNT, OpMunmap:
+		case OpKSM:
+			procs = o.Procs
+		default:
+			continue
+		}
+		for _, p := range procs {
+			if p < 0 || p >= s.Procs {
+				return fmt.Errorf("workload: op %d (%s): proc slot %d out of range [0,%d)", i, o, p, s.Procs)
+			}
+		}
+		if region && (o.Region < 0 || o.Region >= s.Regions) {
+			return fmt.Errorf("workload: op %d (%s): region slot %d out of range [0,%d)", i, o, o.Region, s.Regions)
+		}
+	}
+	return nil
+}
+
 // Builder assembles scripts with slot bookkeeping.
 type Builder struct {
 	s Script

@@ -10,6 +10,9 @@ import (
 // slots, spawn/fork precede use, and loads/stores stay inside one line.
 func validate(t *testing.T, s Script) {
 	t.Helper()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	live := make([]bool, s.Procs)
 	mapped := make([]bool, s.Regions)
 	for i, op := range s.Ops {
@@ -73,6 +76,34 @@ func TestCatalogueWellFormed(t *testing.T) {
 				t.Fatalf("%s: empty script", spec.Name)
 			}
 			validate(t, s)
+		}
+	}
+}
+
+// TestValidateRejects pins Script.Validate against every slot indexing
+// the simulator performs: each case is one field out of range.
+func TestValidateRejects(t *testing.T) {
+	ok := func() Script { return NewBuilder("v").Spawn(0).Mmap(0, 0, 4096, false).Script() }
+	cases := map[string]func(*Script){
+		"negative procs":   func(s *Script) { s.Procs = -1 },
+		"too many procs":   func(s *Script) { s.Procs = 1 << 62 },
+		"too many regions": func(s *Script) { s.Regions = maxSlots + 1 },
+		"load proc":        func(s *Script) { s.Ops = append(s.Ops, Op{Kind: OpLoad, Proc: 5}) },
+		"negative proc":    func(s *Script) { s.Ops = append(s.Ops, Op{Kind: OpStore, Proc: -1}) },
+		"store region":     func(s *Script) { s.Ops = append(s.Ops, Op{Kind: OpStoreNT, Region: 1}) },
+		"fork new proc":    func(s *Script) { s.Ops = append(s.Ops, Op{Kind: OpFork, NewProc: 1}) },
+		"compute proc":     func(s *Script) { s.Ops = append(s.Ops, Op{Kind: OpCompute, Proc: 1}) },
+		"ksm region":       func(s *Script) { s.Ops = append(s.Ops, Op{Kind: OpKSM, Region: 2, Procs: []int{0}}) },
+		"ksm procs":        func(s *Script) { s.Ops = append(s.Ops, Op{Kind: OpKSM, Procs: []int{0, 3}}) },
+	}
+	if err := ok().Validate(); err != nil {
+		t.Fatalf("well-formed script rejected: %v", err)
+	}
+	for name, mutate := range cases {
+		s := ok()
+		mutate(&s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }
