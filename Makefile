@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json perfbench-test nopanic cli-smoke grid-smoke telemetry-smoke verify
+.PHONY: all build fmt vet test race bench bench-json perfbench-test nopanic cli-smoke grid-smoke telemetry-smoke verify
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+# fmt fails, listing the files, when any Go file is not gofmt-clean.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo 'not gofmt-clean:'; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -56,8 +60,9 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # bench-json captures the hot-path and end-to-end benchmarks as a JSON
-# baseline: the ReadLine/WriteLine micro-benchmarks and the cache
-# hierarchy's per-layer ones (with allocation counts) at a fixed benchtime,
+# baseline: the ReadLine/WriteLine micro-benchmarks, the cache
+# hierarchy's per-layer ones and the full-size script generators'
+# (BenchmarkBuild/<app>), with allocation counts, at a fixed benchtime,
 # plus every Fig9 quick cell and the PagePhyc, OverflowSweep,
 # RecoveryScrub and ChainHeavy cells at two iterations (each
 # iteration is one full deterministic simulation, so two are enough for a
@@ -80,8 +85,8 @@ KNOBS ?=
 OUT ?= BENCH_hotpath.json
 bench-json:
 	{ LELANTUS_KNOBS='$(KNOBS)' $(GO) test -run '^$$' \
-	      -bench '^(BenchmarkReadLine|BenchmarkWriteLine|BenchmarkCache.*)$$' \
-	      -benchmem -benchtime 0.2s . ./internal/cache ; \
+	      -bench '^(BenchmarkReadLine|BenchmarkWriteLine|BenchmarkCache.*|BenchmarkBuild)$$' \
+	      -benchmem -benchtime 0.2s . ./internal/cache ./internal/workload ; \
 	  LELANTUS_KNOBS='$(KNOBS)' $(GO) test -run '^$$' \
 	      -bench '^(BenchmarkFig9|BenchmarkPagePhyc|BenchmarkOverflowSweep|BenchmarkRecoveryScrub|BenchmarkChainHeavy)$$' -benchtime 2x . ; } \
 	  | $(GO) run ./cmd/benchjson > $(OUT)
@@ -141,4 +146,4 @@ telemetry-smoke:
 	@rm -rf /tmp/lelantus-telemetry-smoke /tmp/lelantus-telemetry-smoke.err \
 	    /tmp/lelantus-telemetry-smoke.prom /tmp/lelantus-telemetry-smoke-bin
 
-verify: build vet nopanic test perfbench-test race cli-smoke grid-smoke telemetry-smoke
+verify: build fmt vet nopanic test perfbench-test race cli-smoke grid-smoke telemetry-smoke

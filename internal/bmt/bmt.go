@@ -86,8 +86,9 @@ type Tree struct {
 	verifies uint64
 
 	// accountingOnly elides all hashing (timing-only fidelity): operation
-	// counters and the dirty-path bookkeeping stay exact, nodes are never
-	// computed or stored, and Verify always succeeds.
+	// counters and leaf presence stay exact, no path is marked dirty (no
+	// flush would read it), inner nodes are never computed or stored, and
+	// Verify always succeeds.
 	accountingOnly bool
 }
 
@@ -116,9 +117,8 @@ func New(key []byte, nBlocks uint64) *Tree {
 
 // DisableHashing switches the tree to accounting-only mode, used by the
 // timing-only fidelity (core.FidelityTiming): Update and Verify keep
-// their operation counters and the leaf-to-root dirty-path bookkeeping —
-// the propagation work a flush would schedule is byte-identically
-// accounted — but no HMAC is ever computed and no inner node is stored.
+// their operation counters, but no HMAC is ever computed, no inner node
+// is stored and no path is marked dirty, since no flush reads one.
 // Leaf *presence* is still recorded (a zero digest per updated leaf), so
 // the recovery rebuild reports byte-identical per-level node counts under
 // both fidelities. Verification always succeeds, so this must never be
@@ -169,9 +169,9 @@ func (t *Tree) Update(idx uint64, raw []byte) {
 	t.Updates++
 	if t.accountingOnly {
 		t.nodes[0][idx] = [hashSize]byte{} // presence only: drives the rebuild counts
-	} else {
-		t.nodes[0][idx] = t.digest(idx, raw)
+		return
 	}
+	t.nodes[0][idx] = t.digest(idx, raw)
 	t.pending = true
 	node := idx
 	for l := 1; l < t.levels; l++ {
@@ -193,16 +193,12 @@ func (t *Tree) flush() {
 		return
 	}
 	for l := 1; l < t.levels; l++ {
-		if !t.accountingOnly {
-			for node := range t.dirty[l] {
-				t.nodes[l][node] = t.recomputeInner(l, node)
-			}
+		for node := range t.dirty[l] {
+			t.nodes[l][node] = t.recomputeInner(l, node)
 		}
 		clear(t.dirty[l])
 	}
-	if !t.accountingOnly {
-		t.root = t.nodeHash(t.levels-1, 0)
-	}
+	t.root = t.nodeHash(t.levels-1, 0)
 	t.pending = false
 }
 

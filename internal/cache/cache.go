@@ -358,15 +358,21 @@ func (h *Hierarchy) FlushPage(pfn uint64) []Victim {
 	return dirty
 }
 
+// InvalidateLine drops the line from every level without write-back, as
+// a non-temporal store does. By inclusion, only a line L3 held can be in
+// L1 or L2, so an absent line costs one probe.
+func (h *Hierarchy) InvalidateLine(lineAddr uint64) {
+	if h.L3.drop(lineAddr) {
+		h.L1.drop(lineAddr)
+		h.L2.drop(lineAddr)
+	}
+}
+
 // InvalidatePage drops every resident line of the page without write-back,
 // modelling the invalidation of a freshly allocated destination page.
 func (h *Hierarchy) InvalidatePage(pfn uint64) {
 	for i := 0; i < mem.LinesPerPage; i++ {
-		// By inclusion, only a line L3 held can be in L1 or L2.
-		if la := mem.LineAddr(pfn, i); h.L3.drop(la) {
-			h.L1.drop(la)
-			h.L2.drop(la)
-		}
+		h.InvalidateLine(mem.LineAddr(pfn, i))
 	}
 }
 

@@ -217,6 +217,12 @@ func (h *refHierarchy) invalidatePage(pfn uint64) {
 	}
 }
 
+func (h *refHierarchy) invalidateLine(addr uint64) {
+	h.l1.invalidate(addr)
+	h.l2.invalidate(addr)
+	h.l3.invalidate(addr)
+}
+
 func (h *refHierarchy) drainDirty() []refLine {
 	var out []refLine
 	for s := range h.l3.set {
@@ -339,8 +345,8 @@ func (c *diffChecker) flushPage(pfn uint64) {
 	}
 }
 
-// invalidate drops the line from all three levels one by one, as a
-// non-temporal store does.
+// invalidate drops the line from all three levels one by one, through
+// each Level's Invalidate, and compares every victim.
 func (c *diffChecker) invalidate(addr uint64) {
 	c.t.Helper()
 	levels := []struct {
@@ -455,8 +461,11 @@ func runDiff(t *testing.T, stream []byte) {
 		case kind == 11:
 			c.h.InvalidatePage(pfn)
 			c.ref.invalidatePage(pfn)
-		case kind < 14:
+		case kind == 12:
 			c.invalidate(addr)
+		case kind == 13: // a non-temporal store's invalidate
+			c.h.InvalidateLine(addr)
+			c.ref.invalidateLine(addr)
 		case kind == 14:
 			c.drain()
 		default:

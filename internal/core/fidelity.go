@@ -20,7 +20,7 @@ import (
 //     tests of security invariants (tamper detection, pad uniqueness,
 //     crash recovery) require Full.
 //   - FidelityTiming performs identical counter reads/writes, cache/TLB
-//     traffic, BMT accounting (update/verify counts, dirty-path marks),
+//     traffic, BMT accounting (update/verify counts, leaf presence),
 //     data persists and latency arithmetic, but skips pad generation, MAC
 //     computation and verification, and Merkle hashing. Data lines are
 //     stored as plaintext: the exact bytes must keep moving because two

@@ -112,7 +112,7 @@ func New(cfg Config) (*Controller, error) {
 	macs := bmt.NewMACStore([]byte("lelantus-mac-key"))
 	if cfg.Core.Fidelity == core.FidelityTiming {
 		// Timing fidelity: the tree keeps its update/verify counters and
-		// dirty-path bookkeeping but computes no hashes; the engine elides
+		// leaf presence but computes no hashes; the engine elides
 		// the per-line pad/MAC work itself (see core.Fidelity).
 		tree.DisableHashing()
 	}
@@ -283,9 +283,7 @@ func (c *Controller) StoreNT(now, addr uint64, data *[mem.LineBytes]byte) (uint6
 	c.CPUWrites++
 	c.count()
 	line := addr &^ (mem.LineBytes - 1)
-	c.Caches.L1.Invalidate(line)
-	c.Caches.L2.Invalidate(line)
-	c.Caches.L3.Invalidate(line)
+	c.Caches.InvalidateLine(line)
 	return c.Engine.WriteLine(now, line, data)
 }
 

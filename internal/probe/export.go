@@ -183,20 +183,20 @@ var tracks = [NumKinds]struct {
 	tid  int
 	name string
 }{
-	EvRead:        {2, "reads"},
-	EvWrite:       {3, "writes"},
-	EvPageCopy:    {1, "commands"},
-	EvPagePhyc:    {1, "commands"},
-	EvPageFree:    {1, "commands"},
-	EvPageInit:    {1, "commands"},
-	EvCtrHit:      {4, "ctr-cache"},
-	EvCtrMiss:     {4, "ctr-cache"},
-	EvCtrEvict:    {4, "ctr-cache"},
-	EvCoWHit:      {5, "cow-cache"},
-	EvCoWMiss:     {5, "cow-cache"},
-	EvBMTVerify:   {6, "bmt"},
-	EvBMTUpdate:   {6, "bmt"},
-	EvOverflow:    {7, "overflow"},
+	EvRead:           {2, "reads"},
+	EvWrite:          {3, "writes"},
+	EvPageCopy:       {1, "commands"},
+	EvPagePhyc:       {1, "commands"},
+	EvPageFree:       {1, "commands"},
+	EvPageInit:       {1, "commands"},
+	EvCtrHit:         {4, "ctr-cache"},
+	EvCtrMiss:        {4, "ctr-cache"},
+	EvCtrEvict:       {4, "ctr-cache"},
+	EvCoWHit:         {5, "cow-cache"},
+	EvCoWMiss:        {5, "cow-cache"},
+	EvBMTVerify:      {6, "bmt"},
+	EvBMTUpdate:      {6, "bmt"},
+	EvOverflow:       {7, "overflow"},
 	EvFault:          {8, "faults"},
 	EvKernelFault:    {9, "kernel"},
 	EvRecovery:       {10, "recovery"},

@@ -174,7 +174,7 @@ func TestRunGridRecoversPanics(t *testing.T) {
 }
 
 // TestKSMTimeAttribution is the regression test for the KSM billing bug:
-// OpKSM carries its participants in op.Procs and leaves op.Proc at zero,
+// OpKSM carries its participants in a group and leaves op.Proc at zero,
 // so its elapsed time used to be billed to process slot 0 even when slot 0
 // was not involved in the merge.
 func TestKSMTimeAttribution(t *testing.T) {

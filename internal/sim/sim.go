@@ -161,10 +161,11 @@ func (m *Machine) snapInto(dst *snapshot) {
 // Run executes a script to completion and returns the measured-phase
 // result (from the BeginMeasure op, or the whole run without one).
 //
-// Run treats the Script as read-only: no op field is ever written, and
-// shared slices (Op.Procs) are copied before use. One Script value may
-// therefore be shared by many machines running concurrently — RunGrid and
-// the experiment harness's script interning rely on this.
+// Run treats the Script as read-only: no op field is ever written, and a
+// KSM op's group (a slice of Script.Groups) is copied before use. One
+// Script value may therefore be shared by many machines running
+// concurrently — RunGrid and the experiment harness's script interning
+// rely on this.
 func (m *Machine) Run(s workload.Script) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, fmt.Errorf("sim: %w", err)
@@ -177,7 +178,7 @@ func (m *Machine) Run(s workload.Script) (Result, error) {
 	endTaken := false
 	var err error
 	for idx := range s.Ops {
-		// Iterate by pointer: Op is a large value struct and this loop runs
+		// Iterate by pointer: Op is a 48 B value struct and this loop runs
 		// once per scripted operation.
 		op := &s.Ops[idx]
 		opStart := m.now
@@ -209,10 +210,10 @@ func (m *Machine) Run(s workload.Script) (Result, error) {
 		case workload.OpMunmap:
 			m.now, err = m.Kern.Munmap(m.now, m.procs[op.Proc], m.regions[op.Region]+op.Off, op.Bytes)
 		case workload.OpKSM:
-			// op.Procs belongs to the (possibly shared) Script; copy it
+			// The group belongs to the (possibly shared) Script; copy it
 			// into a local slice so nothing handed downstream can alias
 			// script-owned memory, even if a future kernel reorders refs.
-			procs := append([]int(nil), op.Procs...)
+			procs := append([]int(nil), s.Groups[op.Group]...)
 			refs := make([]kernel.PageRef, len(procs))
 			for i, ps := range procs {
 				refs[i] = kernel.PageRef{PID: m.procs[ps], Vaddr: m.regions[op.Region] + op.Off}
@@ -237,17 +238,17 @@ func (m *Machine) Run(s workload.Script) (Result, error) {
 			err = fmt.Errorf("sim: unknown op kind %d", op.Kind)
 		}
 		if err != nil {
-			return Result{}, fmt.Errorf("sim: op %d (%s): %w", idx, op, err)
+			return Result{}, fmt.Errorf("sim: op %d (%s): %w", idx, s.OpString(idx), err)
 		}
 		switch op.Kind {
 		case workload.OpBeginMeasure, workload.OpEndMeasure:
 			// Measurement markers consume no process time.
 		case workload.OpKSM:
-			// KSM ops carry their participants in op.Procs and leave
+			// KSM ops carry their participants in a group and leave
 			// op.Proc at its zero value; billing slot 0 would silently
 			// charge an uninvolved process. Every participant waits for
 			// the merge, so each is charged the elapsed time.
-			for _, ps := range op.Procs {
+			for _, ps := range s.Groups[op.Group] {
 				m.procNs[ps] += m.now - opStart
 			}
 		default:
@@ -301,7 +302,7 @@ func (m *Machine) Run(s workload.Script) (Result, error) {
 // requests, so every scripted byte is transferred (no silent truncation).
 // A non-positive size degenerates to a single byte.
 func (m *Machine) access(now uint64, op *workload.Op) (uint64, error) {
-	size := op.Size
+	size := int(op.Size)
 	if size <= 0 {
 		size = 1
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -14,6 +15,7 @@ func FuzzRead(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte("LELT1\n"))
+	f.Add(oneLoad(0, math.MaxInt32+1))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Read(bytes.NewReader(data))

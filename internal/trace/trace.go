@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"lelantus/internal/workload"
 )
@@ -19,7 +20,8 @@ var magic = []byte("LELT1\n")
 // maxOps bounds deserialised scripts (a corrupt length must not OOM).
 const maxOps = 1 << 28
 
-// Write serialises the script in the binary format.
+// Write serialises the script in the binary format. A KSM op's group
+// members are written inline with the op; every other op carries none.
 func Write(w io.Writer, s workload.Script) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(magic); err != nil {
@@ -33,7 +35,14 @@ func Write(w io.Writer, s workload.Script) error {
 	writeUvarint(bw, uint64(s.Regions))
 	writeVarint(bw, int64(s.MeasureProc))
 	writeUvarint(bw, uint64(len(s.Ops)))
-	for _, op := range s.Ops {
+	for i, op := range s.Ops {
+		var group []int
+		if op.Kind == workload.OpKSM {
+			if op.Group < 0 || int(op.Group) >= len(s.Groups) {
+				return fmt.Errorf("trace: op %d: group %d out of range [0,%d)", i, op.Group, len(s.Groups))
+			}
+			group = s.Groups[op.Group]
+		}
 		if err := bw.WriteByte(byte(op.Kind)); err != nil {
 			return err
 		}
@@ -50,15 +59,18 @@ func Write(w io.Writer, s workload.Script) error {
 			bw.WriteByte(0)
 		}
 		writeUvarint(bw, op.Ns)
-		writeUvarint(bw, uint64(len(op.Procs)))
-		for _, p := range op.Procs {
+		writeUvarint(bw, uint64(len(group)))
+		for _, p := range group {
 			writeUvarint(bw, uint64(p))
 		}
 	}
 	return bw.Flush()
 }
 
-// Read deserialises a binary script.
+// Read deserialises a binary script, rebuilding the group table from the
+// members written inline with each KSM op (members carried by any other op
+// are read and dropped). A slot, size or member value above
+// math.MaxInt32 is an error.
 func Read(r io.Reader) (workload.Script, error) {
 	br := bufio.NewReader(r)
 	var s workload.Script
@@ -100,7 +112,7 @@ func Read(r io.Reader) (workload.Script, error) {
 		return s, fmt.Errorf("trace: absurd op count %d", nOps)
 	}
 	// The count is only a claim until the ops are read: preallocating it
-	// would let a short header commit 96 B × maxOps (24 GiB).
+	// would let a short header commit 48 B × maxOps (12 GiB).
 	s.Ops = make([]workload.Op, 0, min(nOps, 1<<16))
 	for i := uint64(0); i < nOps; i++ {
 		var op workload.Op
@@ -109,14 +121,14 @@ func Read(r io.Reader) (workload.Script, error) {
 			return s, fmt.Errorf("trace: op %d: %w", i, err)
 		}
 		op.Kind = workload.Kind(kind)
-		if op.Proc, err = readInt(br); err != nil {
-			return s, err
+		if op.Proc, err = readInt32(br); err != nil {
+			return s, fmt.Errorf("trace: op %d: proc: %w", i, err)
 		}
-		if op.NewProc, err = readInt(br); err != nil {
-			return s, err
+		if op.NewProc, err = readInt32(br); err != nil {
+			return s, fmt.Errorf("trace: op %d: new proc: %w", i, err)
 		}
-		if op.Region, err = readInt(br); err != nil {
-			return s, err
+		if op.Region, err = readInt32(br); err != nil {
+			return s, fmt.Errorf("trace: op %d: region: %w", i, err)
 		}
 		if op.Off, err = binary.ReadUvarint(br); err != nil {
 			return s, err
@@ -124,8 +136,8 @@ func Read(r io.Reader) (workload.Script, error) {
 		if op.Bytes, err = binary.ReadUvarint(br); err != nil {
 			return s, err
 		}
-		if op.Size, err = readInt(br); err != nil {
-			return s, err
+		if op.Size, err = readInt32(br); err != nil {
+			return s, fmt.Errorf("trace: op %d: size: %w", i, err)
 		}
 		if op.Val, err = br.ReadByte(); err != nil {
 			return s, err
@@ -145,13 +157,20 @@ func Read(r io.Reader) (workload.Script, error) {
 		if nProcs > 1<<20 {
 			return s, fmt.Errorf("trace: absurd KSM proc count %d", nProcs)
 		}
+		var group []int
 		if nProcs > 0 {
-			op.Procs = make([]int, nProcs)
-			for j := range op.Procs {
-				if op.Procs[j], err = readInt(br); err != nil {
-					return s, err
-				}
+			group = make([]int, nProcs)
+		}
+		for j := range group {
+			p, err := readInt32(br)
+			if err != nil {
+				return s, fmt.Errorf("trace: op %d: KSM member: %w", i, err)
 			}
+			group[j] = int(p)
+		}
+		if op.Kind == workload.OpKSM {
+			op.Group = int32(len(s.Groups))
+			s.Groups = append(s.Groups, group)
 		}
 		s.Ops = append(s.Ops, op)
 	}
@@ -175,6 +194,18 @@ func readInt(br *bufio.Reader) (int, error) {
 	return int(v), err
 }
 
+// readInt32 reads a value that must fit an int32 op field.
+func readInt32(br *bufio.Reader) (int32, error) {
+	v, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, err
+	}
+	if v > math.MaxInt32 {
+		return 0, fmt.Errorf("value %d above %d", v, math.MaxInt32)
+	}
+	return int32(v), nil
+}
+
 // Disassemble prints up to max ops (0 = all) in readable form.
 func Disassemble(w io.Writer, s workload.Script, max int) {
 	fmt.Fprintf(w, "script %q: %d ops, %d procs, %d regions", s.Name, len(s.Ops), s.Procs, s.Regions)
@@ -182,11 +213,11 @@ func Disassemble(w io.Writer, s workload.Script, max int) {
 		fmt.Fprintf(w, ", measures p%d", s.MeasureProc)
 	}
 	fmt.Fprintln(w)
-	for i, op := range s.Ops {
+	for i := range s.Ops {
 		if max > 0 && i >= max {
 			fmt.Fprintf(w, "... %d more ops\n", len(s.Ops)-i)
 			return
 		}
-		fmt.Fprintf(w, "%8d  %s\n", i, op)
+		fmt.Fprintf(w, "%8d  %s\n", i, s.OpString(i))
 	}
 }

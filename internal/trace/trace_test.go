@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -45,6 +46,31 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKSMGroupsRoundTrip pins that the group table survives the codec,
+// which writes each KSM op's members inline and rebuilds the table on read.
+func TestKSMGroupsRoundTrip(t *testing.T) {
+	s := workload.VMClone(false, 1)
+	if len(s.Groups) == 0 {
+		t.Fatal("vmclone has no KSM group")
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Groups, s.Groups) {
+		t.Fatalf("groups %v, want %v", got.Groups, s.Groups)
+	}
+	for i := range s.Ops {
+		if got.OpString(i) != s.OpString(i) {
+			t.Fatalf("op %d: %s vs %s", i, got.OpString(i), s.OpString(i))
+		}
+	}
+}
+
 func TestBinaryRoundTripBigScript(t *testing.T) {
 	s := workload.Redis(false, 3)
 	var buf bytes.Buffer
@@ -81,6 +107,32 @@ func TestBadInput(t *testing.T) {
 	if _, err := Read(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated input accepted")
 	}
+	// Op fields are int32: a slot or size above MaxInt32 must fail, not wrap.
+	for field := 0; field < 4; field++ {
+		if _, err := Read(bytes.NewReader(oneLoad(field, math.MaxInt32+1))); err == nil {
+			t.Fatalf("field %d above MaxInt32 accepted", field)
+		}
+	}
+	if _, err := Read(bytes.NewReader(oneLoad(0, math.MaxInt32))); err != nil {
+		t.Fatalf("proc slot MaxInt32 rejected: %v", err)
+	}
+}
+
+// oneLoad encodes a one-op script whose op sets one of its proc, new
+// proc, region or size fields (0..3) to v and leaves the others 0.
+func oneLoad(field int, v uint64) []byte {
+	b := append([]byte(nil), magic...)
+	b = append(b, 1, 'x', 1, 1)    // name "x", 1 proc, 1 region
+	b = binary.AppendVarint(b, -1) // measure proc
+	b = append(b, 1, byte(workload.OpLoad))
+	var vals [4]uint64
+	vals[field] = v
+	for _, x := range vals[:3] {
+		b = binary.AppendUvarint(b, x)
+	}
+	b = append(b, 0, 0) // off, bytes
+	b = binary.AppendUvarint(b, vals[3])
+	return append(b, 0, 0, 0, 0) // val, huge, ns, no KSM members
 }
 
 func TestDisassemble(t *testing.T) {
@@ -97,6 +149,32 @@ func TestDisassemble(t *testing.T) {
 	Disassemble(&full, sample(), 0)
 	if !strings.Contains(full.String(), "exit p0") {
 		t.Fatal("missing final op in full disassembly")
+	}
+}
+
+// TestDisassembleText pins the full disassembly of sample(), a KSM op
+// among its ops, to the text the format has always printed: a KSM op
+// lists its members, not its index in the group table.
+func TestDisassembleText(t *testing.T) {
+	const want = `script "sample": 13 ops, 2 procs, 1 regions, measures p0
+       0  spawn p0
+       1  mmap p0 r0 1048576B huge=true
+       2  store p0 r0+0x1000 8B=0xab
+       3  load p0 r0+0x40 16B
+       4  storent p0 r0+0x80
+       5  fork p0 -> p1
+       6  compute p1 12345ns
+       7  ksm r0+0x0 procs=[0 1]
+       8  begin-measure
+       9  munmap p0 r0+0x0 4096B
+      10  end-measure
+      11  exit p1
+      12  exit p0
+`
+	var out strings.Builder
+	Disassemble(&out, sample(), 0)
+	if out.String() != want {
+		t.Fatalf("disassembly:\n%s\nwant:\n%s", out.String(), want)
 	}
 }
 

@@ -9,10 +9,13 @@
 // execution time, so scripts are position-independent and deterministic.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Kind enumerates script operations.
-type Kind int
+type Kind uint8
 
 const (
 	// OpSpawn creates the initial process for a slot.
@@ -33,7 +36,8 @@ const (
 	OpExit
 	// OpMunmap unmaps Bytes at Region+Off.
 	OpMunmap
-	// OpKSM merges the page at Region+Off across the listed process slots.
+	// OpKSM merges the page at Region+Off across the process slots of
+	// Script.Groups[Group].
 	OpKSM
 	// OpCompute models off-memory CPU work: the process burns Ns
 	// nanoseconds without issuing memory requests. Real applications
@@ -48,21 +52,27 @@ const (
 	OpEndMeasure
 )
 
-// Op is one scripted operation.
+// Op is one scripted operation. It is 48 B and holds no pointer: a fig9
+// pass keeps millions of ops live, and a pointer-free slice is neither
+// scanned by the garbage collector nor written through barriers. The one
+// variable-length operand, a KSM op's participant list, lives in the
+// script's group table.
 type Op struct {
 	Kind    Kind
-	Proc    int
-	NewProc int
-	Region  int
-	Off     uint64
-	Bytes   uint64
-	Size    int
 	Val     byte
 	Huge    bool
+	Proc    int32
+	NewProc int32
+	Region  int32
+	Size    int32
+	Group   int32 // OpKSM: index into Script.Groups
+	Off     uint64
+	Bytes   uint64
 	Ns      uint64 // OpCompute: busy time
-	Procs   []int  // OpKSM: process slots to merge across
 }
 
+// String renders the op on its own. A KSM op's members live in the
+// script's group table, so only Script.OpString renders one.
 func (o Op) String() string {
 	switch o.Kind {
 	case OpSpawn:
@@ -81,8 +91,6 @@ func (o Op) String() string {
 		return fmt.Sprintf("exit p%d", o.Proc)
 	case OpMunmap:
 		return fmt.Sprintf("munmap p%d r%d+%#x %dB", o.Proc, o.Region, o.Off, o.Bytes)
-	case OpKSM:
-		return fmt.Sprintf("ksm r%d+%#x procs=%v", o.Region, o.Off, o.Procs)
 	case OpCompute:
 		return fmt.Sprintf("compute p%d %dns", o.Proc, o.Ns)
 	case OpBeginMeasure:
@@ -96,14 +104,16 @@ func (o Op) String() string {
 // Script is a named operation sequence.
 //
 // A Script is immutable once built: nothing in the simulator writes to it,
-// and sim.Machine.Run copies the one shared slice an Op carries (Procs)
-// before handing it downstream. One Script value may therefore be shared
-// read-only by any number of concurrently running machines — the
-// experiment harness interns each generated script and runs it on every
-// scheme's grid cell.
+// and sim.Machine.Run copies a KSM op's group before handing it
+// downstream. One Script value may therefore be shared read-only by any
+// number of concurrently running machines — the experiment harness
+// interns each generated script and runs it on every scheme's grid cell.
 type Script struct {
 	Name string
 	Ops  []Op
+	// Groups holds the participant process slots of the KSM ops, which
+	// refer to an entry by Op.Group.
+	Groups [][]int
 	// Procs and Regions are the numbers of slots the script uses.
 	Procs, Regions int
 	// MeasureProc, when >= 0, restricts the reported execution time to the
@@ -113,54 +123,97 @@ type Script struct {
 	MeasureProc int
 }
 
+// OpString renders op i. A KSM op lists its group's members, so the text
+// does not depend on how the group table is laid out; one whose group
+// index is out of range prints the index.
+func (s *Script) OpString(i int) string {
+	o := &s.Ops[i]
+	switch {
+	case o.Kind != OpKSM:
+		return o.String()
+	case o.Group < 0 || int(o.Group) >= len(s.Groups):
+		return fmt.Sprintf("ksm r%d+%#x group=%d", o.Region, o.Off, o.Group)
+	}
+	return fmt.Sprintf("ksm r%d+%#x procs=%v", o.Region, o.Off, s.Groups[o.Group])
+}
+
 // maxSlots caps a script's process and region slot counts: the simulator
 // allocates per-slot tables up front, so a count decoded from a corrupt
 // trace must not size them.
 const maxSlots = 1 << 16
 
 // Validate rejects a script whose slot indexing would run out of range
-// when executed: slot counts outside [0, maxSlots], and a Proc, NewProc,
-// Region or KSM Procs entry outside its slot table for an op that reads
-// it. Unknown op kinds pass; the simulator rejects them when it reaches
-// them.
+// when executed: slot counts outside [0, maxSlots], a KSM op's group index
+// outside the group table, and a Proc, NewProc, Region or group member
+// outside its slot table for an op that reads it. It also rejects a load
+// or store whose Size is negative, which is how Builder marks a size
+// outside [0, MaxInt32]. Unknown op kinds pass; the simulator rejects them
+// when it reaches them.
 func (s Script) Validate() error {
 	if s.Procs < 0 || s.Procs > maxSlots || s.Regions < 0 || s.Regions > maxSlots {
 		return fmt.Errorf("workload: %d procs, %d regions (want 0..%d each)", s.Procs, s.Regions, maxSlots)
 	}
 	for i := range s.Ops {
 		o := &s.Ops[i]
-		procs, region := []int{o.Proc}, true
+		procs, region := []int{int(o.Proc)}, true
 		switch o.Kind {
 		case OpSpawn, OpExit, OpCompute:
 			region = false
 		case OpFork:
-			procs, region = []int{o.Proc, o.NewProc}, false
-		case OpMmap, OpLoad, OpStore, OpStoreNT, OpMunmap:
+			procs, region = []int{int(o.Proc), int(o.NewProc)}, false
+		case OpLoad, OpStore:
+			if o.Size < 0 {
+				return fmt.Errorf("workload: op %d (%s): size out of range [0,%d]", i, o, math.MaxInt32)
+			}
+		case OpMmap, OpStoreNT, OpMunmap:
 		case OpKSM:
-			procs = o.Procs
+			if o.Group < 0 || int(o.Group) >= len(s.Groups) {
+				return fmt.Errorf("workload: op %d (%s): group %d out of range [0,%d)", i, s.OpString(i), o.Group, len(s.Groups))
+			}
+			procs = s.Groups[o.Group]
 		default:
 			continue
 		}
 		for _, p := range procs {
 			if p < 0 || p >= s.Procs {
-				return fmt.Errorf("workload: op %d (%s): proc slot %d out of range [0,%d)", i, o, p, s.Procs)
+				return fmt.Errorf("workload: op %d (%s): proc slot %d out of range [0,%d)", i, s.OpString(i), p, s.Procs)
 			}
 		}
-		if region && (o.Region < 0 || o.Region >= s.Regions) {
-			return fmt.Errorf("workload: op %d (%s): region slot %d out of range [0,%d)", i, o, o.Region, s.Regions)
+		if region && (o.Region < 0 || int(o.Region) >= s.Regions) {
+			return fmt.Errorf("workload: op %d (%s): region slot %d out of range [0,%d)", i, s.OpString(i), o.Region, s.Regions)
 		}
 	}
 	return nil
 }
 
-// Builder assembles scripts with slot bookkeeping.
+// maxChunk caps a builder chunk at 64 Ki ops (3 MiB).
+const maxChunk = 64 << 10
+
+// Builder assembles scripts with slot bookkeeping. Ops go into chunks that
+// start small, double up to maxChunk and are never regrown, so no op is
+// copied while the script is built; Script copies them once into a slice
+// of exactly the final length.
 type Builder struct {
-	s Script
+	s      Script // header and group table; s.Ops is set by Script
+	chunks [][]Op // filled chunks, in order
+	cur    []Op   // the chunk being filled
 }
 
 // NewBuilder starts a script with the given name.
 func NewBuilder(name string) *Builder {
 	return &Builder{s: Script{Name: name, MeasureProc: -1}}
+}
+
+// add appends one op, opening a new chunk when the current one is full.
+func (b *Builder) add(op Op) {
+	if len(b.cur) == cap(b.cur) {
+		next := min(max(2*cap(b.cur), 64), maxChunk)
+		if len(b.cur) > 0 {
+			b.chunks = append(b.chunks, b.cur)
+		}
+		b.cur = make([]Op, 0, next)
+	}
+	b.cur = append(b.cur, op)
 }
 
 func (b *Builder) touchProc(slots ...int) {
@@ -180,7 +233,7 @@ func (b *Builder) touchRegion(r int) {
 // Spawn creates process slot p.
 func (b *Builder) Spawn(p int) *Builder {
 	b.touchProc(p)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpSpawn, Proc: p})
+	b.add(Op{Kind: OpSpawn, Proc: int32(p)})
 	return b
 }
 
@@ -188,23 +241,35 @@ func (b *Builder) Spawn(p int) *Builder {
 func (b *Builder) Mmap(p, r int, bytes uint64, huge bool) *Builder {
 	b.touchProc(p)
 	b.touchRegion(r)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpMmap, Proc: p, Region: r, Bytes: bytes, Huge: huge})
+	b.add(Op{Kind: OpMmap, Proc: int32(p), Region: int32(r), Bytes: bytes, Huge: huge})
 	return b
 }
 
-// Load reads size bytes at r+off in process p.
+// accessSize narrows an access size to Op.Size. A size outside
+// [0, MaxInt32] becomes -1, which Validate rejects, rather than wrapping
+// to a different size.
+func accessSize(size int) int32 {
+	if size < 0 || size > math.MaxInt32 {
+		return -1
+	}
+	return int32(size)
+}
+
+// Load reads size bytes at r+off in process p. A size outside
+// [0, MaxInt32] makes the script fail Validate.
 func (b *Builder) Load(p, r int, off uint64, size int) *Builder {
 	b.touchProc(p)
 	b.touchRegion(r)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpLoad, Proc: p, Region: r, Off: off, Size: size})
+	b.add(Op{Kind: OpLoad, Proc: int32(p), Region: int32(r), Off: off, Size: accessSize(size)})
 	return b
 }
 
-// Store writes size bytes of val at r+off in process p.
+// Store writes size bytes of val at r+off in process p. A size outside
+// [0, MaxInt32] makes the script fail Validate.
 func (b *Builder) Store(p, r int, off uint64, size int, val byte) *Builder {
 	b.touchProc(p)
 	b.touchRegion(r)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpStore, Proc: p, Region: r, Off: off, Size: size, Val: val})
+	b.add(Op{Kind: OpStore, Proc: int32(p), Region: int32(r), Off: off, Size: accessSize(size), Val: val})
 	return b
 }
 
@@ -212,21 +277,21 @@ func (b *Builder) Store(p, r int, off uint64, size int, val byte) *Builder {
 func (b *Builder) StoreNT(p, r int, off uint64, val byte) *Builder {
 	b.touchProc(p)
 	b.touchRegion(r)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpStoreNT, Proc: p, Region: r, Off: off, Val: val})
+	b.add(Op{Kind: OpStoreNT, Proc: int32(p), Region: int32(r), Off: off, Val: val})
 	return b
 }
 
 // Fork forks p into slot child.
 func (b *Builder) Fork(p, child int) *Builder {
 	b.touchProc(p, child)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpFork, Proc: p, NewProc: child})
+	b.add(Op{Kind: OpFork, Proc: int32(p), NewProc: int32(child)})
 	return b
 }
 
 // Exit terminates process p.
 func (b *Builder) Exit(p int) *Builder {
 	b.touchProc(p)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpExit, Proc: p})
+	b.add(Op{Kind: OpExit, Proc: int32(p)})
 	return b
 }
 
@@ -234,22 +299,24 @@ func (b *Builder) Exit(p int) *Builder {
 func (b *Builder) Munmap(p, r int, off, bytes uint64) *Builder {
 	b.touchProc(p)
 	b.touchRegion(r)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpMunmap, Proc: p, Region: r, Off: off, Bytes: bytes})
+	b.add(Op{Kind: OpMunmap, Proc: int32(p), Region: int32(r), Off: off, Bytes: bytes})
 	return b
 }
 
-// KSM merges the page at r+off across the given process slots.
+// KSM merges the page at r+off across the given process slots, which
+// become a new entry of the script's group table.
 func (b *Builder) KSM(r int, off uint64, procs ...int) *Builder {
 	b.touchRegion(r)
 	b.touchProc(procs...)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpKSM, Region: r, Off: off, Procs: procs})
+	b.s.Groups = append(b.s.Groups, append([]int(nil), procs...))
+	b.add(Op{Kind: OpKSM, Region: int32(r), Off: off, Group: int32(len(b.s.Groups) - 1)})
 	return b
 }
 
 // Compute burns ns nanoseconds of CPU time in process p.
 func (b *Builder) Compute(p int, ns uint64) *Builder {
 	b.touchProc(p)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpCompute, Proc: p, Ns: ns})
+	b.add(Op{Kind: OpCompute, Proc: int32(p), Ns: ns})
 	return b
 }
 
@@ -262,15 +329,28 @@ func (b *Builder) MeasureProcess(p int) *Builder {
 
 // BeginMeasure starts the measured phase.
 func (b *Builder) BeginMeasure() *Builder {
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpBeginMeasure})
+	b.add(Op{Kind: OpBeginMeasure})
 	return b
 }
 
 // EndMeasure ends the measured phase.
 func (b *Builder) EndMeasure() *Builder {
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpEndMeasure})
+	b.add(Op{Kind: OpEndMeasure})
 	return b
 }
 
-// Script finalises and returns the script.
-func (b *Builder) Script() Script { return b.s }
+// Script finalises and returns the script, its ops copied once into a
+// slice of exactly their number.
+func (b *Builder) Script() Script {
+	s := b.s
+	n := len(b.cur)
+	for _, c := range b.chunks {
+		n += len(c)
+	}
+	s.Ops = make([]Op, 0, n)
+	for _, c := range b.chunks {
+		s.Ops = append(s.Ops, c...)
+	}
+	s.Ops = append(s.Ops, b.cur...)
+	return s
+}

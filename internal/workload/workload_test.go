@@ -1,7 +1,11 @@
 package workload
 
 import (
+	"math"
+	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"lelantus/internal/mem"
 )
@@ -20,14 +24,14 @@ func validate(t *testing.T, s Script) {
 			continue
 		}
 		if op.Kind == OpKSM {
-			for _, p := range op.Procs {
+			for _, p := range s.Groups[op.Group] {
 				if p >= s.Procs || !live[p] {
 					t.Fatalf("op %d (%s): dead/unknown proc %d", i, op, p)
 				}
 			}
 			continue
 		}
-		if op.Proc >= s.Procs {
+		if int(op.Proc) >= s.Procs {
 			t.Fatalf("op %d (%s): proc slot %d out of range %d", i, op, op.Proc, s.Procs)
 		}
 		switch op.Kind {
@@ -83,6 +87,7 @@ func TestCatalogueWellFormed(t *testing.T) {
 // TestValidateRejects pins Script.Validate against every slot indexing
 // the simulator performs: each case is one field out of range.
 func TestValidateRejects(t *testing.T) {
+	wrapsTo8 := uint64(1)<<32 + 8
 	ok := func() Script { return NewBuilder("v").Spawn(0).Mmap(0, 0, 4096, false).Script() }
 	cases := map[string]func(*Script){
 		"negative procs":   func(s *Script) { s.Procs = -1 },
@@ -93,8 +98,18 @@ func TestValidateRejects(t *testing.T) {
 		"store region":     func(s *Script) { s.Ops = append(s.Ops, Op{Kind: OpStoreNT, Region: 1}) },
 		"fork new proc":    func(s *Script) { s.Ops = append(s.Ops, Op{Kind: OpFork, NewProc: 1}) },
 		"compute proc":     func(s *Script) { s.Ops = append(s.Ops, Op{Kind: OpCompute, Proc: 1}) },
-		"ksm region":       func(s *Script) { s.Ops = append(s.Ops, Op{Kind: OpKSM, Region: 2, Procs: []int{0}}) },
-		"ksm procs":        func(s *Script) { s.Ops = append(s.Ops, Op{Kind: OpKSM, Procs: []int{0, 3}}) },
+		"ksm region":       func(s *Script) { s.Groups = [][]int{{0}}; s.Ops = append(s.Ops, Op{Kind: OpKSM, Region: 2}) },
+		"ksm procs":        func(s *Script) { s.Groups = [][]int{{0, 3}}; s.Ops = append(s.Ops, Op{Kind: OpKSM}) },
+		"ksm group":        func(s *Script) { s.Groups = [][]int{{0}}; s.Ops = append(s.Ops, Op{Kind: OpKSM, Group: 1}) },
+		"negative group":   func(s *Script) { s.Groups = [][]int{{0}}; s.Ops = append(s.Ops, Op{Kind: OpKSM, Group: -1}) },
+		"negative size":    func(s *Script) { s.Ops = append(s.Ops, Op{Kind: OpLoad, Size: -1}) },
+		// The builder must not narrow an int size to a different int32.
+		"built size above MaxInt32": func(s *Script) {
+			*s = NewBuilder("v").Spawn(0).Mmap(0, 0, 4096, false).Load(0, 0, 0, math.MaxInt32+1).Script()
+		},
+		"built size wrapping to 8": func(s *Script) {
+			*s = NewBuilder("v").Spawn(0).Mmap(0, 0, 4096, false).Store(0, 0, 0, int(wrapsTo8), 1).Script()
+		},
 	}
 	if err := ok().Validate(); err != nil {
 		t.Fatalf("well-formed script rejected: %v", err)
@@ -326,5 +341,51 @@ func TestVMCloneSkipsKSMOnHuge(t *testing.T) {
 		if hasKSM == huge {
 			t.Fatalf("huge=%v: KSM presence=%v (KSM only merges 4KB pages)", huge, hasKSM)
 		}
+	}
+}
+
+// TestOpIsCompact pins the op stream's representation: 48 B per op and no
+// field the garbage collector would have to scan.
+func TestOpIsCompact(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n != 48 {
+		t.Fatalf("Op is %d B, want 48", n)
+	}
+	typ := reflect.TypeOf(Op{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Fatalf("Op.%s is a %s", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// TestBuildAllocationBudget pins the copy-once builder: building
+// full-size forkbench allocates at most 2.5x the bytes of its final ops
+// (the chunks once, the final slice once, and a little besides).
+func TestBuildAllocationBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := Forkbench(DefaultForkbench(false))
+	runtime.ReadMemStats(&after)
+	final := uint64(len(s.Ops)) * uint64(unsafe.Sizeof(Op{}))
+	if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 2.5*float64(final) {
+		t.Fatalf("building %d ops allocated %d B, over 2.5x their %d B", len(s.Ops), got, final)
+	}
+}
+
+// built keeps BenchmarkBuild's result live.
+var built Script
+
+// BenchmarkBuild generates each catalogue script at full size (4 KB
+// pages, seed 1): the host cost of a fig9 pass's set-up, per script.
+func BenchmarkBuild(b *testing.B) {
+	for _, spec := range Catalogue() {
+		b.Run(spec.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				built = spec.Build(false, 1)
+			}
+		})
 	}
 }
