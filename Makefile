@@ -24,9 +24,10 @@ test:
 # grids even in short mode). The crash-sweep tests run their cells in
 # parallel, so the fault plane rides along; the probe plane and the nvm
 # MSHR file are per-machine state, so their tests ride too, as does the
-# sim test that runs mlp=on cells concurrently.
+# sim test that runs mlp=on cells concurrently. The script cache both
+# pools share lives in internal/workload, with its concurrent-Get test.
 race:
-	$(GO) test -race -short ./internal/sim/... ./internal/experiments/... ./internal/faultinject/... ./internal/probe/... ./internal/nvm/... ./internal/grid/... ./internal/metrics/...
+	$(GO) test -race -short ./internal/sim/... ./internal/experiments/... ./internal/faultinject/... ./internal/probe/... ./internal/nvm/... ./internal/grid/... ./internal/metrics/... ./internal/workload/...
 
 # No panic() may be reachable from the public Machine/Controller API:
 # internal-invariant failures surface as typed errors through Run.

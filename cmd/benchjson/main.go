@@ -23,9 +23,12 @@
 // redirect-chain-heavy cells the metadata prefetcher targets.
 //
 // The document also keeps the environment header `go test -bench` prints
-// (goos, goarch, pkg, cpu) plus the GOMAXPROCS the name suffix shows, as
-// env. -compare warns, in one line, when the two files' environments
-// differ: host ns/op from different machines do not compare.
+// (goos, goarch, pkg, cpu) plus the GOMAXPROCS the name suffix shows, the
+// Go version benchjson was built with and the commit checked out in the
+// working directory, as env. -compare warns, in one line, when the two
+// files' environments differ: host ns/op from different machines or
+// toolchains do not compare. A Go version recorded on one side only is not
+// a difference, and the commit never is (comparing commits is the point).
 package main
 
 import (
@@ -36,7 +39,9 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,6 +64,8 @@ type Env struct {
 	Pkg        string `json:"pkg,omitempty"`
 	CPU        string `json:"cpu,omitempty"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go,omitempty"`
+	Commit     string `json:"commit,omitempty"`
 }
 
 // Document is the emitted file. Env is nil in documents written before it
@@ -100,6 +107,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+	doc.Env.Go, doc.Env.Commit = runtime.Version(), commit(".")
 	// json.Marshal sorts map keys, so the output is diff-stable; indent for
 	// reviewable commits.
 	out, err := json.MarshalIndent(doc, "", "  ")
@@ -199,7 +207,50 @@ func (e *Env) String() string {
 	if e == nil {
 		return "unrecorded"
 	}
-	return fmt.Sprintf("%s/%s %s, cpu %q, GOMAXPROCS %d", e.GOOS, e.GOARCH, e.Pkg, e.CPU, e.GOMAXPROCS)
+	s := fmt.Sprintf("%s/%s %s, cpu %q, GOMAXPROCS %d", e.GOOS, e.GOARCH, e.Pkg, e.CPU, e.GOMAXPROCS)
+	if e.Go != "" {
+		s += ", " + e.Go
+	}
+	if e.Commit != "" {
+		s += ", commit " + e.Commit
+	}
+	return s
+}
+
+// differs reports whether host numbers measured in e and o do not
+// compare: a recorded field differs, other than the commit, and other than
+// a Go version only one side recorded.
+func (e *Env) differs(o *Env) bool {
+	if e == nil || o == nil {
+		return e != o
+	}
+	a, b := *e, *o
+	a.Commit, b.Commit = "", ""
+	if a.Go == "" || b.Go == "" {
+		a.Go, b.Go = "", ""
+	}
+	return a != b
+}
+
+// commit reads the revision checked out in dir from its .git, without
+// running git; "" outside a git checkout.
+func commit(dir string) string {
+	git := filepath.Join(dir, ".git")
+	head, _ := os.ReadFile(filepath.Join(git, "HEAD")) // none: ref is ""
+	ref, isRef := strings.CutPrefix(strings.TrimSpace(string(head)), "ref: ")
+	if !isRef {
+		return ref
+	}
+	if id, err := os.ReadFile(filepath.Join(git, filepath.FromSlash(ref))); err == nil {
+		return strings.TrimSpace(string(id))
+	}
+	packed, _ := os.ReadFile(filepath.Join(git, "packed-refs"))
+	for _, line := range strings.Split(string(packed), "\n") {
+		if id, name, ok := strings.Cut(line, " "); ok && name == ref {
+			return id
+		}
+	}
+	return ""
 }
 
 // loadDoc reads one committed benchmark document.
@@ -255,7 +306,7 @@ func compareDocs(stdout, stderr io.Writer, oldPath, newPath, metric, filter stri
 			names = append(names, n)
 		}
 	}
-	if oldDoc.Env.String() != newDoc.Env.String() {
+	if oldDoc.Env.differs(newDoc.Env) {
 		fmt.Fprintf(stderr, "benchjson: warning: environments differ (%s: %v; %s: %v); host ns/op do not compare\n",
 			oldPath, oldDoc.Env, newPath, newDoc.Env)
 	}

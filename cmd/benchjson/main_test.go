@@ -220,3 +220,69 @@ BenchmarkCacheFlushPage 10 200 ns/op
 		t.Fatalf("clash error = %v, want %q", err, want)
 	}
 }
+
+// TestEnvGoVersionAndCommit pins the two host fields benchjson stamps
+// itself: -compare warns on differing Go versions only when both files
+// record one, and never on differing commits; both fields are omitted
+// from the JSON when unset; commit resolves a branch ref, a packed ref
+// and a detached HEAD.
+func TestEnvGoVersionAndCommit(t *testing.T) {
+	bench := map[string]Result{"X": {Iterations: 1, NsPerOp: 10}}
+	env := func(goVer, commit string) *Env {
+		return &Env{GOOS: "linux", GOARCH: "amd64", CPU: "A", GOMAXPROCS: 2, Go: goVer, Commit: commit}
+	}
+	for _, tc := range []struct {
+		name     string
+		old, new *Env
+		warns    int
+	}{
+		{"go differs", env("go1.23.0", ""), env("go1.24.0", ""), 1},
+		{"go recorded on one side", env("", ""), env("go1.24.0", ""), 0},
+		{"commit differs", env("go1.24.0", "aaa"), env("go1.24.0", "bbb"), 0},
+		{"commit recorded on one side", env("go1.24.0", ""), env("go1.24.0", "bbb"), 0},
+	} {
+		oldPath := writeDoc(t, "old.json", Document{Env: tc.old, Benchmarks: bench})
+		newPath := writeDoc(t, "new.json", Document{Env: tc.new, Benchmarks: bench})
+		var out, errb bytes.Buffer
+		if err := compareDocs(&out, &errb, oldPath, newPath, "", ""); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Count(errb.String(), "environments differ"); got != tc.warns {
+			t.Errorf("%s: %d environment warnings, want %d:\n%s", tc.name, got, tc.warns, errb.String())
+		}
+	}
+
+	raw, err := json.Marshal(env("", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), `"go"`) || strings.Contains(string(raw), `"commit"`) {
+		t.Errorf("unset go/commit serialised: %s", raw)
+	}
+
+	const id = "0123456789abcdef0123456789abcdef01234567"
+	write := func(dir, name, body string) {
+		t.Helper()
+		p := filepath.Join(dir, ".git", filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loose, packed, detached := t.TempDir(), t.TempDir(), t.TempDir()
+	write(loose, "HEAD", "ref: refs/heads/main\n")
+	write(loose, "refs/heads/main", id+"\n")
+	write(packed, "HEAD", "ref: refs/heads/main\n")
+	write(packed, "packed-refs", "# pack-refs with: peeled\n"+id+" refs/heads/main\n")
+	write(detached, "HEAD", id+"\n")
+	for name, dir := range map[string]string{"loose": loose, "packed": packed, "detached": detached} {
+		if got := commit(dir); got != id {
+			t.Errorf("%s ref: commit = %q, want %q", name, got, id)
+		}
+	}
+	if got := commit(t.TempDir()); got != "" {
+		t.Errorf("no .git: commit = %q, want empty", got)
+	}
+}

@@ -21,11 +21,10 @@ import (
 func AblationNonSecure(o Options) (*Report, error) {
 	t := stats.NewTable("Ablation — Lelantus on non-secure memory (Section III-G)",
 		"config", "exec-ms", "nvm-writes", "speedup-vs-own-baseline")
-	script := o.forkbenchScript(false)
+	script := o.forkbench()
 	modes := []bool{false, true}
 	var jobs []sim.GridJob
 	for _, nonSecure := range modes {
-		nonSecure := nonSecure
 		mut := func(c *sim.Config) { c.Mem.Core.NonSecure = nonSecure }
 		jobs = append(jobs,
 			o.job(fmt.Sprintf("nonsecure=%v/baseline", nonSecure), core.Baseline, script, mut),
@@ -58,11 +57,13 @@ func AblationNonSecure(o Options) (*Report, error) {
 func AblationCoWCache(o Options) (*Report, error) {
 	t := stats.NewTable("Ablation — reserved CoW-metadata cache size (Lelantus-CoW)",
 		"reserve", "cow-miss-rate", "exec-ms", "nvm-writes")
-	script := o.namedScript("redis", false, workload.Redis)
+	script, err := o.script("redis", false)
+	if err != nil {
+		return nil, err
+	}
 	sweep := []uint64{1, 4, 32, 128}
 	var jobs []sim.GridJob
 	for _, kb := range sweep {
-		kb := kb
 		jobs = append(jobs, o.job(fmt.Sprintf("cowcache/%dKB", kb), core.LelantusCoW, script,
 			func(c *sim.Config) { c.Mem.CoWReserveBytes = kb << 10 }))
 	}
@@ -90,11 +91,13 @@ func AblationCoWCache(o Options) (*Report, error) {
 func AblationCtrCache(o Options) (*Report, error) {
 	t := stats.NewTable("Ablation — counter cache size (Lelantus, redis)",
 		"size", "ctr-miss-rate", "exec-ms")
-	script := o.namedScript("redis", false, workload.Redis)
+	script, err := o.script("redis", false)
+	if err != nil {
+		return nil, err
+	}
 	sweep := []uint64{32, 64, 256, 1024}
 	var jobs []sim.GridJob
 	for _, kb := range sweep {
-		kb := kb
 		jobs = append(jobs, o.job(fmt.Sprintf("ctrcache/%dKB", kb), core.Lelantus, script,
 			func(c *sim.Config) { c.Mem.CtrCacheBytes = kb << 10 }))
 	}
@@ -170,7 +173,7 @@ func AblationTLB(o Options) (*Report, error) {
 func AblationWear(o Options) (*Report, error) {
 	t := stats.NewTable("Ablation — wear (hottest-line writes, forkbench)",
 		"scheme", "max-wear", "nvm-writes")
-	script := o.forkbenchScript(false)
+	script := o.forkbench()
 	var jobs []sim.GridJob
 	for _, s := range core.Schemes() {
 		jobs = append(jobs, o.job("wear/"+s.String(), s, script,
@@ -201,7 +204,7 @@ func UseCases(o Options) (*Report, error) {
 	schemes := core.Schemes()
 	var jobs []sim.GridJob
 	for _, spec := range specs {
-		script := o.script(spec, false)
+		script := spec.Build(false, o.Seed)
 		for _, s := range schemes {
 			jobs = append(jobs, o.job(fmt.Sprintf("usecase/%s/%v", spec.Name, s), s, script, nil))
 		}
@@ -239,14 +242,16 @@ func UseCases(o Options) (*Report, error) {
 func AblationWriteQueue(o Options) (*Report, error) {
 	t := stats.NewTable("Ablation — merging write queue (redis, write-through counters)",
 		"scheme", "queue", "device-writes", "merged", "exec-ms")
-	script := o.namedScript("redis", false, workload.Redis)
+	script, err := o.script("redis", false)
+	if err != nil {
+		return nil, err
+	}
 	rowSchemes := []core.Scheme{core.Baseline, core.Lelantus}
 	queueModes := []bool{false, true}
 	merged := make([]uint64, len(rowSchemes)*len(queueModes))
 	var jobs []sim.GridJob
 	for _, s := range rowSchemes {
 		for _, withQueue := range queueModes {
-			withQueue := withQueue
 			slot := len(jobs)
 			job := o.job(fmt.Sprintf("writequeue/%v/queue=%v", s, withQueue), s, script,
 				func(c *sim.Config) {

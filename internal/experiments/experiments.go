@@ -38,12 +38,12 @@ type Options struct {
 
 	// scripts interns generated workload scripts across the experiments of
 	// one option set (set by DefaultOptions; nil just disables sharing).
-	scripts *scriptCache
+	scripts *workload.Cache
 }
 
 // DefaultOptions returns full-size experiment settings.
 func DefaultOptions() Options {
-	return Options{Seed: 1, scripts: newScriptCache()}
+	return Options{Seed: 1, scripts: &workload.Cache{}}
 }
 
 // Report is one regenerated table or figure.
@@ -114,16 +114,17 @@ func (o Options) runGrid(jobs []sim.GridJob) ([]sim.Result, error) {
 	return results, nil
 }
 
-// forkbenchParams scales forkbench for the option set.
-func (o Options) forkbenchParams(huge bool) workload.ForkbenchParams {
-	p := workload.DefaultForkbench(huge)
-	if o.Quick {
-		p.RegionBytes = 4 << 20
-		if huge {
-			p.RegionBytes = 8 << 20
-		}
-	}
-	return p
+// script returns a catalogue workload's script as this option set builds
+// it, shared through the option set's cache.
+func (o Options) script(name string, huge bool) (workload.Script, error) {
+	return o.scripts.Get(workload.Key{Name: name, Huge: huge, Seed: o.Seed, Quick: o.Quick})
+}
+
+// forkbench returns the option-scaled 4 KB forkbench script. Build makes
+// forkbench without a catalogue lookup, so this Get cannot fail.
+func (o Options) forkbench() workload.Script {
+	s, _ := o.script("forkbench", false)
+	return s
 }
 
 // pageModes returns the two page-size configurations of the evaluation.

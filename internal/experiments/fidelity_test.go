@@ -39,33 +39,3 @@ func TestFidelityQuickGridEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestScriptInterning pins the cache behaviour: the same (name, huge) pair
-// resolves to the same backing Script (shared Ops slice), distinct keys to
-// distinct scripts, and a zero-value Options (nil cache) still works.
-func TestScriptInterning(t *testing.T) {
-	o := DefaultOptions()
-	a := o.forkbenchScript(false)
-	b := o.forkbenchScript(false)
-	if len(a.Ops) == 0 || &a.Ops[0] != &b.Ops[0] {
-		t.Error("forkbench script not interned: two builds returned distinct Ops")
-	}
-	if c := o.forkbenchScript(true); len(c.Ops) > 0 && &c.Ops[0] == &a.Ops[0] {
-		t.Error("huge and 4KB forkbench share one cache slot")
-	}
-	q := o
-	q.Quick = true
-	if d := q.forkbenchScript(false); len(d.Ops) > 0 && &d.Ops[0] == &a.Ops[0] {
-		t.Error("quick and full forkbench share one cache slot")
-	}
-
-	var bare Options // nil cache: every call builds fresh
-	e := bare.forkbenchScript(false)
-	f := bare.forkbenchScript(false)
-	if len(e.Ops) == 0 || len(f.Ops) == 0 {
-		t.Fatal("nil-cache build returned an empty script")
-	}
-	if &e.Ops[0] == &f.Ops[0] {
-		t.Error("nil cache unexpectedly interned")
-	}
-}

@@ -99,7 +99,10 @@ func Fig9(o Options, huge bool) (*Report, error) {
 	stride := 1 + len(schemes)
 	var jobs []sim.GridJob
 	for _, spec := range specs {
-		script := o.script(spec, huge)
+		script, err := o.script(spec.Name, huge)
+		if err != nil {
+			return nil, err
+		}
 		jobs = append(jobs, o.job(
 			fmt.Sprintf("fig9-%s/%s/baseline", mode, spec.Name), core.Baseline, script, nil))
 		for _, s := range schemes {
@@ -160,6 +163,7 @@ func Fig10(o Options) (*Report, error) {
 	t := stats.NewTable("Fig. 10 — encoding diagnostics",
 		"metric", "workload", "value")
 
+	fb := o.forkbench()
 	var jobs []sim.GridJob
 
 	// (a) Overflow rate: the CoW-page rewrite stress (journal commits on
@@ -172,8 +176,8 @@ func Fig10(o Options) (*Report, error) {
 		name   string
 		script workload.Script
 	}{
-		{"journal", o.namedScript("journal", false, workload.Journal)},
-		{"forkbench", o.forkbenchScript(false)},
+		{"journal", workload.Journal(false, o.Seed)},
+		{"forkbench", fb},
 	}
 	for _, s := range overflowSchemes {
 		for _, wl := range overflowWLs {
@@ -188,9 +192,12 @@ func Fig10(o Options) (*Report, error) {
 		if spec.Name == "non-copy" {
 			continue
 		}
+		script, err := o.script(spec.Name, false)
+		if err != nil {
+			return nil, err
+		}
 		missSpecs = append(missSpecs, spec)
-		jobs = append(jobs, o.job(
-			"fig10/cow-miss/"+spec.Name, core.LelantusCoW, o.script(spec, false), nil))
+		jobs = append(jobs, o.job("fig10/cow-miss/"+spec.Name, core.LelantusCoW, script, nil))
 	}
 
 	// (c)/(d) Page access footprint of CoW destination pages. The mean
@@ -198,10 +205,8 @@ func Fig10(o Options) (*Report, error) {
 	// After hook harvests it into a per-job slot on the worker.
 	fpSchemes := []core.Scheme{core.Baseline, core.Lelantus}
 	fpMeans := make([]float64, len(fpSchemes))
-	fpScript := o.forkbenchScript(false)
 	for i, s := range fpSchemes {
-		i := i
-		job := o.job("fig10/footprint/"+s.String(), s, fpScript, func(c *sim.Config) {
+		job := o.job("fig10/footprint/"+s.String(), s, fb, func(c *sim.Config) {
 			c.Kernel.TrackFootprints = true
 		})
 		job.After = func(m *sim.Machine, _ sim.Result) {
@@ -281,7 +286,7 @@ func Fig11(o Options, huge bool) (*Report, error) {
 	rowSchemes := []core.Scheme{core.Baseline, core.Lelantus, core.LelantusCoW}
 	var jobs []sim.GridJob
 	for _, bytes := range sweep {
-		p := o.forkbenchParams(huge)
+		p := workload.Key{Name: "forkbench", Huge: huge, Quick: o.Quick}.Forkbench()
 		p.BytesPerUnit = bytes
 		script := workload.Forkbench(p)
 		for _, s := range rowSchemes {
@@ -319,9 +324,11 @@ func Fig12(o Options) (*Report, error) {
 	modes := []ctrcache.Mode{ctrcache.WriteThrough, ctrcache.WriteBack}
 	var jobs []sim.GridJob
 	for _, pm := range pageModes() {
-		script := o.namedScript("redis", pm.Huge, workload.Redis)
+		script, err := o.script("redis", pm.Huge)
+		if err != nil {
+			return nil, err
+		}
 		for _, mode := range modes {
-			mode := mode
 			mut := func(c *sim.Config) { c.Mem.CtrCacheMode = mode }
 			jobs = append(jobs,
 				o.job(fmt.Sprintf("fig12/%s/%v/baseline", pm.Name, mode), core.Baseline, script, mut),

@@ -18,7 +18,7 @@ import (
 func MLPMatrix(o Options) (*Report, error) {
 	t := stats.NewTable("Memory-level parallelism — serial vs MSHR-overlapped engine (forkbench, 4KB)",
 		"mlp", "scheme", "exec-ms", "nvm-reads", "nvm-writes", "speedup-vs-off")
-	script := o.forkbenchScript(false)
+	script := o.forkbench()
 	schemes := comparedSchemes()
 	modes := []struct {
 		name string

@@ -30,7 +30,7 @@ func persistStrategies() []core.PersistStrategy {
 func PersistMatrix(o Options) (*Report, error) {
 	t := stats.NewTable("Persistence strategies — runtime write overhead vs recovery time (forkbench, 4KB)",
 		"strategy", "scheme", "exec-ms", "tree-persists", "cow-meta-writes", "recovery-us")
-	script := o.forkbenchScript(false)
+	script := o.forkbench()
 	strategies := persistStrategies()
 	schemes := comparedSchemes()
 	type recCell struct {

@@ -46,7 +46,7 @@ func PrefetchMatrix(o Options) (*Report, error) {
 		name   string
 		script workload.Script
 	}{
-		{"forkbench", o.forkbenchScript(false)},
+		{"forkbench", o.forkbench()},
 		{"shell-scan", workload.ShellWith(sp)},
 	}
 	schemes := comparedSchemes()

@@ -22,7 +22,7 @@ func TableI(o Options) (*Report, error) {
 	// The journal stress re-writes CoW-page lines hundreds of times with
 	// non-temporal stores, the pattern that actually exercises minor
 	// counter widths (cache-resident rewrites never reach the counters).
-	script := o.namedScript("journal", false, workload.Journal)
+	script := workload.Journal(false, o.Seed)
 	randomCtrs := func(c *sim.Config) { c.Mem.Core.RandomInitCounters = true }
 	rowSchemes := []core.Scheme{core.Lelantus, core.LelantusCoW}
 	var jobs []sim.GridJob
@@ -118,7 +118,11 @@ func TableV(o Options) (*Report, error) {
 	specs := workload.Catalogue()
 	var jobs []sim.GridJob
 	for _, spec := range specs {
-		jobs = append(jobs, o.job("tableV/"+spec.Name, core.Baseline, o.script(spec, false), nil))
+		script, err := o.script(spec.Name, false)
+		if err != nil {
+			return nil, err
+		}
+		jobs = append(jobs, o.job("tableV/"+spec.Name, core.Baseline, script, nil))
 	}
 	results, err := o.runGrid(jobs)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"lelantus/internal/probe"
 	"lelantus/internal/sim"
+	"lelantus/internal/workload"
 )
 
 // CellResult is the self-contained outcome of one cell: the spec that
@@ -58,12 +59,13 @@ func (r CellResult) reason() string {
 	return fmt.Sprintf("%d recovery violation(s), first: %s", len(r.Crash.Violations), r.Crash.Violations[0])
 }
 
-// RunCell executes one cell in the calling process. It never panics and
-// never returns a partial result: any panic under the simulation is
-// recovered into the cell's Err field with its stack, so a corrupt cell
-// degrades to one failed record instead of killing the coordinator or a
-// worker subprocess.
-func RunCell(spec CellSpec) (out CellResult) {
+// RunCell executes one cell in the calling process, taking its script from
+// scripts (nil builds it afresh, as a worker subprocess running one cell
+// does). It never panics and never returns a partial result: any panic
+// under the simulation is recovered into the cell's Err field with its
+// stack, so a corrupt cell degrades to one failed record instead of
+// killing the coordinator or a worker subprocess.
+func RunCell(spec CellSpec, scripts *workload.Cache) (out CellResult) {
 	out = CellResult{ID: spec.ID(), Tag: spec.Tag(), Spec: spec}
 	defer func() {
 		if r := recover(); r != nil {
@@ -71,7 +73,7 @@ func RunCell(spec CellSpec) (out CellResult) {
 			out.Err = fmt.Sprintf("cell panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	cfg, script, err := spec.Build()
+	cfg, script, err := spec.build(scripts)
 	if err != nil {
 		out.Err = err.Error()
 		return out

@@ -9,8 +9,9 @@ import (
 
 // Directory layout of one grid run:
 //
-//	state.json   coordinator checkpoint (atomic tmp+rename rewrites)
-//	results.log  append-only checksummed JSONL of finished cells
+//	state.json   the grid's identity, written once by Create
+//	results.log  append-only checksummed JSONL of finished cells: the
+//	             only record of progress
 //	report.json  merged report, written atomically on completion
 const (
 	stateFile  = "state.json"
@@ -18,51 +19,54 @@ const (
 	reportFile = "report.json"
 )
 
-// State is the coordinator checkpoint: the resolved spec (so `resume`
-// needs only the directory), its hash (so a resumed spec mismatch is an
-// error, not a silent merge of two grids), and a progress summary. The
-// results log — not the progress counters — is the source of truth for
-// which cells are finished; the counters exist for `status` and for
-// humans tailing the directory.
+// State is the grid's write-once identity: the resolved spec (so `resume`
+// needs only the directory) and its hash (so a resumed spec mismatch is an
+// error, not a silent merge of two grids). It holds nothing that changes
+// during a run: which cells are finished, and how many failed, is a
+// function of the results log, and everything that reports progress
+// counts it from there.
 type State struct {
 	Version  int    `json:"version"`
 	SpecHash string `json:"specHash"`
 	Spec     Spec   `json:"spec"`
-	Total    int    `json:"total"`
-	Done     int    `json:"done"`
-	Failed   int    `json:"failed"`
 }
 
+// stateVersion stays 1 across the removal of the old total/done/failed
+// counters: encoding/json ignores unknown fields, so a directory written
+// with them still loads, and its spec hash never covered them.
 const stateVersion = 1
 
-// SaveState checkpoints the state with the classic atomic sequence: write
-// to a temp file in the same directory, fsync, rename over state.json. A
-// SIGKILL at any instant leaves either the old or the new checkpoint,
-// never a torn one.
+// SaveState writes state.json atomically (writeAtomic). Create is its only
+// caller.
 func SaveState(dir string, st *State) error {
 	payload, err := json.MarshalIndent(st, "", " ")
 	if err != nil {
 		return fmt.Errorf("grid: marshal state: %w", err)
 	}
-	payload = append(payload, '\n')
-	tmp, err := os.CreateTemp(dir, stateFile+".tmp-*")
+	return writeAtomic(dir, stateFile, append(payload, '\n'))
+}
+
+// writeAtomic replaces dir/name with payload by the classic sequence: write
+// a temp file in the same directory, fsync, rename over the name. A SIGKILL
+// at any instant leaves the old file or the whole new one, never a torn one.
+func writeAtomic(dir, name string, payload []byte) error {
+	tmp, err := os.CreateTemp(dir, name+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("grid: checkpoint: %w", err)
+		return fmt.Errorf("grid: write %s: %w", name, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close()
-		return fmt.Errorf("grid: checkpoint write: %w", err)
+	_, err = tmp.Write(payload)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("grid: checkpoint sync: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("grid: checkpoint close: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, stateFile)); err != nil {
-		return fmt.Errorf("grid: checkpoint rename: %w", err)
+	if err != nil {
+		return fmt.Errorf("grid: write %s: %w", name, err)
 	}
 	return nil
 }

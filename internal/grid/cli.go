@@ -52,15 +52,16 @@ func usage(w io.Writer) {
   lelantus-grid promcheck FILE                             validate a saved /metrics scrape
   lelantus-grid worker                                     (internal) run one cell from stdin
 
-A grid directory holds state.json (atomic checkpoint), results.log
-(append-only checksummed cell results) and report.json (merged report,
-sorted by cell ID — byte-identical for a spec at any worker count and
-across any kill/resume sequence). See README "Running large grids".
+A grid directory holds state.json (the grid's spec, written once),
+results.log (append-only checksummed cell results, the only progress
+record) and report.json (merged report, sorted by cell ID —
+byte-identical for a spec at any worker count and across any
+kill/resume sequence). See README "Running large grids".
 
 Live telemetry (README "Monitoring a grid run"): -telemetry-addr serves
 Prometheus text on /metrics, a JSON snapshot on /status and pprof under
 /debug/pprof/; -heartbeat emits JSON progress lines to stderr and keeps
-telemetry.json fresh next to the checkpoint (read by status). Telemetry
+telemetry.json fresh in the grid directory (read by status). Telemetry
 never changes a reported byte.
 `)
 }
@@ -387,19 +388,10 @@ func cmdStatus(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	recs, _, derr := DecodeLog(data)
-	done, failed := 0, 0
-	seen := make(map[string]bool, len(recs))
-	for _, rec := range recs {
-		if !seen[rec.Cell.ID] {
-			seen[rec.Cell.ID] = true
-			done++
-			if rec.Cell.failed() {
-				failed++
-			}
-		}
-	}
+	t, total := countRecords(recs), len(st.Spec.Cells())
 	fmt.Fprintf(stdout, "grid     %s (spec %s)\n", st.Spec.Name, st.SpecHash)
-	fmt.Fprintf(stdout, "cells    %d/%d done, %d failed, %d pending\n", done, st.Total, failed, st.Total-done)
+	done := len(t.cells)
+	fmt.Fprintf(stdout, "cells    %d/%d done, %d failed, %d pending\n", done, total, t.failed, total-done)
 	if p, ok := ReadTelemetry(*dir); ok {
 		age := time.Since(time.UnixMilli(p.UnixMs)).Round(time.Second)
 		verb := "finished"
@@ -419,7 +411,7 @@ func cmdStatus(args []string, stdout, stderr io.Writer) int {
 	default:
 		fmt.Fprintf(stdout, "log      %d verified records\n", len(recs))
 	}
-	if _, err := os.Stat(filepath.Join(*dir, reportFile)); err == nil && done == st.Total {
+	if _, err := os.Stat(filepath.Join(*dir, reportFile)); err == nil && done == total {
 		fmt.Fprintf(stdout, "report   %s\n", filepath.Join(*dir, reportFile))
 	} else {
 		fmt.Fprintf(stdout, "report   pending — `lelantus-grid resume -dir %s` completes it\n", *dir)

@@ -15,12 +15,13 @@ import (
 
 	"lelantus/internal/metrics"
 	"lelantus/internal/sim"
+	"lelantus/internal/workload"
 )
 
 // Options are the coordinator's runtime knobs. They are deliberately NOT
-// part of the checkpointed spec: worker count, isolation, timeout and
-// retry policy may all change between a run and its resume without
-// touching a single reported byte.
+// part of the spec recorded in state.json: worker count, isolation,
+// timeout and retry policy may all change between a run and its resume
+// without touching a single reported byte.
 type Options struct {
 	// Workers is the in-process worker pool size (<= 0 selects GOMAXPROCS).
 	Workers int
@@ -68,26 +69,30 @@ const reexecEnv = "LELANTUS_GRID_CLI"
 
 // Coordinator drives one grid directory: enumerate cells, skip the ones
 // the results log already proves finished, fan the rest over a
-// sim.ForEach pool, stream every outcome to the log, checkpoint state,
-// and merge the report.
+// sim.ForEach pool, stream every outcome to the log, and merge the report.
+// The results log is its only progress record: state.json is written once
+// by Create, and every count of finished cells comes from the log.
 type Coordinator struct {
 	dir   string
 	opts  Options
 	state *State
+	total int // len(state.Spec.Cells())
 	gm    gridMetrics
+
+	scripts *workload.Cache // shared by one Run's in-process cells; nil outside Run
 
 	mu          sync.Mutex
 	logF        *os.File
-	recs        []Record
+	tally       tally     // the finished cells the results log holds
 	runStart    time.Time // when this Run began (zero before Run)
 	doneAtStart int       // cells already finished when this Run began
 	running     bool
 }
 
-// Create initialises a new grid directory: validates the spec, writes the
-// first checkpoint and an empty results log. It refuses a directory that
-// already holds a checkpoint — that run should be resumed, not silently
-// restarted over.
+// Create initialises a new grid directory: validates the spec, writes
+// state.json (the only time it is written) and an empty results log. It
+// refuses a directory that already holds a state.json — that run should be
+// resumed, not silently restarted over.
 func Create(dir string, spec Spec, opts Options) (*Coordinator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -99,12 +104,7 @@ func Create(dir string, spec Spec, opts Options) (*Coordinator, error) {
 		return nil, fmt.Errorf("grid: %s already holds a grid run (use `lelantus-grid resume -dir %s`)", dir, dir)
 	}
 	spec = spec.withDefaults()
-	st := &State{
-		Version:  stateVersion,
-		SpecHash: spec.Hash(),
-		Spec:     spec,
-		Total:    len(spec.Cells()),
-	}
+	st := &State{Version: stateVersion, SpecHash: spec.Hash(), Spec: spec}
 	if err := SaveState(dir, st); err != nil {
 		return nil, err
 	}
@@ -113,7 +113,7 @@ func Create(dir string, spec Spec, opts Options) (*Coordinator, error) {
 		return nil, fmt.Errorf("grid: create results log: %w", err)
 	}
 	f.Close()
-	return &Coordinator{dir: dir, opts: opts, state: st, gm: newGridMetrics(opts.Metrics)}, nil
+	return &Coordinator{dir: dir, opts: opts, state: st, total: len(st.Spec.Cells()), gm: newGridMetrics(opts.Metrics)}, nil
 }
 
 // Open attaches to an existing grid directory for resume/status.
@@ -122,33 +122,30 @@ func Open(dir string, opts Options) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Coordinator{dir: dir, opts: opts, state: st, gm: newGridMetrics(opts.Metrics)}, nil
+	return &Coordinator{dir: dir, opts: opts, state: st, total: len(st.Spec.Cells()), gm: newGridMetrics(opts.Metrics)}, nil
 }
 
-// State returns the coordinator's checkpoint (status reporting).
-func (c *Coordinator) State() *State { return c.state }
-
-// LoadRecords decodes the directory's results log, truncating a torn tail
-// so the log is again append-clean. It returns the verified records and
-// whether a torn record was dropped (that cell simply re-runs).
-func (c *Coordinator) LoadRecords() ([]Record, bool, error) {
+// loadRecords decodes the directory's results log, truncating a torn tail
+// so the log is again append-clean (the torn cell simply re-runs), and
+// returns the verified records.
+func (c *Coordinator) loadRecords() ([]Record, error) {
 	path := filepath.Join(c.dir, logFile)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil, false, nil
+		return nil, nil
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("grid: read results log: %w", err)
+		return nil, fmt.Errorf("grid: read results log: %w", err)
 	}
 	recs, valid, derr := DecodeLog(data)
 	if derr == nil {
-		return recs, false, nil
+		return recs, nil
 	}
 	c.logf("results log: %v — truncating to the %d-byte valid prefix (%d records); the torn cell re-runs", derr, valid, len(recs))
 	if err := os.Truncate(path, valid); err != nil {
-		return nil, false, fmt.Errorf("grid: truncate torn results log: %w", err)
+		return nil, fmt.Errorf("grid: truncate torn results log: %w", err)
 	}
-	return recs, true, nil
+	return recs, nil
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -164,26 +161,22 @@ func (c *Coordinator) logf(format string, args ...any) {
 // and, if they keep failing, recorded as failed-cell records while the
 // rest of the grid completes.
 func (c *Coordinator) Run() (*Report, error) {
-	prior, _, err := c.LoadRecords()
+	prior, err := c.loadRecords()
 	if err != nil {
 		return nil, err
 	}
 	cells := c.state.Spec.Cells()
-	done := make(map[string]bool, len(prior))
-	c.recs = prior
-	for _, rec := range prior {
-		done[rec.Cell.ID] = true
-	}
+	finished := countRecords(prior)
 	var pending []CellSpec
 	for _, cell := range cells {
-		if !done[cell.ID()] {
+		if _, ok := finished.cells[cell.ID()]; !ok {
 			pending = append(pending, cell)
 		}
 	}
-	c.updateProgress()
 	c.mu.Lock()
+	c.tally = finished
 	c.runStart = time.Now()
-	c.doneAtStart = c.state.Done
+	c.doneAtStart = len(finished.cells)
 	c.running = true
 	c.mu.Unlock()
 	c.gm.total.Set(int64(len(cells)))
@@ -203,6 +196,7 @@ func (c *Coordinator) Run() (*Report, error) {
 			return nil, fmt.Errorf("grid: open results log: %w", err)
 		}
 		var appendErr error
+		c.scripts = &workload.Cache{}
 		sim.ForEach(len(pending), c.opts.Workers, func(i int) {
 			c.gm.started.Inc()
 			cellStart := time.Now()
@@ -216,6 +210,7 @@ func (c *Coordinator) Run() (*Report, error) {
 				c.mu.Unlock()
 			}
 		})
+		c.scripts = nil
 		closeErr := c.logF.Close()
 		c.logF = nil
 		if appendErr != nil {
@@ -226,74 +221,36 @@ func (c *Coordinator) Run() (*Report, error) {
 		}
 	}
 
-	rep := BuildReport(c.state, c.recs)
-	// The heartbeat goroutine is still reading these under mu until the
-	// deferred stop runs.
-	c.mu.Lock()
-	c.state.Done = rep.OK + rep.Failed
-	c.state.Failed = rep.Failed
-	c.mu.Unlock()
-	if err := SaveState(c.dir, c.state); err != nil {
-		return nil, err
-	}
+	rep := buildReport(c.state, c.tally)
 	if err := WriteReport(c.dir, rep); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
-// append streams one finished cell to the results log and checkpoints the
-// progress counters. The log write happens before the checkpoint: a kill
-// between the two loses nothing (the log is the truth; the checkpoint is
-// advisory), while the reverse order could checkpoint work the log never
-// received.
+// append streams one finished cell to the results log and counts it. The
+// log is the only progress record, and the append is not fsynced: a record
+// a crash loses or tears is a cell that re-runs on resume, and every count
+// of finished cells is rebuilt from the log, so nothing else needs saving.
 func (c *Coordinator) append(rec Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := AppendRecord(c.logF, rec); err != nil {
 		return err
 	}
-	c.recs = append(c.recs, rec)
-	c.updateProgressLocked()
+	c.tally.add(rec)
 	c.gm.finished.Inc()
 	c.gm.queueDepth.Add(-1)
-	if rec.Cell.failed() {
-		c.gm.failed.Inc()
-	}
-	if err := SaveState(c.dir, c.state); err != nil {
-		return err
-	}
 	verdict := "ok"
 	if rec.Cell.failed() {
+		c.gm.failed.Inc()
 		verdict = "FAILED"
 	}
 	if c.opts.Log != nil {
 		fmt.Fprintf(c.opts.Log, "lelantus-grid: [%d/%d] %s %s (%d attempt(s))\n",
-			c.state.Done, c.state.Total, verdict, rec.Cell.Tag, rec.Attempts)
+			len(c.tally.cells), c.total, verdict, rec.Cell.Tag, rec.Attempts)
 	}
 	return nil
-}
-
-func (c *Coordinator) updateProgress() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.updateProgressLocked()
-}
-
-func (c *Coordinator) updateProgressLocked() {
-	done, failed := 0, 0
-	seen := make(map[string]bool, len(c.recs))
-	for _, rec := range c.recs {
-		if seen[rec.Cell.ID] {
-			continue
-		}
-		seen[rec.Cell.ID] = true
-		done++
-		if rec.Cell.failed() {
-			failed++
-		}
-	}
-	c.state.Done, c.state.Failed = done, failed
 }
 
 // maxBackoff caps one retry wait so a high retry count cannot park a
@@ -337,7 +294,8 @@ func (c *Coordinator) runCellOnce(spec CellSpec) CellResult {
 	}
 	fn := c.opts.cellFn
 	if fn == nil {
-		fn = RunCell
+		scripts := c.scripts // read here, not in a timed-out cell's goroutine
+		fn = func(spec CellSpec) CellResult { return RunCell(spec, scripts) }
 	}
 	return runCellInProcess(spec, c.opts.Timeout, fn)
 }
@@ -410,7 +368,8 @@ func (c *Coordinator) runCellIsolated(spec CellSpec) CellResult {
 }
 
 // WorkerMain is the `lelantus-grid worker` entry point: read one CellSpec
-// JSON document from stdin, run it (panics recovered into the result),
+// JSON document from stdin, run it with a freshly built script (panics
+// recovered into the result),
 // write one CellResult JSON document to stdout. The exit code reflects
 // only protocol health — a failing *cell* still exits 0, carrying its
 // error in the result, so the coordinator can tell "the cell failed" from
@@ -426,7 +385,7 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lelantus-grid worker: parse spec: %v\n", err)
 		return 1
 	}
-	res := RunCell(spec)
+	res := RunCell(spec, nil)
 	payload, err := json.Marshal(res)
 	if err != nil {
 		fmt.Fprintf(stderr, "lelantus-grid worker: marshal result: %v\n", err)

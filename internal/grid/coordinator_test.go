@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lelantus/internal/metrics"
+	"lelantus/internal/workload"
 )
 
 // fastSpec is the sub-second grid every coordinator test sweeps: tiny
@@ -212,8 +213,14 @@ func TestPersistentFailureDoesNotAbortGrid(t *testing.T) {
 		}
 		return stubCell(spec)
 	}
-	dir := t.TempDir()
-	rep := mustRun(t, dir, spec, Options{Retries: 2, Backoff: time.Millisecond, cellFn: fn})
+	coord, err := Create(t.TempDir(), spec, Options{Retries: 2, Backoff: time.Millisecond, cellFn: fn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := coord.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.OK != 3 || rep.Failed != 1 {
 		t.Fatalf("report: %d ok, %d failed, want 3/1", rep.OK, rep.Failed)
 	}
@@ -223,12 +230,8 @@ func TestPersistentFailureDoesNotAbortGrid(t *testing.T) {
 	if got := attempts[badID]; got != 3 {
 		t.Fatalf("failing cell attempted %d times, want 3 (1 + 2 retries)", got)
 	}
-	st, err := LoadState(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Done != 4 || st.Failed != 1 {
-		t.Fatalf("checkpoint counters done=%d failed=%d, want 4/1", st.Done, st.Failed)
+	if p := coord.Progress(); p.Done != 4 || p.Failed != 1 || p.Total != 4 {
+		t.Fatalf("progress done=%d failed=%d total=%d, want 4/1/4", p.Done, p.Failed, p.Total)
 	}
 }
 
@@ -344,5 +347,47 @@ func TestFinishedCrashGridResumesNothing(t *testing.T) {
 	code, out, errb := runCLI(t, "status", "-dir", dir)
 	if code != 0 || !strings.Contains(out, "4/4 done") || !strings.Contains(out, "report   "+filepath.Join(dir, reportFile)) {
 		t.Fatalf("status exit %d out %q stderr %q, want 4/4 done with the report", code, out, errb)
+	}
+}
+
+// TestRunBuildsEachScriptOnce runs a 4-scheme quick grid in process: every
+// cell must get its script from one cache that the Run owns, so the four
+// cells share one generated script, and the cache is dropped when Run
+// returns.
+func TestRunBuildsEachScriptOnce(t *testing.T) {
+	coord, err := Create(t.TempDir(), Spec{Name: "q", Workloads: []string{"forkbench"}, Quick: true}, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	caches := map[*workload.Cache]bool{}
+	ops := map[*workload.Op]bool{}
+	coord.opts.cellFn = func(c CellSpec) CellResult {
+		scripts := coord.scripts
+		_, s, err := c.build(scripts)
+		if err != nil || len(s.Ops) == 0 {
+			t.Errorf("%s: script %d ops, err %v", c.Tag(), len(s.Ops), err)
+			return stubCell(c)
+		}
+		mu.Lock()
+		caches[scripts], ops[&s.Ops[0]] = true, true
+		mu.Unlock()
+		return RunCell(c, scripts)
+	}
+	rep, err := coord.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK != 4 {
+		t.Fatalf("report: %d ok, %d failed, want 4 ok", rep.OK, rep.Failed)
+	}
+	if len(caches) != 1 || caches[nil] {
+		t.Errorf("cells saw %d caches (nil among them: %v), want one", len(caches), caches[nil])
+	}
+	if len(ops) != 1 {
+		t.Errorf("4 cells ran %d distinct scripts, want 1", len(ops))
+	}
+	if coord.scripts != nil {
+		t.Error("the script cache outlived Run")
 	}
 }

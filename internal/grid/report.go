@@ -3,8 +3,6 @@ package grid
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 )
 
@@ -28,27 +26,47 @@ type Report struct {
 	Failures []CellResult `json:"failures,omitempty"`
 }
 
-// BuildReport merges records into the deterministic report.
-func BuildReport(st *State, recs []Record) *Report {
-	byID := make(map[string]CellResult, len(recs))
-	for _, rec := range recs {
-		if _, dup := byID[rec.Cell.ID]; !dup {
-			byID[rec.Cell.ID] = rec.Cell
-		}
+// tally holds the finished cells of results-log records: each cell ID
+// once, first record wins. It is the one merge rule behind the report, the
+// per-cell progress line, Progress and `status`. The coordinator keeps one
+// up to date as it appends; status builds one from the decoded log.
+type tally struct {
+	cells  map[string]CellResult // by cell ID
+	failed int
+}
+
+func (t *tally) add(rec Record) {
+	if _, dup := t.cells[rec.Cell.ID]; dup {
+		return
 	}
-	cells := make([]CellResult, 0, len(byID))
-	for _, c := range byID {
+	t.cells[rec.Cell.ID] = rec.Cell
+	if rec.Cell.failed() {
+		t.failed++
+	}
+}
+
+func countRecords(recs []Record) tally {
+	t := tally{cells: make(map[string]CellResult, len(recs))}
+	for _, rec := range recs {
+		t.add(rec)
+	}
+	return t
+}
+
+// buildReport merges the finished cells into the deterministic report.
+func buildReport(st *State, t tally) *Report {
+	cells := make([]CellResult, 0, len(t.cells))
+	for _, c := range t.cells {
 		cells = append(cells, c)
 	}
 	sort.Slice(cells, func(i, j int) bool { return cells[i].ID < cells[j].ID })
-	rep := &Report{Name: st.Spec.withDefaults().Name, SpecHash: st.SpecHash, Total: st.Total}
+	rep := &Report{Name: st.Spec.withDefaults().Name, SpecHash: st.SpecHash, Total: len(st.Spec.Cells()),
+		OK: len(cells) - t.failed, Failed: t.failed}
 	for _, c := range cells {
 		if c.failed() {
 			rep.Failures = append(rep.Failures, c)
-			rep.Failed++
 		} else {
 			rep.Cells = append(rep.Cells, c)
-			rep.OK++
 		}
 	}
 	return rep
@@ -64,31 +82,12 @@ func (r *Report) Marshal() ([]byte, error) {
 	return append(payload, '\n'), nil
 }
 
-// WriteReport writes report.json with the same atomic tmp+rename sequence
-// as the checkpoint, so a reader never observes a half-written report.
+// WriteReport writes report.json atomically (writeAtomic), so a reader
+// never observes a half-written report.
 func WriteReport(dir string, r *Report) error {
 	payload, err := r.Marshal()
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, reportFile+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("grid: report: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close()
-		return fmt.Errorf("grid: report write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("grid: report sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("grid: report close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, reportFile)); err != nil {
-		return fmt.Errorf("grid: report rename: %w", err)
-	}
-	return nil
+	return writeAtomic(dir, reportFile, payload)
 }

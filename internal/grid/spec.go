@@ -1,14 +1,15 @@
 // Package grid is the resumable, fault-tolerant experiment-grid service:
-// a checkpointed coordinator that shards a deterministic cell enumeration
-// (cell ID = stable hash of the full job spec) across worker goroutines
-// and optional worker subprocesses, streams every finished cell as one
-// checksummed JSON line to an append-only results log, and checkpoints
-// coordinator state with atomic tmp+rename writes — so a SIGKILL at any
-// instant resumes without recomputing finished cells, a torn final record
-// is detected by checksum and re-run, and the merged report is
-// byte-identical to an uninterrupted run (merge sorts by cell ID, never by
-// completion order). DESIGN.md §16 documents the state machine and the
-// determinism argument.
+// a coordinator that shards a deterministic cell enumeration (cell ID =
+// stable hash of the full job spec) across worker goroutines and optional
+// worker subprocesses, and streams every finished cell as one checksummed
+// JSON line to an append-only results log. The log is the grid's only
+// progress record; state.json holds the grid's identity (its resolved spec
+// and hash) and is written once, atomically, when the grid is created. So
+// a SIGKILL at any instant resumes without recomputing finished cells, a
+// torn final record is detected by checksum and re-run, and the merged
+// report is byte-identical to an uninterrupted run (merge sorts by cell
+// ID, never by completion order). DESIGN.md §16 documents the write
+// discipline and the determinism argument.
 package grid
 
 import (
@@ -97,12 +98,17 @@ func (c CellSpec) Tag() string {
 	return tag
 }
 
-// Build resolves the spec into a machine configuration and a workload
-// script. Every knob is parsed and range-checked by sim.Knobs, the parser
-// behind the CLI flags, so a spec that came from disk (a resumed
-// checkpoint, a worker's stdin) fails with an actionable error instead of
-// a panic or a silent default.
+// Build resolves the spec into a machine configuration and a freshly
+// generated workload script. Every knob is parsed and range-checked by
+// sim.Knobs, the parser behind the CLI flags, so a spec that came from disk
+// (a resumed state.json, a worker's stdin) fails with an actionable error
+// instead of a panic or a silent default.
 func (c CellSpec) Build() (sim.Config, workload.Script, error) {
+	return c.build(nil)
+}
+
+// build is Build with the script taken from scripts (nil builds afresh).
+func (c CellSpec) build(scripts *workload.Cache) (sim.Config, workload.Script, error) {
 	cfg, err := c.config()
 	if err != nil {
 		return sim.Config{}, workload.Script{}, err
@@ -110,7 +116,7 @@ func (c CellSpec) Build() (sim.Config, workload.Script, error) {
 	if c.Workload == "forkbench" && c.RegionKB > cfg.Mem.MemBytes>>10 {
 		return sim.Config{}, workload.Script{}, fmt.Errorf("regionKB %d: region exceeds the %d MiB machine", c.RegionKB, cfg.Mem.MemBytes>>20)
 	}
-	script, err := c.buildScript()
+	script, err := scripts.Get(workload.Key{Name: c.Workload, Huge: c.Huge, Seed: c.Seed, Quick: c.Quick, RegionKB: c.RegionKB})
 	if err != nil {
 		return sim.Config{}, workload.Script{}, err
 	}
@@ -152,29 +158,6 @@ func (c CellSpec) config() (sim.Config, error) {
 	}
 	k.Apply(&cfg)
 	return cfg, nil
-}
-
-// buildScript resolves the workload axis. Forkbench honours Quick and the
-// RegionKB override (the smoke-grid knob); every other catalogue workload
-// builds at its full calibrated size.
-func (c CellSpec) buildScript() (workload.Script, error) {
-	if c.Workload == "forkbench" && (c.Quick || c.RegionKB > 0) {
-		p := workload.DefaultForkbench(c.Huge)
-		switch {
-		case c.RegionKB > 0:
-			p.RegionBytes = c.RegionKB << 10
-		case c.Huge:
-			p.RegionBytes = 8 << 20
-		default:
-			p.RegionBytes = 4 << 20
-		}
-		return workload.Forkbench(p), nil
-	}
-	spec, err := workload.ByName(c.Workload)
-	if err != nil {
-		return workload.Script{}, err
-	}
-	return spec.Build(c.Huge, c.Seed), nil
 }
 
 // Spec is a grid specification: the axes whose cross product is the cell

@@ -14,10 +14,10 @@ import (
 )
 
 // telemetryFile is the atomically rewritten live-progress document a
-// heartbeat-enabled run keeps next to its checkpoint. Unlike state.json it
-// is advisory and host-dependent (wall-clock rates, ETA): `lelantus-grid
-// status` reads it for the live view, and nothing in it ever feeds the
-// report.
+// heartbeat-enabled run keeps in the grid directory. It is advisory and
+// host-dependent (wall-clock rates, ETA), and its done/failed counts are
+// a snapshot of what the results log held: `lelantus-grid status` reads it
+// for the live view, and neither resume nor the report ever reads it.
 const telemetryFile = "telemetry.json"
 
 // gridMetrics bundles the coordinator's live instruments. Built from a nil
@@ -65,12 +65,13 @@ type Progress struct {
 	Running     bool    `json:"running"`
 }
 
-// Progress snapshots the coordinator's live progress. Safe to call from
-// any goroutine, including the telemetry HTTP handlers, while Run is
-// executing.
+// Progress snapshots the coordinator's live progress: the finished and
+// failed cells the results log holds, as counted by the coordinator's
+// tally while it appends. Safe to call from any goroutine, including the
+// telemetry HTTP handlers, while Run is executing.
 func (c *Coordinator) Progress() Progress {
 	c.mu.Lock()
-	done, failed, total := c.state.Done, c.state.Failed, c.state.Total
+	done, failed, total := len(c.tally.cells), c.tally.failed, c.total
 	start, doneAtStart, running := c.runStart, c.doneAtStart, c.running
 	c.mu.Unlock()
 	p := Progress{
@@ -102,16 +103,7 @@ func (c *Coordinator) emitHeartbeat(running bool) {
 	if c.opts.HeartbeatW != nil {
 		fmt.Fprintf(c.opts.HeartbeatW, "%s\n", line)
 	}
-	tmp, err := os.CreateTemp(c.dir, telemetryFile+".tmp-*")
-	if err != nil {
-		return
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	_, werr := tmp.Write(append(line, '\n'))
-	cerr := tmp.Close()
-	if werr == nil && cerr == nil {
-		os.Rename(tmp.Name(), filepath.Join(c.dir, telemetryFile))
-	}
+	writeAtomic(c.dir, telemetryFile, append(line, '\n'))
 }
 
 // startHeartbeat launches the heartbeat ticker (no-op when the interval is

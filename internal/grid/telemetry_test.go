@@ -269,7 +269,7 @@ func TestTailCellPercentiles(t *testing.T) {
 	tail := base
 	tail.Tail = true
 
-	r1, r2 := RunCell(tail), RunCell(tail)
+	r1, r2 := RunCell(tail, nil), RunCell(tail, nil)
 	if r1.Err != "" {
 		t.Fatalf("tail cell failed: %s", r1.Err)
 	}
@@ -295,7 +295,7 @@ func TestTailCellPercentiles(t *testing.T) {
 		}
 	}
 
-	plain := RunCell(base)
+	plain := RunCell(base, nil)
 	if plain.Tail != nil {
 		t.Error("non-tail cell recorded a percentile table")
 	}
