@@ -64,6 +64,28 @@ func (s *Set) Test(i uint64) bool {
 	return s.words[w]&(1<<(i&63)) != 0
 }
 
+// Next returns the lowest set bit at or above i, and false when there is
+// none. It skips empty words whole, so walking a set in ascending order,
+//
+//	for i, ok := s.Next(0); ok; i, ok = s.Next(i + 1) { ... }
+//
+// costs one step per word plus one per set bit, not one per bit.
+func (s *Set) Next(i uint64) (uint64, bool) {
+	w := i >> 6
+	if w >= uint64(len(s.words)) {
+		return 0, false
+	}
+	word := s.words[w] &^ (1<<(i&63) - 1)
+	for word == 0 {
+		w++
+		if w == uint64(len(s.words)) {
+			return 0, false
+		}
+		word = s.words[w]
+	}
+	return w<<6 | uint64(bits.TrailingZeros64(word)), true
+}
+
 // Count returns the number of set bits. O(1): the count is maintained on
 // mutation, so introspection fingerprints stay cheap.
 func (s *Set) Count() int { return s.count }

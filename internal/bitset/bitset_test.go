@@ -112,3 +112,82 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("bitset ops allocate %.2f allocs/op, want 0", avg)
 	}
 }
+
+// collect walks the set with Next from bit 0.
+func collect(s *Set) []uint64 {
+	var got []uint64
+	for i, ok := s.Next(0); ok; i, ok = s.Next(i + 1) {
+		got = append(got, i)
+	}
+	return got
+}
+
+func TestNextEdges(t *testing.T) {
+	var zero Set
+	if _, ok := zero.Next(0); ok {
+		t.Fatal("zero-value set yields a bit")
+	}
+	s := New(256)
+	if got := collect(s); got != nil {
+		t.Fatalf("empty set yields %v", got)
+	}
+	// Bits in the last word, including the very last bit.
+	s.Set(192)
+	s.Set(255)
+	if got := collect(s); len(got) != 2 || got[0] != 192 || got[1] != 255 {
+		t.Fatalf("last-word bits: got %v, want [192 255]", got)
+	}
+	if i, ok := s.Next(193); !ok || i != 255 {
+		t.Fatalf("Next(193) = %d, %v; want 255, true", i, ok)
+	}
+	if _, ok := s.Next(256); ok {
+		t.Fatal("Next past the last word yields a bit")
+	}
+	// Grown past its New size, with empty words in between.
+	s.Set(1000)
+	if got := collect(s); len(got) != 3 || got[2] != 1000 {
+		t.Fatalf("grown set: got %v, want [192 255 1000]", got)
+	}
+	s.Clear(1000)
+	if got := collect(s); len(got) != 2 {
+		t.Fatalf("cleared grown bit still yielded: %v", got)
+	}
+}
+
+// TestNextAgainstTest: Next visits exactly the bits Test reports, in
+// ascending order, from any starting bit.
+func TestNextAgainstTest(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	s := New(1000)
+	for i := 0; i < 300; i++ {
+		s.Set(uint64(rng.Intn(1500))) // some beyond the pre-size
+	}
+	for i := 0; i < 50; i++ {
+		s.Clear(uint64(rng.Intn(1500)))
+	}
+	var want []uint64
+	for i := uint64(0); i < 1600; i++ {
+		if s.Test(i) {
+			want = append(want, i)
+		}
+	}
+	got := collect(s)
+	if len(got) != len(want) || len(got) != s.Count() {
+		t.Fatalf("Next yields %d bits, Test finds %d, Count %d", len(got), len(want), s.Count())
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("bit %d: Next yields %d, Test finds %d", k, got[k], want[k])
+		}
+	}
+	for from := uint64(0); from < 1600; from += 7 {
+		i, ok := s.Next(from)
+		j := from
+		for j < 1600 && !s.Test(j) {
+			j++
+		}
+		if ok != (j < 1600) || (ok && i != j) {
+			t.Fatalf("Next(%d) = %d, %v; Test finds %d", from, i, ok, j)
+		}
+	}
+}

@@ -266,6 +266,18 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	}
 }
 
+// Reset empties every level in place, as a power cycle does: tags, dirty
+// bits, LRU ticks and hit/miss counts return to NewHierarchy's, while the
+// way arrays and the L3 line buffers are kept for the next fills (a fill
+// overwrites or zeroes its buffer, so old contents never show).
+func (h *Hierarchy) Reset() {
+	for _, l := range []*Level{h.L1, h.L2, h.L3} {
+		clear(l.slots)
+		clear(l.dirty)
+		l.tick, l.Hits, l.Misses = 0, 0, 0
+	}
+}
+
 // peekData returns the data pointer without touching LRU or statistics
 // (data level only).
 func (l *Level) peekData(lineAddr uint64) *[mem.LineBytes]byte {

@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"lelantus/internal/mem"
@@ -273,5 +276,91 @@ func TestWarmPathsDoNotAllocate(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, step); avg != 0 {
 		t.Fatalf("warm fill/evict/flush path allocates %.1f times per run", avg)
+	}
+}
+
+// resetStep applies one random operation to h and describes everything it
+// returned: latencies, miss flags, line bytes and every victim.
+func resetStep(h *Hierarchy, rng *rand.Rand) string {
+	addr := refAddr(byte(rng.Intn(256)), byte(rng.Intn(256)))
+	pfn := mem.PageOf(addr)
+	stamp := byte(rng.Intn(256))
+	victim := func(v Victim) string {
+		if v.Data == nil {
+			return fmt.Sprintf("%#x/%v", v.LineAddr, v.Dirty)
+		}
+		return fmt.Sprintf("%#x/%v/%x", v.LineAddr, v.Dirty, v.Data[:])
+	}
+	switch k := rng.Intn(8); k {
+	case 0, 1, 2: // a load or store, filled from memory on a miss
+		write := k == 2
+		lat, d, miss := h.AccessData(addr, write)
+		out := fmt.Sprintf("access %#x %v: %d %v", addr, write, lat, miss)
+		if d != nil {
+			out += fmt.Sprintf(" %x", d[:])
+			if write {
+				d[stamp%mem.LineBytes] = stamp
+			}
+		}
+		if miss {
+			if wb, need := h.Fill(addr, write, lineData(stamp)); need {
+				out += " wb " + victim(wb)
+			}
+		}
+		return out
+	case 3:
+		wb, need := h.Fill(addr, stamp&1 == 1, nil)
+		return fmt.Sprintf("fill %#x: %v %s", addr, need, victim(wb))
+	case 4:
+		out := fmt.Sprintf("flush %d:", pfn)
+		for _, v := range h.FlushPage(pfn) {
+			out += " " + victim(v)
+		}
+		return out
+	case 5:
+		v, present := h.L3.Invalidate(addr)
+		h.L1.drop(addr)
+		h.L2.drop(addr)
+		return fmt.Sprintf("invalidate %#x: %v %s", addr, present, victim(v))
+	case 6:
+		h.InvalidateLine(addr)
+		h.InvalidatePage(pfn + 1)
+		return fmt.Sprintf("drop %#x", addr)
+	default:
+		out := "drain:"
+		h.DrainDirty(func(v Victim) { out += " " + victim(v) })
+		return out
+	}
+}
+
+// TestResetMatchesNew: a hierarchy emptied by Reset after random traffic
+// (dirty lines, evictions, allocated line buffers) answers one random
+// access/fill/invalidate sequence exactly as a fresh NewHierarchy does —
+// every result, victim and counter, and every way's tag, tick and dirty
+// bit after every operation.
+func TestResetMatchesNew(t *testing.T) {
+	for ci, cfg := range refConfigs {
+		rng := rand.New(rand.NewSource(int64(ci)))
+		used := NewHierarchy(cfg)
+		for i := 0; i < 2000; i++ {
+			resetStep(used, rng)
+		}
+		used.Reset()
+		fresh := NewHierarchy(cfg)
+		seed := rng.Int63()
+		ra, rb := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for i := 0; i < 2000; i++ {
+			got, want := resetStep(used, ra), resetStep(fresh, rb)
+			if got != want {
+				t.Fatalf("config %d op %d: after Reset %q, fresh %q", ci, i, got, want)
+			}
+			for n, pair := range [][2]*Level{{used.L1, fresh.L1}, {used.L2, fresh.L2}, {used.L3, fresh.L3}} {
+				a, b := pair[0], pair[1]
+				if a.Hits != b.Hits || a.Misses != b.Misses || a.tick != b.tick ||
+					!slices.Equal(a.slots, b.slots) || !slices.Equal(a.dirty, b.dirty) {
+					t.Fatalf("config %d op %d: L%d state differs after Reset", ci, i, n+1)
+				}
+			}
+		}
 	}
 }

@@ -12,16 +12,21 @@ import (
 )
 
 const testDataBytes = 1 << 20 // 256 pages
-const testZeroPFN = 255
 
 func testEngine(t testing.TB, scheme Scheme, mutate func(*Config)) *Engine {
+	t.Helper()
+	return sizedEngine(t, scheme, testDataBytes/mem.PageBytes, ctrcache.WriteBack, mutate)
+}
+
+// sizedEngine builds an engine over a data region of the given page count,
+// with the shared zero frame on its last page.
+func sizedEngine(t testing.TB, scheme Scheme, pages uint64, mode ctrcache.Mode, mutate func(*Config)) *Engine {
 	t.Helper()
 	cfg := DefaultConfig(scheme)
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	layout := LayoutFor(testDataBytes)
-	pages := uint64(testDataBytes / mem.PageBytes)
+	layout := LayoutFor(pages * mem.PageBytes)
 	phys := mem.NewPhysical(layout.CoWBase + pages*8)
 	dev := nvm.New(nvm.DefaultConfig())
 	encEng, err := enc.New([]byte("unit-test-key-16"))
@@ -30,10 +35,8 @@ func testEngine(t testing.TB, scheme Scheme, mutate func(*Config)) *Engine {
 	}
 	tree := bmt.New([]byte("tree"), pages)
 	macs := bmt.NewMACStore([]byte("macs"))
-	cc := ctrcache.New(8<<10, 4, ctrcache.WriteBack, 2)
-	cow := ctrcache.NewCoW(512)
-	e := NewEngine(cfg, layout, phys, dev, encEng, tree, macs, cc, cow)
-	e.ZeroPFN = testZeroPFN
+	e := NewEngine(cfg, layout, phys, dev, encEng, tree, macs, ctrcache.New(8<<10, 4, mode, 2), ctrcache.NewCoW(512))
+	e.ZeroPFN = pages - 1
 	return e
 }
 

@@ -126,8 +126,69 @@ func (e *Engine) chainNext(pfn uint64) (uint64, bool) {
 // and the persist-matrix report are byte-identical across fidelities.
 //
 // The scrub itself runs outside simulated time; its modeled device cost is
-// reported in RecoveryNs and accumulated into Stats.
+// reported in RecoveryNs and accumulated into Stats. Its host cost follows
+// what the run touched, not the capacity: passes 1 and 3 enumerate the
+// initialised blocks and the resident CoW-table frames (liveBlocks,
+// chainStarts), never every page frame of the machine.
 func (e *Engine) Recover() (*RecoveryReport, error) {
+	pages := e.layout.DataLimit / mem.PageBytes
+	live := e.liveBlocks(pages)
+	return e.scrub(live, e.chainStarts(live, pages))
+}
+
+// liveBlocks lists the initialised counter blocks of the data region in
+// pfn order: the blocks pass 1 scans.
+func (e *Engine) liveBlocks(pages uint64) []uint64 {
+	live := make([]uint64, 0, e.initialised.Count())
+	for pfn, ok := e.initialised.Next(0); ok && pfn < pages; pfn, ok = e.initialised.Next(pfn + 1) {
+		live = append(live, pfn)
+	}
+	return live
+}
+
+// chainStarts lists, in pfn order, the pages whose durable metadata records
+// a CoW redirect: the chains pass 3 walks. It decodes only what can hold
+// one. A Lelantus redirect lives in a counter block, and peekBlock finds a
+// block only for an initialised page — the counter cache is filled by
+// loadBlock after ensureInit (storeBlock only after a loadBlock of the
+// same page) and by the prefetcher only for initialised pages — so live
+// holds every start. A Lelantus-CoW entry lives in the
+// supplementary table, and a table frame never written reads as zeros,
+// which has no present bit, so only resident frames are decoded. Baseline
+// and Silent Shredder keep no redirects.
+func (e *Engine) chainStarts(live []uint64, pages uint64) []uint64 {
+	starts := make([]uint64, 0)
+	switch e.cfg.Scheme {
+	case Lelantus:
+		for _, pfn := range live {
+			if _, ok := e.chainNext(pfn); ok {
+				starts = append(starts, pfn)
+			}
+		}
+	case LelantusCoW:
+		// Page pfn's entry is the 8 bytes at base+8*pfn (cowMetaAddr), and
+		// frame boundaries are line-aligned, so frame f holds the entries
+		// of pfns [lo, hi).
+		base, end := e.layout.CoWBase, e.layout.CoWBase+pages*8
+		for f := mem.PageOf(base); mem.PageAddr(f) < end; f++ {
+			if !e.Phys.Resident(f) {
+				continue
+			}
+			lo := (max(mem.PageAddr(f), base) - base + 7) / 8
+			hi := (min(mem.PageAddr(f+1), end) - base + 7) / 8
+			for pfn := lo; pfn < hi; pfn++ {
+				if _, ok := e.peekCoWEntry(pfn); ok {
+					starts = append(starts, pfn)
+				}
+			}
+		}
+	}
+	return starts
+}
+
+// scrub runs the four recovery passes over pass 1's live blocks and pass
+// 3's chain starts, both in pfn order.
+func (e *Engine) scrub(live, starts []uint64) (*RecoveryReport, error) {
 	strat := e.strategy()
 	rep := &RecoveryReport{Scheme: e.cfg.Scheme, Strategy: strat.Name(), FaultSeed: e.fi.Seed(), RootMatched: true}
 	secure := !e.cfg.NonSecure
@@ -137,12 +198,6 @@ func (e *Engine) Recover() (*RecoveryReport, error) {
 	// Pass 1: counter-block scan against (or rebuild of) the leaf digests.
 	// live is in pfn order, so passes 1 and 4 list torn pages and lost
 	// lines sorted.
-	live := make([]uint64, 0, e.initialised.Count())
-	for pfn := uint64(0); pfn < pages; pfn++ {
-		if e.initialised.Test(pfn) {
-			live = append(live, pfn)
-		}
-	}
 	rep.BlocksScanned = uint64(len(live))
 	torn := make(map[uint64]bool)
 	switch {
@@ -197,13 +252,7 @@ func (e *Engine) Recover() (*RecoveryReport, error) {
 		entriesPerLine := uint64(mem.LineBytes / 8)
 		rep.ChainReads += (pages + entriesPerLine - 1) / entriesPerLine
 	}
-	starts := make([]uint64, 0)
-	for pfn := uint64(0); pfn < pages; pfn++ {
-		if _, ok := e.chainNext(pfn); ok {
-			rep.CoWMappings++
-			starts = append(starts, pfn)
-		}
-	}
+	rep.CoWMappings = uint64(len(starts))
 	for _, start := range starts {
 		rep.CoWChains++
 		visited := map[uint64]bool{start: true}

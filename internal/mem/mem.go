@@ -152,6 +152,10 @@ func (p *Physical) Write(addr uint64, data []byte) {
 	}
 }
 
+// Resident reports whether frame pfn is materialised. An absent frame
+// reads as zeros, so a scan for non-zero content may skip it.
+func (p *Physical) Resident(pfn uint64) bool { return p.frame(pfn, false) != nil }
+
 // ResidentFrames reports how many frames are materialised (test/debug aid).
 func (p *Physical) ResidentFrames() int { return p.resident }
 

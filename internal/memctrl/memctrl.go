@@ -147,7 +147,8 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Probe != nil {
 		// The sampler reads through the controller so it tracks the *current*
 		// caches even after Crash swaps them (ResetVolatile replaces the
-		// counter/CoW caches, Crash rebuilds the hierarchy and queue).
+		// counter/CoW caches, Crash rebuilds the queue and resets the data
+		// caches in place).
 		cfg.Probe.SetSampler(func(now uint64, s *probe.Sample) {
 			s.CtrHits = ctl.Engine.CtrCache.Hits
 			s.CtrMisses = ctl.Engine.CtrCache.Misses
@@ -413,7 +414,8 @@ func (c *Controller) ZeroPageFull(now, dst uint64, nonTemporal bool) (uint64, er
 // issued at the crash timestamp, as the residual-energy burst would.
 // Without it, counter updates still sitting in the cache are lost; affected
 // lines are detected (MAC mismatch) on their next read rather than silently
-// corrupted.
+// corrupted. The data caches are emptied in place (cache.Hierarchy.Reset),
+// so a crash allocates no new hierarchy.
 func (c *Controller) Crash(now uint64, batteryBacked bool) error {
 	if batteryBacked {
 		if _, err := c.Engine.DrainMetadata(now); err != nil {
@@ -428,7 +430,7 @@ func (c *Controller) Crash(now uint64, batteryBacked bool) error {
 		c.Queue = nvm.NewQueue(*c.cfg.WriteQueue, c.Dev)
 		c.Engine.Mem = c.Queue
 	}
-	c.Caches = cache.NewHierarchy(c.cfg.Cache)
+	c.Caches.Reset()
 	ctrBytes := c.cfg.CtrCacheBytes
 	cowBytes := uint64(0)
 	if c.cfg.Core.Scheme == core.LelantusCoW {

@@ -97,6 +97,20 @@ func sweepConfigs() []sweepCell {
 	q := nvm.DefaultQueueConfig()
 	cfg.Mem.WriteQueue = &q
 	cells = append(cells, sweepCell{"lelantus-cow/queue", cfg, 0})
+	return append(cells, mlpPrefetchCells()...)
+}
+
+// mlpPrefetchCells crash with the MLP page engines and both prefetchers'
+// fills in flight: one strict, write-back cell per scheme.
+func mlpPrefetchCells() []sweepCell {
+	var cells []sweepCell
+	for _, s := range core.Schemes() {
+		cfg := DefaultConfig(s)
+		cfg.Mem.MemBytes = 16 << 20
+		cfg.Mem.Core.MLP.Enabled = true
+		cfg.Mem.Core.Prefetch.Mode = core.PrefetchBoth
+		cells = append(cells, sweepCell{s.String() + "/wb/mlp=on,prefetch=both", cfg, 6})
+	}
 	return cells
 }
 
@@ -158,7 +172,8 @@ func TestCrashSweepCoversCommandSeams(t *testing.T) {
 // TestCrashRecoveryReportDeterministic: for a fixed fault seed, crashing at
 // the same point twice yields byte-identical recovery reports (the
 // determinism contract -faultseed promises). Cells and points are drawn at
-// random, but from a fixed-seed RNG, so failures reproduce.
+// random, but from a fixed-seed RNG, so failures reproduce; every MLP ×
+// prefetch cell is always among them.
 func TestCrashRecoveryReportDeterministic(t *testing.T) {
 	script := crashSweepScript()
 	cfgs := sweepConfigs()
@@ -167,8 +182,11 @@ func TestCrashRecoveryReportDeterministic(t *testing.T) {
 	if testing.Short() {
 		trials = 2
 	}
+	var cells []sweepCell
 	for trial := 0; trial < trials; trial++ {
-		cell := cfgs[rng.Intn(len(cfgs))]
+		cells = append(cells, cfgs[rng.Intn(len(cfgs))])
+	}
+	for _, cell := range append(cells, mlpPrefetchCells()...) {
 		seed := rng.Int63n(1 << 30)
 		total, err := CrashPoints(cell.cfg, script, seed)
 		if err != nil {
