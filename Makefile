@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race bench bench-json perfbench-test nopanic cli-smoke grid-smoke telemetry-smoke verify
+.PHONY: all build fmt vet test race bench bench-json perfbench-test nopanic cli-smoke grid-smoke telemetry-smoke fuzz-smoke verify
 
 all: verify
 
@@ -62,8 +62,10 @@ bench:
 
 # bench-json captures the hot-path and end-to-end benchmarks as a JSON
 # baseline: the ReadLine/WriteLine micro-benchmarks, the cache
-# hierarchy's per-layer ones and the full-size script generators'
-# (BenchmarkBuild/<app>), with allocation counts, at a fixed benchtime,
+# hierarchy's per-layer ones, the integrity tree's and data MAC's
+# (BenchmarkTreeVerify, BenchmarkTreeUpdateVerify, BenchmarkMACSum) and the
+# full-size script generators' (BenchmarkBuild/<app>), with allocation
+# counts, at a fixed benchtime,
 # plus every Fig9 quick cell and the PagePhyc, OverflowSweep,
 # RecoveryScrub and ChainHeavy cells at two iterations (each
 # iteration is one full deterministic simulation, so two are enough for a
@@ -86,8 +88,8 @@ KNOBS ?=
 OUT ?= BENCH_hotpath.json
 bench-json:
 	{ LELANTUS_KNOBS='$(KNOBS)' $(GO) test -run '^$$' \
-	      -bench '^(BenchmarkReadLine|BenchmarkWriteLine|BenchmarkCache.*|BenchmarkBuild)$$' \
-	      -benchmem -benchtime 0.2s . ./internal/cache ./internal/workload ; \
+	      -bench '^(BenchmarkReadLine|BenchmarkWriteLine|BenchmarkCache.*|BenchmarkTreeVerify|BenchmarkTreeUpdateVerify|BenchmarkMACSum|BenchmarkBuild)$$' \
+	      -benchmem -benchtime 0.2s . ./internal/cache ./internal/bmt ./internal/workload ; \
 	  LELANTUS_KNOBS='$(KNOBS)' $(GO) test -run '^$$' \
 	      -bench '^(BenchmarkFig9|BenchmarkPagePhyc|BenchmarkOverflowSweep|BenchmarkRecoveryScrub|BenchmarkChainHeavy)$$' -benchtime 2x . ; } \
 	  | $(GO) run ./cmd/benchjson > $(OUT)
@@ -147,4 +149,10 @@ telemetry-smoke:
 	@rm -rf /tmp/lelantus-telemetry-smoke /tmp/lelantus-telemetry-smoke.err \
 	    /tmp/lelantus-telemetry-smoke.prom /tmp/lelantus-telemetry-smoke-bin
 
-verify: build fmt vet nopanic test perfbench-test race cli-smoke grid-smoke telemetry-smoke
+# Fuzz smoke: ten seconds of the differential fuzz that checks the integrity
+# tree's short Verify against the full leaf-to-root walk (its seed corpus
+# already runs under `test`).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyVsFullWalk$$' -fuzztime 10s ./internal/bmt
+
+verify: build fmt vet nopanic test perfbench-test race cli-smoke grid-smoke telemetry-smoke fuzz-smoke

@@ -5,9 +5,15 @@
 // metadata Lelantus embeds in counter blocks — is detected.
 //
 // Following the Bonsai construction, only counter blocks are covered by the
-// tree (the root is kept on chip); data blocks are protected by a MAC
-// computed over (ciphertext, address, counter), which the counter's
-// freshness guarantee makes replay-proof.
+// tree; data blocks are protected by a MAC computed over (ciphertext,
+// address, counter), which the counter's freshness guarantee makes
+// replay-proof. Leaf digests are durable beside their counter blocks, while
+// the tree interior and the root register are on-chip state, and on chip
+// means trusted. Verify therefore stops at the first on-chip node, as
+// hardware does: it recomputes the block's level-1 parent from the
+// candidate digest and the seven stored sibling digests, and compares it
+// with the stored level-1 node. A tampered block or a tampered stored leaf
+// digest changes that parent, so both are caught.
 //
 // The implementation is built for the simulator's hot path:
 //
@@ -18,6 +24,9 @@
 //     so nothing passed to the hash interface escapes to the heap. The
 //     price is that a Tree or MACStore must not be used concurrently —
 //     which the per-machine simulator never does.
+//   - Siblings are stored together: every level keeps its hashes in groups
+//     of Arity keyed by the parent's index, laid out as the parent's hash
+//     input, so hashing a parent is one map lookup and one 256-byte write.
 //   - Root maintenance is lazy: Update computes the new leaf hash
 //     immediately (the raw block is not retained) and only marks the
 //     leaf-to-root path dirty; inner nodes and the root are recomputed on
@@ -29,8 +38,9 @@
 //
 // The lazy tree is observationally identical to an eager one: Updates and
 // Verifies still count logical operations, and Root()/Verify() always see
-// the fully propagated state (a differential test checks byte-identical
-// roots against an eager reference).
+// the fully propagated state. Differential tests check byte-identical roots
+// against an eager reference and identical verdicts against the full
+// leaf-to-root walk.
 package bmt
 
 import (
@@ -38,6 +48,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash"
+	"slices"
 )
 
 // Arity is the tree fan-out. An 8-ary tree over 64 B counter blocks keeps
@@ -54,16 +65,34 @@ var (
 	nodeTag = []byte("node")
 )
 
+// siblings holds the Arity children of one parent node, contiguous in the
+// order the parent's hash reads them. An absent child holds its level's
+// default hash; bit i of present is set once child i has been stored.
+type siblings struct {
+	h       [Arity * hashSize]byte
+	present uint8
+}
+
+// get returns child i's hash in place.
+func (g *siblings) get(i uint64) *[hashSize]byte {
+	return (*[hashSize]byte)(g.h[i*hashSize:])
+}
+
 // Tree is a sparse Bonsai Merkle Tree over counter-block indices.
 // Level 0 holds leaf hashes (one per counter block); the single node at
 // the top level is the on-chip root. Not safe for concurrent use.
 type Tree struct {
 	levels int
-	// nodes[l] maps node index at level l to its hash. Absent nodes have
-	// the precomputed default hash for that level (all-absent subtree).
-	nodes    []map[uint64][hashSize]byte
-	defaults [][hashSize]byte
-	root     [hashSize]byte
+	// span is Arity^(levels-1), the number of leaves under the root. A
+	// larger index hangs under another top-level node, so it never verifies.
+	span uint64
+	// nodes[l] holds level l's hashes in sibling groups keyed by the
+	// parent's index: node i is child i%Arity of group i/Arity. blank[l] is
+	// the read-only group of all-absent level-l nodes, each holding the
+	// level's default hash (the hash of an all-absent subtree).
+	nodes []map[uint64]*siblings
+	blank []*siblings
+	root  [hashSize]byte
 
 	// dirty[l] (l >= 1) holds inner nodes whose children changed since the
 	// last flush. Invariant: a dirty node's ancestors are all dirty, so
@@ -71,47 +100,55 @@ type Tree struct {
 	dirty   []map[uint64]struct{}
 	pending bool
 
-	// mac is the reusable keyed HMAC state; childBuf/sumBuf/idxBuf are the
+	// mac is the reusable keyed HMAC state; sumBuf/idxBuf/verifyBuf are the
 	// scratch buffers handed to it (struct fields, so the interface call
 	// does not force a heap allocation per operation), and rawBuf a
 	// reusable copy of leaf content, so the caller's buffer never escapes
 	// through the hash interface.
-	mac      hash.Hash
-	childBuf [hashSize]byte
-	sumBuf   [hashSize]byte
-	idxBuf   [8]byte
-	rawBuf   []byte
+	mac       hash.Hash
+	sumBuf    [hashSize]byte
+	idxBuf    [8]byte
+	verifyBuf siblings
+	rawBuf    []byte
 
 	Updates  uint64
 	verifies uint64
 
 	// accountingOnly elides all hashing (timing-only fidelity): operation
-	// counters and leaf presence stay exact, no path is marked dirty (no
-	// flush would read it), inner nodes are never computed or stored, and
-	// Verify always succeeds.
+	// counters stay exact, leaf presence is kept in marks (one presence
+	// byte per sibling group, keyed like nodes[0]), no path is marked dirty
+	// (no flush would read it), inner nodes are never computed or stored,
+	// and Verify always succeeds.
 	accountingOnly bool
+	marks          map[uint64]uint8
 }
 
 // New creates a tree able to cover nBlocks counter blocks, keyed for HMAC.
 func New(key []byte, nBlocks uint64) *Tree {
-	levels := 1
-	for span := uint64(1); span < nBlocks; span *= Arity {
+	levels, span := 1, uint64(1)
+	for ; span < nBlocks; span *= Arity {
 		levels++
 	}
-	t := &Tree{levels: levels, mac: hmac.New(sha256.New, key)}
-	t.nodes = make([]map[uint64][hashSize]byte, levels)
+	t := &Tree{levels: levels, span: span, mac: hmac.New(sha256.New, key)}
+	t.nodes = make([]map[uint64]*siblings, levels)
 	t.dirty = make([]map[uint64]struct{}, levels)
-	for i := range t.nodes {
-		t.nodes[i] = make(map[uint64][hashSize]byte)
-		t.dirty[i] = make(map[uint64]struct{})
+	t.blank = make([]*siblings, levels)
+	var def [hashSize]byte
+	for l := range levels {
+		t.nodes[l] = make(map[uint64]*siblings)
+		t.dirty[l] = make(map[uint64]struct{})
+		// Default (empty) hashes, bottom-up.
+		if l == 0 {
+			def = t.digest(^uint64(0), nil)
+		} else {
+			def = t.hashGroup(t.blank[l-1])
+		}
+		t.blank[l] = new(siblings)
+		for i := uint64(0); i < Arity; i++ {
+			*t.blank[l].get(i) = def
+		}
 	}
-	// Default (empty) hashes, bottom-up.
-	t.defaults = make([][hashSize]byte, levels)
-	t.defaults[0] = t.digest(^uint64(0), nil)
-	for l := 1; l < levels; l++ {
-		t.defaults[l] = t.innerHash(t.defaults[l-1])
-	}
-	t.root = t.defaults[levels-1]
+	t.root = def
 	return t
 }
 
@@ -119,12 +156,15 @@ func New(key []byte, nBlocks uint64) *Tree {
 // timing-only fidelity (core.FidelityTiming): Update and Verify keep
 // their operation counters, but no HMAC is ever computed, no inner node
 // is stored and no path is marked dirty, since no flush reads one.
-// Leaf *presence* is still recorded (a zero digest per updated leaf), so
-// the recovery rebuild reports byte-identical per-level node counts under
+// Leaf *presence* is still recorded (one bit per updated leaf), so the
+// recovery rebuild reports byte-identical per-level node counts under
 // both fidelities. Verification always succeeds, so this must never be
 // used where integrity results matter (the machine-wide fidelity knob
 // guarantees security-invariant tests run with hashing enabled).
-func (t *Tree) DisableHashing() { t.accountingOnly = true }
+func (t *Tree) DisableHashing() {
+	t.accountingOnly = true
+	t.marks = make(map[uint64]uint8)
+}
 
 // finish finalises the running MAC into the scratch buffer and returns it.
 func (t *Tree) finish() [hashSize]byte {
@@ -132,33 +172,49 @@ func (t *Tree) finish() [hashSize]byte {
 	return t.sumBuf
 }
 
-// innerHash of a node whose children are all default at the level below.
-func (t *Tree) innerHash(childDefault [hashSize]byte) [hashSize]byte {
+// hashGroup is the hash of the parent node whose children are g.
+func (t *Tree) hashGroup(g *siblings) [hashSize]byte {
 	t.mac.Reset()
 	t.mac.Write(nodeTag)
-	t.childBuf = childDefault
-	for i := 0; i < Arity; i++ {
-		t.mac.Write(t.childBuf[:])
-	}
+	t.mac.Write(g.h[:])
 	return t.finish()
 }
 
-func (t *Tree) nodeHash(level int, idx uint64) [hashSize]byte {
-	if h, ok := t.nodes[level][idx]; ok {
-		return h
+// group returns the sibling group under parent at level l, or the level's
+// blank group when none is stored.
+func (t *Tree) group(l int, parent uint64) *siblings {
+	if g, ok := t.nodes[l][parent]; ok {
+		return g
 	}
-	return t.defaults[level]
+	return t.blank[l]
 }
 
-func (t *Tree) recomputeInner(level int, idx uint64) [hashSize]byte {
-	t.mac.Reset()
-	t.mac.Write(nodeTag)
-	base := idx * Arity
-	for i := uint64(0); i < Arity; i++ {
-		t.childBuf = t.nodeHash(level-1, base+i)
-		t.mac.Write(t.childBuf[:])
+func (t *Tree) nodeHash(l int, idx uint64) [hashSize]byte {
+	return *t.group(l, idx/Arity).get(idx % Arity)
+}
+
+// store sets node idx of level l to h, creating its sibling group from the
+// level's blank group when absent.
+func (t *Tree) store(l int, idx uint64, h *[hashSize]byte) {
+	g, ok := t.nodes[l][idx/Arity]
+	if !ok {
+		g = new(siblings)
+		*g = *t.blank[l]
+		t.nodes[l][idx/Arity] = g
 	}
-	return t.finish()
+	*g.get(idx % Arity) = *h
+	g.present |= 1 << (idx % Arity)
+}
+
+// setLeaf stores counter block idx's leaf digest of raw; an accounting-only
+// tree records only the leaf's presence.
+func (t *Tree) setLeaf(idx uint64, raw []byte) {
+	if t.accountingOnly {
+		t.marks[idx/Arity] |= 1 << (idx % Arity)
+		return
+	}
+	h := t.digest(idx, raw)
+	t.store(0, idx, &h)
 }
 
 // Update installs the new content of counter block idx. Only the leaf hash
@@ -167,11 +223,10 @@ func (t *Tree) recomputeInner(level int, idx uint64) [hashSize]byte {
 // drain, neighbouring pages) share one propagation pass.
 func (t *Tree) Update(idx uint64, raw []byte) {
 	t.Updates++
+	t.setLeaf(idx, raw)
 	if t.accountingOnly {
-		t.nodes[0][idx] = [hashSize]byte{} // presence only: drives the rebuild counts
 		return
 	}
-	t.nodes[0][idx] = t.digest(idx, raw)
 	t.pending = true
 	node := idx
 	for l := 1; l < t.levels; l++ {
@@ -194,7 +249,8 @@ func (t *Tree) flush() {
 	}
 	for l := 1; l < t.levels; l++ {
 		for node := range t.dirty[l] {
-			t.nodes[l][node] = t.recomputeInner(l, node)
+			h := t.hashGroup(t.group(l-1, node))
+			t.store(l, node, &h)
 		}
 		clear(t.dirty[l])
 	}
@@ -202,37 +258,38 @@ func (t *Tree) flush() {
 	t.pending = false
 }
 
-// Verify checks that the given counter-block content is authentic: the leaf
-// recomputed from raw, combined with its stored siblings, must reproduce
-// the on-chip root.
+// Verify checks that raw is the authentic content of counter block idx.
+// The tree interior is on-chip, trusted state (only the leaf digests and
+// the root register are durable; see RebuildFromLeavesByLevel), so the
+// check stops at the first on-chip node: idx's level-1 parent, recomputed
+// from the digest of raw in idx's slot and the seven stored sibling
+// digests, must equal the stored level-1 node. Every level above it was
+// derived from the level below, so the full leaf-to-root walk would reach
+// the root exactly when this check passes. Two cases keep that walk's
+// verdict by rule: an index at or beyond the root's span fails, since its
+// path never reaches the root, and a one-level tree, whose only node is
+// the root, compares the digest with the root register. Pending updates
+// are propagated first, so the root register is current after every
+// Verify (crash recovery compares against it).
 func (t *Tree) Verify(idx uint64, raw []byte) error {
 	t.verifies++
 	t.flush()
 	if t.accountingOnly {
 		return nil
 	}
-	h := t.digest(idx, raw)
-	node := idx
-	for l := 1; l < t.levels; l++ {
-		parent := node / Arity
-		t.mac.Reset()
-		t.mac.Write(nodeTag)
-		base := parent * Arity
-		for i := uint64(0); i < Arity; i++ {
-			if child := base + i; child == node {
-				t.childBuf = h
-			} else {
-				t.childBuf = t.nodeHash(l-1, child)
-			}
-			t.mac.Write(t.childBuf[:])
+	if idx < t.span {
+		h, want := t.digest(idx, raw), t.root
+		if t.levels > 1 {
+			parent := idx / Arity
+			t.verifyBuf = *t.group(0, parent)
+			*t.verifyBuf.get(idx % Arity) = h
+			h, want = t.hashGroup(&t.verifyBuf), t.nodeHash(1, parent)
 		}
-		h = t.finish()
-		node = parent
+		if h == want {
+			return nil
+		}
 	}
-	if h != t.root {
-		return fmt.Errorf("bmt: integrity violation at counter block %d", idx)
-	}
-	return nil
+	return fmt.Errorf("bmt: integrity violation at counter block %d", idx)
 }
 
 // Verifies returns the number of verification operations performed.
@@ -257,7 +314,8 @@ func (t *Tree) RootRegister() [hashSize]byte { return t.root }
 // volatile on-chip state, so recovery recomputes it bottom-up instead of
 // persisting every inner-node update during normal operation. Any pending
 // lazy propagation is superseded. Element i of the result counts the
-// nodes rebuilt at inner level i+1 (level 0 being the leaf digests).
+// nodes rebuilt at inner level i+1 (level 0 being the leaf digests), which
+// is the number of sibling groups at level i.
 // Leveled persistence strategies (Triad-NVM) charge durable and rebuilt
 // levels differently, so recovery needs the breakdown. In accounting-only
 // mode no hash is computed, but the counts (driven by leaf
@@ -268,25 +326,33 @@ func (t *Tree) RebuildFromLeavesByLevel() []uint64 {
 	}
 	t.pending = false
 	counts := make([]uint64, t.levels-1)
-	for l := 1; l < t.levels; l++ {
-		fresh := make(map[uint64][hashSize]byte, len(t.nodes[l-1])/Arity+1)
-		for child := range t.nodes[l-1] {
-			parent := child / Arity
-			if _, done := fresh[parent]; done {
-				continue
-			}
-			if t.accountingOnly {
-				fresh[parent] = [hashSize]byte{}
-			} else {
-				fresh[parent] = t.recomputeInner(l, parent)
-			}
-			counts[l-1]++
+	if t.accountingOnly {
+		// The groups at level l are the distinct leaf-group keys divided
+		// by Arity^l; division keeps sorted keys sorted.
+		keys := make([]uint64, 0, len(t.marks))
+		for k := range t.marks {
+			keys = append(keys, k)
 		}
-		t.nodes[l] = fresh
+		slices.Sort(keys)
+		for l := range counts {
+			keys = slices.Compact(keys)
+			counts[l] = uint64(len(keys))
+			for i := range keys {
+				keys[i] /= Arity
+			}
+		}
+		return counts
 	}
-	if !t.accountingOnly {
-		t.root = t.nodeHash(t.levels-1, 0)
+	for l := 1; l < t.levels; l++ {
+		below := t.nodes[l-1]
+		t.nodes[l] = make(map[uint64]*siblings, len(below)/Arity+1)
+		for parent, g := range below {
+			h := t.hashGroup(g)
+			t.store(l, parent, &h)
+		}
+		counts[l-1] = uint64(len(below))
 	}
+	t.root = t.nodeHash(t.levels-1, 0)
 	return counts
 }
 
@@ -298,13 +364,7 @@ func (t *Tree) RebuildFromLeavesByLevel() []uint64 {
 // bookkeeping is untouched: callers follow up with RebuildFromLeavesByLevel,
 // which supersedes any pending propagation. Accounting-only trees record
 // presence without hashing.
-func (t *Tree) ResetLeaf(idx uint64, raw []byte) {
-	if t.accountingOnly {
-		t.nodes[0][idx] = [hashSize]byte{}
-		return
-	}
-	t.nodes[0][idx] = t.digest(idx, raw)
-}
+func (t *Tree) ResetLeaf(idx uint64, raw []byte) { t.setLeaf(idx, raw) }
 
 // Levels returns the tree's level count, including the leaf-digest level
 // (level 0) and the root's level.

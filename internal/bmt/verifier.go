@@ -31,11 +31,11 @@ func (t *Tree) VerifyLeaf(idx uint64, raw []byte) error {
 	if t.accountingOnly {
 		return nil
 	}
-	stored, ok := t.nodes[0][idx]
-	if !ok {
+	g, ok := t.nodes[0][idx/Arity]
+	if !ok || g.present&(1<<(idx%Arity)) == 0 {
 		return fmt.Errorf("bmt: no leaf digest for counter block %d", idx)
 	}
-	if t.digest(idx, raw) != stored {
+	if t.digest(idx, raw) != *g.get(idx % Arity) {
 		return fmt.Errorf("bmt: leaf digest mismatch at counter block %d", idx)
 	}
 	return nil
