@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race bench bench-json perfbench-test nopanic cli-smoke grid-smoke telemetry-smoke fuzz-smoke verify
+.PHONY: all build fmt vet test race bench bench-json perfbench-test nopanic cli-smoke grid-smoke telemetry-smoke fuzz-smoke verify loc
 
 all: verify
 
@@ -13,6 +13,11 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the non-test Go lines outside perfbench/, the size the
+# deletion passes track (ROADMAP item 7).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l
 
 test:
 	$(GO) test ./...

@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	replay := fs.String("replay", "", "run a script recorded with -record instead of -workload")
 	disasm := fs.Bool("disasm", false, "print the first 40 ops of the script before running")
 	asJSON := fs.Bool("json", false, "emit the result as JSON instead of text")
-	faultSeed := fs.Int64("faultseed", 1, "deterministic fault-injection seed (crash/tear decisions)")
+	faultSeed := fs.Int64("faultseed", 1, "deterministic fault-injection seed (picks how many words of the crashed write land)")
 	crashPoint := fs.Uint64("crashpoint", 0, "crash at this persist point, power-cycle and print the recovery report (0 = off)")
 	faultPoints := fs.Bool("faultpoints", false, "count the script's persist points (the -crashpoint index space) and exit")
 	probeOn := fs.Bool("probe", false, "attach the observability plane and export it after the run")

@@ -98,7 +98,7 @@ func (e *Engine) pageCopy(now, src, dst uint64) (uint64, error) {
 		// block flips the destination's minors to zero. A crash here leaves
 		// a mapping whose destination still reads its old content — benign,
 		// and exactly what the sweep's invariant checker proves.
-		if d := e.fiHit(faultinject.PageCopySeam); d.Action == faultinject.ActCrash {
+		if d := e.fiHit(faultinject.PageCopySeam); d.Err != nil {
 			return t, d.Err
 		}
 	}
@@ -144,7 +144,7 @@ func (e *Engine) pageInit(now, dst uint64) (uint64, error) {
 		if t, err = e.storeCoWMapping(t, dst, 0, false); err != nil {
 			return t, err
 		}
-		if d := e.fiHit(faultinject.PageCopySeam); d.Action == faultinject.ActCrash {
+		if d := e.fiHit(faultinject.PageCopySeam); d.Err != nil {
 			return t, d.Err
 		}
 	case SilentShredder:
@@ -234,14 +234,14 @@ func (e *Engine) pagePhyc(now, src, dst uint64) (done uint64, copied int, err er
 			e.Stats.DataWrites++
 			e.Stats.PhycLines++
 			copied++
-			if dec.Action == faultinject.ActCrash {
+			if dec.Err != nil {
 				return wt, copied, dec.Err
 			}
 			// Crash after k of 64 materialised lines: the destination counter
 			// block in NVM still shows every minor zero, so the whole page
 			// keeps redirecting to the (still live) source — no torn
 			// half-copy is visible through the read path.
-			if d := e.fiHit(faultinject.PagePhycLine); d.Action == faultinject.ActCrash {
+			if d := e.fiHit(faultinject.PagePhycLine); d.Err != nil {
 				return wt, copied, d.Err
 			}
 			if wt > done {

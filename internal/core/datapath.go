@@ -27,26 +27,17 @@ func maxU64(a, b uint64) uint64 {
 }
 
 // persistDataLine commits a sealed 64 B data line: its MAC to the MAC store
-// and its image to NVM bytes through the fault plane. A drop leaves the old
-// bytes, a tear merges an 8 B-granular prefix, a crash tears and then
-// unwinds the command. The MAC store always receives the intended image's
-// MAC: like the BMT leaf digests, it describes what *should* be in NVM, so a
-// torn or lost data write is caught as a MAC mismatch on the next read. A
-// landed image enters the fault plane's shadow history as plain, the value a
-// later read should produce, so the crash-sweep oracle can tell
-// stale-but-valid content from corruption. Callers charge device time and
-// stats themselves — injected faults change bytes, never timing.
+// and its image to NVM bytes through persistLine, which a crash can tear.
+// The MAC store always receives the intended image's MAC: like the BMT leaf
+// digests, it describes what *should* be in NVM, so a torn data write is
+// caught as a MAC mismatch on the next read. A landed image enters the
+// fault plane's shadow history as plain, the value a later read should
+// produce, so the crash-sweep oracle can tell stale-but-valid content from
+// corruption. Callers charge device time and stats themselves — an injected
+// crash changes bytes, never timing.
 func (e *Engine) persistDataLine(addr uint64, plain, img *[mem.LineBytes]byte, sum *bmt.Digest) faultinject.Decision {
 	e.storeMAC(mem.LineNo(addr), sum)
-	dec := e.fiHit(e.fiDataPoint)
-	switch dec.Action {
-	case faultinject.ActDrop:
-		// Lost in the queue / dropped by the device: old bytes survive.
-	case faultinject.ActTear, faultinject.ActCrash:
-		e.tornLineWrite(addr, img, dec.KeepWords)
-	default:
-		e.Phys.WriteLine(addr, img)
-	}
+	dec := e.persistLine(e.fiDataPoint, addr, img)
 	if e.fi != nil {
 		e.fi.NoteDataPersist(addr, dec.Landed())
 		if dec.Landed() {
@@ -270,7 +261,7 @@ func (e *Engine) writeLine(now, lineAddr uint64, plain *[mem.LineBytes]byte) (ui
 	// the data write cannot issue before t+pad even under MLP.
 	dataDone := e.Mem.Write(t+e.padNs, lineAddr)
 	e.Stats.DataWrites++
-	if dec.Action == faultinject.ActCrash {
+	if dec.Err != nil {
 		return dataDone, dec.Err
 	}
 	if !ctrChanged {
@@ -317,13 +308,13 @@ func (e *Engine) reencryptPage(now, pfn uint64, blk *ctr.Block, skipLine int) (u
 		wt := e.writeLeg(rt+e.padNs, la)
 		e.Stats.DataWrites++
 		e.Stats.ReencryptedLines++
-		if dec.Action == faultinject.ActCrash {
+		if dec.Err != nil {
 			return wt, dec.Err
 		}
 		// A crash between one line's write and its neighbour's leaves the
 		// page half in the old epoch, half in the new — the recovery scrub
 		// must surface every old-epoch line as a MAC mismatch.
-		if d := e.fiHit(faultinject.ReencryptLine); d.Action == faultinject.ActCrash {
+		if d := e.fiHit(faultinject.ReencryptLine); d.Err != nil {
 			return wt, d.Err
 		}
 		if wt > done {
@@ -338,8 +329,9 @@ func (e *Engine) reencryptPage(now, pfn uint64, blk *ctr.Block, skipLine int) (u
 
 // peekCoWEntry decodes page pfn's supplementary CoW-table entry straight
 // from the durable NVM bytes, side-effect free. Unlike the CoW cache —
-// which may run ahead of NVM when a write is lost in the queue — this is
-// the crash-durable view, and the only one recovery may trust.
+// which runs ahead of NVM under lazy persistence, or when a crash cuts a
+// table write short — this is the crash-durable view, and the only one
+// recovery may trust.
 func (e *Engine) peekCoWEntry(pfn uint64) (src uint64, present bool) {
 	var raw [mem.LineBytes]byte
 	e.Phys.ReadLine(e.cowMetaAddr(pfn), &raw)
@@ -355,7 +347,7 @@ func (e *Engine) peekCoWEntry(pfn uint64) (src uint64, present bool) {
 // durable bytes are authoritative and the historical code path is kept
 // bit-exact. Side-effect free either way.
 func (e *Engine) cowEntryView(pfn uint64) (src uint64, present bool) {
-	if !e.strategy().EagerCoWMeta() {
+	if !e.cfg.Persist.EagerCoWMeta() {
 		if s, p, cached := e.CoWCache.Peek(pfn); cached {
 			return s, p
 		}
@@ -423,21 +415,7 @@ func (e *Engine) writeCoWEntryNVM(now, dst, src uint64, present bool) (uint64, e
 	binary.LittleEndian.PutUint64(raw[off:off+8], v)
 	e.Stats.CoWMetaWrite++
 	done := e.Mem.Write(now, addr)
-	dec := e.fiHit(faultinject.CoWMetaWrite)
-	switch dec.Action {
-	case faultinject.ActDrop:
-		// Entry lost in the queue: NVM keeps the previous mapping while the
-		// CoW cache already serves the new one — the volatile-ahead hazard
-		// the crash test pins down.
-	case faultinject.ActTear, faultinject.ActCrash:
-		e.tornLineWrite(addr, &raw, dec.KeepWords)
-		if dec.Action == faultinject.ActCrash {
-			return done, dec.Err
-		}
-	default:
-		e.Phys.WriteLine(addr, &raw)
-	}
-	return done, nil
+	return done, e.persistLine(faultinject.CoWMetaWrite, addr, &raw).Err
 }
 
 // storeCoWMapping updates the supplementary CoW-metadata region (and its
@@ -453,14 +431,14 @@ func (e *Engine) writeCoWEntryNVM(now, dst, src uint64, present bool) (uint64, e
 // durable mapping through the read path, turning staleness into silent
 // wrongness.
 func (e *Engine) storeCoWMapping(now, dst, src uint64, present bool) (uint64, error) {
-	if e.strategy().EagerCoWMeta() {
+	if e.cfg.Persist.EagerCoWMeta() {
 		if !present {
 			if _, had := e.peekCoWEntry(dst); !had {
 				return now, nil
 			}
 		}
 		// The cache slice holds the controller's intended view; it may run
-		// ahead of NVM if the fault plane loses the write below.
+		// ahead of NVM if a crash cuts the write below short.
 		if present {
 			e.CoWCache.Insert(dst, src, true)
 		} else {

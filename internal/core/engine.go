@@ -154,9 +154,9 @@ type Config struct {
 	// value is FidelityFull. See the Fidelity type for the contract.
 	Fidelity Fidelity
 	// Persist selects the metadata persistence strategy (see
-	// PersistStrategy). nil means strict write-through — the historical
-	// behaviour, kept byte-identical so every zero-value configuration is
-	// unaffected by the strategy plumbing.
+	// PersistStrategy). The zero value is strict write-through — the
+	// historical behaviour, kept byte-identical so every zero-value
+	// configuration is unaffected by the strategy plumbing.
 	Persist PersistStrategy
 	// MLP models memory-level parallelism (see MLPConfig). The zero value
 	// is disabled: every access chain stays fully serial and every report
@@ -370,8 +370,8 @@ func (e *Engine) Layout() Layout { return e.layout }
 
 // AttachFaultPlane wires a deterministic fault-injection plane into every
 // persist point. queueFronted selects the point name data-line persistence
-// reports: with a volatile write queue in front of the device a lost write
-// is queue loss, without one it is a device write drop.
+// reports: queue-loss with a volatile write queue in front of the device,
+// data-write without one.
 func (e *Engine) AttachFaultPlane(p *faultinject.Plane, queueFronted bool) {
 	e.fi = p
 	if queueFronted {
@@ -402,7 +402,7 @@ func (e *Engine) fiHit(pt faultinject.Point) faultinject.Decision {
 		return faultinject.Decision{}
 	}
 	dec := e.fi.Hit(pt)
-	if e.pr != nil && dec.Action != faultinject.ActNone {
+	if e.pr != nil && dec.Err != nil {
 		// Fault decisions fire inside byte-level persist helpers whose time is
 		// charged by their caller, so the event is stamped at the plane's
 		// high-water simulated time.
@@ -411,20 +411,23 @@ func (e *Engine) fiHit(pt faultinject.Point) faultinject.Decision {
 	return dec
 }
 
-// tornLineWrite applies the first keepWords 8-byte words of img on top of
-// the line's current NVM bytes, modelling a write torn at the device's
-// 8-byte atomicity boundary mid-line.
-func (e *Engine) tornLineWrite(addr uint64, img *[mem.LineBytes]byte, keepWords int) {
-	if keepWords <= 0 {
-		return
+// persistLine writes img to the NVM line at addr through fault point pt. The
+// line lands in full unless the power fails at pt: then only the decision's
+// first KeepWords 8-byte words land over the old bytes, a write torn at the
+// device's 8-byte atomicity boundary. The caller propagates the decision's
+// Err.
+func (e *Engine) persistLine(pt faultinject.Point, addr uint64, img *[mem.LineBytes]byte) faultinject.Decision {
+	dec := e.fiHit(pt)
+	switch keep := dec.KeepWords * 8; {
+	case dec.Err == nil || keep >= mem.LineBytes:
+		e.Phys.WriteLine(addr, img)
+	case keep > 0:
+		var line [mem.LineBytes]byte
+		e.Phys.ReadLine(addr, &line)
+		copy(line[:keep], img[:keep])
+		e.Phys.WriteLine(addr, &line)
 	}
-	if keepWords > faultinject.WordsPerLine {
-		keepWords = faultinject.WordsPerLine
-	}
-	var old [mem.LineBytes]byte
-	e.Phys.ReadLine(addr, &old)
-	copy(old[:keepWords*8], img[:keepWords*8])
-	e.Phys.WriteLine(addr, &old)
+	return dec
 }
 
 func (e *Engine) ctrAddr(pfn uint64) uint64 { return e.layout.CounterBase + pfn*ctr.BlockBytes }
@@ -543,10 +546,11 @@ func (e *Engine) installBlock(now, pfn uint64, blk ctr.Block) (uint64, error) {
 
 // persistBlock packs a counter block, refreshes the integrity tree and
 // writes it to the NVM metadata region. Two fault-plane points live here:
-// ctr-write (the block's own 64 B line, tearable at 8 B granularity) and
-// bmt-update (the leaf-digest refresh). The tree always receives the
-// *intended* image while the device may keep a torn one — that divergence
-// is exactly what makes a torn counter write detectable at recovery.
+// ctr-write (the block's own 64 B line, which a crash can tear at 8 B
+// granularity) and bmt-update (the leaf-digest refresh). The tree always
+// receives the *intended* image while the device may keep a torn one — that
+// divergence is exactly what makes a torn counter write detectable at
+// recovery.
 func (e *Engine) persistBlock(now, pfn uint64, blk *ctr.Block) (uint64, error) {
 	var raw [ctr.BlockBytes]byte
 	if err := blk.PackInto(&raw); err != nil {
@@ -558,32 +562,18 @@ func (e *Engine) persistBlock(now, pfn uint64, blk *ctr.Block) (uint64, error) {
 		// Runtime write overhead of the persistence strategy: how many
 		// integrity-tree nodes this counter persist makes durable. Modeled
 		// only — no device traffic or timing — so strict stays bit-exact.
-		e.Stats.TreePersistWrites += e.strategy().NodesPerCounterPersist(e.Tree.Levels())
+		e.Stats.TreePersistWrites += e.cfg.Persist.NodesPerCounterPersist(e.Tree.Levels())
 	}
 	e.initialised.Set(pfn)
 	done := e.Mem.Write(now, addr)
-	dec := e.fiHit(faultinject.CtrWrite)
-	switch dec.Action {
-	case faultinject.ActDrop:
-		// Lost in the volatile queue: neither bytes nor leaf digest change,
-		// leaving the old (stale but self-consistent) epoch in NVM.
-		return done, nil
-	case faultinject.ActTear, faultinject.ActCrash:
-		e.tornLineWrite(addr, &raw, dec.KeepWords)
-		if dec.Action == faultinject.ActCrash {
-			return done, dec.Err
-		}
-	default:
-		e.Phys.WriteLine(addr, &raw)
+	if err := e.persistLine(faultinject.CtrWrite, addr, &raw).Err; err != nil {
+		return done, err
 	}
 	if !e.cfg.NonSecure {
-		if d := e.fiHit(faultinject.BMTUpdate); d.Action != faultinject.ActNone {
+		if err := e.fiHit(faultinject.BMTUpdate).Err; err != nil {
 			// Leaf-digest refresh lost: the stored digest keeps describing the
 			// previous epoch, so the scrub flags this block as torn.
-			if d.Action == faultinject.ActCrash {
-				return done, d.Err
-			}
-			return done, nil
+			return done, err
 		}
 		e.Tree.Update(pfn, raw[:])
 		if e.pr != nil {

@@ -1,6 +1,9 @@
 package core
 
-import "lelantus/internal/mem"
+import (
+	"lelantus/internal/faultinject"
+	"lelantus/internal/mem"
+)
 
 // RecoveryScan returns pass 1's live blocks and pass 3's chain starts as
 // Recover enumerates them. Both are pure reads of the engine's state.
@@ -31,4 +34,9 @@ func (e *Engine) ReferenceScan() (live, starts []uint64) {
 // RecoverReference is Recover over ReferenceScan's lists.
 func (e *Engine) RecoverReference() (*RecoveryReport, error) {
 	return e.scrub(e.ReferenceScan())
+}
+
+// PersistLine is persistLine: one line write through fault point pt.
+func (e *Engine) PersistLine(pt faultinject.Point, addr uint64, img *[mem.LineBytes]byte) faultinject.Decision {
+	return e.persistLine(pt, addr, img)
 }

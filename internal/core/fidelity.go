@@ -27,7 +27,7 @@ import (
 //     behaviours are content-dependent (Silent Shredder's all-zero write
 //     elision and KSM's page compare), and plaintext is what both need.
 //     Integrity violations are NOT detected in this mode, except a data
-//     line whose last persist was torn or lost, which the fault plane
+//     line whose last persist a crash cut short, which the fault plane
 //     remembers — it exists purely to make measurement grids cheap on the
 //     host.
 //

@@ -278,10 +278,10 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 		e.Stats.DataWrites++
 		e.Stats.PhycLines++
 		copied++
-		if dec.Action == faultinject.ActCrash {
+		if dec.Err != nil {
 			return wt, copied, dec.Err
 		}
-		if d := e.fiHit(faultinject.PagePhycLine); d.Action == faultinject.ActCrash {
+		if d := e.fiHit(faultinject.PagePhycLine); d.Err != nil {
 			return wt, copied, d.Err
 		}
 		if wt > done {

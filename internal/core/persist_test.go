@@ -16,6 +16,7 @@ func TestPersistStrategyTables(t *testing.T) {
 		perPersist   uint64
 	}{
 		{StrictPersist(), "strict", true, inner, true, treeLevels},
+		{PersistStrategy{}, "strict", true, inner, true, treeLevels}, // the zero value
 		{PhoenixPersist(), "phoenix", true, 0, false, 1},
 		{TriadPersist(1), "triad:1", false, 0, false, 0},
 		{TriadPersist(2), "triad:2", true, 0, true, 1},
@@ -39,6 +40,9 @@ func TestPersistStrategyTables(t *testing.T) {
 		if got := c.s.NodesPerCounterPersist(treeLevels); got != c.perPersist {
 			t.Errorf("%s: NodesPerCounterPersist(%d) = %d, want %d", c.name, treeLevels, got, c.perPersist)
 		}
+	}
+	if (PersistStrategy{}) != StrictPersist() {
+		t.Errorf("the zero PersistStrategy %+v differs from StrictPersist() %+v", PersistStrategy{}, StrictPersist())
 	}
 }
 

@@ -189,7 +189,7 @@ func (e *Engine) chainStarts(live []uint64, pages uint64) []uint64 {
 // scrub runs the four recovery passes over pass 1's live blocks and pass
 // 3's chain starts, both in pfn order.
 func (e *Engine) scrub(live, starts []uint64) (*RecoveryReport, error) {
-	strat := e.strategy()
+	strat := e.cfg.Persist
 	rep := &RecoveryReport{Scheme: e.cfg.Scheme, Strategy: strat.Name(), FaultSeed: e.fi.Seed(), RootMatched: true}
 	secure := !e.cfg.NonSecure
 	hashing := secure && e.cfg.Fidelity == FidelityFull

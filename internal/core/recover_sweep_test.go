@@ -9,6 +9,8 @@ import (
 	"lelantus/internal/core"
 	"lelantus/internal/ctrcache"
 	"lelantus/internal/faultinject"
+	"lelantus/internal/mem"
+	"lelantus/internal/memctrl"
 	"lelantus/internal/nvm"
 	"lelantus/internal/sim"
 	"lelantus/internal/workload"
@@ -53,7 +55,7 @@ type sweepCell struct {
 
 func cowSweepCells() []sweepCell {
 	var cells []sweepCell
-	strategies := []core.PersistStrategy{nil, core.PhoenixPersist(), core.TriadPersist(1), core.TriadPersist(2)}
+	strategies := []core.PersistStrategy{core.PersistStrategy{}, core.PhoenixPersist(), core.TriadPersist(1), core.TriadPersist(2)}
 	for _, strat := range strategies {
 		for _, s := range []core.Scheme{core.Lelantus, core.LelantusCoW} {
 			for _, mode := range []ctrcache.Mode{ctrcache.WriteBack, ctrcache.WriteThrough} {
@@ -62,7 +64,7 @@ func cowSweepCells() []sweepCell {
 				cfg.Mem.CtrCacheMode = mode
 				cfg.Mem.Core.Persist = strat
 				name, max := s.String()+"/"+mode.String(), 12
-				if strat != nil {
+				if strat != (core.PersistStrategy{}) {
 					name, max = name+"/"+strat.Name(), 6
 				}
 				cells = append(cells, sweepCell{name, cfg, max})
@@ -159,4 +161,61 @@ func TestRecoverMatchesFullScanOnCrashSweep(t *testing.T) {
 		t.Fatal("no sweep point recovered a CoW mapping: the comparison is vacuous")
 	}
 	t.Logf("%d crash points compared", compared)
+}
+
+// TestPersistLineTears pins the bytes a crash leaves in the line it cuts
+// short: the first KeepWords 8-byte words of the new image over the old
+// line. The seeds cover a crash that lands nothing, a torn prefix and the
+// whole line; with the plane disarmed the line lands in full.
+func TestPersistLineTears(t *testing.T) {
+	cfg := memctrl.DefaultConfig(core.Lelantus)
+	cfg.MemBytes = 16 << 20
+	ctl, err := memctrl.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := ctl.Engine
+	addr := mem.LineAddr(3, 5)
+	var old, img, got [mem.LineBytes]byte
+	for i := range old {
+		old[i], img[i] = byte(i), byte(0xF0^i)
+	}
+	var seen [3]bool // KeepWords 0, 1..WordsPerLine-1, WordsPerLine
+	for seed := int64(1); seed <= 64; seed++ {
+		e.Phys.WriteLine(addr, &old)
+		p := faultinject.New(seed)
+		p.ArmCrashAt(1)
+		e.AttachFaultPlane(p, false)
+		d := e.PersistLine(faultinject.DataWrite, addr, &img)
+		if !errors.Is(d.Err, faultinject.ErrCrash) {
+			t.Fatalf("seed %d: decision %+v, want a crash", seed, d)
+		}
+		k := d.KeepWords * 8
+		want := old
+		copy(want[:k], img[:k])
+		e.Phys.ReadLine(addr, &got)
+		if got != want {
+			t.Fatalf("seed %d: KeepWords %d left %x, want %x", seed, d.KeepWords, got, want)
+		}
+		switch d.KeepWords {
+		case 0:
+			seen[0] = true
+		case faultinject.WordsPerLine:
+			seen[2] = true
+		default:
+			seen[1] = true
+		}
+	}
+	if seen != [3]bool{true, true, true} {
+		t.Fatalf("seeds 1..64 cover KeepWords 0 / torn / whole = %v, want all three", seen)
+	}
+
+	e.Phys.WriteLine(addr, &old)
+	e.AttachFaultPlane(faultinject.New(1), false)
+	if d := e.PersistLine(faultinject.DataWrite, addr, &img); d.Err != nil {
+		t.Fatalf("disarmed plane: %v", d.Err)
+	}
+	if e.Phys.ReadLine(addr, &got); got != img {
+		t.Fatalf("disarmed plane left %x, want %x", got, img)
+	}
 }

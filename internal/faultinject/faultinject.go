@@ -2,9 +2,9 @@
 // threaded through the secure-NVM stack. The engine reports every durable
 // metadata/data persist to the plane as a named injection point; the plane
 // decides — deterministically for a given seed and arming — whether that
-// persist lands in full, lands as a torn 8-byte-granular prefix, is lost
-// outright (dropped in a volatile queue), or is the instant the power
-// fails (an injected crash, surfaced as an error wrapping ErrCrash).
+// persist is the instant the power fails (an injected crash, surfaced as an
+// error wrapping ErrCrash) and, if so, how many 8-byte words of its line
+// landed before it did.
 //
 // The simulation is single-threaded and deterministic, so the sequence of
 // Hit calls is reproducible run to run: "crash at persist point N" names
@@ -37,13 +37,12 @@ const (
 	// page_phyc materialisation, re-encryption sweep).
 	DataWrite Point = iota
 	// QueueLoss is the same site when a volatile merging write queue fronts
-	// the device: a drop there models write-queue loss at power failure.
+	// the device.
 	QueueLoss
 	// CtrWrite is a counter-block persist to the NVM metadata region.
 	CtrWrite
 	// BMTUpdate is the leaf-digest update window immediately after a
-	// counter-block persist: a fault here loses the Merkle leaf refresh, a
-	// crash lands mid leaf-to-root update.
+	// counter-block persist: a crash here loses the Merkle leaf refresh.
 	BMTUpdate
 	// CoWMetaWrite is an update of one 8-byte supplementary CoW-table entry
 	// (Lelantus-CoW), performed as a read-modify-write of its 64 B line.
@@ -101,52 +100,23 @@ func tearable(p Point) bool {
 	return false
 }
 
-// Action is what the plane does to one persist.
-type Action uint8
-
-const (
-	// ActNone lets the persist land in full.
-	ActNone Action = iota
-	// ActDrop loses the persist entirely (volatile queue loss): neither the
-	// NVM bytes nor any dependent digest changes.
-	ActDrop
-	// ActTear lands only the first KeepWords 8-byte words of the line.
-	ActTear
-	// ActCrash is a power failure at this persist: KeepWords words land
-	// (0 = nothing, WordsPerLine = everything) and Err must be propagated
-	// up, aborting the run.
-	ActCrash
-)
-
 // Decision is the plane's verdict for one Hit. The zero value means
-// "proceed normally".
+// "proceed normally"; a non-nil Err is a power failure at this persist:
+// KeepWords words of its line landed (0 = nothing, WordsPerLine =
+// everything) and Err must be propagated up, aborting the run.
 type Decision struct {
-	Action    Action
 	KeepWords int
-	// Err is the crash error to propagate (non-nil only for ActCrash).
-	Err error
+	Err       error
 }
 
 // Landed reports whether the full intended image became durable.
 func (d Decision) Landed() bool {
-	switch d.Action {
-	case ActNone:
-		return true
-	case ActTear, ActCrash:
-		return d.KeepWords >= WordsPerLine
-	}
-	return false
+	return d.Err == nil || d.KeepWords >= WordsPerLine
 }
 
 // ErrCrash is the sentinel every injected-crash error wraps; the sweep
 // harness distinguishes it from genuine simulator failures with errors.Is.
 var ErrCrash = errors.New("faultinject: injected crash")
-
-// target addresses the nth Hit of one point (1-based) for directed faults.
-type target struct {
-	point Point
-	nth   uint64
-}
 
 // Plane is the per-machine fault plane. The zero Plane is not usable; a
 // nil *Plane is (every method no-ops), so the engine can hold one
@@ -161,30 +131,21 @@ type Plane struct {
 	crashPoint Point
 	crashHit   uint64
 
-	drops map[target]struct{}
-	tears map[target]struct{}
-
 	shadowOn bool
 	shadow   map[uint64][][mem.LineBytes]byte
 
-	// torn holds the data lines whose last persist did not land in full:
-	// dropped, torn, or cut short by the crash. The full data path detects
-	// such a line by its MAC, which describes the intended image; timing
-	// fidelity computes no MACs and asks the plane instead.
-	torn map[uint64]struct{}
+	// torn is the data line the crash cut short, if any (tornSet). The full
+	// data path detects it by its MAC, which describes the intended image;
+	// timing fidelity computes no MACs and asks the plane instead. The plane
+	// goes inert at the crash, so no other persist can fall short.
+	torn    uint64
+	tornSet bool
 }
 
-// New creates a disarmed plane. The seed determines tear widths (how many
-// 8-byte words of a torn write land), so a fixed seed reproduces the exact
-// same post-crash NVM image.
-func New(seed int64) *Plane {
-	return &Plane{
-		seed:  seed,
-		drops: make(map[target]struct{}),
-		tears: make(map[target]struct{}),
-		torn:  make(map[uint64]struct{}),
-	}
-}
+// New creates a disarmed plane. The seed determines the crash's tear width
+// (how many 8-byte words of the cut-short write land), so a fixed seed
+// reproduces the exact same post-crash NVM image.
+func New(seed int64) *Plane { return &Plane{seed: seed} }
 
 // Seed returns the plane's seed.
 func (p *Plane) Seed() int64 {
@@ -214,12 +175,6 @@ func (p *Plane) PointHits(pt Point) uint64 {
 // ArmCrashAt schedules a crash at the nth global persist point (1-based).
 func (p *Plane) ArmCrashAt(n uint64) { p.crashAt = n }
 
-// ArmDrop makes the nth Hit (1-based) of the given point a lost write.
-func (p *Plane) ArmDrop(pt Point, nth uint64) { p.drops[target{pt, nth}] = struct{}{} }
-
-// ArmTear makes the nth Hit (1-based) of the given point a torn write.
-func (p *Plane) ArmTear(pt Point, nth uint64) { p.tears[target{pt, nth}] = struct{}{} }
-
 // Crashed reports whether the armed crash fired, and where.
 func (p *Plane) Crashed() (Point, uint64, bool) {
 	if p == nil || !p.crashed {
@@ -228,9 +183,8 @@ func (p *Plane) Crashed() (Point, uint64, bool) {
 	return p.crashPoint, p.crashHit, true
 }
 
-// mix is a splitmix64-style hash of (seed, n): tear widths depend only on
-// the seed and the hit index, never on call history, so directed tears and
-// sweep crashes are independently reproducible.
+// mix is a splitmix64-style hash of (seed, n): a crash's tear width depends
+// only on the seed and the hit index, never on call history.
 func mix(seed int64, n uint64) uint64 {
 	z := uint64(seed) + n*0x9E3779B97F4A7C15
 	z ^= z >> 30
@@ -254,24 +208,13 @@ func (p *Plane) Hit(pt Point) Decision {
 		p.crashed = true
 		p.crashPoint = pt
 		p.crashHit = n
-		d := Decision{
-			Action: ActCrash,
-			Err:    fmt.Errorf("%w at %v (persist point %d)", ErrCrash, pt, n),
-		}
+		d := Decision{Err: fmt.Errorf("%w at %v (persist point %d)", ErrCrash, pt, n)}
 		if tearable(pt) {
 			// 0..WordsPerLine: nothing, a torn prefix, or the full line may
 			// have landed before the power died.
 			d.KeepWords = int(mix(p.seed, n) % (WordsPerLine + 1))
 		}
 		return d
-	}
-	tgt := target{pt, p.perPoint[pt]}
-	if _, ok := p.drops[tgt]; ok {
-		return Decision{Action: ActDrop}
-	}
-	if _, ok := p.tears[tgt]; ok {
-		// 1..WordsPerLine-1: a directed tear always leaves a real tear.
-		return Decision{Action: ActTear, KeepWords: 1 + int(mix(p.seed, n)%(WordsPerLine-1))}
 	}
 	return Decision{}
 }
@@ -312,15 +255,12 @@ func (p *Plane) ShadowHistory(addr uint64) [][mem.LineBytes]byte {
 func (p *Plane) NoteDataPersist(addr uint64, landed bool) {
 	switch {
 	case !landed:
-		p.torn[addr] = struct{}{}
-	case len(p.torn) > 0:
-		delete(p.torn, addr)
+		p.torn, p.tornSet = addr, true
+	case p.tornSet && p.torn == addr:
+		p.tornSet = false
 	}
 }
 
 // Torn reports whether a data line's last persist did not land in full, so
 // a MAC check of the line would fail.
-func (p *Plane) Torn(addr uint64) bool {
-	_, ok := p.torn[addr]
-	return ok
-}
+func (p *Plane) Torn(addr uint64) bool { return p.tornSet && p.torn == addr }

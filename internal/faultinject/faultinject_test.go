@@ -12,14 +12,11 @@ func TestCrashFiresAtExactPoint(t *testing.T) {
 	p := New(1)
 	p.ArmCrashAt(3)
 	for i := 1; i <= 2; i++ {
-		if d := p.Hit(CtrWrite); d.Action != ActNone {
-			t.Fatalf("hit %d: action %v before the armed point", i, d.Action)
+		if d := p.Hit(CtrWrite); d != (Decision{}) {
+			t.Fatalf("hit %d: %+v before the armed point", i, d)
 		}
 	}
 	d := p.Hit(DataWrite)
-	if d.Action != ActCrash {
-		t.Fatalf("hit 3: action %v, want crash", d.Action)
-	}
 	if !errors.Is(d.Err, ErrCrash) {
 		t.Fatalf("crash error %v does not wrap ErrCrash", d.Err)
 	}
@@ -28,8 +25,8 @@ func TestCrashFiresAtExactPoint(t *testing.T) {
 		t.Fatalf("Crashed() = %v %d %v, want data-write 3 true", pt, n, ok)
 	}
 	// After the crash the plane is inert: recovery traffic must not fault.
-	if d := p.Hit(CtrWrite); d.Action != ActNone {
-		t.Fatalf("post-crash hit faulted: %v", d.Action)
+	if d := p.Hit(CtrWrite); d != (Decision{}) {
+		t.Fatalf("post-crash hit faulted: %+v", d)
 	}
 	if p.Hits() != 3 {
 		t.Fatalf("Hits() = %d, want 3 (post-crash hits not counted)", p.Hits())
@@ -40,7 +37,6 @@ func TestDecisionsDeterministicForSeed(t *testing.T) {
 	run := func(seed int64) []Decision {
 		p := New(seed)
 		p.ArmCrashAt(5)
-		p.ArmTear(CtrWrite, 2)
 		var out []Decision
 		for i := 0; i < 6; i++ {
 			out = append(out, p.Hit(CtrWrite))
@@ -49,36 +45,19 @@ func TestDecisionsDeterministicForSeed(t *testing.T) {
 	}
 	a, b := run(42), run(42)
 	for i := range a {
-		if a[i].Action != b[i].Action || a[i].KeepWords != b[i].KeepWords {
+		if (a[i].Err == nil) != (b[i].Err == nil) || a[i].KeepWords != b[i].KeepWords {
 			t.Fatalf("hit %d differs across identical seeds: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	if a[1].Action != ActTear || a[1].KeepWords < 1 || a[1].KeepWords >= WordsPerLine {
-		t.Fatalf("directed tear: %+v, want a real 1..%d-word tear", a[1], WordsPerLine-1)
-	}
-	if a[4].Action != ActCrash {
-		t.Fatalf("hit 5: %+v, want crash", a[4])
-	}
-}
-
-func TestDirectedDropTargetsNthHitOfPoint(t *testing.T) {
-	p := New(1)
-	p.ArmDrop(CoWMetaWrite, 2)
-	if d := p.Hit(CoWMetaWrite); d.Action != ActNone {
-		t.Fatalf("first cow-meta hit: %v", d.Action)
-	}
-	if d := p.Hit(DataWrite); d.Action != ActNone {
-		t.Fatalf("unrelated point: %v", d.Action)
-	}
-	if d := p.Hit(CoWMetaWrite); d.Action != ActDrop {
-		t.Fatalf("second cow-meta hit: %v, want drop", d.Action)
+	if a[4].Err == nil || a[4].KeepWords < 0 || a[4].KeepWords > WordsPerLine {
+		t.Fatalf("hit 5: %+v, want a crash keeping 0..%d words", a[4], WordsPerLine)
 	}
 }
 
 func TestNilPlaneIsInert(t *testing.T) {
 	var p *Plane
-	if d := p.Hit(CtrWrite); d.Action != ActNone {
-		t.Fatal("nil plane must decide ActNone")
+	if d := p.Hit(CtrWrite); d != (Decision{}) {
+		t.Fatal("nil plane must decide the zero Decision")
 	}
 	if p.Hits() != 0 || p.Seed() != 0 {
 		t.Fatal("nil plane accessors must be zero")
@@ -110,12 +89,10 @@ func TestLanded(t *testing.T) {
 		d    Decision
 		want bool
 	}{
-		{Decision{Action: ActNone}, true},
-		{Decision{Action: ActDrop}, false},
-		{Decision{Action: ActTear, KeepWords: 3}, false},
-		{Decision{Action: ActTear, KeepWords: WordsPerLine}, true},
-		{Decision{Action: ActCrash, KeepWords: 0}, false},
-		{Decision{Action: ActCrash, KeepWords: WordsPerLine}, true},
+		{Decision{}, true},
+		{Decision{KeepWords: 0, Err: ErrCrash}, false},
+		{Decision{KeepWords: 3, Err: ErrCrash}, false},
+		{Decision{KeepWords: WordsPerLine, Err: ErrCrash}, true},
 	}
 	for i, c := range cases {
 		if c.d.Landed() != c.want {

@@ -117,18 +117,10 @@ func New(cfg Config) (*Controller, error) {
 		tree.DisableHashing()
 	}
 
-	ctrBytes := cfg.CtrCacheBytes
-	cowBytes := uint64(0)
-	var cowCache *ctrcache.CoWCache
-	if cfg.Core.Scheme == core.LelantusCoW {
-		cowBytes = cfg.CoWReserveBytes
-		if cowBytes >= ctrBytes {
-			return nil, fmt.Errorf("memctrl: CoW reserve %d must be smaller than counter cache %d", cowBytes, ctrBytes)
-		}
-		ctrBytes -= cowBytes
+	cc, cowCache, err := counterCaches(cfg)
+	if err != nil {
+		return nil, err
 	}
-	cowCache = ctrcache.NewCoW(cowBytes)
-	cc := ctrcache.New(ctrBytes, cfg.CtrCacheWays, cfg.CtrCacheMode, cfg.CtrCacheLatNs)
 
 	eng := core.NewEngine(cfg.Core, layout, phys, dev, encEng, tree, macs, cc, cowCache)
 	ctl := &Controller{
@@ -414,8 +406,10 @@ func (c *Controller) ZeroPageFull(now, dst uint64, nonTemporal bool) (uint64, er
 // issued at the crash timestamp, as the residual-energy burst would.
 // Without it, counter updates still sitting in the cache are lost; affected
 // lines are detected (MAC mismatch) on their next read rather than silently
-// corrupted. The data caches are emptied in place (cache.Hierarchy.Reset),
-// so a crash allocates no new hierarchy.
+// corrupted. The write queue is a timing model: every line reached
+// mem.Physical when it was written, so a crash loses only the queue's
+// timing state. The data caches are emptied in place
+// (cache.Hierarchy.Reset), so a crash allocates no new hierarchy.
 func (c *Controller) Crash(now uint64, batteryBacked bool) error {
 	if batteryBacked {
 		if _, err := c.Engine.DrainMetadata(now); err != nil {
@@ -425,23 +419,33 @@ func (c *Controller) Crash(now uint64, batteryBacked bool) error {
 			c.Queue.Flush(now)
 		}
 	} else if c.Queue != nil {
-		// The volatile write queue's contents are lost; affected lines are
-		// detected on their next read (MAC mismatch), never silent.
+		// Only the queue's timing state is lost: its lines are already in
+		// mem.Physical.
 		c.Queue = nvm.NewQueue(*c.cfg.WriteQueue, c.Dev)
 		c.Engine.Mem = c.Queue
 	}
 	c.Caches.Reset()
-	ctrBytes := c.cfg.CtrCacheBytes
-	cowBytes := uint64(0)
-	if c.cfg.Core.Scheme == core.LelantusCoW {
-		cowBytes = c.cfg.CoWReserveBytes
+	cc, cowCache, err := counterCaches(c.cfg)
+	if err != nil {
+		return err
+	}
+	c.Engine.ResetVolatile(cc, cowCache)
+	return nil
+}
+
+// counterCaches builds an empty counter cache and its CoW-mapping slice:
+// Lelantus-CoW reserves CoWReserveBytes of the counter cache for the slice,
+// every other scheme gets an empty one.
+func counterCaches(cfg Config) (*ctrcache.Cache, *ctrcache.CoWCache, error) {
+	ctrBytes, cowBytes := cfg.CtrCacheBytes, uint64(0)
+	if cfg.Core.Scheme == core.LelantusCoW {
+		cowBytes = cfg.CoWReserveBytes
+		if cowBytes >= ctrBytes {
+			return nil, nil, fmt.Errorf("memctrl: CoW reserve %d must be smaller than counter cache %d", cowBytes, ctrBytes)
+		}
 		ctrBytes -= cowBytes
 	}
-	c.Engine.ResetVolatile(
-		ctrcache.New(ctrBytes, c.cfg.CtrCacheWays, c.cfg.CtrCacheMode, c.cfg.CtrCacheLatNs),
-		ctrcache.NewCoW(cowBytes),
-	)
-	return nil
+	return ctrcache.New(ctrBytes, cfg.CtrCacheWays, cfg.CtrCacheMode, cfg.CtrCacheLatNs), ctrcache.NewCoW(cowBytes), nil
 }
 
 // Recover runs the post-crash metadata scrub (see core.Engine.Recover).

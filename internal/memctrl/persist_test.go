@@ -56,7 +56,7 @@ func exerciseCoW(t *testing.T, c *Controller) {
 // exactly the schemes with the most durable pointers to chase.
 func TestRecoveryNsFormulaPerPass(t *testing.T) {
 	strategies := []core.PersistStrategy{
-		nil, // defaults to strict
+		core.PersistStrategy{}, // the zero value is strict
 		core.StrictPersist(),
 		core.PhoenixPersist(),
 		core.TriadPersist(1),
@@ -65,11 +65,7 @@ func TestRecoveryNsFormulaPerPass(t *testing.T) {
 	}
 	for _, scheme := range []core.Scheme{core.Lelantus, core.LelantusCoW} {
 		for _, strat := range strategies {
-			eff := strat
-			if eff == nil {
-				eff = core.StrictPersist()
-			}
-			t.Run(scheme.String()+"/"+eff.Name(), func(t *testing.T) {
+			t.Run(scheme.String()+"/"+strat.Name(), func(t *testing.T) {
 				c := persistCtl(t, scheme, strat)
 				exerciseCoW(t, c)
 				if err := c.Crash(0, true); err != nil {
@@ -79,13 +75,13 @@ func TestRecoveryNsFormulaPerPass(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep.Strategy != eff.Name() {
-					t.Fatalf("report strategy %q, want %q", rep.Strategy, eff.Name())
+				if rep.Strategy != strat.Name() {
+					t.Fatalf("report strategy %q, want %q", rep.Strategy, strat.Name())
 				}
 				if rep.CoWMappings == 0 || rep.ChainReads == 0 {
 					t.Fatalf("workload must exercise pass 3: %+v", rep)
 				}
-				if eff.LeafDigestsDurable() {
+				if strat.LeafDigestsDurable() {
 					if rep.LeavesRebuilt != 0 {
 						t.Fatalf("durable leaves must not be rebuilt: %+v", rep)
 					}
@@ -97,7 +93,7 @@ func TestRecoveryNsFormulaPerPass(t *testing.T) {
 
 				R := c.Dev.Config().ReadNs
 				V := c.Config().Core.VerifyNs
-				durable := eff.DurableInnerLevels(len(rep.NodesByLevel))
+				durable := strat.DurableInnerLevels(len(rep.NodesByLevel))
 				want := rep.BlocksScanned*(R+V) + rep.LeavesRebuilt*V
 				for l, n := range rep.NodesByLevel {
 					cost := V

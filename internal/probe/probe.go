@@ -51,8 +51,8 @@ const (
 	// EvOverflow is a minor-counter overflow re-encryption sweep; Arg is the
 	// number of lines re-encrypted.
 	EvOverflow
-	// EvFault is a fault-injection decision that perturbed a persist
-	// (drop/tear/crash); Arg is the faultinject.Point.
+	// EvFault is an injected crash at a persist point; Arg is the
+	// faultinject.Point.
 	EvFault
 	// EvKernelFault is a kernel write-protect fault; Arg is 0 for
 	// demand-zero, 1 for CoW copy, 2 for exclusive-owner reuse.

@@ -63,10 +63,10 @@ type sweepCell struct {
 }
 
 // sweepStrategies is the persistence-strategy axis of the sweep matrix. The
-// nil entry is the historical strict default and keeps the historical cell
-// names, so pre-existing sweep artefacts stay comparable.
+// zero value is the strict default and keeps the historical cell names, so
+// pre-existing sweep artefacts stay comparable.
 func sweepStrategies() []core.PersistStrategy {
-	return []core.PersistStrategy{nil, core.PhoenixPersist(), core.TriadPersist(1), core.TriadPersist(2)}
+	return []core.PersistStrategy{core.PersistStrategy{}, core.PhoenixPersist(), core.TriadPersist(1), core.TriadPersist(2)}
 }
 
 func sweepConfigs() []sweepCell {
@@ -83,7 +83,7 @@ func sweepConfigs() []sweepCell {
 					name = s.String() + "/wt"
 				}
 				max := 0
-				if strat != nil {
+				if strat != (core.PersistStrategy{}) {
 					name += "/" + strat.Name()
 					max = 6
 				}
@@ -91,7 +91,7 @@ func sweepConfigs() []sweepCell {
 			}
 		}
 	}
-	// One write-queue-fronted cell: lost writes become queue loss.
+	// One write-queue-fronted cell: data writes report queue-loss.
 	cfg := DefaultConfig(core.LelantusCoW)
 	cfg.Mem.MemBytes = 16 << 20
 	q := nvm.DefaultQueueConfig()

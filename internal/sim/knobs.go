@@ -37,7 +37,7 @@ const (
 // device's default geometry.
 type Knobs struct {
 	Fidelity core.Fidelity
-	// Persist is the metadata persistence strategy (nil = strict).
+	// Persist is the metadata persistence strategy (the zero value is strict).
 	Persist core.PersistStrategy
 	// MLP carries the mlp and mshrs knobs.
 	MLP core.MLPConfig
@@ -83,12 +83,7 @@ var knobTable = []knob{
 		get: func(k *Knobs) string { return k.Fidelity.String() }},
 	{name: "persist", usage: "metadata persistence strategy: strict | phoenix | triad:N",
 		set: func(k *Knobs, v string) (err error) { k.Persist, err = core.ParsePersist(v); return err },
-		get: func(k *Knobs) string {
-			if k.Persist == nil {
-				return "strict"
-			}
-			return k.Persist.Name()
-		}},
+		get: func(k *Knobs) string { return k.Persist.Name() }},
 	{name: "mlp", usage: "memory-level parallelism: off (serial engine) | on (MSHR-overlapped metadata path); measurements change, traffic does not",
 		set: func(k *Knobs, v string) (err error) { k.MLP.Enabled, err = core.ParseMLP(v); return err },
 		get: func(k *Knobs) string {

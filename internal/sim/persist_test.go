@@ -28,18 +28,16 @@ func persistRun(t *testing.T, scheme core.Scheme, strat core.PersistStrategy) Re
 	return res
 }
 
-// TestStrictPersistEquivalence is the backward-compatibility gate for the
-// strategy extraction: a machine configured with an explicit StrictPersist
-// must produce byte-identical results to the historical nil default, for
-// every scheme. The refactor moved every persist point behind the strategy
-// interface; this test proves the strict path is the same code in the same
-// order.
+// TestStrictPersistEquivalence is the end-to-end gate on the default
+// strategy: a machine whose config leaves Persist unset (the zero
+// PersistStrategy) must produce byte-identical results to one configured
+// with an explicit StrictPersist, for every scheme.
 func TestStrictPersistEquivalence(t *testing.T) {
 	for _, s := range core.Schemes() {
 		t.Run(s.String(), func(t *testing.T) {
-			nilRes := persistRun(t, s, nil)
+			zeroRes := persistRun(t, s, core.PersistStrategy{})
 			strictRes := persistRun(t, s, core.StrictPersist())
-			jn, err := json.Marshal(nilRes)
+			jz, err := json.Marshal(zeroRes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,8 +45,8 @@ func TestStrictPersistEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(jn, js) {
-				t.Errorf("explicit strict diverges from nil default:\nnil:    %s\nstrict: %s", jn, js)
+			if !bytes.Equal(jz, js) {
+				t.Errorf("explicit strict diverges from the unset default:\nunset:  %s\nstrict: %s", jz, js)
 			}
 		})
 	}

@@ -14,7 +14,7 @@ import (
 // probeRun executes a small forkbench on a fresh machine with a fresh plane
 // attached and returns the plane. The write queue is enabled so the queue
 // occupancy distribution is exercised too; strat selects the persistence
-// strategy (nil = strict).
+// strategy (the zero value is strict).
 func probeRun(t *testing.T, sampleNs uint64, strat core.PersistStrategy) *probe.Plane {
 	t.Helper()
 	cfg := DefaultConfig(core.Lelantus)
@@ -37,7 +37,7 @@ func probeRun(t *testing.T, sampleNs uint64, strat core.PersistStrategy) *probe.
 // the full plane fills in: command, data-path, cache, kernel and sampling
 // channels all observe events with coherent simulated-time stamps.
 func TestProbeEndToEnd(t *testing.T) {
-	pl := probeRun(t, 1_000_000, nil)
+	pl := probeRun(t, 1_000_000, core.PersistStrategy{})
 	for _, k := range []probe.Kind{
 		probe.EvRead, probe.EvWrite, probe.EvPageCopy, probe.EvPageInit,
 		probe.EvCtrHit, probe.EvCtrMiss, probe.EvKernelFault,
@@ -77,7 +77,7 @@ func TestProbeEndToEnd(t *testing.T) {
 // events fire.
 func TestProbeDeterministicExports(t *testing.T) {
 	strategies := map[string]core.PersistStrategy{
-		"strict":  nil,
+		"strict":  {},
 		"phoenix": core.PhoenixPersist(),
 		"triad:1": core.TriadPersist(1),
 	}
@@ -125,14 +125,10 @@ func TestProbeDeterministicExports(t *testing.T) {
 // class: exactly four contiguous pass spans whose durations re-derive from
 // the recovery report's per-pass cost model.
 func TestProbeRecoveryEventsPerStrategy(t *testing.T) {
-	strategies := []core.PersistStrategy{nil, core.PhoenixPersist(), core.TriadPersist(1), core.TriadPersist(2)}
+	strategies := []core.PersistStrategy{core.PersistStrategy{}, core.PhoenixPersist(), core.TriadPersist(1), core.TriadPersist(2)}
 	for _, strat := range strategies {
-		name := "strict"
-		if strat != nil {
-			name = strat.Name()
-		}
 		strat := strat
-		t.Run(name, func(t *testing.T) {
+		t.Run(strat.Name(), func(t *testing.T) {
 			cfg := DefaultConfig(core.LelantusCoW)
 			cfg.Mem.MemBytes = 16 << 20
 			cfg.Mem.Core.Persist = strat
@@ -163,11 +159,7 @@ func TestProbeRecoveryEventsPerStrategy(t *testing.T) {
 			}
 			R := m.Ctl.Dev.Config().ReadNs
 			V := cfg.Mem.Core.VerifyNs
-			eff := strat
-			if eff == nil {
-				eff = core.StrictPersist()
-			}
-			durable := eff.DurableInnerLevels(len(rep.NodesByLevel))
+			durable := strat.DurableInnerLevels(len(rep.NodesByLevel))
 			var pass2 uint64
 			for l, n := range rep.NodesByLevel {
 				cost := V
@@ -197,7 +189,7 @@ func TestProbeRecoveryEventsPerStrategy(t *testing.T) {
 					t.Errorf("pass %d span not contiguous with pass %d", i+1, i)
 				}
 			}
-			if !eff.LeafDigestsDurable() && rep.LeavesRebuilt == 0 {
+			if !strat.LeafDigestsDurable() && rep.LeavesRebuilt == 0 {
 				t.Error("counters-only strategy must rebuild leaf digests in pass 1")
 			}
 			if rep.ChainReads == 0 {

@@ -98,7 +98,7 @@ func Schemes() []Scheme { return core.Schemes() }
 // PersistStrategy selects the metadata persistence policy: which integrity
 // metadata (BMT leaf digests, inner nodes) persists alongside every counter
 // write and whether supplementary CoW-table updates write through eagerly.
-// Set it via Config.Mem.Core.Persist; nil means strict write-through.
+// Set it via Config.Mem.Core.Persist; the zero value is strict write-through.
 type PersistStrategy = core.PersistStrategy
 
 // StrictPersist is the strict write-through strategy (the default): every
