@@ -154,10 +154,12 @@ telemetry-smoke:
 	@rm -rf /tmp/lelantus-telemetry-smoke /tmp/lelantus-telemetry-smoke.err \
 	    /tmp/lelantus-telemetry-smoke.prom /tmp/lelantus-telemetry-smoke-bin
 
-# Fuzz smoke: ten seconds of the differential fuzz that checks the integrity
-# tree's short Verify against the full leaf-to-root walk (its seed corpus
-# already runs under `test`).
+# Fuzz smoke: ten seconds each of the two differential fuzzes in
+# internal/bmt (their seed corpora already run under `test`): the integrity
+# tree's short Verify against the full leaf-to-root walk, and the GMAC data
+# MAC's verdicts against the HMAC-SHA256 reference's.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyVsFullWalk$$' -fuzztime 10s ./internal/bmt
+	$(GO) test -run '^$$' -fuzz '^FuzzMACVsHMAC$$' -fuzztime 10s ./internal/bmt
 
 verify: build fmt vet nopanic test perfbench-test race cli-smoke grid-smoke telemetry-smoke fuzz-smoke

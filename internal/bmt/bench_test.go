@@ -71,7 +71,7 @@ func BenchmarkTreeUpdateVerify(b *testing.B) {
 }
 
 func BenchmarkMACSum(b *testing.B) {
-	s := NewMACStore([]byte("bench-mac-key"))
+	s := newMACStore(b, "bench-mac-key")
 	ciph := blockBytes(9)
 	b.ReportAllocs()
 	for i := range b.N {
@@ -82,7 +82,7 @@ func BenchmarkMACSum(b *testing.B) {
 // TestBenchBodiesAllocFree pins 0 allocs/op on the benchmark bodies.
 func TestBenchBodiesAllocFree(t *testing.T) {
 	tb := newTreeBench()
-	s := NewMACStore([]byte("bench-mac-key"))
+	s := newMACStore(t, "bench-mac-key")
 	ciph := blockBytes(9)
 	for name, body := range map[string]func(){
 		"TreeVerify":       func() { _ = tb.verify() },

@@ -7,9 +7,15 @@
 // Following the Bonsai construction, only counter blocks are covered by the
 // tree; data blocks are protected by a MAC computed over (ciphertext,
 // address, counter), which the counter's freshness guarantee makes
-// replay-proof. Leaf digests are durable beside their counter blocks, while
-// the tree interior and the root register are on-chip state, and on chip
-// means trusted. Verify therefore stops at the first on-chip node, as
+// replay-proof. The data MAC is a Carter-Wegman tag, AES-GCM used as a MAC
+// (GMAC) over the pad's nonce, as in Intel's SGX memory encryption engine
+// (Gueron, 2016): tag = GHASH_H(ciphertext ‖ line) ⊕ AES_K(J0(line, major,
+// minor)). The tree keeps HMAC-SHA256, since a Merkle tree needs a
+// collision-resistant hash, not a nonce-based MAC.
+//
+// Leaf digests are durable beside their counter blocks, while the tree
+// interior and the root register are on-chip state, and on chip means
+// trusted. Verify therefore stops at the first on-chip node, as
 // hardware does: it recomputes the block's level-1 parent from the
 // candidate digest and the seven stored sibling digests, and compares it
 // with the stored level-1 node. A tampered block or a tampered stored leaf
@@ -17,13 +23,14 @@
 //
 // The implementation is built for the simulator's hot path:
 //
-//   - One HMAC state per Tree/MACStore, reused via Reset(): crypto/hmac
-//     caches the padded-key states after the first Sum, so a reset is a
-//     small fixed-size restore instead of a fresh key schedule, and no
-//     per-operation allocation happens. Scratch buffers live in the struct
-//     so nothing passed to the hash interface escapes to the heap. The
-//     price is that a Tree or MACStore must not be used concurrently —
-//     which the per-machine simulator never does.
+//   - One HMAC state per Tree, reused via Reset(): crypto/hmac caches the
+//     padded-key states after the first Sum, so a reset is a small
+//     fixed-size restore instead of a fresh key schedule, and no
+//     per-operation allocation happens. A MACStore likewise keeps one GCM
+//     state. Scratch buffers live in the struct so nothing passed to the
+//     hash or AEAD interface escapes to the heap. The price is that a Tree
+//     or MACStore must not be used concurrently — which the per-machine
+//     simulator never does.
 //   - Siblings are stored together: every level keeps its hashes in groups
 //     of Arity keyed by the parent's index, laid out as the parent's hash
 //     input, so hashing a parent is one map lookup and one 256-byte write.
@@ -44,6 +51,8 @@
 package bmt
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
 	"fmt"
@@ -380,32 +389,68 @@ const macPageLines = 64
 // macPage holds one data page's MACs plus a presence bitmask.
 type macPage struct {
 	present uint64
-	sums    [macPageLines][hashSize]byte
+	tags    [macPageLines]Tag
 }
 
 // MACStore holds the per-line data MACs. A line's MAC binds the ciphertext
 // to its address and encryption counter, so stale or relocated ciphertext
-// fails verification. Not safe for concurrent use (single reusable HMAC
-// state, like Tree).
+// fails verification. Not safe for concurrent use (single reusable GCM
+// state, like Tree's HMAC).
 //
-// Verify and Sum compute with the store's own HMAC state; a write installs
+// The tag is GMAC: AES-128-GCM sealing no plaintext, with the 64
+// ciphertext bytes ‖ the line number as additional data and the pad's
+// input tuple line ‖ major ‖ minor as a 17-byte nonce, which is injective
+// over every (line, major, minor). DESIGN §4 invariant 3 (no pad reuse) is
+// the nonce uniqueness a Carter-Wegman tag needs. GHASH is linear in its
+// input, so while the hash key H = AES_K(0^128) is non-zero any change
+// confined to one 16-byte block of the ciphertext changes the tag;
+// NewMACStore refuses a zero H.
+//
+// Verify and Sum compute with the store's own GCM state; a write installs
 // a line's Sum with StoreSum.
 type MACStore struct {
 	pages []*macPage
 
-	// mac is the reusable keyed HMAC state and hdrBuf/sumBuf its scratch
-	// buffers; ciphBuf is a reusable copy of the ciphertext, so the
-	// caller's (often stack-resident) buffer does not escape through the
-	// hash interface.
-	mac     hash.Hash
-	hdrBuf  [17]byte
-	sumBuf  [hashSize]byte
-	ciphBuf []byte
+	// gcm is the keyed GCM state; nonce, ad and tag are the buffers handed
+	// to it (struct fields, so the caller's often stack-resident ciphertext
+	// does not escape through the AEAD interface). ad is a reusable copy of
+	// the ciphertext ‖ line.
+	gcm   cipher.AEAD
+	nonce [macNonceBytes]byte
+	ad    []byte
+	tag   Tag
 }
 
-// NewMACStore creates an empty MAC store with the given key.
-func NewMACStore(key []byte) *MACStore {
-	return &MACStore{mac: hmac.New(sha256.New, key)}
+// macNonceBytes is the nonce: line (8) ‖ major (8) ‖ minor (1).
+const macNonceBytes = 17
+
+// NewMACStore creates an empty MAC store. The AES-128 key is the first 16
+// bytes of SHA-256(key), so any key string works. It fails when the GHASH
+// key H = AES_K(0^128) is zero, under which GHASH would ignore its input.
+func NewMACStore(key []byte) (*MACStore, error) {
+	k := sha256.Sum256(key)
+	block, err := aes.NewCipher(k[:16])
+	if err != nil {
+		return nil, fmt.Errorf("bmt: MAC key: %w", err)
+	}
+	var h [aes.BlockSize]byte
+	block.Encrypt(h[:], h[:])
+	if err := checkHashKey(h); err != nil {
+		return nil, err
+	}
+	g, err := cipher.NewGCMWithNonceSize(block, macNonceBytes)
+	if err != nil {
+		return nil, fmt.Errorf("bmt: MAC key: %w", err)
+	}
+	return &MACStore{gcm: g}, nil
+}
+
+// checkHashKey refuses the all-zero GHASH key.
+func checkHashKey(h [aes.BlockSize]byte) error {
+	if h == [aes.BlockSize]byte{} {
+		return fmt.Errorf("bmt: MAC key gives a zero GHASH key")
+	}
+	return nil
 }
 
 // page returns the MAC page for a line number, materialising it if create

@@ -131,32 +131,63 @@ func TestQuickUpdateVerify(t *testing.T) {
 }
 
 func TestMACStore(t *testing.T) {
-	s := NewMACStore([]byte("mac-key"))
+	s := newMACStore(t, "mac-key")
 	ciph := blockBytes(6)
-	s.StoreSum(99, s.Sum(99, ciph, 4, 2))
-	if err := s.Verify(99, ciph, 4, 2); err != nil {
+	const line, major, minor = 99, 4, 2
+	s.StoreSum(line, s.Sum(line, ciph, major, minor))
+	if err := s.Verify(line, ciph, major, minor); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 	// Wrong counter: replayed data under a stale counter must fail.
-	if err := s.Verify(99, ciph, 4, 1); err == nil {
+	if err := s.Verify(line, ciph, major, minor-1); err == nil {
 		t.Fatal("stale minor accepted")
 	}
-	if err := s.Verify(99, ciph, 3, 2); err == nil {
+	if err := s.Verify(line, ciph, major-1, minor); err == nil {
 		t.Fatal("stale major accepted")
 	}
-	// Tampered data.
-	mut := append([]byte(nil), ciph...)
-	mut[0] ^= 1
-	if err := s.Verify(99, mut, 4, 2); err == nil {
-		t.Fatal("tampered ciphertext accepted")
+	// Every single-bit flip of the ciphertext is confined to one 16-byte
+	// GHASH block, so with H != 0 each one is refused with certainty.
+	for bit := 0; bit < len(ciph)*8; bit++ {
+		mut := append([]byte(nil), ciph...)
+		mut[bit/8] ^= 1 << (bit % 8)
+		if err := s.Verify(line, mut, major, minor); err == nil {
+			t.Fatalf("ciphertext bit %d flip accepted", bit)
+		}
+	}
+	// Every single-bit change of either counter changes the nonce.
+	for bit := 0; bit < 64; bit++ {
+		if err := s.Verify(line, ciph, major^1<<bit, minor); err == nil {
+			t.Fatalf("major bit %d flip accepted", bit)
+		}
+	}
+	for bit := 0; bit < 8; bit++ {
+		if err := s.Verify(line, ciph, major, minor^1<<bit); err == nil {
+			t.Fatalf("minor bit %d flip accepted", bit)
+		}
+	}
+	// The same ciphertext and tag moved to a neighbouring line, or to any
+	// line one of the low 20 line-number bits away, is refused.
+	tag := s.Sum(line, ciph, major, minor)
+	moves := []uint64{line - 1, line + 1}
+	for bit := 0; bit < 20; bit++ {
+		moves = append(moves, line^1<<bit)
+	}
+	for _, to := range moves {
+		m := newMACStore(t, "mac-key")
+		m.StoreSum(to, tag)
+		if err := m.Verify(to, ciph, major, minor); err == nil {
+			t.Fatalf("line %#x moved to %#x accepted", line, to)
+		}
 	}
 	// Unknown lines verify trivially (never written).
 	if err := s.Verify(1234, ciph, 0, 0); err != nil {
 		t.Fatalf("unknown line must verify: %v", err)
 	}
 	// Dropped MACs forget the line.
-	s.Drop(99)
-	if err := s.Verify(99, mut, 4, 2); err != nil {
+	mut := append([]byte(nil), ciph...)
+	mut[0] ^= 1
+	s.Drop(line)
+	if err := s.Verify(line, mut, major, minor); err != nil {
 		t.Fatalf("dropped line must verify trivially: %v", err)
 	}
 }

@@ -155,7 +155,7 @@ func TestTreeSteadyStateAllocFree(t *testing.T) {
 // TestMACStoreSteadyStateAllocFree: recomputing and refreshing an existing
 // line MAC must not allocate.
 func TestMACStoreSteadyStateAllocFree(t *testing.T) {
-	s := NewMACStore([]byte("alloc-mac-key"))
+	s := newMACStore(t, "alloc-mac-key")
 	ciph := make([]byte, 64)
 	s.StoreSum(42, s.Sum(42, ciph, 3, 1))
 	avg := testing.AllocsPerRun(500, func() {

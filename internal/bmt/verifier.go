@@ -5,9 +5,9 @@ import (
 	"fmt"
 )
 
-// Digest is one HMAC-SHA256 sum, exported so a data-line write can carry
-// the MAC it sealed into a StoreSum commit.
-type Digest [hashSize]byte
+// Tag is one data-line MAC, a 16-byte GCM tag, exported so a data-line
+// write can carry the MAC it sealed into a StoreSum commit.
+type Tag [16]byte
 
 // digest is the leaf digest of counter block idx with content raw.
 func (t *Tree) digest(idx uint64, raw []byte) [hashSize]byte {
@@ -43,16 +43,13 @@ func (t *Tree) VerifyLeaf(idx uint64, raw []byte) error {
 
 // Sum returns the MAC binding (ciphertext, address, counter): the value
 // StoreSum installs.
-func (s *MACStore) Sum(lineNo uint64, ciph []byte, major uint64, minor uint8) Digest {
-	binary.LittleEndian.PutUint64(s.hdrBuf[0:8], lineNo)
-	binary.LittleEndian.PutUint64(s.hdrBuf[8:16], major)
-	s.hdrBuf[16] = minor
-	s.ciphBuf = append(s.ciphBuf[:0], ciph...)
-	s.mac.Reset()
-	s.mac.Write(s.hdrBuf[:])
-	s.mac.Write(s.ciphBuf)
-	s.mac.Sum(s.sumBuf[:0])
-	return s.sumBuf
+func (s *MACStore) Sum(lineNo uint64, ciph []byte, major uint64, minor uint8) Tag {
+	binary.LittleEndian.PutUint64(s.nonce[0:8], lineNo)
+	binary.LittleEndian.PutUint64(s.nonce[8:16], major)
+	s.nonce[16] = minor
+	s.ad = binary.LittleEndian.AppendUint64(append(s.ad[:0], ciph...), lineNo)
+	s.gcm.Seal(s.tag[:0], s.nonce[:], nil, s.ad)
+	return s.tag
 }
 
 // Verify checks a line read from NVM. Lines never written (e.g. demand-zero
@@ -66,7 +63,7 @@ func (s *MACStore) Verify(lineNo uint64, ciph []byte, major uint64, minor uint8)
 	if p.present&(1<<slot) == 0 {
 		return nil
 	}
-	if s.Sum(lineNo, ciph, major, minor) != p.sums[slot] {
+	if s.Sum(lineNo, ciph, major, minor) != p.tags[slot] {
 		return MACMismatch(lineNo)
 	}
 	return nil
@@ -74,9 +71,9 @@ func (s *MACStore) Verify(lineNo uint64, ciph []byte, major uint64, minor uint8)
 
 // StoreSum installs a line's MAC (a Sum): the commit half of every
 // data-line write.
-func (s *MACStore) StoreSum(lineNo uint64, sum Digest) {
+func (s *MACStore) StoreSum(lineNo uint64, sum Tag) {
 	p := s.page(lineNo, true)
 	slot := lineNo % macPageLines
-	p.sums[slot] = sum
+	p.tags[slot] = sum
 	p.present |= 1 << slot
 }

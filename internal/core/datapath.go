@@ -35,7 +35,7 @@ func maxU64(a, b uint64) uint64 {
 // produce, so the crash-sweep oracle can tell stale-but-valid content from
 // corruption. Callers charge device time and stats themselves — an injected
 // crash changes bytes, never timing.
-func (e *Engine) persistDataLine(addr uint64, plain, img *[mem.LineBytes]byte, sum *bmt.Digest) faultinject.Decision {
+func (e *Engine) persistDataLine(addr uint64, plain, img *[mem.LineBytes]byte, sum *bmt.Tag) faultinject.Decision {
 	e.storeMAC(mem.LineNo(addr), sum)
 	dec := e.persistLine(e.fiDataPoint, addr, img)
 	if e.fi != nil {

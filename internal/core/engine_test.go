@@ -34,7 +34,10 @@ func sizedEngine(t testing.TB, scheme Scheme, pages uint64, mode ctrcache.Mode, 
 		t.Fatal(err)
 	}
 	tree := bmt.New([]byte("tree"), pages)
-	macs := bmt.NewMACStore([]byte("macs"))
+	macs, err := bmt.NewMACStore([]byte("macs"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := NewEngine(cfg, layout, phys, dev, encEng, tree, macs, ctrcache.New(8<<10, 4, mode, 2), ctrcache.NewCoW(512))
 	e.ZeroPFN = pages - 1
 	return e

@@ -120,7 +120,7 @@ func (c *lineCrypto) open(addr, major uint64, minor uint8, img *[mem.LineBytes]b
 // seal makes the at-rest image of plaintext for line lineNo under counter
 // (major, minor) and the MAC the store must hold for it: encrypt, then MAC.
 // With plaintext at rest the image is the plaintext and there is no MAC.
-func (c *lineCrypto) seal(lineNo, major uint64, minor uint8, plain *[mem.LineBytes]byte) (img [mem.LineBytes]byte, sum bmt.Digest) {
+func (c *lineCrypto) seal(lineNo, major uint64, minor uint8, plain *[mem.LineBytes]byte) (img [mem.LineBytes]byte, sum bmt.Tag) {
 	if c.rest != restCipher {
 		return *plain, sum
 	}
@@ -129,7 +129,7 @@ func (c *lineCrypto) seal(lineNo, major uint64, minor uint8, plain *[mem.LineByt
 }
 
 // storeMAC installs a sealed line's MAC; plaintext at rest keeps none.
-func (e *Engine) storeMAC(lineNo uint64, sum *bmt.Digest) {
+func (e *Engine) storeMAC(lineNo uint64, sum *bmt.Tag) {
 	if e.own.rest == restCipher {
 		e.MACs.StoreSum(lineNo, *sum)
 	}

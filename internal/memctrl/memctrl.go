@@ -109,7 +109,10 @@ func New(cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("memctrl: %w", err)
 	}
 	tree := bmt.New([]byte("lelantus-bmt-key"), pages)
-	macs := bmt.NewMACStore([]byte("lelantus-mac-key"))
+	macs, err := bmt.NewMACStore([]byte("lelantus-mac-key"))
+	if err != nil {
+		return nil, fmt.Errorf("memctrl: %w", err)
+	}
 	if cfg.Core.Fidelity == core.FidelityTiming {
 		// Timing fidelity: the tree keeps its update/verify counters and
 		// leaf presence but computes no hashes; the engine elides

@@ -56,7 +56,6 @@ func exerciseCoW(t *testing.T, c *Controller) {
 // exactly the schemes with the most durable pointers to chase.
 func TestRecoveryNsFormulaPerPass(t *testing.T) {
 	strategies := []core.PersistStrategy{
-		core.PersistStrategy{}, // the zero value is strict
 		core.StrictPersist(),
 		core.PhoenixPersist(),
 		core.TriadPersist(1),
