@@ -107,13 +107,17 @@ perfbench-test:
 # Grid smoke: the worker pool (sim.ForEach) and coordinator unit tests, the
 # results-log decoder pins, the subprocess kill/resume harness (SIGKILL at
 # a seeded checkpoint boundary, resume, byte-compare the merged report),
-# and a real CLI run/status/resume cycle on a sub-second grid.
+# and a real CLI run/status/resume cycle on a sub-second grid of plain and
+# crash cells. The crash cells (persist point 100, fault seed 1; resume reads
+# them from the directory's spec) run sim.CrashAt from the CLI, and resume
+# decodes their crash records back from the results log.
 grid-smoke:
 	$(GO) test -count=1 -run ForEach ./internal/sim
 	$(GO) test -count=1 ./internal/grid
 	@rm -rf /tmp/lelantus-grid-smoke
 	$(GO) run ./cmd/lelantus-grid run -dir /tmp/lelantus-grid-smoke \
-	    -workloads forkbench -schemes lelantus,baseline -region-kb 256 -strict -quiet
+	    -workloads forkbench -schemes lelantus,baseline -region-kb 256 \
+	    -crashpoints 0,100 -faultseeds 1 -strict -quiet
 	$(GO) run ./cmd/lelantus-grid status -dir /tmp/lelantus-grid-smoke
 	$(GO) run ./cmd/lelantus-grid resume -dir /tmp/lelantus-grid-smoke -strict -quiet
 	@rm -rf /tmp/lelantus-grid-smoke

@@ -407,9 +407,12 @@ type macPage struct {
 // NewMACStore refuses a zero H.
 //
 // Verify and Sum compute with the store's own GCM state; a write installs
-// a line's Sum with StoreSum.
+// a line's Sum with StoreSum. The store covers the lines it was built for:
+// a line beyond them is a *LineRangeError, and the page table never grows
+// past them.
 type MACStore struct {
 	pages []*macPage
+	lines uint64 // lines 0..lines-1 have a MAC slot
 
 	// gcm is the keyed GCM state; nonce, ad and tag are the buffers handed
 	// to it (struct fields, so the caller's often stack-resident ciphertext
@@ -424,10 +427,11 @@ type MACStore struct {
 // macNonceBytes is the nonce: line (8) ‖ major (8) ‖ minor (1).
 const macNonceBytes = 17
 
-// NewMACStore creates an empty MAC store. The AES-128 key is the first 16
-// bytes of SHA-256(key), so any key string works. It fails when the GHASH
-// key H = AES_K(0^128) is zero, under which GHASH would ignore its input.
-func NewMACStore(key []byte) (*MACStore, error) {
+// NewMACStore creates an empty MAC store for data lines 0..lines-1. The
+// AES-128 key is the first 16 bytes of SHA-256(key), so any key string
+// works. It fails when the GHASH key H = AES_K(0^128) is zero, under which
+// GHASH would ignore its input.
+func NewMACStore(key []byte, lines uint64) (*MACStore, error) {
 	k := sha256.Sum256(key)
 	block, err := aes.NewCipher(k[:16])
 	if err != nil {
@@ -442,7 +446,7 @@ func NewMACStore(key []byte) (*MACStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bmt: MAC key: %w", err)
 	}
-	return &MACStore{gcm: g}, nil
+	return &MACStore{gcm: g, lines: lines}, nil
 }
 
 // checkHashKey refuses the all-zero GHASH key.
@@ -453,15 +457,25 @@ func checkHashKey(h [aes.BlockSize]byte) error {
 	return nil
 }
 
-// page returns the MAC page for a line number, materialising it if create
-// is set; otherwise absent pages return nil.
+// LineRangeError reports a line beyond the lines a MACStore covers.
+type LineRangeError struct {
+	Line, Lines uint64
+}
+
+func (e *LineRangeError) Error() string {
+	return fmt.Sprintf("bmt: data line %#x beyond the MAC store's %d lines", e.Line, e.Lines)
+}
+
+// page returns the MAC page for a line number within the store's lines,
+// materialising it if create is set; otherwise absent pages return nil.
+// The table grows by half again, capped at the pages the lines fill.
 func (s *MACStore) page(lineNo uint64, create bool) *macPage {
 	idx := lineNo / macPageLines
 	if idx >= uint64(len(s.pages)) {
 		if !create {
 			return nil
 		}
-		grown := make([]*macPage, idx+1+idx/2)
+		grown := make([]*macPage, min(idx+1+idx/2, (s.lines+macPageLines-1)/macPageLines))
 		copy(grown, s.pages)
 		s.pages = grown
 	}

@@ -4,7 +4,9 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -166,5 +168,37 @@ func TestMACStoreSteadyStateAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state MAC update+verify allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestMACStoreRefusesLinesBeyondSpan: a line beyond the store's lines is a
+// *LineRangeError from StoreSum and Verify, and the page table does not
+// grow for it. The line is 99^(1<<63), a tag moved to bit 63 of its line
+// number: growing the table to it would ask for ~2^57 pointers. The table
+// stops at the pages the store's lines fill.
+func TestMACStoreRefusesLinesBeyondSpan(t *testing.T) {
+	s := newMACStore(t, "span-key")
+	ciph := make([]byte, 64)
+	const far = 99 ^ (1 << 63)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := s.StoreSum(far, s.Sum(far, ciph, 3, 1))
+	runtime.ReadMemStats(&after)
+	var lre *LineRangeError
+	if !errors.As(err, &lre) || lre.Line != far || lre.Lines != s.lines {
+		t.Fatalf("StoreSum at line %#x: %v, want a LineRangeError", uint64(far), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 || len(s.pages) != 0 {
+		t.Fatalf("refused StoreSum allocated %d bytes and %d table pages", grew, len(s.pages))
+	}
+	if err := s.Verify(far, ciph, 3, 1); !errors.As(err, &lre) {
+		t.Fatalf("Verify at line %#x: %v, want a LineRangeError", uint64(far), err)
+	}
+	last := s.lines - 1
+	if err := s.StoreSum(last, s.Sum(last, ciph, 3, 1)); err != nil {
+		t.Fatalf("last covered line: %v", err)
+	}
+	if want := s.lines / macPageLines; uint64(len(s.pages)) != want {
+		t.Fatalf("page table holds %d pages after the last line, want %d", len(s.pages), want)
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 func newMACStore(tb testing.TB, key string) *MACStore {
 	tb.Helper()
-	s, err := NewMACStore([]byte(key))
+	s, err := NewMACStore([]byte(key), 1<<20)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -53,8 +53,12 @@ func (s *MACStore) Sum(lineNo uint64, ciph []byte, major uint64, minor uint8) Ta
 }
 
 // Verify checks a line read from NVM. Lines never written (e.g. demand-zero
-// content) have no MAC yet and verify trivially.
+// content) have no MAC yet and verify trivially; a line beyond the store's
+// lines is a *LineRangeError.
 func (s *MACStore) Verify(lineNo uint64, ciph []byte, major uint64, minor uint8) error {
+	if lineNo >= s.lines {
+		return &LineRangeError{lineNo, s.lines}
+	}
 	p := s.page(lineNo, false)
 	if p == nil {
 		return nil
@@ -70,10 +74,15 @@ func (s *MACStore) Verify(lineNo uint64, ciph []byte, major uint64, minor uint8)
 }
 
 // StoreSum installs a line's MAC (a Sum): the commit half of every
-// data-line write.
-func (s *MACStore) StoreSum(lineNo uint64, sum Tag) {
+// data-line write. A line beyond the store's lines is a *LineRangeError and
+// stores nothing.
+func (s *MACStore) StoreSum(lineNo uint64, sum Tag) error {
+	if lineNo >= s.lines {
+		return &LineRangeError{lineNo, s.lines}
+	}
 	p := s.page(lineNo, true)
 	slot := lineNo % macPageLines
 	p.tags[slot] = sum
 	p.present |= 1 << slot
+	return nil
 }

@@ -390,12 +390,17 @@ func (h *Hierarchy) InvalidatePage(pfn uint64) {
 
 // DrainDirty writes back every dirty line (end-of-run accounting), calling
 // sink for each with the way's own buffer. Lines remain resident but clean.
-func (h *Hierarchy) DrainDirty(sink func(Victim)) {
+// The walk stops at the first error sink returns and hands it back: the
+// lines after it stay dirty.
+func (h *Hierarchy) DrainDirty(sink func(Victim) error) error {
 	l := h.L3
 	for i, dirty := range l.dirty {
 		if dirty {
 			l.dirty[i] = false
-			sink(Victim{LineAddr: l.slots[i].tag &^ validBit, Dirty: true, Data: l.data[i]})
+			if err := sink(Victim{LineAddr: l.slots[i].tag &^ validBit, Dirty: true, Data: l.data[i]}); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }

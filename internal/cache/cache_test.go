@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -48,13 +49,14 @@ func TestStoreDirtiesDataLevel(t *testing.T) {
 		t.Fatal("store should hit after fill")
 	}
 	var found bool
-	h.DrainDirty(func(v Victim) {
+	h.DrainDirty(func(v Victim) error {
 		if v.LineAddr == 0x40 {
 			found = true
 			if v.Data[0] != 7 {
 				t.Fatalf("drained data = %#x, want 7", v.Data[0])
 			}
 		}
+		return nil
 	})
 	if !found {
 		t.Fatal("dirty line not drained")
@@ -127,13 +129,32 @@ func TestFlushPage(t *testing.T) {
 	}
 }
 
+// TestDrainDirtyStopsAtError: a sink error ends the walk and comes back
+// from DrainDirty; the lines the walk did not reach stay dirty for the next
+// drain.
+func TestDrainDirtyStopsAtError(t *testing.T) {
+	h := NewHierarchy(smallConfig())
+	for i := 0; i < 3; i++ {
+		h.Fill(mem.LineAddr(0, i), true, lineData(byte(i)))
+	}
+	stop := errors.New("stop")
+	calls := 0
+	if err := h.DrainDirty(func(Victim) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("DrainDirty = %v after %d sink calls, want the sink's error after 1", err, calls)
+	}
+	rest := 0
+	if err := h.DrainDirty(func(Victim) error { rest++; return nil }); err != nil || rest != 2 {
+		t.Fatalf("second drain = %v over %d lines, want nil over the 2 the first left dirty", err, rest)
+	}
+}
+
 func TestInvalidatePageDropsDirty(t *testing.T) {
 	h := NewHierarchy(smallConfig())
 	pfn := uint64(5)
 	h.Fill(mem.LineAddr(pfn, 2), true, lineData(9))
 	h.InvalidatePage(pfn)
 	count := 0
-	h.DrainDirty(func(Victim) { count++ })
+	h.DrainDirty(func(Victim) error { count++; return nil })
 	if count != 0 {
 		t.Fatal("InvalidatePage must drop dirty lines without write-back")
 	}
@@ -148,10 +169,11 @@ func TestDataPointerIsAuthoritative(t *testing.T) {
 	}
 	d[5] = 99
 	var got byte
-	h.DrainDirty(func(v Victim) {
+	h.DrainDirty(func(v Victim) error {
 		if v.LineAddr == 0x80 {
 			got = v.Data[5]
 		}
+		return nil
 	})
 	if got != 99 {
 		t.Fatal("in-place mutation through AccessData must be visible at write-back")
@@ -166,7 +188,7 @@ func TestFillUpdatesExisting(t *testing.T) {
 		t.Fatal("refill must update data in place")
 	}
 	dirty := false
-	h.DrainDirty(func(v Victim) { dirty = dirty || v.LineAddr == 0xC0 })
+	h.DrainDirty(func(v Victim) error { dirty = dirty || v.LineAddr == 0xC0; return nil })
 	if !dirty {
 		t.Fatal("refill with dirty=true must keep the line dirty")
 	}
@@ -328,7 +350,7 @@ func resetStep(h *Hierarchy, rng *rand.Rand) string {
 		return fmt.Sprintf("drop %#x", addr)
 	default:
 		out := "drain:"
-		h.DrainDirty(func(v Victim) { out += " " + victim(v) })
+		h.DrainDirty(func(v Victim) error { out += " " + victim(v); return nil })
 		return out
 	}
 }

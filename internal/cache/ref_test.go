@@ -378,13 +378,14 @@ func (c *diffChecker) drain() {
 		data [mem.LineBytes]byte
 	}
 	var got []drained
-	c.h.DrainDirty(func(v Victim) {
+	c.h.DrainDirty(func(v Victim) error {
 		if !v.Dirty {
 			c.fatalf("DrainDirty handed out clean line %#x", v.LineAddr)
 		}
 		d := drained{addr: v.LineAddr}
 		copy(d.data[:], v.Data[:])
 		got = append(got, d)
+		return nil
 	})
 	want := c.ref.drainDirty()
 	sort.Slice(got, func(i, j int) bool { return got[i].addr < got[j].addr })

@@ -229,13 +229,13 @@ func (e *Engine) pagePhyc(now, src, dst uint64) (done uint64, copied int, err er
 			e.written.Set(lineNo)
 			e.countPads(1)
 			img, sum := e.own.seal(lineNo, blk.Major, blk.Minor[i], &plain)
-			dec := e.persistDataLine(la, &plain, &img, &sum)
+			perr := e.persistDataLine(la, &plain, &img, &sum)
 			wt := e.Mem.Write(rt+e.padNs, la)
 			e.Stats.DataWrites++
 			e.Stats.PhycLines++
 			copied++
-			if dec.Err != nil {
-				return wt, copied, dec.Err
+			if perr != nil {
+				return wt, copied, perr
 			}
 			// Crash after k of 64 materialised lines: the destination counter
 			// block in NVM still shows every minor zero, so the whole page

@@ -34,9 +34,12 @@ func maxU64(a, b uint64) uint64 {
 // fault plane's shadow history as plain, the value a later read should
 // produce, so the crash-sweep oracle can tell stale-but-valid content from
 // corruption. Callers charge device time and stats themselves — an injected
-// crash changes bytes, never timing.
-func (e *Engine) persistDataLine(addr uint64, plain, img *[mem.LineBytes]byte, sum *bmt.Tag) faultinject.Decision {
-	e.storeMAC(mem.LineNo(addr), sum)
+// crash changes bytes, never timing. The error is the crash's, or a line
+// beyond the MAC store's.
+func (e *Engine) persistDataLine(addr uint64, plain, img *[mem.LineBytes]byte, sum *bmt.Tag) error {
+	if err := e.storeMAC(mem.LineNo(addr), sum); err != nil {
+		return err
+	}
 	dec := e.persistLine(e.fiDataPoint, addr, img)
 	if e.fi != nil {
 		e.fi.NoteDataPersist(addr, dec.Landed())
@@ -44,7 +47,7 @@ func (e *Engine) persistDataLine(addr uint64, plain, img *[mem.LineBytes]byte, s
 			e.fi.ObserveData(addr, plain)
 		}
 	}
-	return dec
+	return dec.Err
 }
 
 // resolve follows the CoW metadata from the requested line to the line that
@@ -255,14 +258,14 @@ func (e *Engine) writeLine(now, lineAddr uint64, plain *[mem.LineBytes]byte) (ui
 	e.written.Set(lineNo)
 	e.countPads(1)
 	img, sum := e.own.seal(lineNo, blk.Major, blk.Minor[li], plain)
-	dec := e.persistDataLine(lineAddr, plain, &img, &sum)
+	perr := e.persistDataLine(lineAddr, plain, &img, &sum)
 	// Dependence-ordered: the write's pad comes from the counter resolved
 	// at t (and a non-secure write's copy/zero decision consumed it), so
 	// the data write cannot issue before t+pad even under MLP.
 	dataDone := e.Mem.Write(t+e.padNs, lineAddr)
 	e.Stats.DataWrites++
-	if dec.Err != nil {
-		return dataDone, dec.Err
+	if perr != nil {
+		return dataDone, perr
 	}
 	if !ctrChanged {
 		return dataDone, nil
@@ -304,12 +307,12 @@ func (e *Engine) reencryptPage(now, pfn uint64, blk *ctr.Block, skipLine int) (u
 		}
 		img, sum := e.own.seal(mem.LineNo(la), blk.Major, blk.Minor[i], &plain)
 		e.countPads(2) // open under the old epoch, seal under the new
-		dec := e.persistDataLine(la, &plain, &img, &sum)
+		perr := e.persistDataLine(la, &plain, &img, &sum)
 		wt := e.writeLeg(rt+e.padNs, la)
 		e.Stats.DataWrites++
 		e.Stats.ReencryptedLines++
-		if dec.Err != nil {
-			return wt, dec.Err
+		if perr != nil {
+			return wt, perr
 		}
 		// A crash between one line's write and its neighbour's leaves the
 		// page half in the old epoch, half in the new — the recovery scrub

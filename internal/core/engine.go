@@ -618,33 +618,29 @@ func (e *Engine) storeBlock(now, pfn uint64, blk *ctr.Block) (uint64, error) {
 // burst flushing the cache in parallel, not a serial chain — and the
 // returned time is the latest completion. It also forces the lazily
 // maintained Merkle root current, so the persisted metadata image is
-// crash-consistent with the root the verifier would recompute.
+// crash-consistent with the root the verifier would recompute. Like every
+// command it returns at the first error: after an injected crash no further
+// persist point is reached.
 func (e *Engine) DrainMetadata(now uint64) (uint64, error) {
 	done := now
-	var firstErr error
-	e.CtrCache.DrainDirty(func(v ctrcache.Victim) {
+	err := e.CtrCache.DrainDirty(func(v ctrcache.Victim) error {
 		blk := v.Blk
 		d, err := e.persistBlock(now, v.Page, &blk)
-		if d > done {
-			done = d
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
+		done = max(done, d)
+		return err
 	})
+	if err != nil {
+		return done, err
+	}
 	// Under strict (eager) persistence the CoW cache never holds dirty
 	// entries and this loop never runs, keeping the strict path bit-exact.
-	e.CoWCache.DrainDirty(func(v ctrcache.CoWVictim) {
+	err = e.CoWCache.DrainDirty(func(v ctrcache.CoWVictim) error {
 		d, err := e.writeCoWEntryNVM(now, v.Dst, v.Src, v.Present)
-		if d > done {
-			done = d
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
+		done = max(done, d)
+		return err
 	})
-	if firstErr != nil {
-		return done, firstErr
+	if err != nil {
+		return done, err
 	}
 	if !e.cfg.NonSecure && e.Tree != nil {
 		e.Tree.Root()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"lelantus/internal/bmt"
@@ -34,7 +35,7 @@ func sizedEngine(t testing.TB, scheme Scheme, pages uint64, mode ctrcache.Mode, 
 		t.Fatal(err)
 	}
 	tree := bmt.New([]byte("tree"), pages)
-	macs, err := bmt.NewMACStore([]byte("macs"))
+	macs, err := bmt.NewMACStore([]byte("macs"), pages*mem.LinesPerPage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +82,25 @@ func TestWriteReadRoundTripAllSchemes(t *testing.T) {
 			writeLine(t, e, 3, 5, 0xCD)
 			wantByte(t, readLine(t, e, 3, 5), 0xCD, "overwritten line")
 		})
+	}
+}
+
+// TestWriteBeyondMACStoreIsCorrupt: a data line the MAC store does not
+// cover fails its write with ErrMetadataCorrupt wrapping the store's
+// *bmt.LineRangeError; a covered line still writes.
+func TestWriteBeyondMACStoreIsCorrupt(t *testing.T) {
+	e := testEngine(t, Baseline, nil)
+	macs, err := bmt.NewMACStore([]byte("macs"), mem.LinesPerPage) // page 0 only
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.MACs = macs
+	writeLine(t, e, 0, 3, 5)
+	line := [mem.LineBytes]byte{5}
+	_, err = e.WriteLine(0, mem.LineAddr(1, 0), &line)
+	var lre *bmt.LineRangeError
+	if !errors.Is(err, ErrMetadataCorrupt) || !errors.As(err, &lre) || lre.Line != mem.LinesPerPage {
+		t.Fatalf("line beyond the MAC store: %v, want ErrMetadataCorrupt wrapping a LineRangeError at line %d", err, mem.LinesPerPage)
 	}
 }
 

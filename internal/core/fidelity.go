@@ -128,11 +128,16 @@ func (c *lineCrypto) seal(lineNo, major uint64, minor uint8, plain *[mem.LineByt
 	return img, c.mac.Sum(lineNo, img[:], major, minor)
 }
 
-// storeMAC installs a sealed line's MAC; plaintext at rest keeps none.
-func (e *Engine) storeMAC(lineNo uint64, sum *bmt.Tag) {
-	if e.own.rest == restCipher {
-		e.MACs.StoreSum(lineNo, *sum)
+// storeMAC installs a sealed line's MAC; plaintext at rest keeps none. A
+// line the MAC store does not cover is corrupt metadata.
+func (e *Engine) storeMAC(lineNo uint64, sum *bmt.Tag) error {
+	if e.own.rest != restCipher {
+		return nil
 	}
+	if err := e.MACs.StoreSum(lineNo, *sum); err != nil {
+		return fmt.Errorf("%w: %w", ErrMetadataCorrupt, err)
+	}
+	return nil
 }
 
 // countPads books the n pads of one line operation: those the full data

@@ -273,13 +273,13 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 		blk.Minor[i] = 1
 		e.written.Set(mem.LineNo(la))
 		e.countPads(pads)
-		dec := e.persistDataLine(la, &plain, &img, &sum)
+		perr := e.persistDataLine(la, &plain, &img, &sum)
 		wt := e.writeLeg(rt+e.padNs, la)
 		e.Stats.DataWrites++
 		e.Stats.PhycLines++
 		copied++
-		if dec.Err != nil {
-			return wt, copied, dec.Err
+		if perr != nil {
+			return wt, copied, perr
 		}
 		if d := e.fiHit(faultinject.PagePhycLine); d.Err != nil {
 			return wt, copied, d.Err

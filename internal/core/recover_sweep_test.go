@@ -7,84 +7,13 @@ import (
 	"testing"
 
 	"lelantus/internal/core"
-	"lelantus/internal/ctrcache"
 	"lelantus/internal/faultinject"
 	"lelantus/internal/mem"
 	"lelantus/internal/memctrl"
-	"lelantus/internal/nvm"
 	"lelantus/internal/sim"
+	"lelantus/internal/sim/simtest"
 	"lelantus/internal/workload"
 )
-
-// sweepScript is internal/sim's crash-sweep script (crashSweepScript):
-// page_copy, on-demand line copies, a minor-counter overflow, page_phyc
-// and the page_free sweep at exit, stores on every 8th line.
-func sweepScript() workload.Script {
-	b := workload.NewBuilder("crash-sweep")
-	const region = 128 << 10 // 32 pages
-	b.Spawn(0)
-	b.Mmap(0, 0, region, false)
-	for pg := uint64(0); pg < 32; pg++ {
-		for ln := uint64(0); ln < 64; ln += 8 {
-			b.StoreNT(0, 0, pg*4096+ln*64, byte(1+(pg+ln)%250))
-		}
-	}
-	b.Fork(0, 1)
-	for pg := uint64(0); pg < 32; pg += 2 {
-		b.StoreNT(1, 0, pg*4096, byte(100+pg))
-	}
-	for i := 0; i < 130; i++ {
-		b.StoreNT(1, 0, 3*4096, byte(i))
-	}
-	b.Exit(1)
-	b.Fork(0, 2)
-	b.StoreNT(2, 0, 7*4096, 0x5A)
-	b.StoreNT(0, 0, 7*4096+8*64, 0x6B)
-	b.Exit(2)
-	b.Exit(0)
-	return b.Script()
-}
-
-// sweepCell is one cell of internal/sim's crash-sweep matrix (sweepConfigs)
-// for a CoW scheme, with the point cap TestCrashSweepQuick gives it.
-type sweepCell struct {
-	name     string
-	cfg      sim.Config
-	maxCells int
-}
-
-func cowSweepCells() []sweepCell {
-	var cells []sweepCell
-	strategies := []core.PersistStrategy{core.PersistStrategy{}, core.PhoenixPersist(), core.TriadPersist(1), core.TriadPersist(2)}
-	for _, strat := range strategies {
-		for _, s := range []core.Scheme{core.Lelantus, core.LelantusCoW} {
-			for _, mode := range []ctrcache.Mode{ctrcache.WriteBack, ctrcache.WriteThrough} {
-				cfg := sim.DefaultConfig(s)
-				cfg.Mem.MemBytes = 16 << 20
-				cfg.Mem.CtrCacheMode = mode
-				cfg.Mem.Core.Persist = strat
-				name, max := s.String()+"/"+mode.String(), 12
-				if strat != (core.PersistStrategy{}) {
-					name, max = name+"/"+strat.Name(), 6
-				}
-				cells = append(cells, sweepCell{name, cfg, max})
-			}
-		}
-	}
-	cfg := sim.DefaultConfig(core.LelantusCoW)
-	cfg.Mem.MemBytes = 16 << 20
-	q := nvm.DefaultQueueConfig()
-	cfg.Mem.WriteQueue = &q
-	cells = append(cells, sweepCell{"lelantus-cow/queue", cfg, 12})
-	for _, s := range []core.Scheme{core.Lelantus, core.LelantusCoW} {
-		cfg := sim.DefaultConfig(s)
-		cfg.Mem.MemBytes = 16 << 20
-		cfg.Mem.Core.MLP.Enabled = true
-		cfg.Mem.Core.Prefetch.Mode = core.PrefetchBoth
-		cells = append(cells, sweepCell{s.String() + "/write-back/mlp=on,prefetch=both", cfg, 6})
-	}
-	return cells
-}
 
 // crashedEngine runs the script to persist point n under fault seed 1,
 // crashes there and power-cycles without a battery, as sim.CrashAt does
@@ -113,20 +42,18 @@ func crashedEngine(t *testing.T, cfg sim.Config, s workload.Script, n uint64) *c
 // blocks and chain starts equal the capacity-wide scan's, and its report
 // equals both the full scan's and sim.CrashAt's for the same point.
 func TestRecoverMatchesFullScanOnCrashSweep(t *testing.T) {
-	script := sweepScript()
-	maxCells := 12
-	if testing.Short() {
-		maxCells = 4
-	}
+	script := simtest.Script()
 	compared := 0
-	for _, cell := range cowSweepCells() {
-		total, err := sim.CrashPoints(cell.cfg, script, 1)
+	for _, cell := range simtest.Cells() {
+		if s := cell.Cfg.Mem.Core.Scheme; s != core.Lelantus && s != core.LelantusCoW {
+			continue
+		}
+		total, err := sim.CrashPoints(cell.Cfg, script, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		max := uint64(min(maxCells, cell.maxCells))
-		for n := uint64(1); n <= total; n += (total + max - 1) / max {
-			want, err := sim.CrashAt(cell.cfg, script, 1, n)
+		for _, n := range sim.SweepPoints(total, cell.Points(testing.Short())) {
+			want, err := sim.CrashAt(cell.Cfg, script, 1, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,12 +61,12 @@ func TestRecoverMatchesFullScanOnCrashSweep(t *testing.T) {
 				continue
 			}
 			compared++
-			got, ref := crashedEngine(t, cell.cfg, script, n), crashedEngine(t, cell.cfg, script, n)
+			got, ref := crashedEngine(t, cell.Cfg, script, n), crashedEngine(t, cell.Cfg, script, n)
 			live, starts := got.RecoveryScan()
 			refLive, refStarts := ref.ReferenceScan()
 			if !slices.Equal(live, refLive) || !slices.Equal(starts, refStarts) {
 				t.Fatalf("%s point %d: scan found %d blocks and starts %v, full scan %d blocks and starts %v",
-					cell.name, n, len(live), starts, len(refLive), refStarts)
+					cell.Name, n, len(live), starts, len(refLive), refStarts)
 			}
 			rep, err := got.Recover()
 			if err != nil {
@@ -153,7 +80,7 @@ func TestRecoverMatchesFullScanOnCrashSweep(t *testing.T) {
 			b, _ := json.Marshal(refRep)
 			c, _ := json.Marshal(want.Report)
 			if string(a) != string(b) || string(a) != string(c) {
-				t.Fatalf("%s point %d: reports differ:\nscan      %s\nfull scan %s\nCrashAt   %s", cell.name, n, a, b, c)
+				t.Fatalf("%s point %d: reports differ:\nscan      %s\nfull scan %s\nCrashAt   %s", cell.Name, n, a, b, c)
 			}
 		}
 	}

@@ -282,14 +282,19 @@ func (c *Cache) Invalidate(page uint64) (victim Victim, needWB bool) {
 
 // DrainDirty hands every dirty resident block to sink and cleans it
 // (end-of-run persistence, as a battery-backed cache would on power loss).
-func (c *Cache) DrainDirty(sink func(Victim)) {
+// The walk stops at the first error sink returns and hands it back; that
+// block and the ones after it stay dirty.
+func (c *Cache) DrainDirty(sink func(Victim) error) error {
 	for i := range c.entries {
 		e := &c.entries[i]
 		if e.valid && e.dirty {
-			sink(Victim{Page: e.page, Blk: e.blk})
+			if err := sink(Victim{Page: e.page, Blk: e.blk}); err != nil {
+				return err
+			}
 			e.dirty = false
 		}
 	}
+	return nil
 }
 
 // MissRate returns the fraction of lookups that missed.
@@ -538,15 +543,19 @@ func (c *CoWCache) Peek(dst uint64) (src uint64, present, cached bool) {
 
 // DrainDirty hands every dirty entry to sink in slot order (deterministic
 // across runs) and marks it clean — the battery-backed burst that flushes
-// lazily persisted CoW mappings at crash or end of run.
-func (c *CoWCache) DrainDirty(sink func(CoWVictim)) {
+// lazily persisted CoW mappings at crash or end of run. Like
+// Cache.DrainDirty it stops at, and returns, sink's first error.
+func (c *CoWCache) DrainDirty(sink func(CoWVictim) error) error {
 	for i := range c.ents {
 		e := &c.ents[i]
 		if e.dirty {
-			sink(CoWVictim{Dst: e.dst, Src: e.src, Present: e.present})
+			if err := sink(CoWVictim{Dst: e.dst, Src: e.src, Present: e.present}); err != nil {
+				return err
+			}
 			e.dirty = false
 		}
 	}
+	return nil
 }
 
 // Drop removes a mapping (page_phyc / page_free). The slot is zeroed so a

@@ -1,6 +1,7 @@
 package ctrcache
 
 import (
+	"errors"
 	"testing"
 
 	"lelantus/internal/ctr"
@@ -97,7 +98,7 @@ func TestWriteThroughMode(t *testing.T) {
 	}
 	// Nothing is held dirty, so eviction is silent.
 	drained := 0
-	c.DrainDirty(func(Victim) { drained++ })
+	c.DrainDirty(func(Victim) error { drained++; return nil })
 	if drained != 0 {
 		t.Fatal("write-through cache must hold no dirty blocks")
 	}
@@ -122,15 +123,47 @@ func TestDrainDirty(t *testing.T) {
 	c.Put(2, blk(2))
 	c.MarkDirty(1)
 	seen := map[uint64]bool{}
-	c.DrainDirty(func(v Victim) { seen[v.Page] = true })
+	c.DrainDirty(func(v Victim) error { seen[v.Page] = true; return nil })
 	if !seen[1] || seen[2] {
 		t.Fatalf("drained wrong set: %v", seen)
 	}
 	// Second drain: nothing left.
 	count := 0
-	c.DrainDirty(func(Victim) { count++ })
+	c.DrainDirty(func(Victim) error { count++; return nil })
 	if count != 0 {
 		t.Fatal("drain must clean blocks")
+	}
+}
+
+// TestDrainDirtyStopsAtError: both caches end the walk at the sink's first
+// error and return it; the entry that failed and those after it stay dirty.
+func TestDrainDirtyStopsAtError(t *testing.T) {
+	stop := errors.New("stop")
+	c := New(4<<10, 4, WriteBack, 2)
+	for p := uint64(1); p <= 3; p++ {
+		c.Put(p, blk(p))
+		c.MarkDirty(p)
+	}
+	calls := 0
+	if err := c.DrainDirty(func(Victim) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("Cache.DrainDirty = %v after %d sink calls, want the sink's error after 1", err, calls)
+	}
+	rest := 0
+	if err := c.DrainDirty(func(Victim) error { rest++; return nil }); err != nil || rest != 3 {
+		t.Fatalf("second Cache drain = %v over %d blocks, want nil over 3", err, rest)
+	}
+
+	w := NewCoW(4 << 10)
+	for d := uint64(1); d <= 3; d++ {
+		w.InsertDirty(d, d+100, true)
+	}
+	calls = 0
+	if err := w.DrainDirty(func(CoWVictim) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("CoWCache.DrainDirty = %v after %d sink calls, want the sink's error after 1", err, calls)
+	}
+	rest = 0
+	if err := w.DrainDirty(func(CoWVictim) error { rest++; return nil }); err != nil || rest != 3 {
+		t.Fatalf("second CoWCache drain = %v over %d entries, want nil over 3", err, rest)
 	}
 }
 

@@ -460,7 +460,7 @@ func TestCoWCachePropertyVsModel(t *testing.T) {
 			m.drop(dst)
 		case 10: // DrainDirty: same victim set, then nothing left dirty
 			var drained []uint64
-			c.DrainDirty(func(v CoWVictim) { drained = append(drained, v.Dst) })
+			c.DrainDirty(func(v CoWVictim) error { drained = append(drained, v.Dst); return nil })
 			sort.Slice(drained, func(i, j int) bool { return drained[i] < drained[j] })
 			want := m.drainDirty()
 			if len(drained) != len(want) {

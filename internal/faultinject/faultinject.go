@@ -130,6 +130,8 @@ type Plane struct {
 	crashed    bool
 	crashPoint Point
 	crashHit   uint64
+	// late counts the persist points reached after the crash fired.
+	late uint64
 
 	shadowOn bool
 	shadow   map[uint64][][mem.LineBytes]byte
@@ -175,6 +177,17 @@ func (p *Plane) PointHits(pt Point) uint64 {
 // ArmCrashAt schedules a crash at the nth global persist point (1-based).
 func (p *Plane) ArmCrashAt(n uint64) { p.crashAt = n }
 
+// HitsAfterCrash returns how many persist points were reached after the
+// crash fired. A crash stops the machine: every command unwinds with the
+// error, so this stays zero until the power cycle, and only the recovery
+// that follows it may add to it.
+func (p *Plane) HitsAfterCrash() uint64 {
+	if p == nil {
+		return 0
+	}
+	return p.late
+}
+
 // Crashed reports whether the armed crash fired, and where.
 func (p *Plane) Crashed() (Point, uint64, bool) {
 	if p == nil || !p.crashed {
@@ -196,9 +209,14 @@ func mix(seed int64, n uint64) uint64 {
 
 // Hit reports one persist point and returns the plane's decision. After a
 // crash has fired the plane goes inert (the machine is being recovered;
-// scrub-time reads and writes must not fault again).
+// scrub-time reads and writes must not fault again) and only counts the
+// hit in HitsAfterCrash.
 func (p *Plane) Hit(pt Point) Decision {
-	if p == nil || p.crashed {
+	if p == nil {
+		return Decision{}
+	}
+	if p.crashed {
+		p.late++
 		return Decision{}
 	}
 	p.hits++

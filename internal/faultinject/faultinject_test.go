@@ -33,6 +33,27 @@ func TestCrashFiresAtExactPoint(t *testing.T) {
 	}
 }
 
+// TestHitsAfterCrashCounted: the inert plane counts the persist points
+// reached after its crash, and only those.
+func TestHitsAfterCrashCounted(t *testing.T) {
+	p := New(1)
+	p.ArmCrashAt(2)
+	p.Hit(CtrWrite)
+	p.Hit(DataWrite)
+	if n := p.HitsAfterCrash(); n != 0 {
+		t.Fatalf("HitsAfterCrash() = %d at the crash, want 0", n)
+	}
+	p.Hit(CtrWrite)
+	p.Hit(BMTUpdate)
+	if n := p.HitsAfterCrash(); n != 2 {
+		t.Fatalf("HitsAfterCrash() = %d after two more hits, want 2", n)
+	}
+	var nilPlane *Plane
+	if nilPlane.HitsAfterCrash() != 0 {
+		t.Fatal("nil plane reports hits after a crash")
+	}
+}
+
 func TestDecisionsDeterministicForSeed(t *testing.T) {
 	run := func(seed int64) []Decision {
 		p := New(seed)

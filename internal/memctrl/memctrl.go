@@ -109,7 +109,7 @@ func New(cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("memctrl: %w", err)
 	}
 	tree := bmt.New([]byte("lelantus-bmt-key"), pages)
-	macs, err := bmt.NewMACStore([]byte("lelantus-mac-key"))
+	macs, err := bmt.NewMACStore([]byte("lelantus-mac-key"), pages*mem.LinesPerPage)
 	if err != nil {
 		return nil, fmt.Errorf("memctrl: %w", err)
 	}
@@ -460,19 +460,22 @@ func (c *Controller) Recover() (*core.RecoveryReport, error) {
 // measurement-boundary accounting). Every drain-issued write is stamped with
 // now, the caller's current simulated time — issuing them at time zero would
 // backdate the device's bank-availability bookkeeping to before the ops that
-// dirtied the state (see TestDrainIssuesAtCurrentTime).
+// dirtied the state (see TestDrainIssuesAtCurrentTime). Drain returns at the
+// first error, like every command: after an injected crash the machine
+// persists nothing more until Crash.
 func (c *Controller) Drain(now uint64) error {
-	var firstErr error
-	c.Caches.DrainDirty(func(v cache.Victim) {
-		if _, err := c.writeBackVictim(now, v); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	err := c.Caches.DrainDirty(func(v cache.Victim) error {
+		_, err := c.writeBackVictim(now, v)
+		return err
 	})
-	if _, err := c.Engine.DrainMetadata(now); err != nil && firstErr == nil {
-		firstErr = err
+	if err != nil {
+		return err
+	}
+	if _, err := c.Engine.DrainMetadata(now); err != nil {
+		return err
 	}
 	if c.Queue != nil {
 		c.Queue.Flush(now)
 	}
-	return firstErr
+	return nil
 }

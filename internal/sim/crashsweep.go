@@ -45,20 +45,9 @@ type CrashCell struct {
 // The run must actually reach the point — a script/config pair with fewer
 // persist points than n is an error, not a silent pass.
 func CrashAt(cfg Config, s workload.Script, seed int64, n uint64) (CrashCell, error) {
-	plane := faultinject.New(seed)
-	plane.EnableShadow()
-	plane.ArmCrashAt(n)
-	cfg.Mem.FaultPlane = plane
-	m, err := NewMachine(cfg)
+	m, plane, err := runToCrash(cfg, s, seed, n)
 	if err != nil {
 		return CrashCell{}, err
-	}
-	_, runErr := m.Run(s)
-	if runErr == nil {
-		return CrashCell{}, fmt.Errorf("sim: crash point %d never fired (script has fewer persist points)", n)
-	}
-	if !errors.Is(runErr, faultinject.ErrCrash) {
-		return CrashCell{}, fmt.Errorf("sim: crash run failed before the armed point: %w", runErr)
 	}
 	pt, hit, _ := plane.Crashed()
 	cell := CrashCell{Point: hit, At: pt}
@@ -78,6 +67,28 @@ func CrashAt(cfg Config, s workload.Script, seed int64, n uint64) (CrashCell, er
 	return cell, nil
 }
 
+// runToCrash runs the script on a machine whose fault plane, shadow history
+// on, is armed at persist point n, and returns the machine as the crash left
+// it: stopped, before the power cycle.
+func runToCrash(cfg Config, s workload.Script, seed int64, n uint64) (*Machine, *faultinject.Plane, error) {
+	plane := faultinject.New(seed)
+	plane.EnableShadow()
+	plane.ArmCrashAt(n)
+	cfg.Mem.FaultPlane = plane
+	m, err := NewMachine(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	_, runErr := m.Run(s)
+	if runErr == nil {
+		return nil, nil, fmt.Errorf("sim: crash point %d never fired (script has fewer persist points)", n)
+	}
+	if !errors.Is(runErr, faultinject.ErrCrash) {
+		return nil, nil, fmt.Errorf("sim: crash run failed before the armed point: %w", runErr)
+	}
+	return m, plane, nil
+}
+
 // CrashSweep enumerates up to maxCells crash points spread evenly over the
 // script's persist-point space and returns one cell per point. Points are
 // strided, not sampled, so repeated sweeps cover identical cells.
@@ -89,15 +100,8 @@ func CrashSweep(cfg Config, s workload.Script, seed int64, maxCells int) ([]Cras
 	if total == 0 {
 		return nil, fmt.Errorf("sim: script exercises no persist points")
 	}
-	if maxCells < 1 {
-		maxCells = 1
-	}
-	stride := (total + uint64(maxCells) - 1) / uint64(maxCells)
-	if stride == 0 {
-		stride = 1
-	}
 	var cells []CrashCell
-	for n := uint64(1); n <= total; n += stride {
+	for _, n := range SweepPoints(total, maxCells) {
 		cell, err := CrashAt(cfg, s, seed, n)
 		if err != nil {
 			return cells, fmt.Errorf("sim: crash cell %d/%d: %w", n, total, err)
@@ -107,10 +111,21 @@ func CrashSweep(cfg Config, s workload.Script, seed int64, maxCells int) ([]Cras
 	return cells, nil
 }
 
-// oracleLineStride bounds the read-back scan: every stride-th line of each
+// SweepPoints is CrashSweep's enumeration: up to maxCells (at least one)
+// persist points strided evenly over 1..total, starting at 1.
+func SweepPoints(total uint64, maxCells int) []uint64 {
+	stride := (total + uint64(max(maxCells, 1)) - 1) / uint64(max(maxCells, 1))
+	var points []uint64
+	for n := uint64(1); n <= total; n += max(stride, 1) {
+		points = append(points, n)
+	}
+	return points
+}
+
+// OracleLineStride bounds the read-back scan: every stride-th line of each
 // mapped frame is probed. Sweep scripts confine their stores to these line
 // indices so the oracle still sees every written line.
-const oracleLineStride = 8
+const OracleLineStride = 8
 
 // checkReadBack walks every live process's page tables and re-reads the
 // mapped frames after recovery. Each read must either fail (detected
@@ -127,7 +142,7 @@ func checkReadBack(m *Machine, plane *faultinject.Plane) []string {
 			return
 		}
 		seen[pfn] = true
-		for i := 0; i < mem.LinesPerPage; i += oracleLineStride {
+		for i := 0; i < mem.LinesPerPage; i += OracleLineStride {
 			la := mem.LineAddr(pfn, i)
 			plain, _, err := eng.ReadLine(m.Now(), la)
 			if err != nil {

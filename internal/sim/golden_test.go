@@ -92,6 +92,36 @@ func TestGoldenResults(t *testing.T) {
 		}
 	}
 
+	for _, c := range goldenCrashes() {
+		cell, err := CrashAt(c.cfg, c.script, 1, c.n)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if r := cell.Report; c.detects && (r.TornBlocks != c.torn || r.MACMismatches != c.lost) {
+			t.Errorf("%s: %d torn blocks and %d MAC mismatches, want %d and %d", c.name, r.TornBlocks, r.MACMismatches, c.torn, c.lost)
+		}
+		checkGolden(t, goldenCrashCells, c.name, goldenDigest(t, cell))
+	}
+}
+
+// goldenCrash is one crash-and-recover cell TestGoldenResults pins: the
+// script under cfg, crashed at persist point n with fault seed 1.
+type goldenCrash struct {
+	name   string
+	cfg    Config
+	script workload.Script
+	n      uint64
+	// detects, when set, requires recovery to report exactly the torn
+	// counter-block count torn and the MAC-mismatch count lost.
+	detects    bool
+	torn, lost uint64
+}
+
+// goldenCrashes lists the crash cells TestGoldenResults pins: the quick
+// forkbench under two persistence strategies, and the overflow script
+// where recovery detects a torn counter block or a lost data line.
+func goldenCrashes() []goldenCrash {
+	var cells []goldenCrash
 	points := []uint64{100, 1000}
 	if testing.Short() {
 		points = points[:1]
@@ -101,15 +131,11 @@ func TestGoldenResults(t *testing.T) {
 		for _, strat := range []core.PersistStrategy{core.StrictPersist(), core.PhoenixPersist()} {
 			for _, mlp := range []bool{false, true} {
 				for _, n := range points {
-					name := fmt.Sprintf("crash/%v/%s/mlp=%v/%d", scheme, strat.Name(), mlp, n)
 					cfg := fidelityConfig(scheme, core.FidelityFull, 1)
 					cfg.Mem.Core.Persist = strat
 					cfg.Mem.Core.MLP.Enabled = mlp
-					cell, err := CrashAt(cfg, fb, 1, n)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					checkGolden(t, goldenCrashCells, name, goldenDigest(t, cell))
+					name := fmt.Sprintf("crash/%v/%s/mlp=%v/%d", scheme, strat.Name(), mlp, n)
+					cells = append(cells, goldenCrash{name: name, cfg: cfg, script: fb, n: n})
 				}
 			}
 		}
@@ -124,18 +150,27 @@ func TestGoldenResults(t *testing.T) {
 	for _, scheme := range core.Schemes() {
 		for _, mlp := range []bool{false, true} {
 			for _, p := range []struct{ n, torn, lost uint64 }{{66, 1, 0}, {macPoint[scheme], 0, 1}} {
-				name := fmt.Sprintf("crash/overflow/%v/mlp=%v/%d", scheme, mlp, p.n)
 				cfg := fidelityConfig(scheme, core.FidelityFull, 1)
 				cfg.Mem.Core.MLP.Enabled = mlp
-				cell, err := CrashAt(cfg, ov, 1, p.n)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if r := cell.Report; r.TornBlocks != p.torn || r.MACMismatches != p.lost {
-					t.Errorf("%s: %d torn blocks and %d MAC mismatches, want %d and %d", name, r.TornBlocks, r.MACMismatches, p.torn, p.lost)
-				}
-				checkGolden(t, goldenCrashCells, name, goldenDigest(t, cell))
+				name := fmt.Sprintf("crash/overflow/%v/mlp=%v/%d", scheme, mlp, p.n)
+				cells = append(cells, goldenCrash{name, cfg, ov, p.n, true, p.torn, p.lost})
 			}
+		}
+	}
+	return cells
+}
+
+// TestGoldenCrashesStopTheMachine: in every crash cell TestGoldenResults
+// pins, no persist point is reached between the crash firing and the power
+// cycle (TestCrashStopsTheMachine covers the crash sweep's matrix).
+func TestGoldenCrashesStopTheMachine(t *testing.T) {
+	for _, c := range goldenCrashes() {
+		_, plane, err := runToCrash(c.cfg, c.script, 1, c.n)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if late := plane.HitsAfterCrash(); late != 0 {
+			t.Errorf("%s: %d persist points reached before the power cycle", c.name, late)
 		}
 	}
 }
@@ -250,22 +285,22 @@ var goldenResults = map[string]string{
 }
 
 var goldenCrashCells = map[string]string{
-	"crash/baseline/strict/mlp=false/100":          "99151c7b0aea67d856ce26c5e0dbf26e05aa94d4e7b2eca440b206589674cc08",
-	"crash/baseline/strict/mlp=false/1000":         "5c32e8a3c7e689989478e2735774633ffd64962120cc9283a381b65592bab0c9",
-	"crash/baseline/strict/mlp=true/100":           "fbd78edae05efca7bd14c03db4743dbff1917850493c2cebd28305e8224ce950",
-	"crash/baseline/strict/mlp=true/1000":          "4174a3e31b64421296c0ebd0a22e6a4f1a94c8ec3378de103f8a12fad69f1cb6",
-	"crash/baseline/phoenix/mlp=false/100":         "eb1a3429fd535dceb67ba859b29cdbe7cd40e6ee824ec20e940d2333ab8b6ae6",
-	"crash/baseline/phoenix/mlp=false/1000":        "589c87e4e03b77899b1aeb196f9eeb8a9add3ccad3ed45ed62addb8377164b7f",
-	"crash/baseline/phoenix/mlp=true/100":          "59c8d23d2d184ba842283403b36250d583c57234e4dfb9c10d670d7acc5a5a33",
-	"crash/baseline/phoenix/mlp=true/1000":         "046975bd32d1fca3a33faa06671dff82108019972b9b6fc0a563f15718bb0bd3",
-	"crash/silent-shredder/strict/mlp=false/100":   "c7bf48e51fafdd069b4c0873aa764ef35c013211485d519fb3d4a4997e9beaf2",
-	"crash/silent-shredder/strict/mlp=false/1000":  "62e9168675429c01a03b043abcbb41b766377b0a27e8d4e1460cd027ff1b18d6",
-	"crash/silent-shredder/strict/mlp=true/100":    "9702b0b68c937e318ac180e51015159ffeae3f75465365721ca7e8afba5a83c9",
-	"crash/silent-shredder/strict/mlp=true/1000":   "a995bf7ef8ee4cdfa962792e0935492db449472db27cd2d049bc4e3379b97043",
-	"crash/silent-shredder/phoenix/mlp=false/100":  "f64f1f54747a8fce2ff9534d8058f340f59fd37e9ffed588256f55d06f6dda6d",
-	"crash/silent-shredder/phoenix/mlp=false/1000": "1de7f300af8de50dfb6a84b12b0c3d52f677569dfa83580a96b10139a780e70d",
-	"crash/silent-shredder/phoenix/mlp=true/100":   "854cdd221c7d18eb718afcb0d5a9b699536b7e5d8b776532a5907cce4d120186",
-	"crash/silent-shredder/phoenix/mlp=true/1000":  "c526a6ca05d6061757216f8e4d36d89e2529e773a77e9d255845de1fd78c1e11",
+	"crash/baseline/strict/mlp=false/100":          "74fa1fcf0113d07df685d15d9d972de504434bce4314797e564c23453f3ab265",
+	"crash/baseline/strict/mlp=false/1000":         "7ec84f503fcae5443a2ed583e116fb61638960fedc3cf2913132e2740938b55a",
+	"crash/baseline/strict/mlp=true/100":           "e4c65cd508628843a6c043a9f8d770788bbfb8cdc2420ad0c1c38932ad5510f6",
+	"crash/baseline/strict/mlp=true/1000":          "e8757beb82b229e96aee7e345a142cd55c74b05901d6dc277ef45dd0f68d8874",
+	"crash/baseline/phoenix/mlp=false/100":         "7c335b1397630c5f4a420a1c8231245e42838b81b31da099124139262084c8c9",
+	"crash/baseline/phoenix/mlp=false/1000":        "96740b253da6765d63a04739220599d32b5186aae95d3543190e05a7f1de1fd2",
+	"crash/baseline/phoenix/mlp=true/100":          "29124a3b38a6b8eb1c0352c050f5f05e7cf25f4edbaf13709f1cd5a15d9cb98a",
+	"crash/baseline/phoenix/mlp=true/1000":         "54b365eee7ac1ba34b94102003a3e9f4ee8b5dd8571c4f03b44a72e9e64faaf9",
+	"crash/silent-shredder/strict/mlp=false/100":   "65739ce9582aa2d40729571005d482565cfdddb506e3aac4d4baff5545d80846",
+	"crash/silent-shredder/strict/mlp=false/1000":  "d85d410ca12f4cf50baae768469dedcb10878a1eafbeedf84894247350f46019",
+	"crash/silent-shredder/strict/mlp=true/100":    "dee6e56755125d233476c7a608ab4aab0c9c6b47eacda29d90a2fbc416c5b427",
+	"crash/silent-shredder/strict/mlp=true/1000":   "9df1bd6804e9afcd4db449d75d98ff924348a035628aba9b9784af96676f2ffe",
+	"crash/silent-shredder/phoenix/mlp=false/100":  "85820b448e9a6cc7e8295176ad8aa8d02a3891c6fc5b9f9396403a9a52119d13",
+	"crash/silent-shredder/phoenix/mlp=false/1000": "b5049a0f73a6d08bb0b1e77faa6fd1ee088651856ff52f70d3f71b562a54e47c",
+	"crash/silent-shredder/phoenix/mlp=true/100":   "57ec70f9694d3d617557a744e824b218911295c2fc0111a20c5450c967eee33b",
+	"crash/silent-shredder/phoenix/mlp=true/1000":  "c29943d720810437b3f9dd26d9efdb2ed92ac5218fa786812b3dfc2ce562217a",
 	"crash/lelantus/strict/mlp=false/100":          "b629c1cbccf0b9b4fe9355642c4690bb3bbc6fe67fc0a7144bbed77aa537be0f",
 	"crash/lelantus/strict/mlp=false/1000":         "dcb435870a3b8774ee558097e170a060dc2b241288bab94ad916b99b3d893fc3",
 	"crash/lelantus/strict/mlp=true/100":           "66a80b9ed3345492ba49b98b2cb4f684c2f6d192253d47e79a45ff541595beed",

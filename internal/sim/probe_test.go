@@ -119,86 +119,6 @@ func TestProbeDeterministicExports(t *testing.T) {
 	}
 }
 
-// TestProbeRecoveryEventsPerStrategy pins that every strategy's recovery
-// work — including the leaf-digest rebuild a counters-only strategy runs
-// before the tree rebuild — flows through the existing EvRecovery event
-// class: exactly four contiguous pass spans whose durations re-derive from
-// the recovery report's per-pass cost model.
-func TestProbeRecoveryEventsPerStrategy(t *testing.T) {
-	strategies := []core.PersistStrategy{core.PersistStrategy{}, core.PhoenixPersist(), core.TriadPersist(1), core.TriadPersist(2)}
-	for _, strat := range strategies {
-		strat := strat
-		t.Run(strat.Name(), func(t *testing.T) {
-			cfg := DefaultConfig(core.LelantusCoW)
-			cfg.Mem.MemBytes = 16 << 20
-			cfg.Mem.Core.Persist = strat
-			pl := probe.New(probe.Config{})
-			cfg.Mem.Probe = pl
-			m, err := NewMachine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.Run(crashSweepScript()); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Ctl.Crash(m.Now(), true); err != nil {
-				t.Fatal(err)
-			}
-			rep, err := m.Ctl.Recover()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var spans []probe.Event
-			pl.Events(func(e probe.Event) {
-				if e.Kind == probe.EvRecovery {
-					spans = append(spans, e)
-				}
-			})
-			if len(spans) != 4 {
-				t.Fatalf("recovery emitted %d EvRecovery spans, want 4", len(spans))
-			}
-			R := m.Ctl.Dev.Config().ReadNs
-			V := cfg.Mem.Core.VerifyNs
-			durable := strat.DurableInnerLevels(len(rep.NodesByLevel))
-			var pass2 uint64
-			for l, n := range rep.NodesByLevel {
-				cost := V
-				if l >= durable {
-					cost += R
-				}
-				pass2 += n * cost
-			}
-			wantDur := [4]uint64{
-				rep.BlocksScanned*(R+V) + rep.LeavesRebuilt*V,
-				pass2,
-				rep.ChainReads * R,
-				rep.LinesScrubbed * (R + V),
-			}
-			wantArg := [4]uint64{rep.BlocksScanned, rep.NodesRebuilt, rep.CoWChains, rep.LinesScrubbed}
-			for i, s := range spans {
-				if s.Addr != uint64(i+1) {
-					t.Errorf("span %d labels pass %d", i, s.Addr)
-				}
-				if got := s.End - s.Start; got != wantDur[i] {
-					t.Errorf("pass %d span is %d ns, want %d", i+1, got, wantDur[i])
-				}
-				if s.Arg != wantArg[i] {
-					t.Errorf("pass %d span carries %d items, want %d", i+1, s.Arg, wantArg[i])
-				}
-				if i > 0 && s.Start != spans[i-1].End {
-					t.Errorf("pass %d span not contiguous with pass %d", i+1, i)
-				}
-			}
-			if !strat.LeafDigestsDurable() && rep.LeavesRebuilt == 0 {
-				t.Error("counters-only strategy must rebuild leaf digests in pass 1")
-			}
-			if rep.ChainReads == 0 {
-				t.Error("pass 3 must bill chain-walk reads for lelantus-cow")
-			}
-		})
-	}
-}
-
 // TestProbeOffIsByteIdentical checks attaching a probe observes without
 // perturbing: the simulated result with and without a plane is identical.
 func TestProbeOffIsByteIdentical(t *testing.T) {
