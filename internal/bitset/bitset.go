@@ -89,18 +89,3 @@ func (s *Set) Next(i uint64) (uint64, bool) {
 // Count returns the number of set bits. O(1): the count is maintained on
 // mutation, so introspection fingerprints stay cheap.
 func (s *Set) Count() int { return s.count }
-
-// Reset clears every bit, keeping the backing storage.
-func (s *Set) Reset() {
-	clear(s.words)
-	s.count = 0
-}
-
-// recount is a debugging aid used by tests to validate the maintained count.
-func (s *Set) recount() int {
-	n := 0
-	for _, w := range s.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}

@@ -128,8 +128,8 @@ func TestCoWOverflowPreservesRedirects(t *testing.T) {
 	if got[0] != byte(0x40+7%8) {
 		t.Fatalf("uncopied line after overflow = %#x", got[0])
 	}
-	if e.UncopiedCount(dst) != ctr.LinesPerPage-2 {
-		t.Fatalf("UncopiedCount = %d", e.UncopiedCount(dst))
+	if uncopied(e, dst) != ctr.LinesPerPage-2 {
+		t.Fatalf("uncopied = %d", uncopied(e, dst))
 	}
 }
 

@@ -258,10 +258,10 @@ func (e *Engine) pagePhyc(now, src, dst uint64) (done uint64, copied int, err er
 		if cerr != nil {
 			return ct, copied, cerr
 		}
-		done = maxU64(done, ct)
+		done = max(done, ct)
 	}
 	bt, err := e.storeBlock(done, dst, &blk)
-	return maxU64(done, bt), copied, err
+	return max(done, bt), copied, err
 }
 
 // PageFree executes the page_free command: the destination page is being

@@ -19,13 +19,6 @@ const cowPresent = uint64(1) << 63
 // never-written lines.
 var zeroLine [mem.LineBytes]byte
 
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // persistDataLine commits a sealed 64 B data line: its MAC to the MAC store
 // and its image to NVM bytes through persistLine, which a crash can tear.
 // The MAC store always receives the intended image's MAC: like the BMT leaf
@@ -143,7 +136,7 @@ func (e *Engine) resolve(now, lineAddr uint64) ([mem.LineBytes]byte, uint64, err
 		// The line was never encrypted to NVM (e.g. the shared zero frame):
 		// its plaintext is zeros. The fetch is still charged — the device
 		// does not know the content is dead.
-		t = maxU64(t, e.readLeg(issueT, cur))
+		t = max(t, e.readLeg(issueT, cur))
 		e.Stats.DataReads++
 		e.Stats.ZeroReads++
 		return zeroLine, t, nil
@@ -156,7 +149,7 @@ func (e *Engine) resolve(now, lineAddr uint64) ([mem.LineBytes]byte, uint64, err
 	// ordered: the pad needs the counter, so retire is gated on t even when
 	// the fetch itself issued earlier under MLP — and so is a non-secure
 	// read, whose redirect/zero decision came from the counter block too.
-	done := maxU64(fetchDone, t+e.padNs)
+	done := max(fetchDone, t+e.padNs)
 	e.countPads(1)
 	plain, err := e.own.open(cur, blk.Major, blk.Minor[i], &img)
 	return plain, done, err
@@ -274,7 +267,7 @@ func (e *Engine) writeLine(now, lineAddr uint64, plain *[mem.LineBytes]byte) (ui
 	// dataDone — it and the data write overlap via the max-merge below, so
 	// MLP has nothing further to overlap here.
 	ctrDone, err := e.storeBlock(t, pfn, &blk)
-	return maxU64(dataDone, ctrDone), err
+	return max(dataDone, ctrDone), err
 }
 
 // reencryptPage handles a minor-counter overflow: the page enters a new

@@ -241,16 +241,6 @@ type Stats struct {
 	RecoveryNs            uint64
 }
 
-// NVMWrites returns all NVM write traffic caused through the engine.
-func (s *Stats) NVMWrites() uint64 {
-	return s.DataWrites + s.CtrWrites + s.CoWMetaWrite
-}
-
-// NVMReads returns all NVM read traffic caused through the engine.
-func (s *Stats) NVMReads() uint64 {
-	return s.DataReads + s.CtrReads + s.CoWMetaReads
-}
-
 // Engine is the secure memory controller core.
 type Engine struct {
 	cfg    Config
@@ -364,9 +354,6 @@ func NewEngine(cfg Config, layout Layout, phys *mem.Physical, dev *nvm.Device,
 
 // Scheme returns the active configuration.
 func (e *Engine) Scheme() Scheme { return e.cfg.Scheme }
-
-// Layout returns the metadata address map.
-func (e *Engine) Layout() Layout { return e.layout }
 
 // AttachFaultPlane wires a deterministic fault-injection plane into every
 // persist point. queueFronted selects the point name data-line persistence
@@ -671,9 +658,6 @@ func (e *Engine) Track(pfn uint64) {
 	e.tracked.Set(pfn)
 }
 
-// Footprint returns the bitmask of lines touched on a tracked page.
-func (e *Engine) Footprint(pfn uint64) uint64 { return e.footprint[pfn] }
-
 // Footprints returns the full tracked footprint map (pfn -> line bitmask).
 func (e *Engine) Footprints() map[uint64]uint64 { return e.footprint }
 
@@ -704,27 +688,10 @@ func (e *Engine) peekBlock(pfn uint64) (blk ctr.Block, ok bool) {
 	return blk, true
 }
 
-// IsCoW reports whether the page currently has live fine-grained CoW state
-// (uncopied lines that reference a source page). Pure introspection: the
-// caches, statistics and device clock are left untouched. Under a lazy
-// persistence strategy the intended (cache-ahead) mapping view is
-// consulted, so the kernel's CoW decisions see mappings that have not
-// reached NVM yet.
-func (e *Engine) IsCoW(pfn uint64) bool {
-	switch e.cfg.Scheme {
-	case Lelantus:
-		blk, ok := e.peekBlock(pfn)
-		return ok && blk.CoW
-	case LelantusCoW:
-		_, ok := e.cowEntryView(pfn)
-		return ok
-	default:
-		return false
-	}
-}
-
 // SourceOf returns the recorded source page of a CoW destination, without
-// side effects on caches, statistics or the device clock.
+// side effects on caches, statistics or the device clock. Under a lazy
+// persistence strategy it consults the intended (cache-ahead) mapping view,
+// so it sees mappings that have not reached NVM yet.
 func (e *Engine) SourceOf(pfn uint64) (uint64, bool) {
 	switch e.cfg.Scheme {
 	case Lelantus:
@@ -735,20 +702,6 @@ func (e *Engine) SourceOf(pfn uint64) (uint64, bool) {
 		return e.cowEntryView(pfn)
 	}
 	return 0, false
-}
-
-// UncopiedCount returns the number of lines of pfn still redirected to a
-// source page (0 for non-CoW pages), without side effects on caches,
-// statistics or the device clock.
-func (e *Engine) UncopiedCount(pfn uint64) int {
-	if !e.IsCoW(pfn) {
-		return 0
-	}
-	blk, ok := e.peekBlock(pfn)
-	if !ok {
-		return 0
-	}
-	return blk.UncopiedCount()
 }
 
 // PeekBlock exposes the side-effect-free counter-block view to external

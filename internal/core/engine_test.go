@@ -135,13 +135,13 @@ func TestPageCopySemantics(t *testing.T) {
 			if _, err := e.PageCopy(0, src, dst); err != nil {
 				t.Fatalf("PageCopy: %v", err)
 			}
-			if !e.IsCoW(dst) {
+			if !isCoW(e, dst) {
 				t.Fatal("destination must be a CoW page")
 			}
 			if got, _ := e.SourceOf(dst); got != src {
 				t.Fatalf("SourceOf = %d, want %d", got, src)
 			}
-			if e.UncopiedCount(dst) != ctr.LinesPerPage {
+			if uncopied(e, dst) != ctr.LinesPerPage {
 				t.Fatal("all lines must be uncopied after page_copy")
 			}
 			// Every line reads the source's content without being copied.
@@ -162,7 +162,7 @@ func TestPageCopySemantics(t *testing.T) {
 			if got[0] != 7 {
 				t.Fatal("source modified by destination write")
 			}
-			if e.UncopiedCount(dst) != ctr.LinesPerPage-1 {
+			if uncopied(e, dst) != ctr.LinesPerPage-1 {
 				t.Fatal("exactly one line must be materialised")
 			}
 			if e.Stats.CopiedOnDemand != 1 {
@@ -263,7 +263,7 @@ func TestPagePhyc(t *testing.T) {
 			if copied != ctr.LinesPerPage-1 {
 				t.Fatalf("copied = %d, want %d", copied, ctr.LinesPerPage-1)
 			}
-			if e.IsCoW(dst) {
+			if isCoW(e, dst) {
 				t.Fatal("phyc must clear the CoW state")
 			}
 			// Destination content survives mutation of the former source.
@@ -303,7 +303,7 @@ func TestPagePhycStaleIsNoop(t *testing.T) {
 	if copied != 0 {
 		t.Fatal("phyc with a stale source must be a no-op")
 	}
-	if !e.IsCoW(dst) {
+	if !isCoW(e, dst) {
 		t.Fatal("stale phyc must leave the CoW state intact")
 	}
 }
@@ -447,10 +447,10 @@ func TestCounterTamperDetected(t *testing.T) {
 	const pfn = 110
 	writeLine(t, e, pfn, 0, 0x42)
 	// Force the counter block to NVM and out of the cache.
-	if v, need := e.CtrCache.Invalidate(pfn); need {
-		blk := v.Blk
-		e.persistBlock(0, v.Page, &blk)
+	if _, err := e.DrainMetadata(0); err != nil {
+		t.Fatal(err)
 	}
+	e.ResetVolatile(ctrcache.New(8<<10, 4, ctrcache.WriteBack, 2), ctrcache.NewCoW(512))
 	addr := e.ctrAddr(pfn)
 	var raw [mem.LineBytes]byte
 	e.Phys.ReadLine(addr, &raw)
@@ -502,12 +502,12 @@ func TestFootprintTracking(t *testing.T) {
 	writeLine(t, e, pfn, 0, 1)
 	writeLine(t, e, pfn, 63, 1)
 	readLine(t, e, pfn, 5)
-	fp := e.Footprint(pfn)
+	fp := e.Footprints()[pfn]
 	want := uint64(1)<<0 | uint64(1)<<63 | uint64(1)<<5
 	if fp != want {
 		t.Fatalf("footprint = %#x, want %#x", fp, want)
 	}
-	if e.Footprint(pfn+1) != 0 {
+	if e.Footprints()[pfn+1] != 0 {
 		t.Fatal("untracked page has a footprint")
 	}
 }
@@ -533,12 +533,6 @@ func TestStatsSub(t *testing.T) {
 	d := a.Sub(b)
 	if d.LogicalWrites != 6 || d.DataWrites != 5 || d.Overflows != 1 || d.PageCopies != 2 {
 		t.Fatalf("Sub = %+v", d)
-	}
-	if (&Stats{DataWrites: 2, CtrWrites: 3, CoWMetaWrite: 4}).NVMWrites() != 9 {
-		t.Fatal("NVMWrites sum")
-	}
-	if (&Stats{DataReads: 2, CtrReads: 3, CoWMetaReads: 4}).NVMReads() != 9 {
-		t.Fatal("NVMReads sum")
 	}
 }
 

@@ -18,6 +18,22 @@ type engineFingerprint struct {
 	initialised, written int
 }
 
+// isCoW reports whether pfn is a CoW destination, side-effect free.
+func isCoW(e *Engine, pfn uint64) bool {
+	_, ok := e.SourceOf(pfn)
+	return ok
+}
+
+// uncopied counts pfn's lines still redirected to a source page (0 for a
+// page that is not a CoW destination), side-effect free.
+func uncopied(e *Engine, pfn uint64) int {
+	blk, ok := e.peekBlock(pfn)
+	if !ok || !isCoW(e, pfn) {
+		return 0
+	}
+	return blk.UncopiedCount()
+}
+
 func fingerprint(e *Engine) engineFingerprint {
 	return engineFingerprint{
 		stats:       e.Stats,
@@ -33,7 +49,7 @@ func fingerprint(e *Engine) engineFingerprint {
 }
 
 // TestIntrospectionSideEffectFree is the regression test for the
-// loadBlock-based IsCoW/SourceOf/UncopiedCount: those used to charge
+// loadBlock-based introspection (SourceOf, peekBlock): it used to charge
 // counter reads, move the device clock and churn the cache LRU on every
 // call, so merely observing a page changed the measurement.
 func TestIntrospectionSideEffectFree(t *testing.T) {
@@ -49,23 +65,23 @@ func TestIntrospectionSideEffectFree(t *testing.T) {
 
 			before := fingerprint(e)
 			for i := 0; i < 100; i++ {
-				if !e.IsCoW(dst) {
+				if !isCoW(e, dst) {
 					t.Fatal("dst must be CoW after PageCopy")
 				}
 				if got, ok := e.SourceOf(dst); !ok || got != src {
 					t.Fatalf("SourceOf(dst) = (%d,%v), want (%d,true)", got, ok, src)
 				}
-				if n := e.UncopiedCount(dst); n != ctr.LinesPerPage {
-					t.Fatalf("UncopiedCount(dst) = %d, want %d", n, ctr.LinesPerPage)
+				if n := uncopied(e, dst); n != ctr.LinesPerPage {
+					t.Fatalf("uncopied(dst) = %d, want %d", n, ctr.LinesPerPage)
 				}
-				if e.IsCoW(src) {
+				if isCoW(e, src) {
 					t.Fatal("src page must not read as CoW")
 				}
-				if e.IsCoW(untouched) {
+				if isCoW(e, untouched) {
 					t.Fatal("untouched page must not read as CoW")
 				}
-				if n := e.UncopiedCount(untouched); n != 0 {
-					t.Fatalf("UncopiedCount(untouched) = %d, want 0", n)
+				if n := uncopied(e, untouched); n != 0 {
+					t.Fatalf("uncopied(untouched) = %d, want 0", n)
 				}
 			}
 			if after := fingerprint(e); after != before {
@@ -83,28 +99,22 @@ func TestIntrospectionSideEffectFree(t *testing.T) {
 }
 
 // TestIntrospectionAfterEviction covers peekBlock's NVM fallback: once the
-// destination's counter block has been evicted from the cache, IsCoW must
-// decode the packed NVM image (write-through keeps it current) — still
-// without charging a single counter read.
+// destination's counter block has left the cache, SourceOf must decode the
+// packed NVM image (write-through keeps it current) — still without
+// charging a single counter read.
 func TestIntrospectionAfterEviction(t *testing.T) {
 	e := testEngine(t, Lelantus, nil)
-	// Write-through so the NVM image is always current and invalidating
-	// the cache entry loses nothing.
+	// Write-through so the NVM image is always current and a cold cache
+	// loses nothing.
 	e.CtrCache = ctrcache.New(8<<10, 4, ctrcache.WriteThrough, 2)
 	const src, dst = 3, 7
 	writeLine(t, e, src, 0, 0x11)
 	if _, err := e.PageCopy(0, src, dst); err != nil {
 		t.Fatal(err)
 	}
-	e.CtrCache.Invalidate(dst)
-	if e.CtrCache.Peek(dst) != nil {
-		t.Fatal("test setup: dst block still cached")
-	}
+	e.CtrCache = ctrcache.New(8<<10, 4, ctrcache.WriteThrough, 2)
 
 	before := fingerprint(e)
-	if !e.IsCoW(dst) {
-		t.Fatal("IsCoW must decode the NVM image after eviction")
-	}
 	if got, ok := e.SourceOf(dst); !ok || got != src {
 		t.Fatalf("SourceOf(dst) = (%d,%v), want (%d,true)", got, ok, src)
 	}
@@ -122,7 +132,7 @@ func TestPeekDoesNotMaterialiseBlocks(t *testing.T) {
 	writeLine(t, e, 1, 0, 0xAA)
 	before := fingerprint(e)
 	for pfn := uint64(50); pfn < 60; pfn++ {
-		if e.IsCoW(pfn) {
+		if isCoW(e, pfn) {
 			t.Fatalf("uninitialised page %d reads as CoW", pfn)
 		}
 	}

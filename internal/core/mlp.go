@@ -79,15 +79,6 @@ func (e *Engine) writeLeg(issue, addr uint64) uint64 {
 	})
 }
 
-// MSHRStats exposes the MSHR file's issue/stall counters (zeros when MLP is
-// off) for CLI reporting.
-func (e *Engine) MSHRStats() (issues, stalls, stallNs uint64) {
-	if e.mshr == nil {
-		return 0, 0, 0
-	}
-	return e.mshr.Issues, e.mshr.Stalls, e.mshr.StallNs
-}
-
 // chainHop is one latched step of a page-granular redirect-chain walk: the
 // batched page engines walk the chain once and resolve all 64 lines from
 // the latched counter blocks, where the serial engine re-walks it per line.
@@ -247,14 +238,14 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 			e.Stats.ZeroReads++
 			rt = h.done
 		case !isWritten:
-			rt = maxU64(h.done, e.readLeg(h.issue, srcLA))
+			rt = max(h.done, e.readLeg(h.issue, srcLA))
 			e.Stats.DataReads++
 			e.Stats.ZeroReads++
 		default:
 			fetch := e.readLeg(h.issue, srcLA)
 			e.Stats.DataReads++
 			// Pad generation overlaps the fetch but needs the counter.
-			rt = maxU64(fetch, h.done+e.padNs)
+			rt = max(fetch, h.done+e.padNs)
 		}
 		// A zero line's plaintext stays zeros; any other is opened.
 		var plain [mem.LineBytes]byte

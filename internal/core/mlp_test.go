@@ -43,18 +43,18 @@ func TestMLPResolveOverlap(t *testing.T) {
 	}
 }
 
-// TestMLPStatsExposed pins the MSHR bookkeeping: an enabled engine reports
-// issues through MSHRStats, a disabled one reports an inert zero value.
+// TestMLPStatsExposed pins the MSHR bookkeeping: an enabled engine issues
+// through its MSHR file, a disabled one has none.
 func TestMLPStatsExposed(t *testing.T) {
 	e := testEngine(t, Lelantus, func(c *Config) { c.MLP = MLPConfig{Enabled: true} })
 	writeLine(t, e, 3, 5, 0xAB)
 	readLine(t, e, 3, 5)
-	if issues, _, _ := e.MSHRStats(); issues == 0 {
+	if e.mshr.Issues == 0 {
 		t.Error("enabled engine issued nothing through the MSHR file")
 	}
 	off := testEngine(t, Lelantus, nil)
 	writeLine(t, off, 3, 5, 0xAB)
-	if issues, stalls, stallNs := off.MSHRStats(); issues != 0 || stalls != 0 || stallNs != 0 {
-		t.Errorf("disabled engine has MSHR stats: %d %d %d", issues, stalls, stallNs)
+	if off.mshr != nil {
+		t.Errorf("disabled engine has an MSHR file: %+v", off.mshr)
 	}
 }

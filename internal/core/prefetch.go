@@ -144,7 +144,7 @@ func (e *Engine) pfMaybeWalkChain(now, dst, first uint64) {
 		// needs no table lookup), which the fill above is already pulling —
 		// the demand walk learns it the same way. Only a *continuing* chain
 		// pays the next discovery read.
-		src, ok := e.pfChainSource(cur)
+		src, ok := e.SourceOf(cur)
 		if !ok || src == cur {
 			return
 		}
@@ -159,20 +159,6 @@ func (e *Engine) pfMaybeWalkChain(now, dst, first uint64) {
 		}
 		disc, cur = ready, src
 	}
-}
-
-// pfChainSource returns the next hop behind a page, side-effect free, or
-// ok=false at the end of the chain.
-func (e *Engine) pfChainSource(pfn uint64) (src uint64, ok bool) {
-	switch e.cfg.Scheme {
-	case Lelantus:
-		if blk, found := e.peekBlock(pfn); found && blk.CoW {
-			return blk.Src, true
-		}
-	case LelantusCoW:
-		return e.cowEntryView(pfn)
-	}
-	return 0, false
 }
 
 // prefetchCtr issues one timed counter-block prefetch fill for pfn.

@@ -135,7 +135,7 @@ func TestProbeRecordsEngineEvents(t *testing.T) {
 	}
 	// The redirected read resolved through the source page: chain depth > 0
 	// must have been observed.
-	if ch := pl.ChainDepth(); ch.Count == 0 || ch.Max == 0 {
+	if ch := pl.Summary().ChainDepth; ch.Count == 0 || ch.Max == 0 {
 		t.Errorf("chain depth distribution = %+v, want redirected read observed", ch)
 	}
 	if pl.LastNs() == 0 || pl.LastNs() > done {

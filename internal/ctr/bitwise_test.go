@@ -3,10 +3,10 @@ package ctr
 import "fmt"
 
 // This file keeps the original bit-at-a-time codec as the executable
-// specification of the counter-block layout. The production Pack/Unpack in
-// ctr.go are word-wise rewrites of exactly this encoding; the differential
-// fuzz target (FuzzCodecDifferential) and the codec benchmarks hold the two
-// implementations bit-exact against each other.
+// specification of the counter-block layout. The production PackInto and
+// UnpackInto in ctr.go are word-wise rewrites of exactly this encoding; the
+// differential fuzz target (FuzzCodecDifferential) and the codec benchmarks
+// hold the two implementations bit-exact against each other.
 
 // packBitwise serialises the block with the reference per-bit encoder.
 func packBitwise(b *Block) ([BlockBytes]byte, error) {

@@ -40,14 +40,14 @@ func sampleBlock(format Format, cow bool, salt uint8) Block {
 	return b
 }
 
-// TestCodecMatchesBitwiseReference pins the word-wise Pack/Unpack to the
-// per-bit reference codec on deterministic samples of every layout.
+// TestCodecMatchesBitwiseReference pins the word-wise PackInto and
+// UnpackInto to the per-bit reference codec on deterministic samples of every layout.
 func TestCodecMatchesBitwiseReference(t *testing.T) {
 	for _, tc := range codecCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			for salt := 0; salt < 8; salt++ {
 				b := sampleBlock(tc.format, tc.cow, uint8(salt))
-				fast, err := b.Pack()
+				fast, err := pack(&b)
 				if err != nil {
 					t.Fatalf("Pack: %v", err)
 				}
@@ -58,7 +58,7 @@ func TestCodecMatchesBitwiseReference(t *testing.T) {
 				if !bytes.Equal(fast[:], slow[:]) {
 					t.Fatalf("pack mismatch:\n fast %x\n slow %x", fast, slow)
 				}
-				got, err := Unpack(fast, tc.format)
+				got, err := unpack(fast, tc.format)
 				if err != nil {
 					t.Fatalf("Unpack: %v", err)
 				}
@@ -69,7 +69,7 @@ func TestCodecMatchesBitwiseReference(t *testing.T) {
 				if got != ref {
 					t.Fatalf("unpack mismatch:\n fast %+v\n slow %+v", got, ref)
 				}
-				if !got.Equal(&b) {
+				if !equal(&got, &b) {
 					t.Fatalf("round trip lost data:\n in  %+v\n out %+v", b, got)
 				}
 			}
@@ -103,7 +103,7 @@ func FuzzCodecDifferential(f *testing.F) {
 		if resized {
 			format = Resized
 		}
-		fast, err := Unpack(in, format)
+		fast, err := unpack(in, format)
 		if err != nil {
 			t.Fatalf("Unpack: %v", err)
 		}
@@ -114,7 +114,7 @@ func FuzzCodecDifferential(f *testing.F) {
 		if fast != slow {
 			t.Fatalf("decoders disagree:\n fast %+v\n slow %+v", fast, slow)
 		}
-		fastRaw, err := fast.Pack()
+		fastRaw, err := pack(&fast)
 		if err != nil {
 			t.Fatalf("Pack of decoded block: %v", err)
 		}
@@ -139,7 +139,7 @@ func BenchmarkPack(b *testing.B) {
 		blk := sampleBlock(tc.format, tc.cow, 3)
 		b.Run(tc.name+"/word", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := blk.Pack(); err != nil {
+				if _, err := pack(&blk); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -159,13 +159,13 @@ func BenchmarkPack(b *testing.B) {
 func BenchmarkUnpack(b *testing.B) {
 	for _, tc := range codecCases() {
 		blk := sampleBlock(tc.format, tc.cow, 3)
-		raw, err := blk.Pack()
+		raw, err := pack(&blk)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(tc.name+"/word", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Unpack(raw, tc.format); err != nil {
+				if _, err := unpack(raw, tc.format); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -105,7 +105,9 @@ func (b *Block) Validate() error {
 	return nil
 }
 
-// Pack serialises the block into its 64-byte memory image.
+// PackInto serialises the block into its 64-byte memory image, written
+// directly into the caller's buffer: the persist path passes a stack buffer
+// so packing a block moves no memory beyond the 64 target bytes.
 //
 // The encoder is word-wise: the 64-bit head and source words go through
 // encoding/binary, and the minor lanes are packed eight at a time — eight
@@ -114,15 +116,6 @@ func (b *Block) Validate() error {
 // boundaries and never straddle each other. The bit layout is identical to
 // the original per-bit codec (see packBitwise in bitwise_test.go, kept as
 // the differential-fuzz reference).
-func (b *Block) Pack() ([BlockBytes]byte, error) {
-	var raw [BlockBytes]byte
-	err := b.PackInto(&raw)
-	return raw, err
-}
-
-// PackInto serialises the block directly into the caller's buffer. The
-// persist path uses it with a stack buffer so packing a block moves no
-// memory beyond the 64 target bytes.
 func (b *Block) PackInto(raw *[BlockBytes]byte) error {
 	if err := b.Validate(); err != nil {
 		return err
@@ -147,15 +140,8 @@ func (b *Block) PackInto(raw *[BlockBytes]byte) error {
 	return nil
 }
 
-// Unpack decodes a 64-byte counter block stored in the given format.
-func Unpack(raw [BlockBytes]byte, f Format) (Block, error) {
-	var b Block
-	err := UnpackInto(&raw, f, &b)
-	return b, err
-}
-
-// UnpackInto decodes into the caller's block, overwriting every field; the
-// hot path passes a stack- or cache-resident block so decoding allocates
+// UnpackInto decodes a 64-byte counter block stored in the given format
+// into the caller's block, overwriting every field; the hot path passes a stack- or cache-resident block so decoding allocates
 // and copies nothing.
 func UnpackInto(raw *[BlockBytes]byte, f Format, b *Block) error {
 	*b = Block{Format: f}
@@ -314,13 +300,6 @@ func (b *Block) ClearCoW() {
 	b.Src = 0
 }
 
-// Uncopied reports whether line i of a CoW page is still awaiting its copy:
-// under both Lelantus encodings a zero minor counter on a CoW page means
-// "read this line from the source page".
-func (b *Block) Uncopied(i int) bool {
-	return b.Minor[i] == 0
-}
-
 // UncopiedCount returns the number of lines still redirected to the source.
 func (b *Block) UncopiedCount() int {
 	n := 0
@@ -330,15 +309,4 @@ func (b *Block) UncopiedCount() int {
 		}
 	}
 	return n
-}
-
-// Equal reports semantic equality of two blocks.
-func (b *Block) Equal(o *Block) bool {
-	if b.Format != o.Format || b.CoW != o.CoW || b.Major != o.Major {
-		return false
-	}
-	if b.CoW && b.Src != o.Src {
-		return false
-	}
-	return b.Minor == o.Minor
 }

@@ -6,20 +6,45 @@ import (
 	"testing/quick"
 )
 
+// pack and unpack are the value forms of PackInto and UnpackInto.
+func pack(b *Block) ([BlockBytes]byte, error) {
+	var raw [BlockBytes]byte
+	err := b.PackInto(&raw)
+	return raw, err
+}
+
+func unpack(raw [BlockBytes]byte, f Format) (Block, error) {
+	var b Block
+	err := UnpackInto(&raw, f, &b)
+	return b, err
+}
+
+// equal reports semantic equality of two blocks: Src counts only on a CoW
+// block.
+func equal(a, b *Block) bool {
+	if a.Format != b.Format || a.CoW != b.CoW || a.Major != b.Major {
+		return false
+	}
+	if a.CoW && a.Src != b.Src {
+		return false
+	}
+	return a.Minor == b.Minor
+}
+
 func TestPackUnpackClassic(t *testing.T) {
 	b := Block{Format: Classic, Major: 0xDEADBEEFCAFEF00D}
 	for i := range b.Minor {
 		b.Minor[i] = uint8(i * 2 % 128)
 	}
-	raw, err := b.Pack()
+	raw, err := pack(&b)
 	if err != nil {
 		t.Fatalf("pack: %v", err)
 	}
-	got, err := Unpack(raw, Classic)
+	got, err := unpack(raw, Classic)
 	if err != nil {
 		t.Fatalf("unpack: %v", err)
 	}
-	if !got.Equal(&b) {
+	if !equal(&got, &b) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, b)
 	}
 }
@@ -29,18 +54,18 @@ func TestPackUnpackResizedRegular(t *testing.T) {
 	for i := range b.Minor {
 		b.Minor[i] = 127
 	}
-	raw, err := b.Pack()
+	raw, err := pack(&b)
 	if err != nil {
 		t.Fatalf("pack: %v", err)
 	}
 	if raw[0]&1 != 0 {
 		t.Fatalf("regular resized block must have CoW flag clear, got raw[0]=%#x", raw[0])
 	}
-	got, err := Unpack(raw, Resized)
+	got, err := unpack(raw, Resized)
 	if err != nil {
 		t.Fatalf("unpack: %v", err)
 	}
-	if !got.Equal(&b) {
+	if !equal(&got, &b) {
 		t.Fatalf("round trip mismatch: got %+v want %+v", got, b)
 	}
 }
@@ -50,18 +75,18 @@ func TestPackUnpackResizedCoW(t *testing.T) {
 	for i := range b.Minor {
 		b.Minor[i] = uint8(i % 64)
 	}
-	raw, err := b.Pack()
+	raw, err := pack(&b)
 	if err != nil {
 		t.Fatalf("pack: %v", err)
 	}
 	if raw[0]&1 != 1 {
 		t.Fatalf("CoW block must set the flag bit")
 	}
-	got, err := Unpack(raw, Resized)
+	got, err := unpack(raw, Resized)
 	if err != nil {
 		t.Fatalf("unpack: %v", err)
 	}
-	if !got.Equal(&b) {
+	if !equal(&got, &b) {
 		t.Fatalf("round trip mismatch: got %+v want %+v", got, b)
 	}
 }
@@ -73,15 +98,15 @@ func TestBlockFitsExactly(t *testing.T) {
 	for i := range b.Minor {
 		b.Minor[i] = MinorMaxCoW
 	}
-	raw, err := b.Pack()
+	raw, err := pack(&b)
 	if err != nil {
 		t.Fatalf("pack: %v", err)
 	}
-	got, err := Unpack(raw, Resized)
+	got, err := unpack(raw, Resized)
 	if err != nil {
 		t.Fatalf("unpack: %v", err)
 	}
-	if !got.Equal(&b) {
+	if !equal(&got, &b) {
 		t.Fatalf("max-value round trip mismatch: got %+v want %+v", got, b)
 	}
 }
@@ -106,7 +131,7 @@ func TestPackValidation(t *testing.T) {
 		{"unknown format", Block{Format: Format(9)}},
 	}
 	for _, c := range cases {
-		if _, err := c.blk.Pack(); err == nil {
+		if _, err := pack(&c.blk); err == nil {
 			t.Errorf("%s: expected pack error", c.name)
 		}
 	}
@@ -167,14 +192,14 @@ func TestMakeCoWAndClear(t *testing.T) {
 		t.Fatalf("fresh CoW page must have all %d lines uncopied, got %d", LinesPerPage, b.UncopiedCount())
 	}
 	b.Minor[5] = 3
-	if b.Uncopied(5) || !b.Uncopied(6) {
-		t.Fatal("Uncopied must track zero minors")
+	if n := b.UncopiedCount(); n != LinesPerPage-1 {
+		t.Fatalf("UncopiedCount = %d after one line's copy, want %d", n, LinesPerPage-1)
 	}
 	b.ClearCoW()
 	if b.CoW || b.Src != 0 {
 		t.Fatalf("ClearCoW left state: %+v", b)
 	}
-	if _, err := b.Pack(); err != nil {
+	if _, err := pack(&b); err != nil {
 		t.Fatalf("cleared block must pack in 7-bit layout: %v", err)
 	}
 
@@ -206,15 +231,15 @@ func TestQuickRoundTrip(t *testing.T) {
 		for i := range b.Minor {
 			b.Minor[i] = uint8(r.Intn(max + 1))
 		}
-		raw, err := b.Pack()
+		raw, err := pack(&b)
 		if err != nil {
 			return false
 		}
-		got, err := Unpack(raw, b.Format)
+		got, err := unpack(raw, b.Format)
 		if err != nil {
 			return false
 		}
-		return got.Equal(&b)
+		return equal(&got, &b)
 	}
 	cfg := &quick.Config{MaxCount: 500, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
@@ -230,18 +255,18 @@ func TestQuickBitIsolation(t *testing.T) {
 	for i := range base.Minor {
 		base.Minor[i] = uint8(i % 60)
 	}
-	raw, err := base.Pack()
+	raw, err := pack(&base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for bit := 0; bit < BlockBytes*8; bit++ {
 		mut := raw
 		mut[bit/8] ^= 1 << (bit % 8)
-		got, err := Unpack(mut, Resized)
+		got, err := unpack(mut, Resized)
 		if err != nil {
 			continue // flipped into an invalid encoding: fine
 		}
-		if got.Equal(&base) {
+		if equal(&got, &base) {
 			t.Fatalf("flipping bit %d produced an identical decoded block", bit)
 		}
 	}

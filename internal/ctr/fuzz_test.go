@@ -26,11 +26,11 @@ func FuzzPackUnpackIdentity(f *testing.F) {
 		if resized {
 			format = Resized
 		}
-		blk, err := Unpack(in, format)
+		blk, err := unpack(in, format)
 		if err != nil {
 			t.Fatalf("unpack of arbitrary bits failed: %v", err)
 		}
-		out, err := blk.Pack()
+		out, err := pack(&blk)
 		if err != nil {
 			t.Fatalf("repack failed: %v", err)
 		}
@@ -41,7 +41,7 @@ func FuzzPackUnpackIdentity(f *testing.F) {
 }
 
 // FuzzIncrementNeverExceedsWidth: arbitrary increment sequences keep every
-// minor within its bit width (Pack would reject otherwise).
+// minor within its bit width (PackInto would reject otherwise).
 func FuzzIncrementNeverExceedsWidth(f *testing.F) {
 	f.Add(uint8(3), uint16(500), true)
 	f.Fuzz(func(t *testing.T, line uint8, n uint16, cow bool) {

@@ -73,9 +73,6 @@ func New(sizeBytes uint64, ways int, mode Mode, latencyNs uint64) *Cache {
 	return c
 }
 
-// Mode returns the write strategy.
-func (c *Cache) Mode() Mode { return c.mode }
-
 func (c *Cache) set(page uint64) []entry {
 	var s uint64
 	if c.setMask != 0 {
@@ -104,8 +101,8 @@ func (c *Cache) Get(page uint64) *ctr.Block {
 
 // Peek returns the cached counter block for the page without any side
 // effects: no LRU promotion, no hit/miss accounting, no tick advance.
-// Introspection paths that must not perturb measurements (Engine.IsCoW and
-// friends) use it instead of Get.
+// Introspection paths that must not perturb measurements (Engine.SourceOf
+// and PeekBlock) use it instead of Get.
 func (c *Cache) Peek(page uint64) *ctr.Block {
 	set := c.set(page)
 	for i := range set {
@@ -259,25 +256,6 @@ func (c *Cache) MarkDirty(page uint64) (writeThrough bool) {
 		}
 	}
 	return false
-}
-
-// Invalidate drops the page's counter block, returning it if it was dirty.
-func (c *Cache) Invalidate(page uint64) (victim Victim, needWB bool) {
-	set := c.set(page)
-	for i := range set {
-		if set[i].valid && set[i].page == page {
-			if set[i].dirty {
-				victim = Victim{Page: page, Blk: set[i].blk}
-				needWB = true
-			}
-			if set[i].pfetch {
-				c.notePrefetchEvict(page)
-			}
-			set[i] = entry{}
-			return victim, needWB
-		}
-	}
-	return Victim{}, false
 }
 
 // DrainDirty hands every dirty resident block to sink and cleans it
@@ -556,20 +534,6 @@ func (c *CoWCache) DrainDirty(sink func(CoWVictim) error) error {
 		}
 	}
 	return nil
-}
-
-// Drop removes a mapping (page_phyc / page_free). The slot is zeroed so a
-// later DrainDirty never resurrects the dead entry.
-func (c *CoWCache) Drop(dst uint64) {
-	if i, ok := c.idx[dst]; ok {
-		if c.ents[i].pfetch {
-			c.notePrefetchEvict(dst)
-		}
-		c.unlink(i)
-		delete(c.idx, dst)
-		c.ents[i] = cowEntry{}
-		c.free = append(c.free, i)
-	}
 }
 
 // MissRate returns the fraction of lookups that missed (Fig. 10b).

@@ -104,19 +104,6 @@ func TestWriteThroughMode(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(4<<10, 4, WriteBack, 2)
-	c.Put(9, blk(9))
-	c.MarkDirty(9)
-	v, need := c.Invalidate(9)
-	if !need || v.Blk.Major != 9 {
-		t.Fatalf("invalidate dirty: %+v need=%v", v, need)
-	}
-	if c.Get(9) != nil {
-		t.Fatal("invalidated block still resident")
-	}
-}
-
 func TestDrainDirty(t *testing.T) {
 	c := New(4<<10, 4, WriteBack, 2)
 	c.Put(1, blk(1))
@@ -209,6 +196,8 @@ func TestCoWCacheLRU(t *testing.T) {
 	}
 }
 
+// TestCoWCacheUpdateAndDrop: a mapping updates in place, and page_phyc /
+// page_free drop it by caching it absent.
 func TestCoWCacheUpdateAndDrop(t *testing.T) {
 	c := NewCoW(64)
 	c.Insert(5, 50, true)
@@ -216,9 +205,9 @@ func TestCoWCacheUpdateAndDrop(t *testing.T) {
 	if src, _, _ := c.Lookup(5); src != 51 {
 		t.Fatalf("update lost: src=%d", src)
 	}
-	c.Drop(5)
-	if _, _, cached := c.Lookup(5); cached {
-		t.Fatal("dropped mapping still cached")
+	c.Insert(5, 0, false)
+	if _, present, cached := c.Lookup(5); present || !cached {
+		t.Fatalf("dropped mapping: present=%v cached=%v, want an absent entry", present, cached)
 	}
 }
 

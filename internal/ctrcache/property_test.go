@@ -142,17 +142,6 @@ func (m *cacheModel) putPrefetched(page uint64) bool {
 	return true
 }
 
-func (m *cacheModel) invalidate(page uint64) (wasDirty bool) {
-	if e := m.find(page); e != nil {
-		wasDirty = e.dirty
-		if e.pfetch {
-			m.evicts = append(m.evicts, page)
-		}
-		*e = cmEntry{}
-	}
-	return wasDirty
-}
-
 func (m *cacheModel) prefetchRoom(page uint64) bool {
 	if m.find(page) != nil {
 		return false
@@ -166,7 +155,7 @@ func (m *cacheModel) prefetchRoom(page uint64) bool {
 }
 
 // TestCachePropertyVsModel runs a long random mix of Get, Put, Peek,
-// MarkDirty, Invalidate, PutPrefetched and PrefetchRoom on a small cache
+// MarkDirty, PutPrefetched and PrefetchRoom on a small cache
 // and checks every observable — return values, hit/miss counters, dirty
 // write-back victims, the prefetch-evict callback trace and the final
 // residency of every page — against the reference model. In particular the
@@ -189,7 +178,7 @@ func TestCachePropertyVsModel(t *testing.T) {
 	var hits, misses uint64
 	for op := 0; op < ops; op++ {
 		page := uint64(rng.Intn(pages))
-		switch rng.Intn(10) {
+		switch rng.Intn(9) {
 		case 0, 1, 2: // Get
 			got := c.Get(page) != nil
 			want := m.get(page)
@@ -216,17 +205,12 @@ func TestCachePropertyVsModel(t *testing.T) {
 			if want := m.find(page) != nil; got != want {
 				t.Fatalf("op %d: Peek(%d)=%v, model %v", op, page, got, want)
 			}
-		case 7: // Invalidate
-			_, wb := c.Invalidate(page)
-			if want := m.invalidate(page); wb != want {
-				t.Fatalf("op %d: Invalidate(%d) dirty=%v, model %v", op, page, wb, want)
-			}
-		case 8: // PutPrefetched
+		case 7: // PutPrefetched
 			got := c.PutPrefetched(page, blk(page))
 			if want := m.putPrefetched(page); got != want {
 				t.Fatalf("op %d: PutPrefetched(%d)=%v, model %v", op, page, got, want)
 			}
-		case 9: // PrefetchRoom is a pure predicate
+		case 8: // PrefetchRoom is a pure predicate
 			got := c.PrefetchRoom(page)
 			if want := m.prefetchRoom(page); got != want {
 				t.Fatalf("op %d: PrefetchRoom(%d)=%v, model %v", op, page, got, want)
@@ -336,15 +320,6 @@ func (m *cowModel) insertPrefetched(dst, src uint64, present bool) bool {
 	return true
 }
 
-func (m *cowModel) drop(dst uint64) {
-	if e, ok := m.state[dst]; ok {
-		if e.pfetch {
-			m.evicts = append(m.evicts, dst)
-		}
-		m.remove(dst)
-	}
-}
-
 func (m *cowModel) drainDirty() []uint64 {
 	var out []uint64
 	for dst, e := range m.state {
@@ -405,7 +380,7 @@ func checkCoWIntegrity(t *testing.T, op int, c *CoWCache, m *cowModel) {
 }
 
 // TestCoWCachePropertyVsModel runs a long random mix of Lookup, Insert,
-// InsertDirty, InsertPrefetched, Peek, Drop, DrainDirty and PrefetchRoom on
+// InsertDirty, InsertPrefetched, Peek, DrainDirty and PrefetchRoom on
 // a small CoWCache, checking every return value against the recency model
 // and the intrusive list's structural integrity after every operation.
 func TestCoWCachePropertyVsModel(t *testing.T) {
@@ -424,7 +399,7 @@ func TestCoWCachePropertyVsModel(t *testing.T) {
 	for op := 0; op < ops; op++ {
 		dst := uint64(rng.Intn(pages))
 		src := dst + 1000
-		switch rng.Intn(12) {
+		switch rng.Intn(11) {
 		case 0, 1, 2: // Lookup
 			gs, gp, gc := c.Lookup(dst)
 			ws, wp, wc := m.lookup(dst)
@@ -455,10 +430,7 @@ func TestCoWCachePropertyVsModel(t *testing.T) {
 			if want := m.insertPrefetched(dst, src, present); got != want {
 				t.Fatalf("op %d: InsertPrefetched(%d)=%v, model %v", op, dst, got, want)
 			}
-		case 9: // Drop
-			c.Drop(dst)
-			m.drop(dst)
-		case 10: // DrainDirty: same victim set, then nothing left dirty
+		case 9: // DrainDirty: same victim set, then nothing left dirty
 			var drained []uint64
 			c.DrainDirty(func(v CoWVictim) error { drained = append(drained, v.Dst); return nil })
 			sort.Slice(drained, func(i, j int) bool { return drained[i] < drained[j] })
@@ -471,7 +443,7 @@ func TestCoWCachePropertyVsModel(t *testing.T) {
 					t.Fatalf("op %d: DrainDirty flushed %v, model %v", op, drained, want)
 				}
 			}
-		case 11: // Peek and PrefetchRoom are pure
+		case 10: // Peek and PrefetchRoom are pure
 			_, cachedIn := m.state[dst]
 			if _, _, gc := c.Peek(dst); gc != cachedIn {
 				t.Fatalf("op %d: Peek(%d)=%v, model %v", op, dst, gc, cachedIn)

@@ -84,11 +84,6 @@ func (o Options) machineConfig(scheme core.Scheme, mutate func(*sim.Config)) sim
 	return cfg
 }
 
-// run executes one script on a fresh machine.
-func (o Options) run(scheme core.Scheme, script workload.Script, mutate func(*sim.Config)) (sim.Result, error) {
-	return sim.RunWith(o.machineConfig(scheme, mutate), script)
-}
-
 // job builds one grid cell from the option set's machine parameters.
 func (o Options) job(tag string, scheme core.Scheme, script workload.Script, mutate func(*sim.Config)) sim.GridJob {
 	return sim.GridJob{Tag: tag, Config: o.machineConfig(scheme, mutate), Script: script}

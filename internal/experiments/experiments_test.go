@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
+
+	"lelantus/internal/stats"
 )
 
 func quickOpts() Options {
@@ -117,7 +120,7 @@ func TestPersistMatrixTradeoff(t *testing.T) {
 	}
 	type cell struct{ treePersists, recoveryUs float64 }
 	byKey := make(map[string]cell)
-	for _, row := range r.Table.Rows() {
+	for _, row := range tableRows(t, r.Table) {
 		byKey[row[0]+"/"+row[1]] = cell{
 			treePersists: toFloat(t, row[3]),
 			recoveryUs:   toFloat(t, row[5]),
@@ -138,6 +141,20 @@ func TestPersistMatrixTradeoff(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tableRows reads a table's formatted cells back from its JSON encoding.
+func tableRows(t *testing.T, tb *stats.Table) [][]string {
+	t.Helper()
+	raw, err := json.Marshal(tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v struct{ Rows [][]string }
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatal(err)
+	}
+	return v.Rows
 }
 
 func toFloat(t *testing.T, s string) float64 {

@@ -84,7 +84,7 @@ func addRuntimeFlags(fs *flag.FlagSet) *runtimeOpts {
 	return &runtimeOpts{
 		workers:       fs.Int("workers", 0, "in-process worker pool (0 = all CPUs); the report is byte-identical at any setting"),
 		isolate:       fs.Bool("isolate", false, "run every cell in a worker subprocess (hard-kills wedged cells, survives per-cell OOM)"),
-		timeout:       fs.Duration("timeout", 0, "per-cell wall-clock budget (0 = none), e.g. 90s"),
+		timeout:       fs.Duration("timeout", 0, "per-cell wall-clock budget under -isolate (0 = none), e.g. 90s"),
 		retries:       fs.Int("retries", 1, "extra attempts for a failing cell before its failure is recorded"),
 		backoff:       fs.Duration("backoff", 100*time.Millisecond, "base retry backoff (doubles per attempt, capped at 30s)"),
 		strict:        fs.Bool("strict", false, "exit non-zero when any cell ends up failed"),
@@ -97,7 +97,8 @@ func addRuntimeFlags(fs *flag.FlagSet) *runtimeOpts {
 
 // parse parses args into fs and checks the runtime flags. A negative
 // value is a usage error: 0 is the one documented "all CPUs", "none",
-// "default" or "off". It reports false after writing a one-line
+// "default" or "off". So is -timeout without -isolate: only a worker
+// subprocess can be killed. It reports false after writing a one-line
 // diagnosis; the caller exits 2.
 func (r *runtimeOpts) parse(fs *flag.FlagSet, args []string, stderr io.Writer) bool {
 	if err := fs.Parse(args); err != nil {
@@ -108,6 +109,10 @@ func (r *runtimeOpts) parse(fs *flag.FlagSet, args []string, stderr io.Writer) b
 			fmt.Fprintf(stderr, "lelantus-grid: -%s %s: must be >= 0\n", name, v)
 			return false
 		}
+	}
+	if *r.timeout > 0 && !*r.isolate {
+		fmt.Fprintf(stderr, "lelantus-grid: -timeout %s: requires -isolate (an in-process cell cannot be stopped)\n", *r.timeout)
+		return false
 	}
 	return true
 }

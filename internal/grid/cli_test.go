@@ -40,6 +40,8 @@ func TestCLIUsageAndFlagErrors(t *testing.T) {
 		{"negative workers", []string{"run", "-dir", "ignored", "-workers", "-3"}, 2, "-workers -3"},
 		{"negative retries", []string{"run", "-dir", "ignored", "-retries", "-5"}, 2, "-retries -5"},
 		{"negative timeout", []string{"run", "-dir", "ignored", "-timeout", "-1s"}, 2, "-timeout -1s"},
+		{"timeout without isolate", []string{"run", "-dir", "ignored", "-timeout", "90s"}, 2, "-timeout 1m30s: requires -isolate"},
+		{"resume timeout without isolate", []string{"resume", "-dir", "/nonexistent-grid", "-timeout", "90s"}, 2, "requires -isolate"},
 		{"negative backoff", []string{"run", "-dir", "ignored", "-backoff", "-1s"}, 2, "-backoff -1s"},
 		{"negative heartbeat", []string{"run", "-dir", "ignored", "-heartbeat", "-1s"}, 2, "-heartbeat -1s"},
 		{"resume negative workers", []string{"resume", "-dir", "/nonexistent-grid", "-workers", "-3"}, 2, "-workers -3"},

@@ -30,9 +30,11 @@ type Options struct {
 	// down one process, is hard-killed on timeout, and degrades to one
 	// failed-cell record.
 	Isolate bool
-	// Timeout is the per-cell wall-clock budget (0 = none). In-process, a
-	// timed-out cell's goroutine is abandoned (it cannot be killed);
-	// under Isolate the subprocess is killed.
+	// Timeout is the per-cell wall-clock budget (0 = none): a cell that
+	// outlives it has its worker subprocess killed. It requires Isolate —
+	// an in-process cell cannot be stopped, and abandoning its goroutine
+	// would run it beside the pool — so Create and Open reject a positive
+	// Timeout without it.
 	Timeout time.Duration
 	// Retries is how many additional attempts a failing cell gets before
 	// its failure is recorded; attempts back off exponentially from
@@ -57,7 +59,7 @@ type Options struct {
 	HeartbeatW io.Writer
 
 	// cellFn overrides in-process cell execution (package-internal test
-	// seam for retry/backoff/timeout behaviour; nil = RunCell).
+	// seam for retry/backoff behaviour; nil = RunCell).
 	cellFn func(CellSpec) CellResult
 }
 
@@ -89,12 +91,23 @@ type Coordinator struct {
 	running     bool
 }
 
-// Create initialises a new grid directory: validates the spec, writes
-// state.json (the only time it is written) and an empty results log. It
-// refuses a directory that already holds a state.json — that run should be
-// resumed, not silently restarted over.
+// validate rejects option sets the coordinator cannot honour.
+func (o Options) validate() error {
+	if o.Timeout > 0 && !o.Isolate {
+		return fmt.Errorf("grid: a %s per-cell timeout requires Isolate: an in-process cell cannot be stopped", o.Timeout)
+	}
+	return nil
+}
+
+// Create initialises a new grid directory: validates the spec and the
+// options, writes state.json (the only time it is written) and an empty
+// results log. It refuses a directory that already holds a state.json —
+// that run should be resumed, not silently restarted over.
 func Create(dir string, spec Spec, opts Options) (*Coordinator, error) {
 	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -118,6 +131,9 @@ func Create(dir string, spec Spec, opts Options) (*Coordinator, error) {
 
 // Open attaches to an existing grid directory for resume/status.
 func Open(dir string, opts Options) (*Coordinator, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	st, err := LoadState(dir)
 	if err != nil {
 		return nil, err
@@ -292,34 +308,10 @@ func (c *Coordinator) runCellOnce(spec CellSpec) CellResult {
 	if c.opts.Isolate {
 		return c.runCellIsolated(spec)
 	}
-	fn := c.opts.cellFn
-	if fn == nil {
-		scripts := c.scripts // read here, not in a timed-out cell's goroutine
-		fn = func(spec CellSpec) CellResult { return RunCell(spec, scripts) }
+	if c.opts.cellFn != nil {
+		return c.opts.cellFn(spec)
 	}
-	return runCellInProcess(spec, c.opts.Timeout, fn)
-}
-
-// runCellInProcess executes the cell on a fresh goroutine so a wall-clock
-// timeout can abandon it. A goroutine cannot be killed, so a timed-out
-// cell leaks its goroutine until the simulation finishes on its own —
-// bounded collateral the record spells out; -isolate upgrades the timeout
-// to a hard subprocess kill.
-func runCellInProcess(spec CellSpec, timeout time.Duration, fn func(CellSpec) CellResult) CellResult {
-	if timeout <= 0 {
-		return fn(spec)
-	}
-	ch := make(chan CellResult, 1)
-	go func() { ch <- fn(spec) }()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		return res
-	case <-timer.C:
-		return CellResult{ID: spec.ID(), Tag: spec.Tag(), Spec: spec,
-			Err: fmt.Sprintf("cell exceeded its %s wall-clock timeout (in-process worker abandoned; -isolate hard-kills wedged cells)", timeout)}
-	}
+	return RunCell(spec, c.scripts)
 }
 
 // runCellIsolated executes the cell in a `lelantus-grid worker`

@@ -235,21 +235,37 @@ func TestPersistentFailureDoesNotAbortGrid(t *testing.T) {
 	}
 }
 
-func TestTimeoutAbandonsWedgedCell(t *testing.T) {
-	spec := fastSpec()
-	slowID := spec.Cells()[0].ID()
-	fn := func(spec CellSpec) CellResult {
-		if spec.ID() == slowID {
-			time.Sleep(2 * time.Second)
-		}
-		return stubCell(spec)
+// TestTimeoutRequiresIsolate: an in-process cell cannot be stopped, so a
+// per-cell timeout without Isolate is refused before any directory work.
+func TestTimeoutRequiresIsolate(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "g")
+	if _, err := Create(dir, fastSpec(), Options{Timeout: time.Second}); err == nil || !strings.Contains(err.Error(), "Isolate") {
+		t.Fatalf("Create: err = %v, want a refusal naming Isolate", err)
 	}
-	rep := mustRun(t, t.TempDir(), spec, Options{Timeout: 50 * time.Millisecond, cellFn: fn})
-	if rep.OK != 1 || rep.Failed != 1 {
-		t.Fatalf("report: %d ok, %d failed, want 1/1", rep.OK, rep.Failed)
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("refused Create touched %s: %v", dir, err)
 	}
-	if !strings.Contains(rep.Failures[0].Err, "timeout") {
-		t.Fatalf("timed-out cell error %q does not mention the timeout", rep.Failures[0].Err)
+	if _, err := Open(dir, Options{Timeout: time.Second}); err == nil || !strings.Contains(err.Error(), "Isolate") {
+		t.Fatalf("Open: err = %v, want a refusal naming Isolate", err)
+	}
+}
+
+// TestIsolateTimeoutKillsWedgedWorker: TestMain serves a worker that never
+// answers (wedgeEnv), and a cell that outlives its timeout must come back,
+// well inside a fixed wall-clock bound, as one failed cell whose error
+// names the kill.
+func TestIsolateTimeoutKillsWedgedWorker(t *testing.T) {
+	t.Setenv(wedgeEnv, "1")
+	start := time.Now()
+	rep := mustRun(t, t.TempDir(), fastSpec("lelantus"), Options{Isolate: true, Timeout: 200 * time.Millisecond})
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("wedged cell took %s to fail under a 200ms timeout", elapsed)
+	}
+	if rep.Total != 1 || rep.Failed != 1 || len(rep.Failures) != 1 {
+		t.Fatalf("report: %d cells, %d failed, failures %+v; want one failed cell", rep.Total, rep.Failed, rep.Failures)
+	}
+	if err := rep.Failures[0].Err; !strings.Contains(err, "worker subprocess killed") {
+		t.Fatalf("timed-out cell error %q does not name the kill", err)
 	}
 }
 

@@ -184,18 +184,6 @@ func New(cfg Config, ctl *memctrl.Controller) (*Kernel, error) {
 	return k, nil
 }
 
-// Controller exposes the memory subsystem (for the simulator and tests).
-func (k *Kernel) Controller() *memctrl.Controller { return k.ctl }
-
-// ZeroPFN returns the shared 4 KB zero frame.
-func (k *Kernel) ZeroPFN() uint64 { return k.zeroPFN }
-
-// Scheme returns the active CoW scheme.
-func (k *Kernel) Scheme() core.Scheme { return k.scheme }
-
-// Allocator exposes frame accounting (tests).
-func (k *Kernel) Allocator() *mem.Allocator { return k.alloc }
-
 // Spawn creates a fresh process with an empty address space.
 func (k *Kernel) Spawn() Pid {
 	k.bumpGen()
@@ -213,9 +201,6 @@ func (k *Kernel) Spawn() Pid {
 
 // Process returns the process descriptor (nil if exited).
 func (k *Kernel) Process(pid Pid) *Process { return k.procs[pid] }
-
-// Live reports whether the pid names a live process.
-func (k *Kernel) Live(pid Pid) bool { return k.procs[pid] != nil }
 
 // Pids returns the live process IDs in ascending order (deterministic
 // iteration for verifiers walking every address space).

@@ -208,7 +208,7 @@ func TestFrameAccountingAcrossExit(t *testing.T) {
 	for _, s := range core.Schemes() {
 		t.Run(s.String(), func(t *testing.T) {
 			k := testKernel(t, s)
-			base := k.Allocator().InUse()
+			base := k.alloc.InUse()
 			pid := k.Spawn()
 			va, _, err := k.Mmap(0, pid, 16*mem.PageBytes, false)
 			if err != nil {
@@ -228,7 +228,7 @@ func TestFrameAccountingAcrossExit(t *testing.T) {
 			if _, err := k.Exit(0, pid); err != nil {
 				t.Fatal(err)
 			}
-			if got := k.Allocator().InUse(); got != base {
+			if got := k.alloc.InUse(); got != base {
 				t.Fatalf("leaked frames: InUse = %d, want %d", got, base)
 			}
 		})
@@ -238,7 +238,7 @@ func TestFrameAccountingAcrossExit(t *testing.T) {
 func TestMunmapFreesFrames(t *testing.T) {
 	k := testKernel(t, core.Lelantus)
 	pid := k.Spawn()
-	base := k.Allocator().InUse()
+	base := k.alloc.InUse()
 	va, _, err := k.Mmap(0, pid, 8*mem.PageBytes, false)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestMunmapFreesFrames(t *testing.T) {
 	if _, err := k.Munmap(0, pid, va, 8*mem.PageBytes); err != nil {
 		t.Fatal(err)
 	}
-	if got := k.Allocator().InUse(); got != base {
+	if got := k.alloc.InUse(); got != base {
 		t.Fatalf("munmap leaked: %d vs %d", got, base)
 	}
 	if _, err := k.Read(0, pid, va, make([]byte, 4)); err == nil {
@@ -379,7 +379,7 @@ func TestKSMMergeAndBreak(t *testing.T) {
 			// Identical content in both processes.
 			kwrite(t, k, a, vaA, 0x77, 8)
 			kwrite(t, k, b, vaB, 0x77, 8)
-			inUse := k.Allocator().InUse()
+			inUse := k.alloc.InUse()
 			merged, _, err := k.KSMMerge(0, []PageRef{{a, vaA}, {b, vaB}})
 			if err != nil {
 				t.Fatal(err)
@@ -387,7 +387,7 @@ func TestKSMMergeAndBreak(t *testing.T) {
 			if merged != 1 {
 				t.Fatalf("merged = %d, want 1", merged)
 			}
-			if got := k.Allocator().InUse(); got != inUse-1 {
+			if got := k.alloc.InUse(); got != inUse-1 {
 				t.Fatalf("dedup must free one frame: %d -> %d", inUse, got)
 			}
 			// Both still read the content.

@@ -43,7 +43,7 @@ func runForkTree(t *testing.T, scheme core.Scheme, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	k := testKernel(t, scheme)
-	baseFrames := k.Allocator().InUse()
+	baseFrames := k.alloc.InUse()
 
 	type proc struct {
 		pid    Pid
@@ -150,7 +150,7 @@ func runForkTree(t *testing.T, scheme core.Scheme, seed int64) {
 			t.Fatalf("seed %d teardown: %v", seed, err)
 		}
 	}
-	if got := k.Allocator().InUse(); got != baseFrames {
+	if got := k.alloc.InUse(); got != baseFrames {
 		t.Fatalf("seed %d (%v): leaked frames: %d vs %d", seed, scheme, got, baseFrames)
 	}
 }
@@ -164,7 +164,7 @@ func TestPropertyHugeForkTree(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.Baseline, core.Lelantus, core.LelantusCoW} {
 		rng := rand.New(rand.NewSource(7))
 		k := testKernel(t, scheme)
-		base := k.Allocator().InUse()
+		base := k.alloc.InUse()
 		type proc struct {
 			pid    Pid
 			shadow []byte
@@ -219,7 +219,7 @@ func TestPropertyHugeForkTree(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := k.Allocator().InUse(); got != base {
+		if got := k.alloc.InUse(); got != base {
 			t.Fatalf("%v leaked %d frames", scheme, got-base)
 		}
 	}

@@ -48,9 +48,7 @@ func LineAddr(pfn uint64, i int) uint64 {
 // machine costs memory in proportion to what it touches, not to its
 // capacity (a flat table is 34 MB of pointers for 16 GiB).
 type Physical struct {
-	chunks   []*frameChunk
-	resident int
-	size     uint64
+	chunks []*frameChunk
 }
 
 // chunkShift sizes the frame table's chunks: 512 frames, one 4 KB page of
@@ -64,12 +62,8 @@ func NewPhysical(size uint64) *Physical {
 	frames := (size + PageBytes - 1) / PageBytes
 	return &Physical{
 		chunks: make([]*frameChunk, (frames+1<<chunkShift-1)>>chunkShift),
-		size:   size,
 	}
 }
-
-// Size returns the capacity in bytes.
-func (p *Physical) Size() uint64 { return p.size }
 
 func (p *Physical) frame(pfn uint64, create bool) *[PageBytes]byte {
 	ci := pfn >> chunkShift
@@ -93,7 +87,6 @@ func (p *Physical) frame(pfn uint64, create bool) *[PageBytes]byte {
 	f := &c[pfn&(1<<chunkShift-1)]
 	if *f == nil && create {
 		*f = new([PageBytes]byte)
-		p.resident++
 	}
 	return *f
 }
@@ -117,47 +110,9 @@ func (p *Physical) WriteLine(addr uint64, data *[LineBytes]byte) {
 	copy(f[off:off+LineBytes], data[:])
 }
 
-// Read copies an arbitrary byte range (used by tests and debug tooling).
-func (p *Physical) Read(addr uint64, out []byte) {
-	for n := 0; n < len(out); {
-		pfn := PageOf(addr + uint64(n))
-		off := (addr + uint64(n)) & (PageBytes - 1)
-		chunk := PageBytes - int(off)
-		if chunk > len(out)-n {
-			chunk = len(out) - n
-		}
-		if f := p.frame(pfn, false); f != nil {
-			copy(out[n:n+chunk], f[off:off+uint64(chunk)])
-		} else {
-			for i := 0; i < chunk; i++ {
-				out[n+i] = 0
-			}
-		}
-		n += chunk
-	}
-}
-
-// Write stores an arbitrary byte range.
-func (p *Physical) Write(addr uint64, data []byte) {
-	for n := 0; n < len(data); {
-		pfn := PageOf(addr + uint64(n))
-		off := (addr + uint64(n)) & (PageBytes - 1)
-		chunk := PageBytes - int(off)
-		if chunk > len(data)-n {
-			chunk = len(data) - n
-		}
-		f := p.frame(pfn, true)
-		copy(f[off:off+uint64(chunk)], data[n:n+chunk])
-		n += chunk
-	}
-}
-
 // Resident reports whether frame pfn is materialised. An absent frame
 // reads as zeros, so a scan for non-zero content may skip it.
 func (p *Physical) Resident(pfn uint64) bool { return p.frame(pfn, false) != nil }
-
-// ResidentFrames reports how many frames are materialised (test/debug aid).
-func (p *Physical) ResidentFrames() int { return p.resident }
 
 // ErrOutOfMemory is returned when the allocator's frame pool is exhausted.
 var ErrOutOfMemory = errors.New("mem: out of physical frames")

@@ -272,7 +272,7 @@ func TestRecoverFlagsTornCounterBlock(t *testing.T) {
 	}
 	// Tear the page's counter block in NVM: flip bytes behind the leaf
 	// digest's back, as a write torn at the 8-byte boundary would.
-	ctrAddr := c.Engine.Layout().CounterBase + 3*64
+	ctrAddr := core.LayoutFor(c.cfg.MemBytes).CounterBase + 3*64
 	var blk [mem.LineBytes]byte
 	c.Phys.ReadLine(ctrAddr, &blk)
 	blk[8] ^= 0xFF

@@ -187,16 +187,6 @@ func (c *Controller) TrafficByContext() (demand, copyTraffic, initTraffic uint64
 	return c.reqsByCtx[CtxDemand], c.reqsByCtx[CtxCopy], c.reqsByCtx[CtxInit]
 }
 
-// CopyInitShare returns the fraction of all requests that were copy or
-// initialisation traffic (Table V).
-func (c *Controller) CopyInitShare() float64 {
-	total := c.reqsByCtx[CtxDemand] + c.reqsByCtx[CtxCopy] + c.reqsByCtx[CtxInit]
-	if total == 0 {
-		return 0
-	}
-	return float64(c.reqsByCtx[CtxCopy]+c.reqsByCtx[CtxInit]) / float64(total)
-}
-
 func (c *Controller) count() { c.reqsByCtx[c.ctx]++ }
 
 // writeBackVictim sends an evicted dirty line to the engine. It is not

@@ -184,10 +184,6 @@ func TestContextClassification(t *testing.T) {
 	if demand == 0 || copyT == 0 || initT == 0 {
 		t.Fatalf("contexts: demand=%d copy=%d init=%d", demand, copyT, initT)
 	}
-	share := c.CopyInitShare()
-	if share <= 0 || share >= 1 {
-		t.Fatalf("CopyInitShare = %v", share)
-	}
 }
 
 func TestCommandsRouteToEngine(t *testing.T) {

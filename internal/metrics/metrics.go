@@ -118,9 +118,6 @@ func NewRegistry() *Registry {
 	return &Registry{byName: map[string]any{}}
 }
 
-// Enabled reports whether the registry records (false for nil).
-func (r *Registry) Enabled() bool { return r != nil }
-
 // conflictCounter is the reserved name that counts kind-mismatched
 // re-registrations (see the Registry doc comment).
 const conflictCounter = "telemetry_registration_conflicts"

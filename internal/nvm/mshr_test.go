@@ -53,10 +53,17 @@ func TestBankOfMatchesAccessCharging(t *testing.T) {
 	if d.Banks() != 8 {
 		t.Fatalf("Banks() = %d, want 8", d.Banks())
 	}
-	for _, addr := range []uint64{0, 64, 512, 4096, 123456} {
-		want := int(addr/64) % 8
-		if got := d.BankOf(addr); got != want {
-			t.Fatalf("BankOf(%#x) = %d, want %d", addr, got, want)
+	// Rows interleave round-robin over ranks × banks: a second read issued
+	// at the same instant queues exactly when it maps to the first's bank.
+	addrs := []uint64{0, 64, 512, 4096, 123456}
+	for _, a := range addrs {
+		for _, b := range addrs[1:] {
+			d := New(bankCfg(2, 4))
+			d.Read(1000, a)
+			queued := d.Read(1000, b) > 1000+60
+			if same := a/64%8 == b/64%8; queued != same {
+				t.Fatalf("reads of %#x then %#x: queued = %v, want %v", a, b, queued, same)
+			}
 		}
 	}
 }

@@ -84,12 +84,6 @@ func (d *Device) Config() Config { return d.cfg }
 // Banks returns the total bank count (ranks × banks per rank).
 func (d *Device) Banks() int { return d.banks }
 
-// BankOf returns the bank a byte address maps to — rows are interleaved
-// round-robin over the banks, exactly as access charges them.
-func (d *Device) BankOf(addr uint64) int {
-	return int(addr/d.cfg.RowBytes) % d.banks
-}
-
 // SetQueueProbe installs (or, with nil, removes) the per-access bank-queue
 // depth callback. Depth is the number of earlier accesses still pending on
 // the same bank at the new access's issue time.
@@ -156,12 +150,6 @@ func (d *Device) Write(now, addr uint64) uint64 {
 	done := d.access(now, addr, d.cfg.WriteNs)
 	d.WriteBusy += done - now
 	return done
-}
-
-// Wear returns the write count of the given line number (0 when wear
-// tracking is disabled or the line was never written).
-func (d *Device) Wear(lineNo uint64) uint32 {
-	return d.wear[lineNo]
 }
 
 // MaxWear returns the largest per-line write count and the number of

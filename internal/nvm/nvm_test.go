@@ -74,7 +74,7 @@ func TestWearTracking(t *testing.T) {
 		d.Write(0, 4096)
 	}
 	d.Write(0, 8192)
-	if w := d.Wear(4096 >> 6); w != 5 {
+	if w := d.wear[4096>>6]; w != 5 {
 		t.Fatalf("wear = %d, want 5", w)
 	}
 	max, lines := d.MaxWear()
@@ -88,8 +88,8 @@ func TestWearDisabled(t *testing.T) {
 	cfg.TrackWear = false
 	d := New(cfg)
 	d.Write(0, 0)
-	if w := d.Wear(0); w != 0 {
-		t.Fatalf("wear tracking disabled but Wear = %d", w)
+	if max, lines := d.MaxWear(); max != 0 || lines != 0 {
+		t.Fatalf("wear tracking disabled but MaxWear = %d over %d lines", max, lines)
 	}
 }
 

@@ -63,9 +63,6 @@ func NewQueue(cfg QueueConfig, dev *Device) *Queue {
 	}
 }
 
-// Device exposes the wrapped device.
-func (q *Queue) Device() *Device { return q.dev }
-
 // Occupancy returns the number of buffered writes.
 func (q *Queue) Occupancy() int { return len(q.order) }
 

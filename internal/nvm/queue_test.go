@@ -11,7 +11,7 @@ func TestQueueFastAck(t *testing.T) {
 	if done := q.Write(100, 0); done != 105 {
 		t.Fatalf("ack = %d, want 105", done)
 	}
-	if q.Device().Writes != 0 {
+	if q.dev.Writes != 0 {
 		t.Fatal("write must be buffered, not issued")
 	}
 }
@@ -28,8 +28,8 @@ func TestQueueMerging(t *testing.T) {
 		t.Fatalf("occupancy = %d, want 1", q.Occupancy())
 	}
 	q.Flush(0)
-	if q.Device().Writes != 1 {
-		t.Fatalf("device writes = %d, want 1 (merged)", q.Device().Writes)
+	if q.dev.Writes != 1 {
+		t.Fatalf("device writes = %d, want 1 (merged)", q.dev.Writes)
 	}
 }
 
@@ -39,12 +39,12 @@ func TestQueueForwarding(t *testing.T) {
 	if done := q.Read(0, 0x2010); done != 10 {
 		t.Fatalf("forwarded read = %d, want 10", done)
 	}
-	if q.Forwarded != 1 || q.Device().Reads != 0 {
+	if q.Forwarded != 1 || q.dev.Reads != 0 {
 		t.Fatal("read must be forwarded from the queue")
 	}
 	// A read to a non-pending line goes to the device.
 	q.Read(0, 0x9000)
-	if q.Device().Reads != 1 {
+	if q.dev.Reads != 1 {
 		t.Fatal("non-pending read must reach the device")
 	}
 }
@@ -61,8 +61,8 @@ func TestQueueDrainWatermark(t *testing.T) {
 	if q.Occupancy() != 1 {
 		t.Fatalf("post-drain occupancy = %d, want DrainTo=1", q.Occupancy())
 	}
-	if q.Device().Writes != 3 {
-		t.Fatalf("device writes = %d, want 3", q.Device().Writes)
+	if q.dev.Writes != 3 {
+		t.Fatalf("device writes = %d, want 3", q.dev.Writes)
 	}
 	if done <= 5 {
 		t.Fatal("a drain must block the writer")
@@ -74,8 +74,8 @@ func TestQueueFlush(t *testing.T) {
 	q.Write(0, 0)
 	q.Write(0, 4096)
 	q.Flush(0)
-	if q.Occupancy() != 0 || q.Device().Writes != 2 {
-		t.Fatalf("flush left occupancy=%d writes=%d", q.Occupancy(), q.Device().Writes)
+	if q.Occupancy() != 0 || q.dev.Writes != 2 {
+		t.Fatalf("flush left occupancy=%d writes=%d", q.Occupancy(), q.dev.Writes)
 	}
 }
 
@@ -86,8 +86,8 @@ func TestQueueConfigSanitised(t *testing.T) {
 		q.Write(0, uint64(i)*4096)
 	}
 	q.Flush(0)
-	if q.Device().Writes != 10 {
-		t.Fatalf("writes = %d", q.Device().Writes)
+	if q.dev.Writes != 10 {
+		t.Fatalf("writes = %d", q.dev.Writes)
 	}
 }
 

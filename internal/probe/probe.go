@@ -291,9 +291,6 @@ func (p *Plane) RecordAt(k Kind, addr, arg uint64) {
 	p.Record(k, p.lastNs, p.lastNs, addr, arg)
 }
 
-// Enabled reports whether the plane records (false for nil).
-func (p *Plane) Enabled() bool { return p != nil }
-
 // LastNs returns the latest simulated timestamp recorded.
 func (p *Plane) LastNs() uint64 {
 	if p == nil {
@@ -309,14 +306,6 @@ func (p *Plane) Count(k Kind) uint64 {
 		return 0
 	}
 	return p.total[k]
-}
-
-// Dropped returns how many events the bounded ring overwrote.
-func (p *Plane) Dropped() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.dropped
 }
 
 // Events invokes fn over the retained ring contents in chronological
@@ -357,23 +346,6 @@ func (p *Plane) Latency(k Kind) metrics.Hist {
 		return metrics.Hist{}
 	}
 	return p.lat[k]
-}
-
-// ChainDepth returns the redirect-chain depth distribution (per ReadLine).
-func (p *Plane) ChainDepth() LinHist {
-	if p == nil {
-		return LinHist{}
-	}
-	return p.chain
-}
-
-// QueueOccupancy returns the write-queue occupancy distribution (observed
-// at each WriteLine; empty when no queue fronts the device).
-func (p *Plane) QueueOccupancy() LinHist {
-	if p == nil {
-		return LinHist{}
-	}
-	return p.occ
 }
 
 // ObserveMSHROcc records how many MSHR registers were busy at the instant

@@ -15,10 +15,7 @@ func TestNilPlaneSafe(t *testing.T) {
 	p.RecordAt(EvFault, 0, 1)
 	p.SetSampler(func(uint64, *Sample) {})
 	p.SetQueueOcc(func() int { return 0 })
-	if p.Enabled() {
-		t.Error("nil plane reports Enabled")
-	}
-	if p.LastNs() != 0 || p.Count(EvRead) != 0 || p.Dropped() != 0 || p.EventsRetained() != 0 {
+	if p.LastNs() != 0 || p.Count(EvRead) != 0 || p.EventsRetained() != 0 {
 		t.Error("nil plane reports non-zero state")
 	}
 	if p.Samples() != nil {
@@ -50,7 +47,7 @@ func TestRingWrap(t *testing.T) {
 	if got := p.EventsRetained(); got != 8 {
 		t.Errorf("retained = %d, want 8", got)
 	}
-	if got := p.Dropped(); got != 12 {
+	if got := p.Summary().Dropped; got != 12 {
 		t.Errorf("dropped = %d, want 12", got)
 	}
 	if got := p.Count(EvWrite); got != 20 {
@@ -129,11 +126,11 @@ func TestChainAndOccObservation(t *testing.T) {
 	p.Record(EvRead, 1, 2, 0, 0)
 	occ = 5
 	p.Record(EvWrite, 2, 3, 0, 0)
-	ch := p.ChainDepth()
+	ch := p.chain
 	if ch.Count != 2 || ch.Max != 3 || ch.Buckets[3] != 1 || ch.Buckets[0] != 1 {
 		t.Errorf("chain depth = %+v", ch)
 	}
-	qo := p.QueueOccupancy()
+	qo := p.occ
 	if qo.Count != 1 || qo.Buckets[5] != 1 {
 		t.Errorf("queue occupancy = %+v", qo)
 	}

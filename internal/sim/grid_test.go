@@ -242,7 +242,7 @@ func TestOversizedAccessSplit(t *testing.T) {
 	// Every scripted byte must actually have been written.
 	var line [mem.LineBytes]byte
 	for off := uint64(0); off < size; off += mem.LineBytes {
-		if _, err := m.Kern.Read(m.Now(), m.Pid(0), m.Region(0)+off, line[:]); err != nil {
+		if _, err := m.Kern.Read(m.Now(), m.procs[0], m.regions[0]+off, line[:]); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range line {
@@ -274,7 +274,7 @@ func TestUnalignedAccessSplit(t *testing.T) {
 		t.Fatalf("StoreOps = %d, want 2 (split at the line boundary)", res.Kernel.StoreOps)
 	}
 	buf := make([]byte, 16)
-	if _, err := m.Kern.Read(m.Now(), m.Pid(0), m.Region(0)+mem.LineBytes, buf); err != nil {
+	if _, err := m.Kern.Read(m.Now(), m.procs[0], m.regions[0]+mem.LineBytes, buf); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ { // bytes 64..80 belong to the second line

@@ -46,10 +46,10 @@ func TestProbeEndToEnd(t *testing.T) {
 			t.Errorf("no %s events recorded by forkbench", k)
 		}
 	}
-	if pl.ChainDepth().Count != pl.Count(probe.EvRead) {
+	if pl.Summary().ChainDepth.Count != pl.Count(probe.EvRead) {
 		t.Error("chain-depth distribution out of sync with read events")
 	}
-	if pl.QueueOccupancy().Count != pl.Count(probe.EvWrite) {
+	if pl.Summary().QueueOcc.Count != pl.Count(probe.EvWrite) {
 		t.Error("queue-occupancy distribution out of sync with write events")
 	}
 	if len(pl.Samples()) == 0 {

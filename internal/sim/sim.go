@@ -118,12 +118,6 @@ func (m *Machine) Now() uint64 { return m.now }
 // built without one; see memctrl.Config.Probe).
 func (m *Machine) Probe() *probe.Plane { return m.Ctl.Probe() }
 
-// Pid resolves a script process slot to its kernel pid.
-func (m *Machine) Pid(slot int) kernel.Pid { return m.procs[slot] }
-
-// Region resolves a script region slot to its base virtual address.
-func (m *Machine) Region(slot int) uint64 { return m.regions[slot] }
-
 type snapshot struct {
 	nvmReads, nvmWrites  uint64
 	engine               core.Stats

@@ -50,13 +50,13 @@ func dumpMemory(t *testing.T, m *Machine, s workload.Script, bytes0 uint64) map[
 	t.Helper()
 	out := make(map[string][]byte)
 	read := func(tag string, slot int, region int, n uint64) {
-		pid := m.Pid(slot)
-		if !m.Kern.Live(pid) {
+		pid := m.procs[slot]
+		if m.Kern.Process(pid) == nil {
 			return
 		}
 		buf := make([]byte, n)
 		for off := uint64(0); off < n; off += mem.LineBytes {
-			if _, err := m.Kern.Read(m.Now(), pid, m.Region(region)+off, buf[off:off+mem.LineBytes]); err != nil {
+			if _, err := m.Kern.Read(m.Now(), pid, m.regions[region]+off, buf[off:off+mem.LineBytes]); err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
 		}

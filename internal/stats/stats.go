@@ -73,12 +73,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Header returns the column headers.
-func (t *Table) Header() []string { return t.header }
-
-// Rows returns the formatted row cells.
-func (t *Table) Rows() [][]string { return t.rows }
-
 // MarshalJSON encodes the table as {"title", "header", "rows"} so reports
 // can be consumed by scripts (lelantus-bench -json).
 func (t *Table) MarshalJSON() ([]byte, error) {
@@ -91,20 +85,6 @@ func (t *Table) MarshalJSON() ([]byte, error) {
 		Header []string   `json:"header"`
 		Rows   [][]string `json:"rows"`
 	}{t.Title, t.header, rows})
-}
-
-// UnmarshalJSON restores a table encoded with MarshalJSON.
-func (t *Table) UnmarshalJSON(b []byte) error {
-	var v struct {
-		Title  string     `json:"title"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	t.Title, t.header, t.rows = v.Title, v.Header, v.Rows
-	return nil
 }
 
 // Markdown renders the table as a GitHub-flavoured markdown table.

@@ -202,12 +202,3 @@ func (t *TLB) FlushAll() {
 	t.l1.flushAll()
 	t.l2.flushAll()
 }
-
-// MissRate returns the fraction of translations that needed a walk.
-func (t *TLB) MissRate() float64 {
-	total := t.L1Hits + t.L2Hits + t.Walks
-	if total == 0 {
-		return 0
-	}
-	return float64(t.Walks) / float64(total)
-}
