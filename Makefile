@@ -25,7 +25,7 @@ test:
 # The grid runner and the experiment harness are the concurrent code in
 # the repository: they run whole cells on a worker pool, and no goroutine
 # starts inside a cell. -short keeps the race pass CI-sized while still
-# exercising every RunGrid path (the determinism tests run multi-worker
+# exercising every RunGridErrs path (the determinism tests run multi-worker
 # grids even in short mode). The crash-sweep tests run their cells in
 # parallel, so the fault plane rides along; the probe plane and the nvm
 # MSHR file are per-machine state, so their tests ride too, as does the
@@ -43,8 +43,9 @@ nopanic:
 # CLI smoke: real lelantus-sim runs through the surfaces unit tests do not
 # reach — a forkbench trace through the probe plane validated with the
 # built-in Chrome trace-event schema checker, the MSHR-overlapped engine,
-# the prefetchers with the probe plane reporting coverage, and a recorded
-# script replayed — plus one lelantus-trace footprint render. The tests
+# the prefetchers with the probe plane reporting coverage, a recorded
+# script replayed and one crash, power cycle and recovery at a persist
+# point — plus one lelantus-trace footprint render. The tests
 # behind these features (crash sweep, persistence matrix, probe, MLP and
 # prefetch pins) run under `test`, and the concurrent grid tests under
 # `race`.
@@ -60,6 +61,7 @@ cli-smoke:
 	$(GO) run ./cmd/lelantus-sim -workload forkbench -record /tmp/lelantus-smoke.lt >/dev/null
 	$(GO) run ./cmd/lelantus-sim -replay /tmp/lelantus-smoke.lt -fidelity timing >/dev/null
 	@rm -f /tmp/lelantus-smoke.lt
+	$(GO) run ./cmd/lelantus-sim -workload forkbench -mem 128 -crashpoint 350000 -faultseed 1 >/dev/null
 	$(GO) run ./cmd/lelantus-trace -pages 2 >/dev/null
 
 bench:

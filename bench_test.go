@@ -6,6 +6,7 @@
 package lelantus
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"testing"
@@ -151,8 +152,8 @@ func BenchmarkGridRun(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunGrid(jobs, workers); err != nil {
-					b.Fatal(err)
+				if _, errs := sim.RunGridErrs(jobs, workers); errors.Join(errs...) != nil {
+					b.Fatal(errors.Join(errs...))
 				}
 			}
 		})

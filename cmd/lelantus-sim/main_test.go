@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -213,6 +214,45 @@ func TestMalformedTracesExitOne(t *testing.T) {
 			msg := strings.TrimRight(stderr.String(), "\n")
 			if strings.Contains(msg, "\n") || !strings.HasPrefix(msg, "lelantus-sim: ") {
 				t.Fatalf("diagnosis %q is not one lelantus-sim line", msg)
+			}
+		})
+	}
+}
+
+// TestCrashFlags drives the crash surface end to end: -faultpoints counts
+// the index space, -crashpoint crashes inside it, power-cycles, recovers
+// and reports with exit 0, and a point past the space exits 1 with one
+// line.
+func TestCrashFlags(t *testing.T) {
+	base := []string{"-workload", "forkbench", "-mem", "128", "-faultseed", "1"}
+	cases := []struct {
+		name string
+		args []string
+		code int
+		want string // substring of stdout (exit 0) or of the one stderr line
+	}{
+		{"faultpoints", []string{"-faultpoints"}, 0, "432128 persist points (crash index space 1..432128)"},
+		{"crashpoint", []string{"-crashpoint", "350000"}, 0, " 6941 CoW mappings in 6941 chains"},
+		{"crashpoint past the space", []string{"-crashpoint", "432129"}, 1, "crash point 432129 never fired"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(append(slices.Clone(base), tc.args...), &stdout, &stderr); code != tc.code {
+				t.Fatalf("exit %d, want %d (stderr: %s)", code, tc.code, stderr.String())
+			}
+			out := stdout.String()
+			if tc.code != 0 {
+				out = strings.TrimRight(stderr.String(), "\n")
+				if strings.Contains(out, "\n") || stdout.Len() != 0 {
+					t.Fatalf("failure is not one stderr line: stdout %q, stderr %q", stdout.String(), out)
+				}
+			}
+			if !strings.Contains(out, tc.want) {
+				t.Fatalf("output %q lacks %q", out, tc.want)
+			}
+			if tc.name == "crashpoint" && !strings.HasPrefix(out, "crashed at persist point 350000 ") {
+				t.Fatalf("crash report %q does not name the point", out)
 			}
 		})
 	}

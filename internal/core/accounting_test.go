@@ -37,7 +37,7 @@ func TestStoreCoWMappingChargesRead(t *testing.T) {
 	// The returned time must serialise read-then-write. A reference device
 	// with identical (fresh) state reproduces the expected completion.
 	ref := nvm.New(nvm.DefaultConfig())
-	addr := e.cowMetaAddr(dst)
+	addr := e.img.cowMetaAddr(dst)
 	if want := ref.Write(ref.Read(now, addr), addr); done != want {
 		t.Fatalf("storeCoWMapping done = %d, want read-then-write completion %d", done, want)
 	}

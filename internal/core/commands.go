@@ -20,8 +20,8 @@ var ErrSamePage = errors.New("core: source and destination page are identical")
 func (e *Engine) clearLinePrivacy(pfn uint64) {
 	for i := 0; i < mem.LinesPerPage; i++ {
 		lineNo := mem.LineNo(mem.LineAddr(pfn, i))
-		e.MACs.Drop(lineNo)
-		e.written.Clear(lineNo)
+		e.img.MACs.Drop(lineNo)
+		e.img.written.Clear(lineNo)
 	}
 }
 
@@ -226,7 +226,7 @@ func (e *Engine) pagePhyc(now, src, dst uint64) (done uint64, copied int, err er
 			la := mem.LineAddr(dst, i)
 			lineNo := mem.LineNo(la)
 			blk.Minor[i] = 1
-			e.written.Set(lineNo)
+			e.img.written.Set(lineNo)
 			e.countPads(1)
 			img, sum := e.own.seal(lineNo, blk.Major, blk.Minor[i], &plain)
 			perr := e.persistDataLine(la, &plain, &img, &sum)

@@ -132,7 +132,7 @@ func (e *Engine) resolve(now, lineAddr uint64) ([mem.LineBytes]byte, uint64, err
 		// which decides what the fetched bytes mean.
 		issueT = t
 	}
-	if !e.written.Test(lineNo) {
+	if !e.img.written.Test(lineNo) {
 		// The line was never encrypted to NVM (e.g. the shared zero frame):
 		// its plaintext is zeros. The fetch is still charged — the device
 		// does not know the content is dead.
@@ -142,7 +142,7 @@ func (e *Engine) resolve(now, lineAddr uint64) ([mem.LineBytes]byte, uint64, err
 		return zeroLine, t, nil
 	}
 	var img [mem.LineBytes]byte
-	e.Phys.ReadLine(cur, &img)
+	e.img.Phys.ReadLine(cur, &img)
 	fetchDone := e.readLeg(issueT, cur)
 	e.Stats.DataReads++
 	// OTP generation overlaps the data fetch (paper Fig. 1). Dependence-
@@ -201,8 +201,8 @@ func (e *Engine) writeLine(now, lineAddr uint64, plain *[mem.LineBytes]byte) (ui
 		// counter — no data write reaches the NVM.
 		lineNo := mem.LineNo(lineAddr)
 		blk.Minor[li] = 0
-		e.MACs.Drop(lineNo)
-		e.written.Clear(lineNo)
+		e.img.MACs.Drop(lineNo)
+		e.img.written.Clear(lineNo)
 		e.Stats.ZeroWriteElisions++
 		return e.storeBlock(t, pfn, &blk)
 	}
@@ -248,7 +248,7 @@ func (e *Engine) writeLine(now, lineAddr uint64, plain *[mem.LineBytes]byte) (ui
 	}
 
 	lineNo := mem.LineNo(lineAddr)
-	e.written.Set(lineNo)
+	e.img.written.Set(lineNo)
 	e.countPads(1)
 	img, sum := e.own.seal(lineNo, blk.Major, blk.Minor[li], plain)
 	perr := e.persistDataLine(lineAddr, plain, &img, &sum)
@@ -284,7 +284,7 @@ func (e *Engine) reencryptPage(now, pfn uint64, blk *ctr.Block, skipLine int) (u
 		la := mem.LineAddr(pfn, i)
 		// A line never written has a randomly initialised counter and no
 		// resident data: the new epoch needs no data movement for it.
-		if i == skipLine || !e.written.Test(mem.LineNo(la)) {
+		if i == skipLine || !e.img.written.Test(mem.LineNo(la)) {
 			continue
 		}
 		// Independent legs: every line's read issues at the sweep start —
@@ -293,7 +293,7 @@ func (e *Engine) reencryptPage(now, pfn uint64, blk *ctr.Block, skipLine int) (u
 		rt := e.readLeg(now, la)
 		e.Stats.DataReads++
 		var old [mem.LineBytes]byte
-		e.Phys.ReadLine(la, &old)
+		e.img.Phys.ReadLine(la, &old)
 		plain, err := e.own.open(la, oldMajor, oldMinor[i], &old)
 		if err != nil {
 			return rt, err
@@ -323,32 +323,19 @@ func (e *Engine) reencryptPage(now, pfn uint64, blk *ctr.Block, skipLine int) (u
 	return done, nil
 }
 
-// peekCoWEntry decodes page pfn's supplementary CoW-table entry straight
-// from the durable NVM bytes, side-effect free. Unlike the CoW cache —
-// which runs ahead of NVM under lazy persistence, or when a crash cuts a
-// table write short — this is the crash-durable view, and the only one
-// recovery may trust.
-func (e *Engine) peekCoWEntry(pfn uint64) (src uint64, present bool) {
-	var raw [mem.LineBytes]byte
-	e.Phys.ReadLine(e.cowMetaAddr(pfn), &raw)
-	off := (pfn * 8) % mem.LineBytes
-	v := binary.LittleEndian.Uint64(raw[off : off+8])
-	return v &^ cowPresent, v&cowPresent != 0
-}
-
 // cowEntryView returns the controller's *intended* CoW mapping for a page.
 // Under a lazy persistence strategy the CoW cache legitimately runs ahead
 // of NVM (dirty inserts not yet written back), so command decisions and
 // introspection consult the cache first; under eager write-through the
 // durable bytes are authoritative and the historical code path is kept
-// bit-exact. Side-effect free either way.
+// bit-exact. Side-effect free either way: the cache, else the image.
 func (e *Engine) cowEntryView(pfn uint64) (src uint64, present bool) {
 	if !e.cfg.Persist.EagerCoWMeta() {
 		if s, p, cached := e.CoWCache.Peek(pfn); cached {
 			return s, p
 		}
 	}
-	return e.peekCoWEntry(pfn)
+	return e.img.CoWEntry(pfn)
 }
 
 // lookupCoW consults the supplementary CoW table (Lelantus-CoW) for the
@@ -359,11 +346,11 @@ func (e *Engine) cowEntryView(pfn uint64) (src uint64, present bool) {
 // it) and only a fault-plane crash in that write-back surfaces as error.
 func (e *Engine) lookupCoW(now, pfn uint64) (src uint64, ok bool, done uint64, err error) {
 	done = now + e.CtrCache.LatencyNs
-	if s, present, cached := e.CoWCache.Lookup(pfn); cached {
+	if s, present, cached, ready := e.CoWCache.Lookup(pfn); cached {
 		if e.pf != nil {
 			// First demand touch of a prefetched mapping claims the fill:
 			// wait for it if it is still in flight (late), credit it if not.
-			e.pfTouchCoW(now, pfn, &done)
+			e.pfTouch(now, pfn, 1, ready, &done)
 		}
 		if e.pr != nil {
 			e.pr.Record(probe.EvCoWHit, now, done, pfn, 0)
@@ -372,9 +359,9 @@ func (e *Engine) lookupCoW(now, pfn uint64) (src uint64, ok bool, done uint64, e
 	}
 	// Dependence-ordered: the table read is only known to be needed once
 	// the cache lookup missed, so it serializes behind the cache latency.
-	done = e.Mem.Read(done, e.cowMetaAddr(pfn))
+	done = e.Mem.Read(done, e.img.cowMetaAddr(pfn))
 	e.Stats.CoWMetaReads++
-	s, present := e.peekCoWEntry(pfn)
+	s, present := e.img.CoWEntry(pfn)
 	if v, wb := e.CoWCache.Insert(pfn, s, present); wb {
 		if _, werr := e.writeCoWEntryNVM(done, v.Dst, v.Src, v.Present); werr != nil {
 			return 0, false, done, werr
@@ -396,9 +383,9 @@ func (e *Engine) lookupCoW(now, pfn uint64) (src uint64, ok bool, done uint64, e
 // eviction and drain time — which is exactly how a strategy re-schedules
 // its persist-point behaviour under the unchanged fault plane.
 func (e *Engine) writeCoWEntryNVM(now, dst, src uint64, present bool) (uint64, error) {
-	addr := e.cowMetaAddr(dst)
+	addr := e.img.cowMetaAddr(dst)
 	var raw [mem.LineBytes]byte
-	e.Phys.ReadLine(addr, &raw)
+	e.img.Phys.ReadLine(addr, &raw)
 	// Dependence-ordered RMW: the write below merges the new entry into the
 	// line image this read produces, so the pair can never overlap.
 	now = e.Mem.Read(now, addr)
@@ -429,7 +416,7 @@ func (e *Engine) writeCoWEntryNVM(now, dst, src uint64, present bool) (uint64, e
 func (e *Engine) storeCoWMapping(now, dst, src uint64, present bool) (uint64, error) {
 	if e.cfg.Persist.EagerCoWMeta() {
 		if !present {
-			if _, had := e.peekCoWEntry(dst); !had {
+			if _, had := e.img.CoWEntry(dst); !had {
 				return now, nil
 			}
 		}

@@ -241,19 +241,20 @@ type Stats struct {
 	RecoveryNs            uint64
 }
 
-// Engine is the secure memory controller core.
+// Engine is the secure memory controller core: the on-chip, volatile side
+// of the controller over the DurableImage a power failure leaves behind.
 type Engine struct {
-	cfg    Config
-	layout Layout
+	cfg Config
+	img DurableImage
 
-	Phys *mem.Physical // NVM contents: ciphertext plus packed metadata
-	Dev  *nvm.Device   // NVM device (traffic counters, wear)
+	Dev *nvm.Device // NVM device (traffic counters, wear)
 	// Mem is the timing path to the device: the device itself, or the
 	// controller's write queue in front of it.
-	Mem  nvm.Memory
-	Enc  *enc.Engine
+	Mem nvm.Memory
+	Enc *enc.Engine
+	// Tree is the image's integrity tree, kept here for the readers of its
+	// update and verify counters.
 	Tree *bmt.Tree
-	MACs *bmt.MACStore
 
 	CtrCache *ctrcache.Cache
 	CoWCache *ctrcache.CoWCache
@@ -263,11 +264,6 @@ type Engine struct {
 	ZeroPFN uint64
 
 	rng *rand.Rand
-	// initialised marks counter blocks that exist in NVM (installed at
-	// simulated boot, free of charge, like a real machine's reset state).
-	// Dense bitset sized from the data region: the hot path tests it on
-	// every counter-block miss.
-	initialised *bitset.Set
 
 	// fi is the optional deterministic fault-injection plane; nil costs one
 	// pointer compare per persist. fiDataPoint is the point name data-line
@@ -296,13 +292,6 @@ type Engine struct {
 	// (one pointer compare per metadata access, byte-identical reports).
 	pf *prefetch.Unit
 
-	// written marks lines that have ever been encrypted to NVM; reads of
-	// never-written lines return zeros (fresh memory). Dense bitset, one
-	// bit per data line — consulted on every read and set on every write.
-	// It grows to the highest line written instead of being sized from
-	// the capacity, which would cost 32 MiB per 16 GiB machine up front.
-	written *bitset.Set
-
 	// footprint tracking for Fig. 10c/d. tracked is a per-page bitset so
 	// the per-access note() probe is branch-plus-word cheap; the footprint
 	// masks stay in a sparse map (only tracked pages ever appear).
@@ -322,20 +311,24 @@ func NewEngine(cfg Config, layout Layout, phys *mem.Physical, dev *nvm.Device,
 		mshr = nvm.NewMSHRFile(cfg.MLP.MSHRs)
 	}
 	e := &Engine{
-		cfg:         cfg,
-		layout:      layout,
-		Phys:        phys,
+		cfg: cfg,
+		img: DurableImage{
+			scheme:      cfg.Scheme,
+			layout:      layout,
+			Phys:        phys,
+			Tree:        tree,
+			MACs:        macs,
+			initialised: bitset.New(pages),
+			written:     new(bitset.Set),
+		},
 		Dev:         dev,
 		Mem:         dev,
 		Enc:         encEng,
 		Tree:        tree,
-		MACs:        macs,
 		CtrCache:    cc,
 		CoWCache:    cowCache,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		initialised: bitset.New(pages),
 		fiDataPoint: faultinject.DataWrite,
-		written:     new(bitset.Set),
 		tracked:     bitset.New(pages),
 		footprint:   make(map[uint64]uint64),
 		mshr:        mshr,
@@ -354,6 +347,9 @@ func NewEngine(cfg Config, layout Layout, phys *mem.Physical, dev *nvm.Device,
 
 // Scheme returns the active configuration.
 func (e *Engine) Scheme() Scheme { return e.cfg.Scheme }
+
+// Image returns the durable side of the machine: what survives a crash.
+func (e *Engine) Image() *DurableImage { return &e.img }
 
 // AttachFaultPlane wires a deterministic fault-injection plane into every
 // persist point. queueFronted selects the point name data-line persistence
@@ -407,22 +403,14 @@ func (e *Engine) persistLine(pt faultinject.Point, addr uint64, img *[mem.LineBy
 	dec := e.fiHit(pt)
 	switch keep := dec.KeepWords * 8; {
 	case dec.Err == nil || keep >= mem.LineBytes:
-		e.Phys.WriteLine(addr, img)
+		e.img.Phys.WriteLine(addr, img)
 	case keep > 0:
 		var line [mem.LineBytes]byte
-		e.Phys.ReadLine(addr, &line)
+		e.img.Phys.ReadLine(addr, &line)
 		copy(line[:keep], img[:keep])
-		e.Phys.WriteLine(addr, &line)
+		e.img.Phys.WriteLine(addr, &line)
 	}
 	return dec
-}
-
-func (e *Engine) ctrAddr(pfn uint64) uint64 { return e.layout.CounterBase + pfn*ctr.BlockBytes }
-
-// cowMetaAddr returns the 64 B-aligned NVM address holding page pfn's
-// 8-byte supplementary CoW entry.
-func (e *Engine) cowMetaAddr(pfn uint64) uint64 {
-	return (e.layout.CoWBase + pfn*8) &^ (mem.LineBytes - 1)
 }
 
 // freshBlock creates the boot-time counter block for a page.
@@ -444,16 +432,16 @@ func (e *Engine) freshBlock() ctr.Block {
 // installation sits below the fault plane: injected faults target the
 // runtime persist points, not reset state.
 func (e *Engine) ensureInit(pfn uint64) error {
-	if e.initialised.Test(pfn) {
+	if e.img.initialised.Test(pfn) {
 		return nil
 	}
-	e.initialised.Set(pfn)
+	e.img.initialised.Set(pfn)
 	b := e.freshBlock()
 	var raw [ctr.BlockBytes]byte
 	if err := b.PackInto(&raw); err != nil {
 		return fmt.Errorf("%w: fresh counter block for page %#x: %v", ErrMetadataCorrupt, pfn, err)
 	}
-	e.Phys.WriteLine(e.ctrAddr(pfn), &raw)
+	e.img.Phys.WriteLine(e.img.ctrAddr(pfn), &raw)
 	if !e.cfg.NonSecure {
 		e.Tree.Update(pfn, raw[:])
 	}
@@ -465,11 +453,11 @@ func (e *Engine) ensureInit(pfn uint64) error {
 // an NVM read plus integrity verification.
 func (e *Engine) loadBlock(now, pfn uint64) (ctr.Block, uint64, error) {
 	done := now + e.CtrCache.LatencyNs
-	if blk := e.CtrCache.Get(pfn); blk != nil {
+	if blk, ready := e.CtrCache.Get(pfn); blk != nil {
 		if e.pf != nil {
 			// A hit on a still-in-flight prefetched block waits for the fill
 			// (late) or credits it (useful); either way the fill is claimed.
-			e.pfTouchCtr(now, pfn, &done)
+			e.pfTouch(now, pfn, 0, ready, &done)
 			e.pfObserve(done, pfn)
 		}
 		if e.pr != nil {
@@ -481,8 +469,8 @@ func (e *Engine) loadBlock(now, pfn uint64) (ctr.Block, uint64, error) {
 		return ctr.Block{}, done, err
 	}
 	var raw [ctr.BlockBytes]byte
-	addr := e.ctrAddr(pfn)
-	e.Phys.ReadLine(addr, &raw)
+	addr := e.img.ctrAddr(pfn)
+	e.img.Phys.ReadLine(addr, &raw)
 	done = e.Mem.Read(done, addr)
 	e.Stats.CtrReads++
 	if !e.cfg.NonSecure {
@@ -543,7 +531,7 @@ func (e *Engine) persistBlock(now, pfn uint64, blk *ctr.Block) (uint64, error) {
 	if err := blk.PackInto(&raw); err != nil {
 		return now, fmt.Errorf("%w: cannot pack counter block for page %#x: %v", ErrMetadataCorrupt, pfn, err)
 	}
-	addr := e.ctrAddr(pfn)
+	addr := e.img.ctrAddr(pfn)
 	e.Stats.CtrWrites++
 	if !e.cfg.NonSecure {
 		// Runtime write overhead of the persistence strategy: how many
@@ -551,7 +539,7 @@ func (e *Engine) persistBlock(now, pfn uint64, blk *ctr.Block) (uint64, error) {
 		// only — no device traffic or timing — so strict stays bit-exact.
 		e.Stats.TreePersistWrites += e.cfg.Persist.NodesPerCounterPersist(e.Tree.Levels())
 	}
-	e.initialised.Set(pfn)
+	e.img.initialised.Set(pfn)
 	done := e.Mem.Write(now, addr)
 	if err := e.persistLine(faultinject.CtrWrite, addr, &raw).Err; err != nil {
 		return done, err
@@ -578,9 +566,9 @@ func (e *Engine) persistBlock(now, pfn uint64, blk *ctr.Block) (uint64, error) {
 // dirty for eviction-time write-back.
 func (e *Engine) storeBlock(now, pfn uint64, blk *ctr.Block) (uint64, error) {
 	done := now
-	if cached := e.CtrCache.Get(pfn); cached != nil {
+	if cached, ready := e.CtrCache.Get(pfn); cached != nil {
 		if e.pf != nil {
-			e.pfTouchCtr(now, pfn, &done)
+			e.pfTouch(now, pfn, 0, ready, &done)
 		}
 		*cached = *blk
 	} else {
@@ -635,21 +623,19 @@ func (e *Engine) DrainMetadata(now uint64) (uint64, error) {
 	return done, nil
 }
 
-// ResetVolatile replaces the on-chip metadata caches with cold ones,
+// ResetVolatile cold-starts the on-chip metadata state in place — the
+// counter cache, the CoW-mapping cache and the prefetch unit's tables —
 // modelling a power cycle. Whatever dirty counter state the caller did not
 // drain beforehand is lost — exactly the recovery hazard the secure-NVM
 // literature (Osiris, Anubis) addresses and the reason Fig. 12's
 // write-back configuration assumes a battery-backed counter cache. Lines
 // written under lost counter updates fail their MAC on the next read:
 // the loss is detected, never silent.
-func (e *Engine) ResetVolatile(cc *ctrcache.Cache, cow *ctrcache.CoWCache) {
-	e.CtrCache = cc
-	e.CoWCache = cow
+func (e *Engine) ResetVolatile() {
+	e.CtrCache.Reset()
+	e.CoWCache.Reset()
 	if e.pf != nil {
-		// The prefetch unit's pattern tables and in-flight fills are on-chip
-		// volatile state: a power cycle cold-starts them with the caches.
 		e.pf.Reset()
-		e.attachPrefetchSinks()
 	}
 }
 
@@ -670,22 +656,12 @@ func (e *Engine) note(pfn uint64, line int) {
 // peekBlock returns the page's current counter block with zero side
 // effects: no cache fill or LRU promotion, no Stats charges, no device
 // traffic, no clock movement. Dirty cached blocks take precedence over the
-// (stale) NVM image. Pages whose boot-time block was never materialised
-// report ok=false — such a page cannot carry CoW state, and decoding it
-// here would have to draw from the counter-init RNG, perturbing the run.
-func (e *Engine) peekBlock(pfn uint64) (blk ctr.Block, ok bool) {
+// (stale) NVM image.
+func (e *Engine) peekBlock(pfn uint64) (ctr.Block, bool) {
 	if cached := e.CtrCache.Peek(pfn); cached != nil {
 		return *cached, true
 	}
-	if !e.initialised.Test(pfn) {
-		return ctr.Block{}, false
-	}
-	var raw [ctr.BlockBytes]byte
-	e.Phys.ReadLine(e.ctrAddr(pfn), &raw)
-	if err := ctr.UnpackInto(&raw, e.cfg.Scheme.Format(), &blk); err != nil {
-		return ctr.Block{}, false
-	}
-	return blk, true
+	return e.img.Block(pfn)
 }
 
 // SourceOf returns the recorded source page of a CoW destination, without
@@ -702,19 +678,4 @@ func (e *Engine) SourceOf(pfn uint64) (uint64, bool) {
 		return e.cowEntryView(pfn)
 	}
 	return 0, false
-}
-
-// PeekBlock exposes the side-effect-free counter-block view to external
-// verifiers (the crash-sweep oracle resolves a page's metadata epoch
-// without perturbing caches, stats or the clock).
-func (e *Engine) PeekBlock(pfn uint64) (ctr.Block, bool) { return e.peekBlock(pfn) }
-
-// PeekCoWEntry exposes the supplementary CoW table entry for a page
-// (LelantusCoW), decoded straight from NVM bytes, side-effect free.
-func (e *Engine) PeekCoWEntry(pfn uint64) (uint64, bool) { return e.peekCoWEntry(pfn) }
-
-// LineWritten reports whether the data line at lineAddr was ever encrypted
-// to NVM (never-written lines legitimately read as zeros).
-func (e *Engine) LineWritten(lineAddr uint64) bool {
-	return e.written.Test(mem.LineNo(lineAddr))
 }

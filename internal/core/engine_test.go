@@ -94,7 +94,7 @@ func TestWriteBeyondMACStoreIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.MACs = macs
+	e.img.MACs = macs
 	writeLine(t, e, 0, 3, 5)
 	line := [mem.LineBytes]byte{5}
 	_, err = e.WriteLine(0, mem.LineAddr(1, 0), &line)
@@ -110,7 +110,7 @@ func TestDataRemanence(t *testing.T) {
 	e := testEngine(t, Lelantus, nil)
 	writeLine(t, e, 4, 0, 0x77)
 	var raw [mem.LineBytes]byte
-	e.Phys.ReadLine(mem.LineAddr(4, 0), &raw)
+	e.img.Phys.ReadLine(mem.LineAddr(4, 0), &raw)
 	same := true
 	for i := range raw {
 		if raw[i] != 0x77 {
@@ -345,13 +345,13 @@ func TestPageFreeFreshPads(t *testing.T) {
 	const pfn = 70
 	writeLine(t, e, pfn, 0, 0x11)
 	var c1 [mem.LineBytes]byte
-	e.Phys.ReadLine(mem.LineAddr(pfn, 0), &c1)
+	e.img.Phys.ReadLine(mem.LineAddr(pfn, 0), &c1)
 	if _, err := e.PageFree(0, pfn); err != nil {
 		t.Fatal(err)
 	}
 	writeLine(t, e, pfn, 0, 0x11)
 	var c2 [mem.LineBytes]byte
-	e.Phys.ReadLine(mem.LineAddr(pfn, 0), &c2)
+	e.img.Phys.ReadLine(mem.LineAddr(pfn, 0), &c2)
 	if c1 == c2 {
 		t.Fatal("one-time pad reused across page lifetimes")
 	}
@@ -450,12 +450,12 @@ func TestCounterTamperDetected(t *testing.T) {
 	if _, err := e.DrainMetadata(0); err != nil {
 		t.Fatal(err)
 	}
-	e.ResetVolatile(ctrcache.New(8<<10, 4, ctrcache.WriteBack, 2), ctrcache.NewCoW(512))
-	addr := e.ctrAddr(pfn)
+	e.ResetVolatile()
+	addr := e.img.ctrAddr(pfn)
 	var raw [mem.LineBytes]byte
-	e.Phys.ReadLine(addr, &raw)
+	e.img.Phys.ReadLine(addr, &raw)
 	raw[3] ^= 0x10
-	e.Phys.WriteLine(addr, &raw)
+	e.img.Phys.WriteLine(addr, &raw)
 	if _, _, err := e.ReadLine(0, mem.LineAddr(pfn, 0)); err == nil {
 		t.Fatal("tampered counter block accepted")
 	}
@@ -467,9 +467,9 @@ func TestDataTamperDetected(t *testing.T) {
 	writeLine(t, e, pfn, 2, 0x55)
 	la := mem.LineAddr(pfn, 2)
 	var raw [mem.LineBytes]byte
-	e.Phys.ReadLine(la, &raw)
+	e.img.Phys.ReadLine(la, &raw)
 	raw[0] ^= 1
-	e.Phys.WriteLine(la, &raw)
+	e.img.Phys.WriteLine(la, &raw)
 	if _, _, err := e.ReadLine(0, la); err == nil {
 		t.Fatal("tampered data line accepted")
 	}

@@ -6,25 +6,23 @@ import (
 )
 
 // RecoveryScan returns pass 1's live blocks and pass 3's chain starts as
-// Recover enumerates them. Both are pure reads of the engine's state.
+// Recover enumerates them. Both are pure reads of the durable image.
 func (e *Engine) RecoveryScan() (live, starts []uint64) {
-	pages := e.layout.DataLimit / mem.PageBytes
-	live = e.liveBlocks(pages)
-	return live, e.chainStarts(live, pages)
+	live = e.img.liveBlocks()
+	return live, e.img.chainStarts(live)
 }
 
 // ReferenceScan is RecoveryScan by definition, the test oracle for it: it
 // tests every page frame of the data region for an initialised block
-// (pass 1) and asks chainNext of every one (pass 3), whatever the run
+// (pass 1) and asks Source of every one (pass 3), whatever the run
 // touched.
 func (e *Engine) ReferenceScan() (live, starts []uint64) {
-	pages := e.layout.DataLimit / mem.PageBytes
 	live, starts = make([]uint64, 0), make([]uint64, 0)
-	for pfn := uint64(0); pfn < pages; pfn++ {
-		if e.initialised.Test(pfn) {
+	for pfn := uint64(0); pfn < e.img.pages(); pfn++ {
+		if e.img.initialised.Test(pfn) {
 			live = append(live, pfn)
 		}
-		if _, ok := e.chainNext(pfn); ok {
+		if _, ok := e.img.Source(pfn); ok {
 			starts = append(starts, pfn)
 		}
 	}
@@ -33,7 +31,8 @@ func (e *Engine) ReferenceScan() (live, starts []uint64) {
 
 // RecoverReference is Recover over ReferenceScan's lists.
 func (e *Engine) RecoverReference() (*RecoveryReport, error) {
-	return e.scrub(e.ReferenceScan())
+	live, starts := e.ReferenceScan()
+	return e.bookRecovery(e.img.scrub(e.scrubParams(), live, starts)), nil
 }
 
 // PersistLine is persistLine: one line write through fault point pt.

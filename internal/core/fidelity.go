@@ -134,7 +134,7 @@ func (e *Engine) storeMAC(lineNo uint64, sum *bmt.Tag) error {
 	if e.own.rest != restCipher {
 		return nil
 	}
-	if err := e.MACs.StoreSum(lineNo, *sum); err != nil {
+	if err := e.img.MACs.StoreSum(lineNo, *sum); err != nil {
 		return fmt.Errorf("%w: %w", ErrMetadataCorrupt, err)
 	}
 	return nil

@@ -43,8 +43,8 @@ func fingerprint(e *Engine) engineFingerprint {
 		cowMisses:   e.CoWCache.Misses,
 		devReads:    e.Dev.Reads,
 		devWrites:   e.Dev.Writes,
-		initialised: e.initialised.Count(),
-		written:     e.written.Count(),
+		initialised: e.img.initialised.Count(),
+		written:     e.img.written.Count(),
 	}
 }
 

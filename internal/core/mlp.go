@@ -219,7 +219,7 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 		s := e.stopAt(hops, i)
 		h := &hops[s.hop]
 		srcLA := mem.LineAddr(h.pfn, i)
-		isWritten := e.written.Test(mem.LineNo(srcLA))
+		isWritten := e.img.written.Test(mem.LineNo(srcLA))
 		if s.hops > 0 {
 			e.Stats.Redirects++
 			e.Stats.ChainHops += uint64(s.hops)
@@ -252,7 +252,7 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 		pads := uint64(1) // the seal
 		if !s.zero && isWritten {
 			var srcImg [mem.LineBytes]byte
-			e.Phys.ReadLine(srcLA, &srcImg)
+			e.img.Phys.ReadLine(srcLA, &srcImg)
 			if plain, err = e.own.open(srcLA, h.blk.Major, h.blk.Minor[i], &srcImg); err != nil {
 				return rt, copied, err
 			}
@@ -262,7 +262,7 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 		la := mem.LineAddr(dst, i)
 		img, sum := e.own.seal(mem.LineNo(la), blk.Major, 1, &plain)
 		blk.Minor[i] = 1
-		e.written.Set(mem.LineNo(la))
+		e.img.written.Set(mem.LineNo(la))
 		e.countPads(pads)
 		perr := e.persistDataLine(la, &plain, &img, &sum)
 		wt := e.writeLeg(rt+e.padNs, la)
@@ -288,15 +288,4 @@ func ceilDiv(a, b uint64) uint64 {
 		return a
 	}
 	return (a + b - 1) / b
-}
-
-// recoveryPassNs converts a pass's device time and verify time into its
-// charged latency: serial (their sum) without MLP; with MLP the device
-// portion spreads over the banks and the verify portion over the MSHR-sized
-// verify pipeline, each rounded up to whole epochs.
-func (e *Engine) recoveryPassNs(devNs, verifyNs uint64) uint64 {
-	if !e.mlpOn() {
-		return devNs + verifyNs
-	}
-	return ceilDiv(devNs, uint64(e.Dev.Banks())) + ceilDiv(verifyNs, uint64(e.mshr.Size()))
 }

@@ -29,7 +29,7 @@ func TestNonSecurePlaintextAtRest(t *testing.T) {
 	e := nonSecureEngine(t, Lelantus)
 	writeLine(t, e, 4, 0, 0x77)
 	var raw [mem.LineBytes]byte
-	e.Phys.ReadLine(mem.LineAddr(4, 0), &raw)
+	e.img.Phys.ReadLine(mem.LineAddr(4, 0), &raw)
 	if raw[0] != 0x77 {
 		t.Fatal("non-secure mode must store plaintext")
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"lelantus/internal/ctr"
-	"lelantus/internal/mem"
 	"lelantus/internal/prefetch"
 	"lelantus/internal/probe"
 )
@@ -23,67 +22,41 @@ const (
 )
 
 // attachPrefetchSinks wires the caches' evicted-unused callbacks to the
-// prefetch unit's in-flight bookkeeping. Called at construction and again
-// after ResetVolatile swaps the caches. The callbacks keep one invariant:
-// a cache entry's prefetched flag is set exactly while the unit holds
-// in-flight state for that page — every path that clears the flag without
-// a demand touch funnels through here.
+// PrefetchUnused count, once at construction: a power cycle resets the
+// caches in place and keeps their sinks.
 func (e *Engine) attachPrefetchSinks() {
-	e.CtrCache.OnPrefetchEvict = func(page uint64) {
-		e.pf.DropCtr(page)
-		e.Stats.PrefetchUnused++
-		if e.pr != nil {
-			e.pr.RecordAt(probe.EvPrefetchUnused, page, 0)
-		}
-	}
-	e.CoWCache.OnPrefetchEvict = func(dst uint64) {
-		e.pf.DropCoW(dst)
-		e.Stats.PrefetchUnused++
-		if e.pr != nil {
-			e.pr.RecordAt(probe.EvPrefetchUnused, dst, 1)
-		}
+	e.CtrCache.OnPrefetchEvict = func(page uint64) { e.notePrefetchUnused(page, 0) }
+	e.CoWCache.OnPrefetchEvict = func(dst uint64) { e.notePrefetchUnused(dst, 1) }
+}
+
+// notePrefetchUnused counts a prefetched entry evicted before any demand
+// touch; kind is 0 for a counter block, 1 for a CoW-table entry.
+func (e *Engine) notePrefetchUnused(page, kind uint64) {
+	e.Stats.PrefetchUnused++
+	if e.pr != nil {
+		e.pr.RecordAt(probe.EvPrefetchUnused, page, kind)
 	}
 }
 
-// pfTouchCtr settles the first demand touch of a prefetched counter block:
-// if the fill is still in flight the demand access waits for it (a late
-// prefetch still hides part of the miss), otherwise the fill was fully
-// timely. No-op when the page has no in-flight fill.
-func (e *Engine) pfTouchCtr(now, pfn uint64, done *uint64) {
-	ready, ok := e.pf.ConsumeCtr(pfn)
-	if !ok {
+// pfTouch settles the first demand touch of a prefetched entry whose fill
+// completes at ready (kind 0: counter block, 1: CoW-table entry): if the
+// fill is still in flight the demand access waits for it (a late prefetch
+// still hides part of the miss), otherwise the fill was fully timely.
+// No-op when ready is 0: the entry was demand-filled or already touched.
+func (e *Engine) pfTouch(now, pfn, kind, ready uint64, done *uint64) {
+	if ready == 0 {
 		return
 	}
 	if ready > *done {
 		e.Stats.PrefetchLate++
 		if e.pr != nil {
-			e.pr.Record(probe.EvPrefetchLate, now, ready, pfn, 0)
+			e.pr.Record(probe.EvPrefetchLate, now, ready, pfn, kind)
 		}
 		*done = ready
 	} else {
 		e.Stats.PrefetchUseful++
 		if e.pr != nil {
-			e.pr.Record(probe.EvPrefetchUseful, now, *done, pfn, 0)
-		}
-	}
-}
-
-// pfTouchCoW is pfTouchCtr for supplementary CoW-table entries.
-func (e *Engine) pfTouchCoW(now, pfn uint64, done *uint64) {
-	ready, ok := e.pf.ConsumeCoW(pfn)
-	if !ok {
-		return
-	}
-	if ready > *done {
-		e.Stats.PrefetchLate++
-		if e.pr != nil {
-			e.pr.Record(probe.EvPrefetchLate, now, ready, pfn, 1)
-		}
-		*done = ready
-	} else {
-		e.Stats.PrefetchUseful++
-		if e.pr != nil {
-			e.pr.Record(probe.EvPrefetchUseful, now, *done, pfn, 1)
+			e.pr.Record(probe.EvPrefetchUseful, now, *done, pfn, kind)
 		}
 	}
 }
@@ -101,7 +74,7 @@ func (e *Engine) pfObserve(issue, pfn uint64) {
 	if n == 0 {
 		return
 	}
-	pages := int64(e.layout.DataLimit / mem.PageBytes)
+	pages := int64(e.img.pages())
 	p := int64(pfn)
 	for k := 0; k < n; k++ {
 		p += delta
@@ -178,7 +151,7 @@ func (e *Engine) pfMaybeWalkChain(now, dst, first uint64) {
 //     speculative fetch of bad bytes must surface as the demand-path
 //     error, not here.
 func (e *Engine) prefetchCtr(issue, pfn uint64) (ready uint64, ok bool) {
-	if pfn >= e.layout.DataLimit/mem.PageBytes || !e.initialised.Test(pfn) {
+	if pfn >= e.img.pages() || !e.img.initialised.Test(pfn) {
 		return issue, false
 	}
 	if e.CtrCache.Peek(pfn) != nil {
@@ -192,9 +165,9 @@ func (e *Engine) prefetchCtr(issue, pfn uint64) (ready uint64, ok bool) {
 		e.Stats.PrefetchDropped++
 		return issue, false
 	}
-	addr := e.ctrAddr(pfn)
+	addr := e.img.ctrAddr(pfn)
 	var raw [ctr.BlockBytes]byte
-	e.Phys.ReadLine(addr, &raw)
+	e.img.Phys.ReadLine(addr, &raw)
 	done := e.readLeg(issue, addr)
 	e.Stats.CtrReads++
 	if !e.cfg.NonSecure {
@@ -207,10 +180,9 @@ func (e *Engine) prefetchCtr(issue, pfn uint64) (ready uint64, ok bool) {
 	if err := ctr.UnpackInto(&raw, e.cfg.Scheme.Format(), &blk); err != nil {
 		return done, false
 	}
-	if !e.CtrCache.PutPrefetched(pfn, blk) {
+	if !e.CtrCache.PutPrefetched(pfn, blk, done) {
 		return done, false // room vanished; nothing installed
 	}
-	e.pf.NoteCtrFill(pfn, done)
 	e.Stats.PrefetchIssued++
 	if e.pr != nil {
 		e.pr.Record(probe.EvPrefetchIssue, issue, done, pfn, 0)
@@ -223,7 +195,7 @@ func (e *Engine) prefetchCtr(issue, pfn uint64) (ready uint64, ok bool) {
 // A page with no mapping caches the negative result, exactly as the demand
 // lookup would.
 func (e *Engine) prefetchCoW(issue, pfn uint64) (ready uint64, ok bool) {
-	if e.cfg.Scheme != LelantusCoW || pfn >= e.layout.DataLimit/mem.PageBytes {
+	if e.cfg.Scheme != LelantusCoW || pfn >= e.img.pages() {
 		return issue, false
 	}
 	if _, _, cached := e.CoWCache.Peek(pfn); cached {
@@ -237,14 +209,13 @@ func (e *Engine) prefetchCoW(issue, pfn uint64) (ready uint64, ok bool) {
 		e.Stats.PrefetchDropped++
 		return issue, false
 	}
-	addr := e.cowMetaAddr(pfn)
+	addr := e.img.cowMetaAddr(pfn)
 	done := e.readLeg(issue, addr)
 	e.Stats.CoWMetaReads++
-	src, present := e.peekCoWEntry(pfn)
-	if !e.CoWCache.InsertPrefetched(pfn, src, present) {
+	src, present := e.img.CoWEntry(pfn)
+	if !e.CoWCache.InsertPrefetched(pfn, src, present, done) {
 		return done, false
 	}
-	e.pf.NoteCoWFill(pfn, done)
 	e.Stats.PrefetchIssued++
 	if e.pr != nil {
 		e.pr.Record(probe.EvPrefetchIssue, issue, done, pfn, 1)

@@ -83,20 +83,6 @@ func (r *RecoveryReport) String() string {
 		r.LinesScrubbed, r.MACMismatches, r.RecoveryNs)
 }
 
-// chainNext returns the page a CoW destination redirects to, from durable
-// state only (NVM bytes, never the volatile caches the crash discarded).
-func (e *Engine) chainNext(pfn uint64) (uint64, bool) {
-	switch e.cfg.Scheme {
-	case Lelantus:
-		if blk, ok := e.peekBlock(pfn); ok && blk.CoW {
-			return blk.Src, true
-		}
-	case LelantusCoW:
-		return e.peekCoWEntry(pfn)
-	}
-	return 0, false
-}
-
 // Recover scrubs the persisted metadata image after a crash, in the spirit
 // of Anubis/Phoenix-style recovery: the NVM-resident leaves are the ground
 // truth, everything volatile is rebuilt or re-verified from them. The
@@ -125,22 +111,92 @@ func (e *Engine) chainNext(pfn uint64) (uint64, bool) {
 // every count that feeds RecoveryNs is kept, so the modeled recovery cost
 // and the persist-matrix report are byte-identical across fidelities.
 //
-// The scrub itself runs outside simulated time; its modeled device cost is
-// reported in RecoveryNs and accumulated into Stats. Its host cost follows
-// what the run touched, not the capacity: passes 1 and 3 enumerate the
-// initialised blocks and the resident CoW-table frames (liveBlocks,
+// The scrub reads the DurableImage and the plain values of scrubParams
+// only: no counter cache, CoW cache or prefetch unit is reachable from it.
+// It runs outside simulated time; its modeled device cost is reported in
+// RecoveryNs, and Recover accumulates the report into Stats. Its host cost
+// follows what the run touched, not the capacity: passes 1 and 3 enumerate
+// the initialised blocks and the resident CoW-table frames (liveBlocks,
 // chainStarts), never every page frame of the machine.
 func (e *Engine) Recover() (*RecoveryReport, error) {
-	pages := e.layout.DataLimit / mem.PageBytes
-	live := e.liveBlocks(pages)
-	return e.scrub(live, e.chainStarts(live, pages))
+	live := e.img.liveBlocks()
+	return e.bookRecovery(e.img.scrub(e.scrubParams(), live, e.img.chainStarts(live))), nil
+}
+
+// scrubParams is what the recovery scrub knows of the machine besides its
+// durable image: configuration and device geometry, as plain values.
+type scrubParams struct {
+	persist   PersistStrategy
+	secure    bool // the tree and the data MACs are maintained
+	hashing   bool // secure, and digests and MACs are computed (full fidelity)
+	zeroPFN   uint64
+	faultSeed int64
+	readNs    uint64
+	verifyNs  uint64
+	// banks and mshrs spread a pass's device and verify time under MLP;
+	// mshrs == 0 (MLP off) charges the pass serially.
+	banks, mshrs uint64
+}
+
+func (e *Engine) scrubParams() scrubParams {
+	p := scrubParams{
+		persist:   e.cfg.Persist,
+		secure:    !e.cfg.NonSecure,
+		hashing:   !e.cfg.NonSecure && e.cfg.Fidelity == FidelityFull,
+		zeroPFN:   e.ZeroPFN,
+		faultSeed: e.fi.Seed(),
+		readNs:    e.Dev.Config().ReadNs,
+		verifyNs:  e.cfg.VerifyNs,
+	}
+	if e.mlpOn() {
+		p.banks, p.mshrs = uint64(e.Dev.Banks()), uint64(e.mshr.Size())
+	}
+	return p
+}
+
+// passNs converts a pass's device time and verify time into its charged
+// latency: serial (their sum) without MLP; with MLP the device portion
+// spreads over the banks and the verify portion over the MSHR-sized verify
+// pipeline, each rounded up to whole epochs.
+func (p scrubParams) passNs(devNs, verifyNs uint64) uint64 {
+	if p.mshrs == 0 {
+		return devNs + verifyNs
+	}
+	return ceilDiv(devNs, p.banks) + ceilDiv(verifyNs, p.mshrs)
+}
+
+// bookRecovery accumulates a scrub's report into Stats and, with a probe
+// attached, lays its four passes (passNs, as scrub returns them) end to end
+// as spans from the plane's high-water simulated time.
+func (e *Engine) bookRecovery(rep *RecoveryReport, passNs [4]uint64) *RecoveryReport {
+	e.Stats.Recoveries++
+	e.Stats.RecoveryBlocksScanned += rep.BlocksScanned
+	e.Stats.RecoveryTornBlocks += rep.TornBlocks
+	e.Stats.RecoveryNodesRebuilt += rep.NodesRebuilt
+	e.Stats.RecoveryLinesScrubbed += rep.LinesScrubbed
+	e.Stats.RecoveryMACMismatches += rep.MACMismatches
+	e.Stats.RecoveryNs += rep.RecoveryNs
+
+	if e.pr != nil {
+		// The strategy's leaf-digest rebuild (when it runs) is part of the
+		// pass-1 span: it happens on the same block stream, before the tree
+		// rebuild of pass 2.
+		t := e.pr.LastNs()
+		counts := [4]uint64{rep.BlocksScanned, rep.NodesRebuilt, rep.CoWChains, rep.LinesScrubbed}
+		for i, dur := range passNs {
+			e.pr.Record(probe.EvRecovery, t, t+dur, uint64(i+1), counts[i])
+			t += dur
+		}
+	}
+	return rep
 }
 
 // liveBlocks lists the initialised counter blocks of the data region in
 // pfn order: the blocks pass 1 scans.
-func (e *Engine) liveBlocks(pages uint64) []uint64 {
-	live := make([]uint64, 0, e.initialised.Count())
-	for pfn, ok := e.initialised.Next(0); ok && pfn < pages; pfn, ok = e.initialised.Next(pfn + 1) {
+func (d *DurableImage) liveBlocks() []uint64 {
+	pages := d.pages()
+	live := make([]uint64, 0, d.initialised.Count())
+	for pfn, ok := d.initialised.Next(0); ok && pfn < pages; pfn, ok = d.initialised.Next(pfn + 1) {
 		live = append(live, pfn)
 	}
 	return live
@@ -148,20 +204,17 @@ func (e *Engine) liveBlocks(pages uint64) []uint64 {
 
 // chainStarts lists, in pfn order, the pages whose durable metadata records
 // a CoW redirect: the chains pass 3 walks. It decodes only what can hold
-// one. A Lelantus redirect lives in a counter block, and peekBlock finds a
-// block only for an initialised page — the counter cache is filled by
-// loadBlock after ensureInit (storeBlock only after a loadBlock of the
-// same page) and by the prefetcher only for initialised pages — so live
-// holds every start. A Lelantus-CoW entry lives in the
-// supplementary table, and a table frame never written reads as zeros,
-// which has no present bit, so only resident frames are decoded. Baseline
-// and Silent Shredder keep no redirects.
-func (e *Engine) chainStarts(live []uint64, pages uint64) []uint64 {
+// one. A Lelantus redirect lives in a counter block, and Block finds one
+// only for an initialised page, so live holds every start. A Lelantus-CoW
+// entry lives in the supplementary table, and a table frame never written
+// reads as zeros, which has no present bit, so only resident frames are
+// decoded. Baseline and Silent Shredder keep no redirects.
+func (d *DurableImage) chainStarts(live []uint64) []uint64 {
 	starts := make([]uint64, 0)
-	switch e.cfg.Scheme {
+	switch d.scheme {
 	case Lelantus:
 		for _, pfn := range live {
-			if _, ok := e.chainNext(pfn); ok {
+			if _, ok := d.Source(pfn); ok {
 				starts = append(starts, pfn)
 			}
 		}
@@ -169,15 +222,15 @@ func (e *Engine) chainStarts(live []uint64, pages uint64) []uint64 {
 		// Page pfn's entry is the 8 bytes at base+8*pfn (cowMetaAddr), and
 		// frame boundaries are line-aligned, so frame f holds the entries
 		// of pfns [lo, hi).
-		base, end := e.layout.CoWBase, e.layout.CoWBase+pages*8
+		base, end := d.layout.CoWBase, d.layout.CoWBase+d.pages()*8
 		for f := mem.PageOf(base); mem.PageAddr(f) < end; f++ {
-			if !e.Phys.Resident(f) {
+			if !d.Phys.Resident(f) {
 				continue
 			}
 			lo := (max(mem.PageAddr(f), base) - base + 7) / 8
 			hi := (min(mem.PageAddr(f+1), end) - base + 7) / 8
 			for pfn := lo; pfn < hi; pfn++ {
-				if _, ok := e.peekCoWEntry(pfn); ok {
+				if _, ok := d.CoWEntry(pfn); ok {
 					starts = append(starts, pfn)
 				}
 			}
@@ -187,13 +240,11 @@ func (e *Engine) chainStarts(live []uint64, pages uint64) []uint64 {
 }
 
 // scrub runs the four recovery passes over pass 1's live blocks and pass
-// 3's chain starts, both in pfn order.
-func (e *Engine) scrub(live, starts []uint64) (*RecoveryReport, error) {
-	strat := e.cfg.Persist
-	rep := &RecoveryReport{Scheme: e.cfg.Scheme, Strategy: strat.Name(), FaultSeed: e.fi.Seed(), RootMatched: true}
-	secure := !e.cfg.NonSecure
-	hashing := secure && e.cfg.Fidelity == FidelityFull
-	pages := e.layout.DataLimit / mem.PageBytes
+// 3's chain starts, both in pfn order, and returns the report with each
+// pass's modeled cost.
+func (d *DurableImage) scrub(p scrubParams, live, starts []uint64) (*RecoveryReport, [4]uint64) {
+	strat := p.persist
+	rep := &RecoveryReport{Scheme: d.scheme, Strategy: strat.Name(), FaultSeed: p.faultSeed, RootMatched: true}
 
 	// Pass 1: counter-block scan against (or rebuild of) the leaf digests.
 	// live is in pfn order, so passes 1 and 4 list torn pages and lost
@@ -201,20 +252,20 @@ func (e *Engine) scrub(live, starts []uint64) (*RecoveryReport, error) {
 	rep.BlocksScanned = uint64(len(live))
 	torn := make(map[uint64]bool)
 	switch {
-	case !secure:
+	case !p.secure:
 	case !strat.LeafDigestsDurable():
 		// Rebuild mode: adopt each block's NVM image as its leaf.
 		for _, pfn := range live {
 			var raw [ctr.BlockBytes]byte
-			e.Phys.ReadLine(e.ctrAddr(pfn), &raw)
-			e.Tree.ResetLeaf(pfn, raw[:])
+			d.Phys.ReadLine(d.ctrAddr(pfn), &raw)
+			d.Tree.ResetLeaf(pfn, raw[:])
 			rep.LeavesRebuilt++
 		}
-	case hashing:
+	case p.hashing:
 		for _, pfn := range live {
 			var raw [ctr.BlockBytes]byte
-			e.Phys.ReadLine(e.ctrAddr(pfn), &raw)
-			if e.Tree.VerifyLeaf(pfn, raw[:]) == nil {
+			d.Phys.ReadLine(d.ctrAddr(pfn), &raw)
+			if d.Tree.VerifyLeaf(pfn, raw[:]) == nil {
 				continue
 			}
 			rep.TornBlocks++
@@ -230,16 +281,16 @@ func (e *Engine) scrub(live, starts []uint64) (*RecoveryReport, error) {
 	// is compared for information only: the tree is maintained lazily, so at
 	// crash time the register commonly trails the leaves without anything
 	// being wrong.
-	if secure && e.Tree != nil {
-		oldRoot := e.Tree.RootRegister()
-		rep.NodesByLevel = e.Tree.RebuildFromLeavesByLevel()
+	if p.secure && d.Tree != nil {
+		oldRoot := d.Tree.RootRegister()
+		rep.NodesByLevel = d.Tree.RebuildFromLeavesByLevel()
 		for _, n := range rep.NodesByLevel {
 			rep.NodesRebuilt += n
 		}
-		rep.RootMatched = e.Tree.RootRegister() == oldRoot
+		rep.RootMatched = d.Tree.RootRegister() == oldRoot
 	}
 
-	// Pass 3: CoW redirect-chain invariants, from durable state only.
+	// Pass 3: CoW redirect-chain invariants.
 	//
 	// Device-read accounting (ChainReads): Lelantus-CoW first scans the
 	// supplementary table — eight 8 B mappings per 64 B line — then pays one
@@ -248,9 +299,9 @@ func (e *Engine) scrub(live, starts []uint64) (*RecoveryReport, error) {
 	// stream pass 1 just read (no extra charge) and a walk hop is billed
 	// only when it lands on an initialised page whose block actually has to
 	// be fetched.
-	if e.cfg.Scheme == LelantusCoW {
+	if d.scheme == LelantusCoW {
 		entriesPerLine := uint64(mem.LineBytes / 8)
-		rep.ChainReads += (pages + entriesPerLine - 1) / entriesPerLine
+		rep.ChainReads += (d.pages() + entriesPerLine - 1) / entriesPerLine
 	}
 	rep.CoWMappings = uint64(len(starts))
 	for _, start := range starts {
@@ -258,25 +309,25 @@ func (e *Engine) scrub(live, starts []uint64) (*RecoveryReport, error) {
 		visited := map[uint64]bool{start: true}
 		cur := start
 		for {
-			switch e.cfg.Scheme {
+			switch d.scheme {
 			case Lelantus:
-				if e.initialised.Test(cur) {
+				if d.initialised.Test(cur) {
 					rep.ChainReads++
 				}
 			case LelantusCoW:
 				rep.ChainReads++
 			}
-			src, ok := e.chainNext(cur)
+			src, ok := d.Source(cur)
 			if !ok {
 				break
 			}
-			if src == cur || src*mem.PageBytes >= e.layout.DataLimit {
+			if src == cur || src*mem.PageBytes >= d.layout.DataLimit {
 				rep.InvalidSources++
 				break
 			}
 			// A source must exist — except the shared zero frame, which is
 			// legitimately never materialised (page_init redirects to it).
-			if !e.initialised.Test(src) && src != e.ZeroPFN {
+			if !d.initialised.Test(src) && src != p.zeroPFN {
 				rep.InvalidSources++
 				break
 			}
@@ -292,29 +343,29 @@ func (e *Engine) scrub(live, starts []uint64) (*RecoveryReport, error) {
 	// Pass 4: MAC scrub of written lines on pages whose counter block
 	// survived intact (a torn block already invalidates the whole page).
 	// Without hashing (timing fidelity) it only counts the lines a full
-	// scrub would verify. peekBlock is side-effect free.
-	if secure {
+	// scrub would verify.
+	if p.secure {
 		for _, pfn := range live {
 			if torn[pfn] {
 				continue
 			}
-			blk, ok := e.peekBlock(pfn)
+			blk, ok := d.Block(pfn)
 			if !ok {
 				continue
 			}
 			for i := 0; i < mem.LinesPerPage; i++ {
 				la := mem.LineAddr(pfn, i)
 				lineNo := mem.LineNo(la)
-				if blk.Minor[i] == 0 || !e.written.Test(lineNo) {
+				if blk.Minor[i] == 0 || !d.written.Test(lineNo) {
 					continue
 				}
 				rep.LinesScrubbed++
-				if !hashing {
+				if !p.hashing {
 					continue
 				}
 				var ciph [mem.LineBytes]byte
-				e.Phys.ReadLine(la, &ciph)
-				if e.MACs.Verify(lineNo, ciph[:], blk.Major, blk.Minor[i]) == nil {
+				d.Phys.ReadLine(la, &ciph)
+				if d.MACs.Verify(lineNo, ciph[:], blk.Major, blk.Minor[i]) == nil {
 					continue
 				}
 				rep.MACMismatches++
@@ -334,52 +385,24 @@ func (e *Engine) scrub(live, starts []uint64) (*RecoveryReport, error) {
 	// durability — TestRecoveryNsFormulaPerPass pins exactly that.
 	//
 	// Under MLP each pass's device reads spread across the banks and its
-	// verifications across an MSHR-sized verify pipeline (recoveryPassNs),
-	// modeling a scrub that streams independent blocks bank-parallel. This
+	// verifications across an MSHR-sized verify pipeline (passNs), modeling
+	// a scrub that streams independent blocks bank-parallel. This
 	// deliberately idealises pass 3 — hops *within* one chain are dependent
 	// — but distinct chains are independent and dominate the read count.
-	devCfg := e.Dev.Config()
 	durableInner := strat.DurableInnerLevels(len(rep.NodesByLevel))
-	pass1 := e.recoveryPassNs(rep.BlocksScanned*devCfg.ReadNs,
-		(rep.BlocksScanned+rep.LeavesRebuilt)*e.cfg.VerifyNs)
 	var pass2dev, pass2ver uint64
 	for l, n := range rep.NodesByLevel {
-		pass2ver += n * e.cfg.VerifyNs
+		pass2ver += n * p.verifyNs
 		if l >= durableInner {
-			pass2dev += n * devCfg.ReadNs
+			pass2dev += n * p.readNs
 		}
 	}
-	pass2 := e.recoveryPassNs(pass2dev, pass2ver)
-	pass3 := e.recoveryPassNs(rep.ChainReads*devCfg.ReadNs, 0)
-	pass4 := e.recoveryPassNs(rep.LinesScrubbed*devCfg.ReadNs,
-		rep.LinesScrubbed*e.cfg.VerifyNs)
-	rep.RecoveryNs = pass1 + pass2 + pass3 + pass4
-
-	e.Stats.Recoveries++
-	e.Stats.RecoveryBlocksScanned += rep.BlocksScanned
-	e.Stats.RecoveryTornBlocks += rep.TornBlocks
-	e.Stats.RecoveryNodesRebuilt += rep.NodesRebuilt
-	e.Stats.RecoveryLinesScrubbed += rep.LinesScrubbed
-	e.Stats.RecoveryMACMismatches += rep.MACMismatches
-	e.Stats.RecoveryNs += rep.RecoveryNs
-
-	if e.pr != nil {
-		// One span per scrub pass, laid end to end from the plane's
-		// high-water simulated time using the same modeled per-pass costs
-		// that make up RecoveryNs. The strategy's leaf-digest rebuild (when
-		// it runs) is part of the pass-1 span: it happens on the same block
-		// stream, before the tree rebuild of pass 2.
-		t := e.pr.LastNs()
-		passes := [4]struct{ dur, n uint64 }{
-			{pass1, rep.BlocksScanned},
-			{pass2, rep.NodesRebuilt},
-			{pass3, rep.CoWChains},
-			{pass4, rep.LinesScrubbed},
-		}
-		for i, p := range passes {
-			e.pr.Record(probe.EvRecovery, t, t+p.dur, uint64(i+1), p.n)
-			t += p.dur
-		}
+	passNs := [4]uint64{
+		p.passNs(rep.BlocksScanned*p.readNs, (rep.BlocksScanned+rep.LeavesRebuilt)*p.verifyNs),
+		p.passNs(pass2dev, pass2ver),
+		p.passNs(rep.ChainReads*p.readNs, 0),
+		p.passNs(rep.LinesScrubbed*p.readNs, rep.LinesScrubbed*p.verifyNs),
 	}
-	return rep, nil
+	rep.RecoveryNs = passNs[0] + passNs[1] + passNs[2] + passNs[3]
+	return rep, passNs
 }

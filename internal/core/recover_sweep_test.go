@@ -52,7 +52,7 @@ func TestRecoverMatchesFullScanOnCrashSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range sim.SweepPoints(total, cell.Points(testing.Short())) {
+		for _, n := range simtest.SweepPoints(total, cell.Points(testing.Short())) {
 			want, err := sim.CrashAt(cell.Cfg, script, 1, n)
 			if err != nil {
 				t.Fatal(err)
@@ -109,7 +109,7 @@ func TestPersistLineTears(t *testing.T) {
 	}
 	var seen [3]bool // KeepWords 0, 1..WordsPerLine-1, WordsPerLine
 	for seed := int64(1); seed <= 64; seed++ {
-		e.Phys.WriteLine(addr, &old)
+		e.Image().Phys.WriteLine(addr, &old)
 		p := faultinject.New(seed)
 		p.ArmCrashAt(1)
 		e.AttachFaultPlane(p, false)
@@ -120,7 +120,7 @@ func TestPersistLineTears(t *testing.T) {
 		k := d.KeepWords * 8
 		want := old
 		copy(want[:k], img[:k])
-		e.Phys.ReadLine(addr, &got)
+		e.Image().Phys.ReadLine(addr, &got)
 		if got != want {
 			t.Fatalf("seed %d: KeepWords %d left %x, want %x", seed, d.KeepWords, got, want)
 		}
@@ -137,12 +137,12 @@ func TestPersistLineTears(t *testing.T) {
 		t.Fatalf("seeds 1..64 cover KeepWords 0 / torn / whole = %v, want all three", seen)
 	}
 
-	e.Phys.WriteLine(addr, &old)
+	e.Image().Phys.WriteLine(addr, &old)
 	e.AttachFaultPlane(faultinject.New(1), false)
 	if d := e.PersistLine(faultinject.DataWrite, addr, &img); d.Err != nil {
 		t.Fatalf("disarmed plane: %v", d.Err)
 	}
-	if e.Phys.ReadLine(addr, &got); got != img {
+	if e.Image().Phys.ReadLine(addr, &got); got != img {
 		t.Fatalf("disarmed plane left %x, want %x", got, img)
 	}
 }

@@ -22,7 +22,7 @@ const recoverPages = 3000
 // powerCycle drops the engine's volatile metadata caches without a drain,
 // as Controller.Crash(now, false) does.
 func powerCycle(e *Engine, mode ctrcache.Mode) {
-	e.ResetVolatile(ctrcache.New(8<<10, 4, mode, 2), ctrcache.NewCoW(512))
+	e.ResetVolatile()
 }
 
 // randomCommands drives a seeded random mix of stores and page_copy,
@@ -119,15 +119,15 @@ func plantRedirect(t *testing.T, e *Engine, dst, src uint64) {
 		if err := blk.PackInto(&raw); err != nil {
 			t.Fatal(err)
 		}
-		e.Phys.WriteLine(e.ctrAddr(dst), &raw)
+		e.img.Phys.WriteLine(e.img.ctrAddr(dst), &raw)
 		e.Tree.Update(dst, raw[:])
 	case LelantusCoW:
 		var raw [mem.LineBytes]byte
-		addr := e.cowMetaAddr(dst)
-		e.Phys.ReadLine(addr, &raw)
+		addr := e.img.cowMetaAddr(dst)
+		e.img.Phys.ReadLine(addr, &raw)
 		off := (dst * 8) % mem.LineBytes
 		binary.LittleEndian.PutUint64(raw[off:off+8], src|cowPresent)
-		e.Phys.WriteLine(addr, &raw)
+		e.img.Phys.WriteLine(addr, &raw)
 	}
 }
 

@@ -27,12 +27,14 @@ func (m Mode) String() string {
 }
 
 type entry struct {
-	page   uint64
-	valid  bool
-	dirty  bool
-	pfetch bool // speculatively filled, not yet touched by demand
-	tick   uint64
-	blk    ctr.Block
+	page  uint64
+	valid bool
+	dirty bool
+	// pfReady is the completion time of a prefetch fill no demand access
+	// has touched yet; 0 marks a demand-filled or already-touched block.
+	pfReady uint64
+	tick    uint64
+	blk     ctr.Block
 }
 
 // Cache caches decoded counter blocks keyed by page frame number.
@@ -48,9 +50,9 @@ type Cache struct {
 	LatencyNs    uint64
 
 	// OnPrefetchEvict, when set, is called with the page of every
-	// prefetched-but-never-demanded block that leaves the cache (evicted,
-	// invalidated or overwritten before its first Get). The prefetch engine
-	// uses it to retire in-flight state and count evicted-unused fills.
+	// prefetched-but-never-demanded block that leaves the cache (evicted
+	// or overwritten before its first Get). The engine counts
+	// evicted-unused fills with it.
 	OnPrefetchEvict func(page uint64)
 }
 
@@ -83,26 +85,28 @@ func (c *Cache) set(page uint64) []entry {
 	return c.entries[s*uint64(c.ways) : (s+1)*uint64(c.ways)]
 }
 
-// Get returns the cached counter block for the page, or nil on miss.
-func (c *Cache) Get(page uint64) *ctr.Block {
+// Get returns the cached counter block for the page, or nil on miss. On
+// the first demand touch of a prefetched block it also hands back the
+// fill's completion time and claims the fill; pfReady is 0 otherwise.
+func (c *Cache) Get(page uint64) (blk *ctr.Block, pfReady uint64) {
 	c.tick++
 	set := c.set(page)
 	for i := range set {
 		if set[i].valid && set[i].page == page {
 			set[i].tick = c.tick
-			set[i].pfetch = false // first demand touch claims a prefetched fill
+			pfReady, set[i].pfReady = set[i].pfReady, 0
 			c.Hits++
-			return &set[i].blk
+			return &set[i].blk, pfReady
 		}
 	}
 	c.Misses++
-	return nil
+	return nil, 0
 }
 
 // Peek returns the cached counter block for the page without any side
 // effects: no LRU promotion, no hit/miss accounting, no tick advance.
 // Introspection paths that must not perturb measurements (Engine.SourceOf
-// and PeekBlock) use it instead of Get.
+// and the prefetcher's residency check) use it instead of Get.
 func (c *Cache) Peek(page uint64) *ctr.Block {
 	set := c.set(page)
 	for i := range set {
@@ -127,10 +131,10 @@ func (c *Cache) Put(page uint64, blk ctr.Block) (victim Victim, needWB bool) {
 	set := c.set(page)
 	for i := range set {
 		if set[i].valid && set[i].page == page {
-			if set[i].pfetch {
+			if set[i].pfReady != 0 {
 				// Demand overwrote a fill that was never read: the prefetch
 				// did no work, so retire it as unused.
-				set[i].pfetch = false
+				set[i].pfReady = 0
 				c.notePrefetchEvict(page)
 			}
 			set[i].blk = blk
@@ -149,7 +153,7 @@ func (c *Cache) Put(page uint64, blk ctr.Block) (victim Victim, needWB bool) {
 		// Reclaim untouched prefetched blocks before any demand block: a
 		// speculative fill must never shorten a demand block's lifetime.
 		for i := range set {
-			if set[i].pfetch && (pick < 0 || set[i].tick < set[pick].tick) {
+			if set[i].pfReady != 0 && (pick < 0 || set[i].tick < set[pick].tick) {
 				pick = i
 			}
 		}
@@ -193,21 +197,23 @@ func (c *Cache) PrefetchRoom(page uint64) bool {
 		}
 	}
 	for i := range set {
-		if !set[i].valid || set[i].pfetch || !set[i].dirty {
+		if !set[i].valid || set[i].pfReady != 0 || !set[i].dirty {
 			return true
 		}
 	}
 	return false
 }
 
-// PutPrefetched installs a speculatively fetched counter block. Unlike Put
-// it moves no hit/miss accounting and grants the fill no recency boost (a
-// later demand Get promotes it normally). The victim order is invalid way,
-// then oldest untouched prefetched block, then oldest *clean* demand block
-// — a dirty block is never displaced, so the speculative path can never
-// force a write-back; when the set is all-dirty the fill is dropped and
-// false is returned.
-func (c *Cache) PutPrefetched(page uint64, blk ctr.Block) bool {
+// PutPrefetched installs a speculatively fetched counter block whose fill
+// completes at ready, which the block's first demand Get hands back. Unlike
+// Put it moves no hit/miss accounting and grants the fill no recency boost
+// (a later demand Get promotes it normally). The victim order is invalid
+// way, then oldest untouched prefetched block, then oldest *clean* demand
+// block — a dirty block is never displaced, so the speculative path can
+// never force a write-back; when the set is all-dirty the fill is dropped
+// and false is returned. ready must be non-zero, which a fill's completion
+// time is: a device read takes time.
+func (c *Cache) PutPrefetched(page uint64, blk ctr.Block, ready uint64) bool {
 	c.tick++
 	set := c.set(page)
 	pick := -1
@@ -221,7 +227,7 @@ func (c *Cache) PutPrefetched(page uint64, blk ctr.Block) bool {
 	}
 	if pick < 0 {
 		for i := range set {
-			if set[i].pfetch && (pick < 0 || set[i].tick < set[pick].tick) {
+			if set[i].pfReady != 0 && (pick < 0 || set[i].tick < set[pick].tick) {
 				pick = i
 			}
 		}
@@ -239,7 +245,7 @@ func (c *Cache) PutPrefetched(page uint64, blk ctr.Block) bool {
 			return false
 		}
 	}
-	set[pick] = entry{page: page, valid: true, pfetch: true, tick: c.tick, blk: blk}
+	set[pick] = entry{page: page, valid: true, pfReady: ready, tick: c.tick, blk: blk}
 	return true
 }
 
@@ -275,6 +281,15 @@ func (c *Cache) DrainDirty(sink func(Victim) error) error {
 	return nil
 }
 
+// Reset empties the cache in place and zeroes its counters: the power
+// cycle that loses every cached block, dirty ones included. The geometry,
+// mode, latency and OnPrefetchEvict sink stay, and no callback fires for
+// the discarded fills.
+func (c *Cache) Reset() {
+	clear(c.entries)
+	c.tick, c.Hits, c.Misses = 0, 0, 0
+}
+
 // MissRate returns the fraction of lookups that missed.
 func (c *Cache) MissRate() float64 {
 	t := c.Hits + c.Misses
@@ -307,9 +322,9 @@ type CoWCache struct {
 type cowEntry struct {
 	dst        uint64
 	src        uint64
-	present    bool // false caches a negative result ("no source mapping")
-	dirty      bool // entry newer than NVM; must write back before loss
-	pfetch     bool // speculatively filled, not yet touched by demand
+	present    bool   // false caches a negative result ("no source mapping")
+	dirty      bool   // entry newer than NVM; must write back before loss
+	pfReady    uint64 // untouched prefetch fill's completion time, else 0
 	prev, next int32
 }
 
@@ -334,12 +349,23 @@ func NewCoW(sizeBytes uint64) *CoWCache {
 		ents: make([]cowEntry, capacity),
 		idx:  make(map[uint64]int32, capacity),
 		free: make([]int32, 0, capacity),
-		head: -1, tail: -1,
 	}
-	for i := capacity - 1; i >= 0; i-- {
+	c.Reset()
+	return c
+}
+
+// Reset empties the cache in place and zeroes its counters, like
+// Cache.Reset: every mapping is lost, dirty ones included, and the slots
+// are handed out again in the order a new cache hands them out.
+func (c *CoWCache) Reset() {
+	clear(c.ents)
+	clear(c.idx)
+	c.free = c.free[:0]
+	for i := len(c.ents) - 1; i >= 0; i-- {
 		c.free = append(c.free, int32(i))
 	}
-	return c
+	c.head, c.tail = -1, -1
+	c.Hits, c.Misses = 0, 0
 }
 
 func (c *CoWCache) unlink(i int32) {
@@ -370,8 +396,10 @@ func (c *CoWCache) pushFront(i int32) {
 
 // Lookup returns the cached mapping state for a destination page: cached
 // reports whether the cache knows the answer at all, and present whether a
-// source mapping exists.
-func (c *CoWCache) Lookup(dst uint64) (src uint64, present, cached bool) {
+// source mapping exists. Like Cache.Get, the first demand touch of a
+// prefetched mapping claims the fill and hands back its completion time in
+// pfReady (0 otherwise).
+func (c *CoWCache) Lookup(dst uint64) (src uint64, present, cached bool, pfReady uint64) {
 	if i, hit := c.idx[dst]; hit {
 		if c.head != i {
 			c.unlink(i)
@@ -379,11 +407,11 @@ func (c *CoWCache) Lookup(dst uint64) (src uint64, present, cached bool) {
 		}
 		c.Hits++
 		e := &c.ents[i]
-		e.pfetch = false // first demand touch claims a prefetched fill
-		return e.src, e.present, true
+		pfReady, e.pfReady = e.pfReady, 0
+		return e.src, e.present, true, pfReady
 	}
 	c.Misses++
-	return 0, false, false
+	return 0, false, false, 0
 }
 
 // Insert caches a mapping (or, with present=false, its absence) that is
@@ -408,9 +436,9 @@ func (c *CoWCache) InsertDirty(dst, src uint64, present bool) (victim CoWVictim,
 func (c *CoWCache) insert(dst, src uint64, present, dirty bool) (victim CoWVictim, needWB bool) {
 	if i, ok := c.idx[dst]; ok {
 		e := &c.ents[i]
-		if e.pfetch {
+		if e.pfReady != 0 {
 			// Demand overwrote a fill that was never read: retire it unused.
-			e.pfetch = false
+			e.pfReady = 0
 			c.notePrefetchEvict(e.dst)
 		}
 		e.src = src
@@ -434,7 +462,7 @@ func (c *CoWCache) insert(dst, src uint64, present, dirty bool) (victim CoWVicti
 			victim = CoWVictim{Dst: old.dst, Src: old.src, Present: old.present}
 			needWB = true
 		}
-		if old.pfetch {
+		if old.pfReady != 0 {
 			c.notePrefetchEvict(old.dst)
 		}
 		delete(c.idx, c.ents[slot].dst)
@@ -463,14 +491,16 @@ func (c *CoWCache) PrefetchRoom(dst uint64) bool {
 	return len(c.free) > 0 || (c.tail >= 0 && !c.ents[c.tail].dirty)
 }
 
-// InsertPrefetched caches a speculatively fetched mapping without touching
-// demand accounting: no hit/miss movement, the entry joins the *cold* end
-// of the recency list (a later demand Lookup promotes it normally) and is
-// always clean. The victim order is a free slot, then the tail entry if it
-// is prefetched-untouched or a clean demand mapping — a dirty mapping is
-// never displaced, so the speculative path can never force a write-back;
-// against a dirty tail the fill is dropped and false is returned.
-func (c *CoWCache) InsertPrefetched(dst, src uint64, present bool) bool {
+// InsertPrefetched caches a speculatively fetched mapping whose fill
+// completes at ready (non-zero, as for Cache.PutPrefetched) without
+// touching demand accounting: no hit/miss movement, the entry joins the
+// *cold* end of the recency list (a later demand Lookup promotes it
+// normally) and is always clean. The victim order is a free slot, then the
+// tail entry if it is prefetched-untouched or a clean demand mapping — a
+// dirty mapping is never displaced, so the speculative path can never force
+// a write-back; against a dirty tail the fill is dropped and false is
+// returned.
+func (c *CoWCache) InsertPrefetched(dst, src uint64, present bool, ready uint64) bool {
 	if _, ok := c.idx[dst]; ok {
 		return false // already cached; nothing to do
 	}
@@ -484,12 +514,12 @@ func (c *CoWCache) InsertPrefetched(dst, src uint64, present bool) bool {
 		}
 		slot = c.tail
 		c.unlink(slot)
-		if c.ents[slot].pfetch {
+		if c.ents[slot].pfReady != 0 {
 			c.notePrefetchEvict(c.ents[slot].dst)
 		}
 		delete(c.idx, c.ents[slot].dst)
 	}
-	c.ents[slot] = cowEntry{dst: dst, src: src, present: present, pfetch: true}
+	c.ents[slot] = cowEntry{dst: dst, src: src, present: present, pfReady: ready}
 	c.pushBack(slot)
 	c.idx[dst] = slot
 	return true

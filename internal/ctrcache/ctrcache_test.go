@@ -13,11 +13,11 @@ func blk(major uint64) ctr.Block {
 
 func TestGetMissThenHit(t *testing.T) {
 	c := New(4<<10, 4, WriteBack, 2)
-	if c.Get(7) != nil {
+	if b, _ := c.Get(7); b != nil {
 		t.Fatal("cold lookup must miss")
 	}
 	c.Put(7, blk(1))
-	got := c.Get(7)
+	got, _ := c.Get(7)
 	if got == nil || got.Major != 1 {
 		t.Fatal("hit must return the cached block")
 	}
@@ -63,8 +63,9 @@ func TestPeekDoesNotPromoteLRU(t *testing.T) {
 func TestPointerMutationSticks(t *testing.T) {
 	c := New(4<<10, 4, WriteBack, 2)
 	c.Put(3, blk(1))
-	c.Get(3).Major = 42
-	if c.Get(3).Major != 42 {
+	b, _ := c.Get(3)
+	b.Major = 42
+	if b, _ := c.Get(3); b.Major != 42 {
 		t.Fatal("mutation through Get pointer lost")
 	}
 }
@@ -175,23 +176,23 @@ func TestCoWCacheLRU(t *testing.T) {
 	c.Insert(1, 101, true)
 	c.Insert(2, 102, true)
 	c.Insert(3, 103, true)
-	if _, _, cached := c.Lookup(1); !cached {
+	if _, _, cached, _ := c.Lookup(1); !cached {
 		t.Fatal("mapping 1 lost prematurely")
 	}
 	c.Insert(4, 104, true) // evicts LRU = 2
-	if _, _, cached := c.Lookup(2); cached {
+	if _, _, cached, _ := c.Lookup(2); cached {
 		t.Fatal("LRU mapping should have been evicted")
 	}
-	if src, present, cached := c.Lookup(4); !cached || !present || src != 104 {
+	if src, present, cached, _ := c.Lookup(4); !cached || !present || src != 104 {
 		t.Fatal("fresh mapping missing")
 	}
 	// Negative results are cached too, distinct from source pfn 0.
 	c.Insert(5, 0, false)
-	if _, present, cached := c.Lookup(5); !cached || present {
+	if _, present, cached, _ := c.Lookup(5); !cached || present {
 		t.Fatal("negative mapping must be cached as absent")
 	}
 	c.Insert(6, 0, true) // pfn 0 is a legal source page
-	if src, present, _ := c.Lookup(6); !present || src != 0 {
+	if src, present, _, _ := c.Lookup(6); !present || src != 0 {
 		t.Fatal("source pfn 0 must be representable")
 	}
 }
@@ -202,11 +203,11 @@ func TestCoWCacheUpdateAndDrop(t *testing.T) {
 	c := NewCoW(64)
 	c.Insert(5, 50, true)
 	c.Insert(5, 51, true)
-	if src, _, _ := c.Lookup(5); src != 51 {
+	if src, _, _, _ := c.Lookup(5); src != 51 {
 		t.Fatalf("update lost: src=%d", src)
 	}
 	c.Insert(5, 0, false)
-	if _, present, cached := c.Lookup(5); present || !cached {
+	if _, present, cached, _ := c.Lookup(5); present || !cached {
 		t.Fatalf("dropped mapping: present=%v cached=%v, want an absent entry", present, cached)
 	}
 }
@@ -218,5 +219,51 @@ func TestCoWCacheMissRate(t *testing.T) {
 	c.Lookup(1)
 	if r := c.MissRate(); r != 0.5 {
 		t.Fatalf("miss rate = %v", r)
+	}
+}
+
+// TestFillLifecycle pins the in-flight prefetch bookkeeping the cache
+// entries carry: a fill's completion time comes back on its first demand
+// touch and never again, a fill overwritten or evicted before that touch
+// is reported through OnPrefetchEvict and forgotten, and a reset cache
+// forgets every fill without a callback.
+func TestFillLifecycle(t *testing.T) {
+	c := New(2*ctr.BlockBytes, 2, WriteBack, 2) // one set, two ways
+	var evicted []uint64
+	c.OnPrefetchEvict = func(page uint64) { evicted = append(evicted, page) }
+	c.PutPrefetched(7, blk(1), 100)
+	if _, ready := c.Get(7); ready != 100 {
+		t.Errorf("first Get of a fill hands back %d, want 100", ready)
+	}
+	if _, ready := c.Get(7); ready != 0 {
+		t.Errorf("second Get of one fill hands back %d, want 0", ready)
+	}
+	c.PutPrefetched(9, blk(2), 300)
+	c.Put(9, blk(3)) // demand overwrites the untouched fill
+	if _, ready := c.Get(9); ready != 0 || len(evicted) != 1 || evicted[0] != 9 {
+		t.Errorf("overwritten fill: ready %d, evictions %v, want 0 and [9]", ready, evicted)
+	}
+	c.PutPrefetched(11, blk(4), 400)
+	c.Reset()
+	c.Put(11, blk(5))
+	if _, ready := c.Get(11); ready != 0 || len(evicted) != 1 {
+		t.Errorf("fill survived Reset: ready %d, evictions %v", ready, evicted)
+	}
+
+	w := NewCoW(2 * 8)
+	var wEvicted []uint64
+	w.OnPrefetchEvict = func(dst uint64) { wEvicted = append(wEvicted, dst) }
+	w.InsertPrefetched(7, 70, true, 200)
+	if _, _, _, ready := w.Lookup(7); ready != 200 {
+		t.Errorf("first Lookup of a fill hands back %d, want 200", ready)
+	}
+	if _, _, _, ready := w.Lookup(7); ready != 0 {
+		t.Errorf("second Lookup of one fill hands back %d, want 0", ready)
+	}
+	w.InsertPrefetched(9, 90, true, 300)
+	w.Insert(1, 10, true)
+	w.Insert(2, 20, true) // evicts the untouched fill at the cold end
+	if _, _, cached, _ := w.Lookup(9); cached || len(wEvicted) != 1 || wEvicted[0] != 9 {
+		t.Errorf("evicted fill: cached %v, evictions %v, want false and [9]", cached, wEvicted)
 	}
 }

@@ -2,6 +2,7 @@ package ctrcache
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -13,14 +14,15 @@ import (
 // speculative fill); the CoW model is a recency-ordered slice. Divergence
 // in any return value, hit/miss counter, write-back victim, prefetch-evict
 // callback or final residency fails the test with the op trace position.
+// Reset is one more op: both models return to their constructor state.
 
 // cmEntry mirrors one cache way in the reference model.
 type cmEntry struct {
-	page   uint64
-	valid  bool
-	dirty  bool
-	pfetch bool
-	tick   uint64
+	page  uint64
+	valid bool
+	dirty bool
+	ready uint64 // untouched prefetch fill's completion time, else 0
+	tick  uint64
 }
 
 // cacheModel is the reference implementation of Cache's replacement policy.
@@ -39,6 +41,14 @@ func newCacheModel(sets, ways int) *cacheModel {
 	return m
 }
 
+// reset returns the model to its constructor state; the callback trace,
+// which belongs to the test, is kept.
+func (m *cacheModel) reset() {
+	evicts := m.evicts
+	*m = *newCacheModel(m.sets, m.ways)
+	m.evicts = evicts
+}
+
 func (m *cacheModel) set(page uint64) []cmEntry { return m.ents[page%uint64(m.sets)] }
 
 func (m *cacheModel) find(page uint64) *cmEntry {
@@ -51,22 +61,22 @@ func (m *cacheModel) find(page uint64) *cmEntry {
 	return nil
 }
 
-func (m *cacheModel) get(page uint64) bool {
+func (m *cacheModel) get(page uint64) (hit bool, ready uint64) {
 	m.tick++
 	if e := m.find(page); e != nil {
 		e.tick = m.tick
-		e.pfetch = false
-		return true
+		ready, e.ready = e.ready, 0
+		return true, ready
 	}
-	return false
+	return false, 0
 }
 
 func (m *cacheModel) put(page uint64, dirtyNew bool) (victim uint64, needWB bool) {
 	m.tick++
 	set := m.set(page)
 	if e := m.find(page); e != nil {
-		if e.pfetch {
-			e.pfetch = false
+		if e.ready != 0 {
+			e.ready = 0
 			m.evicts = append(m.evicts, page)
 		}
 		e.tick = m.tick
@@ -82,7 +92,7 @@ func (m *cacheModel) put(page uint64, dirtyNew bool) (victim uint64, needWB bool
 	}
 	if pick < 0 {
 		for i := range set {
-			if set[i].pfetch && (pick < 0 || set[i].tick < set[pick].tick) {
+			if set[i].ready != 0 && (pick < 0 || set[i].tick < set[pick].tick) {
 				pick = i
 			}
 		}
@@ -105,7 +115,7 @@ func (m *cacheModel) put(page uint64, dirtyNew bool) (victim uint64, needWB bool
 	return victim, needWB
 }
 
-func (m *cacheModel) putPrefetched(page uint64) bool {
+func (m *cacheModel) putPrefetched(page, ready uint64) bool {
 	m.tick++
 	set := m.set(page)
 	if m.find(page) != nil {
@@ -120,7 +130,7 @@ func (m *cacheModel) putPrefetched(page uint64) bool {
 	}
 	if pick < 0 {
 		for i := range set {
-			if set[i].pfetch && (pick < 0 || set[i].tick < set[pick].tick) {
+			if set[i].ready != 0 && (pick < 0 || set[i].tick < set[pick].tick) {
 				pick = i
 			}
 		}
@@ -138,7 +148,7 @@ func (m *cacheModel) putPrefetched(page uint64) bool {
 			return false
 		}
 	}
-	set[pick] = cmEntry{page: page, valid: true, pfetch: true, tick: m.tick}
+	set[pick] = cmEntry{page: page, valid: true, ready: ready, tick: m.tick}
 	return true
 }
 
@@ -147,7 +157,7 @@ func (m *cacheModel) prefetchRoom(page uint64) bool {
 		return false
 	}
 	for _, e := range m.set(page) {
-		if !e.valid || e.pfetch || !e.dirty {
+		if !e.valid || e.ready != 0 || !e.dirty {
 			return true
 		}
 	}
@@ -155,7 +165,7 @@ func (m *cacheModel) prefetchRoom(page uint64) bool {
 }
 
 // TestCachePropertyVsModel runs a long random mix of Get, Put, Peek,
-// MarkDirty, PutPrefetched and PrefetchRoom on a small cache
+// MarkDirty, PutPrefetched, PrefetchRoom and Reset on a small cache
 // and checks every observable — return values, hit/miss counters, dirty
 // write-back victims, the prefetch-evict callback trace and the final
 // residency of every page — against the reference model. In particular the
@@ -178,17 +188,18 @@ func TestCachePropertyVsModel(t *testing.T) {
 	var hits, misses uint64
 	for op := 0; op < ops; op++ {
 		page := uint64(rng.Intn(pages))
-		switch rng.Intn(9) {
+		switch rng.Intn(10) {
 		case 0, 1, 2: // Get
-			got := c.Get(page) != nil
-			want := m.get(page)
+			b, gotReady := c.Get(page)
+			got := b != nil
+			want, wantReady := m.get(page)
 			if want {
 				hits++
 			} else {
 				misses++
 			}
-			if got != want {
-				t.Fatalf("op %d: Get(%d) hit=%v, model %v", op, page, got, want)
+			if got != want || gotReady != wantReady {
+				t.Fatalf("op %d: Get(%d) hit=%v ready=%d, model %v %d", op, page, got, gotReady, want, wantReady)
 			}
 		case 3, 4, 5: // Put, sometimes marking dirty afterwards
 			dirty := rng.Intn(2) == 0
@@ -206,8 +217,9 @@ func TestCachePropertyVsModel(t *testing.T) {
 				t.Fatalf("op %d: Peek(%d)=%v, model %v", op, page, got, want)
 			}
 		case 7: // PutPrefetched
-			got := c.PutPrefetched(page, blk(page))
-			if want := m.putPrefetched(page); got != want {
+			ready := uint64(op) + 1
+			got := c.PutPrefetched(page, blk(page), ready)
+			if want := m.putPrefetched(page, ready); got != want {
 				t.Fatalf("op %d: PutPrefetched(%d)=%v, model %v", op, page, got, want)
 			}
 		case 8: // PrefetchRoom is a pure predicate
@@ -215,6 +227,10 @@ func TestCachePropertyVsModel(t *testing.T) {
 			if want := m.prefetchRoom(page); got != want {
 				t.Fatalf("op %d: PrefetchRoom(%d)=%v, model %v", op, page, got, want)
 			}
+		case 9: // Reset: a power cycle, back to constructor state
+			c.Reset()
+			m.reset()
+			hits, misses = 0, 0
 		}
 		if len(implEvicts) != len(m.evicts) {
 			t.Fatalf("op %d: %d prefetch-evict callbacks, model %d", op, len(implEvicts), len(m.evicts))
@@ -264,20 +280,26 @@ func (m *cowModel) front(dst uint64) {
 	m.order = append([]uint64{dst}, m.order...)
 }
 
-func (m *cowModel) lookup(dst uint64) (src uint64, present, cached bool) {
+func (m *cowModel) lookup(dst uint64) (src uint64, present, cached bool, ready uint64) {
 	e, ok := m.state[dst]
 	if !ok {
-		return 0, false, false
+		return 0, false, false, 0
 	}
 	m.front(dst)
-	e.pfetch = false
-	return e.src, e.present, true
+	ready, e.pfReady = e.pfReady, 0
+	return e.src, e.present, true, ready
+}
+
+// reset returns the model to its constructor state, keeping the test's
+// callback trace.
+func (m *cowModel) reset() {
+	m.order, m.state = nil, map[uint64]*cowEntry{}
 }
 
 func (m *cowModel) insert(dst, src uint64, present, dirty bool) (victim uint64, needWB bool) {
 	if e, ok := m.state[dst]; ok {
-		if e.pfetch {
-			e.pfetch = false
+		if e.pfReady != 0 {
+			e.pfReady = 0
 			m.evicts = append(m.evicts, dst)
 		}
 		e.src, e.present, e.dirty = src, present, dirty
@@ -290,7 +312,7 @@ func (m *cowModel) insert(dst, src uint64, present, dirty bool) (victim uint64, 
 		if old.dirty {
 			victim, needWB = tail, true
 		}
-		if old.pfetch {
+		if old.pfReady != 0 {
 			m.evicts = append(m.evicts, tail)
 		}
 		m.remove(tail)
@@ -300,7 +322,7 @@ func (m *cowModel) insert(dst, src uint64, present, dirty bool) (victim uint64, 
 	return victim, needWB
 }
 
-func (m *cowModel) insertPrefetched(dst, src uint64, present bool) bool {
+func (m *cowModel) insertPrefetched(dst, src uint64, present bool, ready uint64) bool {
 	if _, ok := m.state[dst]; ok {
 		return false
 	}
@@ -310,12 +332,12 @@ func (m *cowModel) insertPrefetched(dst, src uint64, present bool) bool {
 		if old.dirty {
 			return false
 		}
-		if old.pfetch {
+		if old.pfReady != 0 {
 			m.evicts = append(m.evicts, tail)
 		}
 		m.remove(tail)
 	}
-	m.state[dst] = &cowEntry{dst: dst, src: src, present: present, pfetch: true}
+	m.state[dst] = &cowEntry{dst: dst, src: src, present: present, pfReady: ready}
 	m.order = append(m.order, dst)
 	return true
 }
@@ -380,8 +402,8 @@ func checkCoWIntegrity(t *testing.T, op int, c *CoWCache, m *cowModel) {
 }
 
 // TestCoWCachePropertyVsModel runs a long random mix of Lookup, Insert,
-// InsertDirty, InsertPrefetched, Peek, DrainDirty and PrefetchRoom on
-// a small CoWCache, checking every return value against the recency model
+// InsertDirty, InsertPrefetched, Peek, DrainDirty, PrefetchRoom and Reset
+// on a small CoWCache, checking every return value against the recency model
 // and the intrusive list's structural integrity after every operation.
 func TestCoWCachePropertyVsModel(t *testing.T) {
 	const (
@@ -399,17 +421,17 @@ func TestCoWCachePropertyVsModel(t *testing.T) {
 	for op := 0; op < ops; op++ {
 		dst := uint64(rng.Intn(pages))
 		src := dst + 1000
-		switch rng.Intn(11) {
+		switch rng.Intn(12) {
 		case 0, 1, 2: // Lookup
-			gs, gp, gc := c.Lookup(dst)
-			ws, wp, wc := m.lookup(dst)
+			gs, gp, gc, gr := c.Lookup(dst)
+			ws, wp, wc, wr := m.lookup(dst)
 			if wc {
 				hits++
 			} else {
 				misses++
 			}
-			if gs != ws || gp != wp || gc != wc {
-				t.Fatalf("op %d: Lookup(%d)=(%d,%v,%v), model (%d,%v,%v)", op, dst, gs, gp, gc, ws, wp, wc)
+			if gs != ws || gp != wp || gc != wc || gr != wr {
+				t.Fatalf("op %d: Lookup(%d)=(%d,%v,%v,%d), model (%d,%v,%v,%d)", op, dst, gs, gp, gc, gr, ws, wp, wc, wr)
 			}
 		case 3, 4: // Insert (clean)
 			present := rng.Intn(4) != 0
@@ -426,8 +448,9 @@ func TestCoWCachePropertyVsModel(t *testing.T) {
 			}
 		case 7, 8: // InsertPrefetched
 			present := rng.Intn(4) != 0
-			got := c.InsertPrefetched(dst, src, present)
-			if want := m.insertPrefetched(dst, src, present); got != want {
+			ready := uint64(op) + 1
+			got := c.InsertPrefetched(dst, src, present, ready)
+			if want := m.insertPrefetched(dst, src, present, ready); got != want {
 				t.Fatalf("op %d: InsertPrefetched(%d)=%v, model %v", op, dst, got, want)
 			}
 		case 9: // DrainDirty: same victim set, then nothing left dirty
@@ -453,6 +476,13 @@ func TestCoWCachePropertyVsModel(t *testing.T) {
 				(len(m.order) > 0 && !m.state[m.order[len(m.order)-1]].dirty))
 			if got != want {
 				t.Fatalf("op %d: PrefetchRoom(%d)=%v, model %v", op, dst, got, want)
+			}
+		case 11: // Reset: a power cycle, back to constructor state
+			c.Reset()
+			m.reset()
+			hits, misses = 0, 0
+			if fresh := NewCoW(capacity * 8); !slices.Equal(c.free, fresh.free) {
+				t.Fatalf("op %d: free slots after Reset %v, a new cache's %v", op, c.free, fresh.free)
 			}
 		}
 		checkCoWIntegrity(t, op, c, m)

@@ -120,12 +120,19 @@ func New(cfg Config) (*Controller, error) {
 		tree.DisableHashing()
 	}
 
-	cc, cowCache, err := counterCaches(cfg)
-	if err != nil {
-		return nil, err
+	// Lelantus-CoW reserves CoWReserveBytes of the counter cache for the
+	// CoW-mapping slice; every other scheme gets an empty one.
+	ctrBytes, cowBytes := cfg.CtrCacheBytes, uint64(0)
+	if cfg.Core.Scheme == core.LelantusCoW {
+		cowBytes = cfg.CoWReserveBytes
+		if cowBytes >= ctrBytes {
+			return nil, fmt.Errorf("memctrl: CoW reserve %d must be smaller than counter cache %d", cowBytes, ctrBytes)
+		}
+		ctrBytes -= cowBytes
 	}
+	cc := ctrcache.New(ctrBytes, cfg.CtrCacheWays, cfg.CtrCacheMode, cfg.CtrCacheLatNs)
 
-	eng := core.NewEngine(cfg.Core, layout, phys, dev, encEng, tree, macs, cc, cowCache)
+	eng := core.NewEngine(cfg.Core, layout, phys, dev, encEng, tree, macs, cc, ctrcache.NewCoW(cowBytes))
 	ctl := &Controller{
 		cfg:    cfg,
 		Engine: eng,
@@ -140,10 +147,6 @@ func New(cfg Config) (*Controller, error) {
 	eng.AttachFaultPlane(cfg.FaultPlane, cfg.WriteQueue != nil)
 	eng.AttachProbe(cfg.Probe)
 	if cfg.Probe != nil {
-		// The sampler reads through the controller so it tracks the *current*
-		// caches even after Crash swaps them (ResetVolatile replaces the
-		// counter/CoW caches, Crash rebuilds the queue and resets the data
-		// caches in place).
 		cfg.Probe.SetSampler(func(now uint64, s *probe.Sample) {
 			s.CtrHits = ctl.Engine.CtrCache.Hits
 			s.CtrMisses = ctl.Engine.CtrCache.Misses
@@ -392,17 +395,18 @@ func (c *Controller) ZeroPageFull(now, dst uint64, nonTemporal bool) (uint64, er
 	return done, nil
 }
 
-// Crash power-cycles the machine at simulated time now: all volatile state
-// (data caches, counter cache, CoW-mapping cache) disappears. With
-// batteryBacked set, the counter cache drains to NVM first — the paper's
-// default assumption for the write-back configuration — with every flush
-// issued at the crash timestamp, as the residual-energy burst would.
-// Without it, counter updates still sitting in the cache are lost; affected
-// lines are detected (MAC mismatch) on their next read rather than silently
-// corrupted. The write queue is a timing model: every line reached
-// mem.Physical when it was written, so a crash loses only the queue's
-// timing state. The data caches are emptied in place
-// (cache.Hierarchy.Reset), so a crash allocates no new hierarchy.
+// Crash power-cycles the machine at simulated time now. All volatile state
+// (data caches, counter cache, CoW-mapping cache, prefetch tables, the
+// write queue's timing state) is reset in place, and the engine's
+// DurableImage is all that carries over; a crash allocates no cache or
+// queue. With batteryBacked set, the counter cache drains to NVM first —
+// the paper's default assumption for the write-back configuration — with
+// every flush issued at the crash timestamp, as the residual-energy burst
+// would. Without it, counter updates still sitting in the cache are lost;
+// affected lines are detected (MAC mismatch) on their next read rather
+// than silently corrupted. The write queue is a timing model: every line
+// reached mem.Physical when it was written, so a crash without battery
+// loses only the queue's timing state (nvm.Queue.Reset).
 func (c *Controller) Crash(now uint64, batteryBacked bool) error {
 	if batteryBacked {
 		if _, err := c.Engine.DrainMetadata(now); err != nil {
@@ -412,33 +416,11 @@ func (c *Controller) Crash(now uint64, batteryBacked bool) error {
 			c.Queue.Flush(now)
 		}
 	} else if c.Queue != nil {
-		// Only the queue's timing state is lost: its lines are already in
-		// mem.Physical.
-		c.Queue = nvm.NewQueue(*c.cfg.WriteQueue, c.Dev)
-		c.Engine.Mem = c.Queue
+		c.Queue.Reset()
 	}
 	c.Caches.Reset()
-	cc, cowCache, err := counterCaches(c.cfg)
-	if err != nil {
-		return err
-	}
-	c.Engine.ResetVolatile(cc, cowCache)
+	c.Engine.ResetVolatile()
 	return nil
-}
-
-// counterCaches builds an empty counter cache and its CoW-mapping slice:
-// Lelantus-CoW reserves CoWReserveBytes of the counter cache for the slice,
-// every other scheme gets an empty one.
-func counterCaches(cfg Config) (*ctrcache.Cache, *ctrcache.CoWCache, error) {
-	ctrBytes, cowBytes := cfg.CtrCacheBytes, uint64(0)
-	if cfg.Core.Scheme == core.LelantusCoW {
-		cowBytes = cfg.CoWReserveBytes
-		if cowBytes >= ctrBytes {
-			return nil, nil, fmt.Errorf("memctrl: CoW reserve %d must be smaller than counter cache %d", cowBytes, ctrBytes)
-		}
-		ctrBytes -= cowBytes
-	}
-	return ctrcache.New(ctrBytes, cfg.CtrCacheWays, cfg.CtrCacheMode, cfg.CtrCacheLatNs), ctrcache.NewCoW(cowBytes), nil
 }
 
 // Recover runs the post-crash metadata scrub (see core.Engine.Recover).

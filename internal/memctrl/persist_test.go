@@ -176,7 +176,7 @@ func TestBatteryDrainPreservesLazyCoWMapping(t *testing.T) {
 	if _, err := c.PageCopy(0, 3, 8); err != nil {
 		t.Fatal(err)
 	}
-	if src, ok := c.Engine.PeekCoWEntry(8); ok {
+	if src, ok := c.Engine.Image().CoWEntry(8); ok {
 		t.Fatalf("lazy mapping already durable before drain (src %d)", src)
 	}
 	if src, ok := c.Engine.SourceOf(8); !ok || src != 3 {
@@ -185,7 +185,7 @@ func TestBatteryDrainPreservesLazyCoWMapping(t *testing.T) {
 	if err := c.Crash(0, true); err != nil {
 		t.Fatal(err)
 	}
-	if src, ok := c.Engine.PeekCoWEntry(8); !ok || src != 3 {
+	if src, ok := c.Engine.Image().CoWEntry(8); !ok || src != 3 {
 		t.Fatalf("battery drain lost the lazy CoW mapping: %d %v", src, ok)
 	}
 	got, _, err := c.Load(0, mem.LineAddr(8, 6))

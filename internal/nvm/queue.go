@@ -112,6 +112,15 @@ func (q *Queue) drainTo(now uint64, target int) uint64 {
 	return done
 }
 
+// Reset empties the queue in place and zeroes its counters: the power cycle
+// that loses the queue's timing state. Nothing durable is lost with it —
+// every line reached mem.Physical when it was written.
+func (q *Queue) Reset() {
+	clear(q.pending)
+	q.order = q.order[:0]
+	q.Enqueued, q.Merged, q.Forwarded, q.Drains = 0, 0, 0, 0
+}
+
 // Flush drains the whole queue (quiesce / power-down).
 func (q *Queue) Flush(now uint64) uint64 {
 	return q.drainTo(now, 0)

@@ -126,13 +126,6 @@ type Unit struct {
 
 	// walked is the chain-walk admission filter: slot -> dst page + 1.
 	walked [filterSize]uint64
-
-	// ctrReady / cowReady track in-flight prefetch fills: page -> the
-	// simulated time the fill completes. An entry lives until its first
-	// demand touch consumes it (useful or late) or the cache evicts the
-	// prefetched block unused.
-	ctrReady map[uint64]uint64
-	cowReady map[uint64]uint64
 }
 
 // New creates a unit for the configuration (nil when cfg is disabled, so
@@ -141,11 +134,7 @@ func New(cfg Config) *Unit {
 	if !cfg.Enabled() {
 		return nil
 	}
-	return &Unit{
-		cfg:      cfg,
-		ctrReady: make(map[uint64]uint64),
-		cowReady: make(map[uint64]uint64),
-	}
+	return &Unit{cfg: cfg}
 }
 
 // DeltaOn reports whether the delta-pattern prefetcher is active.
@@ -200,50 +189,13 @@ func (u *Unit) AdmitChainWalk(dst uint64) bool {
 	return true
 }
 
-// NoteCtrFill records an issued counter-block prefetch completing at ready.
-func (u *Unit) NoteCtrFill(page, ready uint64) { u.ctrReady[page] = ready }
-
-// NoteCoWFill records an issued CoW-entry prefetch completing at ready.
-func (u *Unit) NoteCoWFill(page, ready uint64) { u.cowReady[page] = ready }
-
-// ConsumeCtr removes and returns the in-flight state of a counter-block
-// prefetch on its first demand touch.
-func (u *Unit) ConsumeCtr(page uint64) (ready uint64, ok bool) {
-	ready, ok = u.ctrReady[page]
-	if ok {
-		delete(u.ctrReady, page)
-	}
-	return ready, ok
-}
-
-// ConsumeCoW is ConsumeCtr for CoW-table entries.
-func (u *Unit) ConsumeCoW(page uint64) (ready uint64, ok bool) {
-	ready, ok = u.cowReady[page]
-	if ok {
-		delete(u.cowReady, page)
-	}
-	return ready, ok
-}
-
-// DropCtr forgets an in-flight counter-block prefetch whose cache entry was
-// evicted before any demand touch.
-func (u *Unit) DropCtr(page uint64) { delete(u.ctrReady, page) }
-
-// DropCoW is DropCtr for CoW-table entries.
-func (u *Unit) DropCoW(page uint64) { delete(u.cowReady, page) }
-
 // WalkCap returns the per-walk hop bound.
 func (u *Unit) WalkCap() int { return walkCap }
 
-// Reset clears all predictor and in-flight state — the power cycle that
-// also cold-starts the metadata caches the unit fills.
+// Reset clears all predictor state — the power cycle that also
+// cold-starts the metadata caches the unit fills (an in-flight fill's
+// completion time lives in its cache entry and is lost with it).
 func (u *Unit) Reset() {
 	u.table = [tableSize]deltaEntry{}
 	u.walked = [filterSize]uint64{}
-	for k := range u.ctrReady {
-		delete(u.ctrReady, k)
-	}
-	for k := range u.cowReady {
-		delete(u.cowReady, k)
-	}
 }

@@ -203,56 +203,20 @@ func TestAdmitChainWalk(t *testing.T) {
 	}
 }
 
-// TestFillLifecycle pins the in-flight bookkeeping: a noted fill is consumed
-// exactly once, a dropped fill is forgotten, and the counter-block and CoW
-// sides are independent.
-func TestFillLifecycle(t *testing.T) {
-	u := New(Config{Mode: Both})
-	u.NoteCtrFill(7, 100)
-	u.NoteCoWFill(7, 200)
-	if ready, ok := u.ConsumeCtr(7); !ok || ready != 100 {
-		t.Errorf("ConsumeCtr = (%d, %v), want (100, true)", ready, ok)
-	}
-	if _, ok := u.ConsumeCtr(7); ok {
-		t.Error("second ConsumeCtr of one fill succeeded")
-	}
-	if ready, ok := u.ConsumeCoW(7); !ok || ready != 200 {
-		t.Errorf("ConsumeCoW = (%d, %v), want (200, true)", ready, ok)
-	}
-	u.NoteCtrFill(9, 300)
-	u.DropCtr(9)
-	if _, ok := u.ConsumeCtr(9); ok {
-		t.Error("dropped ctr fill still consumable")
-	}
-	u.NoteCoWFill(9, 400)
-	u.DropCoW(9)
-	if _, ok := u.ConsumeCoW(9); ok {
-		t.Error("dropped CoW fill still consumable")
-	}
-}
-
-// TestReset pins the power-cycle contract: predictor, filter and in-flight
-// state all clear, matching the cold metadata caches the unit fills.
+// TestReset pins the power-cycle contract: predictor and filter both
+// clear, matching the cold metadata caches the unit fills.
 func TestReset(t *testing.T) {
 	u := New(Config{Mode: Both})
 	for _, p := range []uint64{0, 8, 16, 24} {
 		u.Observe(p)
 	}
 	u.AdmitChainWalk(3)
-	u.NoteCtrFill(1, 10)
-	u.NoteCoWFill(2, 20)
 	u.Reset()
 	if _, n := u.Observe(32); n != 0 {
 		t.Error("delta table survived Reset")
 	}
 	if !u.AdmitChainWalk(3) {
 		t.Error("walk filter survived Reset")
-	}
-	if _, ok := u.ConsumeCtr(1); ok {
-		t.Error("in-flight ctr fill survived Reset")
-	}
-	if _, ok := u.ConsumeCoW(2); ok {
-		t.Error("in-flight CoW fill survived Reset")
 	}
 }
 

@@ -89,39 +89,6 @@ func runToCrash(cfg Config, s workload.Script, seed int64, n uint64) (*Machine, 
 	return m, plane, nil
 }
 
-// CrashSweep enumerates up to maxCells crash points spread evenly over the
-// script's persist-point space and returns one cell per point. Points are
-// strided, not sampled, so repeated sweeps cover identical cells.
-func CrashSweep(cfg Config, s workload.Script, seed int64, maxCells int) ([]CrashCell, error) {
-	total, err := CrashPoints(cfg, s, seed)
-	if err != nil {
-		return nil, err
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("sim: script exercises no persist points")
-	}
-	var cells []CrashCell
-	for _, n := range SweepPoints(total, maxCells) {
-		cell, err := CrashAt(cfg, s, seed, n)
-		if err != nil {
-			return cells, fmt.Errorf("sim: crash cell %d/%d: %w", n, total, err)
-		}
-		cells = append(cells, cell)
-	}
-	return cells, nil
-}
-
-// SweepPoints is CrashSweep's enumeration: up to maxCells (at least one)
-// persist points strided evenly over 1..total, starting at 1.
-func SweepPoints(total uint64, maxCells int) []uint64 {
-	stride := (total + uint64(max(maxCells, 1)) - 1) / uint64(max(maxCells, 1))
-	var points []uint64
-	for n := uint64(1); n <= total; n += max(stride, 1) {
-		points = append(points, n)
-	}
-	return points
-}
-
 // OracleLineStride bounds the read-back scan: every stride-th line of each
 // mapped frame is probed. Sweep scripts confine their stores to these line
 // indices so the oracle still sees every written line.
@@ -148,7 +115,7 @@ func checkReadBack(m *Machine, plane *faultinject.Plane) []string {
 			if err != nil {
 				continue // detected: MAC or tree verification refused the read
 			}
-			resolved, zeros, ok := resolveExpected(eng, la)
+			resolved, zeros, ok := resolveExpected(eng.Image(), eng.Scheme(), la)
 			if !ok {
 				violations = append(violations,
 					fmt.Sprintf("line %#x: durable redirect chain does not terminate", la))
@@ -184,22 +151,22 @@ func checkReadBack(m *Machine, plane *faultinject.Plane) []string {
 	return violations
 }
 
-// resolveExpected follows the *durable* CoW metadata (NVM bytes only — the
-// caches the crash destroyed play no part) from a line to the line that
-// should hold its data. zeros reports a chain that bottoms out in fresh or
-// zero-initialised state.
-func resolveExpected(eng *core.Engine, lineAddr uint64) (resolved uint64, zeros, ok bool) {
+// resolveExpected follows the durable CoW metadata of a scheme's image from
+// a line to the line that should hold its data: the image is all it is
+// handed, so the metadata caches play no part. zeros reports a chain that
+// bottoms out in fresh or zero-initialised state.
+func resolveExpected(img *core.DurableImage, scheme core.Scheme, lineAddr uint64) (resolved uint64, zeros, ok bool) {
 	cur := lineAddr
 	for hops := 0; hops < 128; hops++ {
 		pfn := mem.PageOf(cur)
 		i := mem.LineIndex(cur)
-		blk, has := eng.PeekBlock(pfn)
+		blk, has := img.Block(pfn)
 		if !has {
 			// Never-materialised page (e.g. the shared zero frame): fresh
 			// memory reads as zeros.
 			return 0, true, true
 		}
-		switch eng.Scheme() {
+		switch scheme {
 		case core.Lelantus:
 			if blk.CoW && blk.Minor[i] == 0 {
 				cur = mem.LineAddr(blk.Src, i)
@@ -207,7 +174,7 @@ func resolveExpected(eng *core.Engine, lineAddr uint64) (resolved uint64, zeros,
 			}
 		case core.LelantusCoW:
 			if blk.Minor[i] == 0 {
-				src, present := eng.PeekCoWEntry(pfn)
+				src, present := img.CoWEntry(pfn)
 				if !present {
 					return 0, true, true
 				}
@@ -219,7 +186,7 @@ func resolveExpected(eng *core.Engine, lineAddr uint64) (resolved uint64, zeros,
 				return 0, true, true
 			}
 		}
-		if !eng.LineWritten(cur) {
+		if !img.LineWritten(cur) {
 			return 0, true, true
 		}
 		return cur, false, true

@@ -231,7 +231,7 @@ func TestGridSharedScriptConcurrent(t *testing.T) {
 			})
 		}
 	}
-	results, err := RunGrid(jobs, 4)
+	results, err := runGrid(jobs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,18 +98,3 @@ func RunGridErrs(jobs []GridJob, workers int) ([]Result, []error) {
 	})
 	return results, errs
 }
-
-// RunGrid executes every job like RunGridErrs and keeps the historical
-// single-error signature: all jobs run even if some fail, every surviving
-// cell's result is returned, and the error of the lowest-indexed failing
-// job (wrapped with its tag) reports the failure. Callers that need every
-// cell's verdict use RunGridErrs.
-func RunGrid(jobs []GridJob, workers int) ([]Result, error) {
-	results, errs := RunGridErrs(jobs, workers)
-	for i, err := range errs {
-		if err != nil {
-			return results, fmt.Errorf("sim: grid job %d (%s): %w", i, jobs[i].Tag, err)
-		}
-	}
-	return results, nil
-}

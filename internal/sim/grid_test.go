@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -15,6 +16,13 @@ func gridScript(lines int) workload.Script {
 		RegionBytes: uint64(lines) * mem.LineBytes, BytesPerUnit: 16, ChildExits: true,
 	}
 	return workload.Forkbench(p)
+}
+
+// runGrid runs the jobs through RunGridErrs and joins the cells' errors,
+// for the tests that expect every cell to succeed.
+func runGrid(jobs []GridJob, workers int) ([]Result, error) {
+	results, errs := RunGridErrs(jobs, workers)
+	return results, errors.Join(errs...)
 }
 
 func gridJobs() []GridJob {
@@ -34,7 +42,7 @@ func gridJobs() []GridJob {
 // runner: every cell must produce exactly the result RunWith produces.
 func TestRunGridMatchesSequential(t *testing.T) {
 	jobs := gridJobs()
-	results, err := RunGrid(jobs, 4)
+	results, err := runGrid(jobs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +62,12 @@ func TestRunGridMatchesSequential(t *testing.T) {
 // job list produces identical, index-aligned results at every worker count.
 func TestRunGridWorkerCountInvariance(t *testing.T) {
 	jobs := gridJobs()
-	ref, err := RunGrid(jobs, 1)
+	ref, err := runGrid(jobs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8, 0} {
-		got, err := RunGrid(jobs, workers)
+		got, err := runGrid(jobs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +89,7 @@ func TestRunGridAfterHook(t *testing.T) {
 			seen[i] = m != nil && res.NVMWrites > 0
 		}
 	}
-	if _, err := RunGrid(jobs, 2); err != nil {
+	if _, err := runGrid(jobs, 2); err != nil {
 		t.Fatal(err)
 	}
 	for i, ok := range seen {
@@ -91,8 +99,9 @@ func TestRunGridAfterHook(t *testing.T) {
 	}
 }
 
-// TestRunGridErrorNamesJob: a failing cell must surface its tag, and the
-// remaining cells must still run.
+// TestRunGridErrorNamesJob: a failing cell's error sits in the slot of its
+// job, so a caller names it by the job's tag, and the remaining cells must
+// still run.
 func TestRunGridErrorNamesJob(t *testing.T) {
 	bad := workload.NewBuilder("bad")
 	bad.Spawn(0)
@@ -102,12 +111,9 @@ func TestRunGridErrorNamesJob(t *testing.T) {
 		{Tag: "good", Config: smallConfig(core.Baseline), Script: gridScript(512)},
 		{Tag: "broken", Config: smallConfig(core.Baseline), Script: bad.Script()},
 	}
-	results, err := RunGrid(jobs, 2)
-	if err == nil {
-		t.Fatal("expected the broken job's error")
-	}
-	if !strings.Contains(err.Error(), "broken") {
-		t.Fatalf("error does not name the failing job: %v", err)
+	results, errs := RunGridErrs(jobs, 2)
+	if errs[1] == nil || errs[0] != nil {
+		t.Fatalf("errors %v: want exactly the %q job's slot set", errs, jobs[1].Tag)
 	}
 	if results[0].NVMWrites == 0 {
 		t.Fatal("healthy job was not run to completion")
@@ -292,7 +298,7 @@ func BenchmarkGridRun(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunGrid(jobs, workers); err != nil {
+				if _, err := runGrid(jobs, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -163,7 +163,7 @@ func TestMLPGridConcurrent(t *testing.T) {
 			})
 		}
 	}
-	results, err := RunGrid(jobs, 4)
+	results, err := runGrid(jobs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,12 +236,12 @@ func TestPrefetchGridDeterminism(t *testing.T) {
 			})
 		}
 	}
-	ref, err := RunGrid(jobs, 1)
+	ref, err := runGrid(jobs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, 8} {
-		results, err := RunGrid(jobs, workers)
+		results, err := runGrid(jobs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -158,7 +158,7 @@ func (m *Machine) snapInto(dst *snapshot) {
 // Run treats the Script as read-only: no op field is ever written, and a
 // KSM op's group (a slice of Script.Groups) is copied before use. One
 // Script value may therefore be shared by many machines running
-// concurrently — RunGrid and workload.Cache, the script intern cache the
+// concurrently — RunGridErrs and workload.Cache, the script intern cache the
 // experiment harness and the grid share, rely on this.
 func (m *Machine) Run(s workload.Script) (Result, error) {
 	if err := s.Validate(); err != nil {

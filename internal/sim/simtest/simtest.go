@@ -11,6 +11,18 @@ import (
 	"lelantus/internal/workload"
 )
 
+// SweepPoints strides up to maxCells (at least one) crash points evenly over
+// the persist-point index space 1..total, starting at 1, so repeated sweeps
+// of sim.CrashAt cover identical cells.
+func SweepPoints(total uint64, maxCells int) []uint64 {
+	stride := (total + uint64(max(maxCells, 1)) - 1) / uint64(max(maxCells, 1))
+	var points []uint64
+	for n := uint64(1); n <= total; n += max(stride, 1) {
+		points = append(points, n)
+	}
+	return points
+}
+
 // Script exercises every multi-step command the fault plane can interrupt:
 // page_copy (fork + child stores), on-demand line copies, a minor-counter
 // overflow re-encryption (the hammered line overflows both the Classic max

@@ -26,8 +26,8 @@
 //
 // Concurrency: a Machine is a single simulated system with one global
 // clock and is not safe for concurrent use. Independent simulations run
-// on independent Machines (they share nothing); RunGrid fans a list of
-// (scheme, workload, config) cells out over a shared-index worker pool
+// on independent Machines (they share nothing); RunGridErrs fans a list
+// of (scheme, workload, config) cells out over a shared-index worker pool
 // that way, with index-aligned results, so sweeps parallelise without
 // changing a single reported byte — that is how the benchmark harness
 // runs.
@@ -98,22 +98,10 @@ func Schemes() []Scheme { return core.Schemes() }
 // PersistStrategy selects the metadata persistence policy: which integrity
 // metadata (BMT leaf digests, inner nodes) persists alongside every counter
 // write and whether supplementary CoW-table updates write through eagerly.
-// Set it via Config.Mem.Core.Persist; the zero value is strict write-through.
+// Choose one by name through the persist knob — Knobs.Set("persist",
+// "phoenix"), or "strict", "triad:N" — and stamp it onto a Config with
+// Knobs.Apply; the zero value is strict write-through.
 type PersistStrategy = core.PersistStrategy
-
-// StrictPersist is the strict write-through strategy (the default): every
-// metadata persist point lands durably in program order.
-func StrictPersist() PersistStrategy { return core.StrictPersist() }
-
-// PhoenixPersist is the Phoenix-style lazy-tree strategy: leaf digests
-// persist eagerly, the tree interior and CoW-table inserts stay volatile
-// until eviction or drain, and recovery rebuilds the interior.
-func PhoenixPersist() PersistStrategy { return core.PhoenixPersist() }
-
-// TriadPersist is the Triad-NVM-style leveled strategy persisting the given
-// number of metadata levels (1 = counters only, 2 = +leaf digests, each
-// further level one more inner tree level).
-func TriadPersist(level int) PersistStrategy { return core.TriadPersist(level) }
 
 // Knobs is the machine-knob surface the CLIs, the experiment harness and
 // the grid share: fidelity (full or timing, the crypto-eliding fast path
@@ -182,18 +170,15 @@ func Run(s Scheme, script Script) (Result, error) { return sim.RunOne(s, script)
 func RunWith(cfg Config, script Script) (Result, error) { return sim.RunWith(cfg, script) }
 
 // GridJob is one independent cell of a scheme × workload × configuration
-// sweep, executed on its own fresh machine by RunGrid.
+// sweep, executed on its own fresh machine by RunGridErrs.
 type GridJob = sim.GridJob
 
-// RunGrid executes every job on a worker pool of at most `workers`
-// goroutines (<= 0 selects GOMAXPROCS) and returns results index-aligned
-// with the jobs: the output is byte-identical at any worker count.
-func RunGrid(jobs []GridJob, workers int) ([]Result, error) { return sim.RunGrid(jobs, workers) }
-
-// RunGridErrs is RunGrid with per-cell failure isolation: every job runs
-// (and panics are recovered into that job's error slot), so one broken
-// cell never discards its siblings' results. Both returned slices are
-// index-aligned with jobs.
+// RunGridErrs executes every job on a worker pool of at most `workers`
+// goroutines (<= 0 selects GOMAXPROCS) with per-cell failure isolation:
+// every job runs (and panics are recovered into that job's error slot), so
+// one broken cell never discards its siblings' results. Both returned
+// slices are index-aligned with jobs: the output is byte-identical at any
+// worker count.
 func RunGridErrs(jobs []GridJob, workers int) ([]Result, []error) {
 	return sim.RunGridErrs(jobs, workers)
 }
@@ -209,7 +194,7 @@ type RecoveryReport = core.RecoveryReport
 type CrashCell = sim.CrashCell
 
 // CrashPoints counts the persist points a script exercises under cfg — the
-// index space CrashAt and CrashSweep enumerate.
+// index space CrashAt takes its point from.
 func CrashPoints(cfg Config, script Script, faultSeed int64) (uint64, error) {
 	return sim.CrashPoints(cfg, script, faultSeed)
 }
@@ -220,12 +205,6 @@ func CrashPoints(cfg Config, script Script, faultSeed int64) (uint64, error) {
 // wrong.
 func CrashAt(cfg Config, script Script, faultSeed int64, n uint64) (CrashCell, error) {
 	return sim.CrashAt(cfg, script, faultSeed, n)
-}
-
-// CrashSweep enumerates up to maxCells evenly strided crash points and
-// returns one CrashCell per point.
-func CrashSweep(cfg Config, script Script, faultSeed int64, maxCells int) ([]CrashCell, error) {
-	return sim.CrashSweep(cfg, script, faultSeed, maxCells)
 }
 
 // Probe is the simulated-time observability plane: a bounded ring of typed
