@@ -252,8 +252,8 @@ type Engine struct {
 	// controller's write queue in front of it.
 	Mem nvm.Memory
 	Enc *enc.Engine
-	// Tree is the image's integrity tree, kept here for the readers of its
-	// update and verify counters.
+	// Tree is the image's integrity tree, exported for the readers of its
+	// update and verify counters; the engine's own code goes through img.
 	Tree *bmt.Tree
 
 	CtrCache *ctrcache.Cache
@@ -443,7 +443,7 @@ func (e *Engine) ensureInit(pfn uint64) error {
 	}
 	e.img.Phys.WriteLine(e.img.ctrAddr(pfn), &raw)
 	if !e.cfg.NonSecure {
-		e.Tree.Update(pfn, raw[:])
+		e.img.Tree.Update(pfn, raw[:])
 	}
 	return nil
 }
@@ -478,7 +478,7 @@ func (e *Engine) loadBlock(now, pfn uint64) (ctr.Block, uint64, error) {
 		// read just produced, so its charge serializes after the fetch even
 		// under MLP (only the *data* fetch can run ahead of it).
 		done += e.cfg.VerifyNs
-		if err := e.Tree.Verify(pfn, raw[:]); err != nil {
+		if err := e.img.Tree.Verify(pfn, raw[:]); err != nil {
 			return ctr.Block{}, done, err
 		}
 		if e.pr != nil {
@@ -537,7 +537,7 @@ func (e *Engine) persistBlock(now, pfn uint64, blk *ctr.Block) (uint64, error) {
 		// Runtime write overhead of the persistence strategy: how many
 		// integrity-tree nodes this counter persist makes durable. Modeled
 		// only — no device traffic or timing — so strict stays bit-exact.
-		e.Stats.TreePersistWrites += e.cfg.Persist.NodesPerCounterPersist(e.Tree.Levels())
+		e.Stats.TreePersistWrites += e.cfg.Persist.NodesPerCounterPersist(e.img.Tree.Levels())
 	}
 	e.img.initialised.Set(pfn)
 	done := e.Mem.Write(now, addr)
@@ -550,7 +550,7 @@ func (e *Engine) persistBlock(now, pfn uint64, blk *ctr.Block) (uint64, error) {
 			// previous epoch, so the scrub flags this block as torn.
 			return done, err
 		}
-		e.Tree.Update(pfn, raw[:])
+		e.img.Tree.Update(pfn, raw[:])
 		if e.pr != nil {
 			// Leaf-digest refreshes are on-chip SRAM updates with no modeled
 			// latency of their own: an instant marker at the persist's
@@ -617,8 +617,8 @@ func (e *Engine) DrainMetadata(now uint64) (uint64, error) {
 	if err != nil {
 		return done, err
 	}
-	if !e.cfg.NonSecure && e.Tree != nil {
-		e.Tree.Root()
+	if !e.cfg.NonSecure && e.img.Tree != nil {
+		e.img.Tree.Root()
 	}
 	return done, nil
 }

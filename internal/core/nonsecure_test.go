@@ -42,8 +42,8 @@ func TestNonSecureNoPads(t *testing.T) {
 	if e.Enc.Pads != 0 {
 		t.Fatalf("non-secure mode generated %d pads", e.Enc.Pads)
 	}
-	if e.Tree.Updates != 0 {
-		t.Fatalf("non-secure mode updated the Merkle tree %d times", e.Tree.Updates)
+	if e.img.Tree.Updates != 0 {
+		t.Fatalf("non-secure mode updated the Merkle tree %d times", e.img.Tree.Updates)
 	}
 }
 

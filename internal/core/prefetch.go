@@ -172,7 +172,7 @@ func (e *Engine) prefetchCtr(issue, pfn uint64) (ready uint64, ok bool) {
 	e.Stats.CtrReads++
 	if !e.cfg.NonSecure {
 		done += e.cfg.VerifyNs
-		if err := e.Tree.Verify(pfn, raw[:]); err != nil {
+		if err := e.img.Tree.Verify(pfn, raw[:]); err != nil {
 			return done, false
 		}
 	}

@@ -19,12 +19,6 @@ import (
 // partial last one.
 const recoverPages = 3000
 
-// powerCycle drops the engine's volatile metadata caches without a drain,
-// as Controller.Crash(now, false) does.
-func powerCycle(e *Engine, mode ctrcache.Mode) {
-	e.ResetVolatile()
-}
-
 // randomCommands drives a seeded random mix of stores and page_copy,
 // page_init and page_free commands, with an occasional metadata drain,
 // over a few clusters of pages, the first and the next-to-last included.
@@ -74,7 +68,7 @@ func TestRecoverMatchesFullScan(t *testing.T) {
 					twin := func() *Engine {
 						e := sizedEngine(t, s, recoverPages, mode, nil)
 						randomCommands(e, seed)
-						powerCycle(e, mode)
+						e.ResetVolatile()
 						return e
 					}
 					got, ref := twin(), twin()
@@ -120,7 +114,7 @@ func plantRedirect(t *testing.T, e *Engine, dst, src uint64) {
 			t.Fatal(err)
 		}
 		e.img.Phys.WriteLine(e.img.ctrAddr(dst), &raw)
-		e.Tree.Update(dst, raw[:])
+		e.img.Tree.Update(dst, raw[:])
 	case LelantusCoW:
 		var raw [mem.LineBytes]byte
 		addr := e.img.cowMetaAddr(dst)
@@ -172,7 +166,7 @@ func TestRecoverFlagsPlantedChains(t *testing.T) {
 				for _, r := range tc.plant {
 					plantRedirect(t, e, r.dst, r.src)
 				}
-				powerCycle(e, ctrcache.WriteBack)
+				e.ResetVolatile()
 				_, starts := e.RecoveryScan()
 				if _, refStarts := e.ReferenceScan(); !slices.Equal(starts, refStarts) {
 					t.Fatalf("chain starts %v, full scan %v", starts, refStarts)

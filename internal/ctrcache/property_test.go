@@ -188,7 +188,17 @@ func TestCachePropertyVsModel(t *testing.T) {
 	var hits, misses uint64
 	for op := 0; op < ops; op++ {
 		page := uint64(rng.Intn(pages))
-		switch rng.Intn(10) {
+		// Reset is rare, so the sets reach steady-state eviction between
+		// power cycles; the state it discards is checked first.
+		if rng.Intn(500) == 0 {
+			checkCacheVsModel(t, op, c, m, hits, misses, pages)
+			c.Reset()
+			m.reset()
+			hits, misses = 0, 0
+			checkCacheVsModel(t, op, c, m, hits, misses, pages)
+			continue
+		}
+		switch rng.Intn(9) {
 		case 0, 1, 2: // Get
 			b, gotReady := c.Get(page)
 			got := b != nil
@@ -227,28 +237,31 @@ func TestCachePropertyVsModel(t *testing.T) {
 			if want := m.prefetchRoom(page); got != want {
 				t.Fatalf("op %d: PrefetchRoom(%d)=%v, model %v", op, page, got, want)
 			}
-		case 9: // Reset: a power cycle, back to constructor state
-			c.Reset()
-			m.reset()
-			hits, misses = 0, 0
 		}
 		if len(implEvicts) != len(m.evicts) {
 			t.Fatalf("op %d: %d prefetch-evict callbacks, model %d", op, len(implEvicts), len(m.evicts))
 		}
 	}
-	if c.Hits != hits || c.Misses != misses {
-		t.Errorf("counters %d/%d, model %d/%d — a non-demand path moved demand accounting",
-			c.Hits, c.Misses, hits, misses)
-	}
+	checkCacheVsModel(t, ops, c, m, hits, misses, pages)
 	for i := range implEvicts {
 		if implEvicts[i] != m.evicts[i] {
 			t.Errorf("prefetch-evict trace diverges at %d: %d vs model %d", i, implEvicts[i], m.evicts[i])
 			break
 		}
 	}
-	for page := uint64(0); page < pages; page++ {
+}
+
+// checkCacheVsModel compares the demand counters and the residency of
+// every page with the model's.
+func checkCacheVsModel(t *testing.T, op int, c *Cache, m *cacheModel, hits, misses uint64, pages int) {
+	t.Helper()
+	if c.Hits != hits || c.Misses != misses {
+		t.Fatalf("op %d: counters %d/%d, model %d/%d — a non-demand path moved demand accounting",
+			op, c.Hits, c.Misses, hits, misses)
+	}
+	for page := uint64(0); page < uint64(pages); page++ {
 		if got, want := c.Peek(page) != nil, m.find(page) != nil; got != want {
-			t.Errorf("final residency of page %d: %v, model %v", page, got, want)
+			t.Fatalf("op %d: residency of page %d: %v, model %v", op, page, got, want)
 		}
 	}
 }
@@ -421,7 +434,22 @@ func TestCoWCachePropertyVsModel(t *testing.T) {
 	for op := 0; op < ops; op++ {
 		dst := uint64(rng.Intn(pages))
 		src := dst + 1000
-		switch rng.Intn(12) {
+		// Reset is rare, so the cache fills between power cycles; the
+		// counters it discards are checked first (checkCoWIntegrity below
+		// covers residency and recency order after every op).
+		if rng.Intn(500) == 0 {
+			checkCoWCounters(t, op, c, hits, misses)
+			c.Reset()
+			m.reset()
+			hits, misses = 0, 0
+			checkCoWCounters(t, op, c, hits, misses)
+			if fresh := NewCoW(capacity * 8); !slices.Equal(c.free, fresh.free) {
+				t.Fatalf("op %d: free slots after Reset %v, a new cache's %v", op, c.free, fresh.free)
+			}
+			checkCoWIntegrity(t, op, c, m)
+			continue
+		}
+		switch rng.Intn(11) {
 		case 0, 1, 2: // Lookup
 			gs, gp, gc, gr := c.Lookup(dst)
 			ws, wp, wc, wr := m.lookup(dst)
@@ -477,27 +505,26 @@ func TestCoWCachePropertyVsModel(t *testing.T) {
 			if got != want {
 				t.Fatalf("op %d: PrefetchRoom(%d)=%v, model %v", op, dst, got, want)
 			}
-		case 11: // Reset: a power cycle, back to constructor state
-			c.Reset()
-			m.reset()
-			hits, misses = 0, 0
-			if fresh := NewCoW(capacity * 8); !slices.Equal(c.free, fresh.free) {
-				t.Fatalf("op %d: free slots after Reset %v, a new cache's %v", op, c.free, fresh.free)
-			}
 		}
 		checkCoWIntegrity(t, op, c, m)
 		if len(implEvicts) != len(m.evicts) {
 			t.Fatalf("op %d: %d prefetch-evict callbacks, model %d", op, len(implEvicts), len(m.evicts))
 		}
 	}
-	if c.Hits != hits || c.Misses != misses {
-		t.Errorf("counters %d/%d, model %d/%d — a non-demand path moved demand accounting",
-			c.Hits, c.Misses, hits, misses)
-	}
+	checkCoWCounters(t, ops, c, hits, misses)
 	for i := range implEvicts {
 		if implEvicts[i] != m.evicts[i] {
 			t.Errorf("prefetch-evict trace diverges at %d: %d vs model %d", i, implEvicts[i], m.evicts[i])
 			break
 		}
+	}
+}
+
+// checkCoWCounters compares the demand counters with the model's.
+func checkCoWCounters(t *testing.T, op int, c *CoWCache, hits, misses uint64) {
+	t.Helper()
+	if c.Hits != hits || c.Misses != misses {
+		t.Fatalf("op %d: counters %d/%d, model %d/%d — a non-demand path moved demand accounting",
+			op, c.Hits, c.Misses, hits, misses)
 	}
 }

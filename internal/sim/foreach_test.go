@@ -27,7 +27,7 @@ func TestForEachEachIndexOnce(t *testing.T) {
 }
 
 // TestForEachIndexAlignedDeterminism: writing outputs index-aligned yields
-// the same result slice at every worker count — the property RunGrid
+// the same result slice at every worker count — the property RunGridErrs
 // builds its byte-identical-report guarantee on.
 func TestForEachIndexAlignedDeterminism(t *testing.T) {
 	const n = 200
